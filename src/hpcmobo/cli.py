@@ -25,15 +25,9 @@ from .core import (
 )
 from .embedding import train_mask
 from .ingest import preprocess_fit, read_table, write_table
-from .optimizer import (
-    ALL_METHODS,
-    CandidateSet,
-    mobo_run,
-    random_run,
-    report_to_dict,
-    sobo_run,
-)
+from .optimizer import CandidateSet, report_to_dict
 from .pipeline import (
+    METHODS,
     load_context,
     parse_settings,
     report_h1,
@@ -63,7 +57,6 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     run = p.add_argument_group("run config overrides")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--mobo-iterations", type=int, default=None)
-    run.add_argument("--q", type=int, default=None)
     run.add_argument("--mc-samples", type=int, default=None)
     run.add_argument("--acq-restarts", type=int, default=None)
     run.add_argument("--raw-candidates", type=int, default=None)
@@ -77,7 +70,6 @@ def _overrides(args) -> dict:
     return {
         "seed": args.seed,
         "mobo_iterations": args.mobo_iterations,
-        "q": args.q,
         "mc_samples": args.mc_samples,
         "acq_restarts": args.acq_restarts,
         "raw_candidates": args.raw_candidates,
@@ -215,17 +207,10 @@ def _cmd_optimize(args) -> int:
     surr_r = load_surrogate(surr_dir / "runtime_model.json")
     surr_p = load_surrogate(surr_dir / "power_model.json")
     context = load_context(Path(args.job_context), surr_r.design_feature)
-    lo, hi = surr_r.design_bounds
-    candidates = CandidateSet.from_bounds(lo, hi, context)
+    candidates = CandidateSet.for_surrogates(surr_r, surr_p, context)
+    method = METHODS[args.method.replace("-", "_")]
     start = time.perf_counter()
-    if args.method == "mobo":
-        report = mobo_run(surr_r, surr_p, candidates, cfg)
-    elif args.method == "sobo-runtime":
-        report = sobo_run(surr_r, surr_p, candidates, "runtime", cfg)
-    elif args.method == "sobo-power":
-        report = sobo_run(surr_r, surr_p, candidates, "power", cfg)
-    else:
-        report = random_run(surr_r, surr_p, candidates, cfg)
+    report = method.run(surr_r, surr_p, candidates, cfg)
     elapsed = time.perf_counter() - start
     payload = report_to_dict(report)
     payload["wall_clock_seconds"] = {"optimize": elapsed}
@@ -251,12 +236,8 @@ def _cmd_report(args) -> int:
         return 0
     # rebuild the comparison from per-method report files
     reports_dir = settings.out_dir / "reports"
-    missing = []
-    stage_names = {"MOBO": "mobo", "SOBO (Runtime)": "sobo_runtime",
-                   "SOBO (Power)": "sobo_power", "Random": "random"}
-    for method in ALL_METHODS:
-        if not (reports_dir / f"{stage_names[method]}_ctx0.json").exists():
-            missing.append(method)
+    missing = [method.label for stem, method in METHODS.items()
+               if not (reports_dir / f"{stem}_ctx0.json").exists()]
     if missing:
         raise PipelineError(f"missing method report(s): {missing}")
     log.info("all method reports present under %s", reports_dir)
@@ -266,10 +247,11 @@ def _cmd_report(args) -> int:
 def _cmd_run(args) -> int:
     if args.config is None:
         raise ConfigError("run needs --config")
+    start = time.perf_counter()
     manifest = run_pipeline(args.config, overrides=_overrides(args),
                             out_dir_override=args.out_dir)
-    total = manifest["timing_table"]["TOTAL"]
-    log.info("pipeline complete in %.2fs; %d artifacts", total, len(manifest["artifacts"]))
+    elapsed = time.perf_counter() - start
+    log.info("pipeline complete in %.2fs; %d artifacts", elapsed, len(manifest["artifacts"]))
     return 0
 
 
@@ -325,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="run one optimizer against frozen surrogates")
     _add_global_flags(p)
     p.add_argument("--method", required=True,
-                   choices=["mobo", "sobo-runtime", "sobo-power", "random"])
+                   choices=[stem.replace("_", "-") for stem in METHODS])
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--surrogates", required=True, help="directory with *_model.json")
     p.add_argument("--job-context", required=True, help="one-row CSV of feature values")

@@ -218,7 +218,6 @@ class RunConfig:
     """Optimizer and sampler budget knobs, overridable from config file and CLI."""
 
     mobo_iterations: int = 300
-    q: int = 1
     mc_samples: int = 128
     acq_restarts: int = 5
     raw_candidates: int = 32
@@ -232,8 +231,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     """Return cfg unchanged if valid; raise ConfigError naming the first bad field."""
     if cfg.mobo_iterations < 1:
         raise ConfigError(f"mobo_iterations must be >= 1, got {cfg.mobo_iterations}")
-    if cfg.q != 1:
-        raise ConfigError(f"q is fixed at 1, got {cfg.q}")
     if cfg.mc_samples < 1:
         raise ConfigError(f"mc_samples must be >= 1, got {cfg.mc_samples}")
     if cfg.acq_restarts < 1:

@@ -92,10 +92,13 @@ def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
     noise_var fixes the noise level when given (0.0 for a noise-free
     interpolator); otherwise it is searched alongside the kernel parameters.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 1 and X.shape[1] > 1 and np.asarray(y).size == X.shape[1]:
-        X = X.T
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2 or len(X) != len(y):
+        raise DataError(
+            f"GP training inputs must be an (n, d) array with one row per target; "
+            f"got shape {X.shape} for {len(y)} targets"
+        )
     n, d = X.shape
     if n < 2:
         raise DataError(f"GP fitting needs at least 2 observations, got {n}")

@@ -6,6 +6,11 @@ closed-form log expected improvement on a single objective; the random
 baseline spends a matched budget of uniform draws split across seeds. All
 methods start from the same 4-point space-filling initial design and evaluate
 objectives against frozen surrogates, which stand in for the machine.
+
+The surrogates are frozen and the domain is a finite set of node counts, so
+each engine call evaluates every candidate once, up front, with one batched
+predict per surrogate (`evaluate_objectives`); an observation is then a
+lookup in that table.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ METHOD_MOBO = "MOBO"
 METHOD_SOBO_RUNTIME = "SOBO (Runtime)"
 METHOD_SOBO_POWER = "SOBO (Power)"
 METHOD_RANDOM = "Random"
-ALL_METHODS = (METHOD_MOBO, METHOD_SOBO_RUNTIME, METHOD_SOBO_POWER, METHOD_RANDOM)
 
 
 class ObjectiveSurrogate(Protocol):
@@ -85,21 +89,46 @@ class CandidateSet:
             raise ConfigError(f"empty node range [{lo}, {hi}]")
         return cls(np.arange(lo, hi + 1, dtype=int), context)
 
+    @classmethod
+    def for_surrogates(cls, surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
+                       context: JobContext) -> "CandidateSet":
+        """Every node count inside both surrogates' design bounds."""
+        lo, hi = _shared_bounds(surr_runtime, surr_power)
+        if hi < lo:
+            raise ConfigError(
+                f"runtime and power surrogate design bounds {surr_runtime.design_bounds} "
+                f"and {surr_power.design_bounds} do not overlap"
+            )
+        return cls.from_bounds(lo, hi, context)
+
+
+def _shared_bounds(surr_runtime: ObjectiveSurrogate,
+                   surr_power: ObjectiveSurrogate) -> tuple[int, int]:
+    (lo_r, hi_r), (lo_p, hi_p) = surr_runtime.design_bounds, surr_power.design_bounds
+    return max(lo_r, lo_p), min(hi_r, hi_p)
+
 
 def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-                        node_count: int, context: JobContext) -> tuple[float, float]:
-    """Predict (runtime, power) for one design point from the frozen surrogates."""
-    lo, hi = surr_runtime.design_bounds
-    if not (lo <= node_count <= hi):
-        raise DataError(f"node count {node_count} outside design bounds [{lo}, {hi}]")
+                        candidates: CandidateSet) -> np.ndarray:
+    """Predict (runtime, power) for every candidate from the frozen surrogates.
+
+    Row i of the (n, 2) result belongs to candidates.node_counts[i]; each
+    surrogate is called once, on all rows.
+    """
+    context = candidates.context
+    nodes = candidates.node_counts
+    lo, hi = _shared_bounds(surr_runtime, surr_power)
+    outside = nodes[(nodes < lo) | (nodes > hi)]
+    if len(outside):
+        raise DataError(f"node count {outside[0]} outside design bounds [{lo}, {hi}]")
     for surr in (surr_runtime, surr_power):
         if len(context.feature_names) != len(surr.feature_names):
             raise DataError(
                 f"context has {len(context.feature_names)} features but surrogate "
                 f"expects {len(surr.feature_names)}"
             )
-    row = context.row_for(node_count)[None, :]
-    return (float(surr_runtime.predict(row)[0]), float(surr_power.predict(row)[0]))
+    rows = np.array([context.row_for(n) for n in nodes])
+    return np.column_stack([surr_runtime.predict(rows), surr_power.predict(rows)])
 
 
 @dataclass(frozen=True)
@@ -342,13 +371,30 @@ def _nodes_for_front(front: ParetoFront,
     return nodes, found_at
 
 
-def _observe(state: OptimizerState, surr_r, surr_p, node: int,
-             context: JobContext) -> ObjectiveSample:
-    runtime, power = evaluate_objectives(surr_r, surr_p, node, context)
-    sample = ObjectiveSample(node_count=node, context=context.values,
-                             runtime=runtime, power=power)
+def _observe(state: OptimizerState, candidates: CandidateSet, objectives: np.ndarray,
+             node: int) -> ObjectiveSample:
+    """Record the objectives of one candidate node, read from the table
+    `evaluate_objectives` returned for `candidates`."""
+    hits = np.flatnonzero(candidates.node_counts == node)
+    if len(hits) == 0:
+        raise DataError(f"node count {node} is not a candidate in {candidates.bounds}")
+    runtime, power = objectives[hits[0]]
+    sample = ObjectiveSample(node_count=node, context=candidates.context.values,
+                             runtime=float(runtime), power=float(power))
     state.observed.append(sample)
     return sample
+
+
+def _start(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
+           candidates: CandidateSet) -> tuple[OptimizerState, np.ndarray, int]:
+    """Evaluate every candidate once and observe the shared initial design;
+    returns the state, the objective table and the initial design's size."""
+    objectives = evaluate_objectives(surr_runtime, surr_power, candidates)
+    state = OptimizerState(observed=[], history=[])
+    init = initial_design(*candidates.bounds)
+    for node in init:
+        _observe(state, candidates, objectives, node)
+    return state, objectives, len(init)
 
 
 def _record(state: OptimizerState, iteration: int, sample: ObjectiveSample,
@@ -418,11 +464,8 @@ def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     """q=1 Monte-Carlo logEHVI loop over the candidate node counts."""
     validate_config(cfg)
     _require_searchable(candidates)
-    state = OptimizerState(observed=[], history=[])
+    state, objectives, n_initial = _start(surr_runtime, surr_power, candidates)
     rng = np.random.default_rng([cfg.seed, 11])
-    init = initial_design(*candidates.bounds)
-    for node in init:
-        _observe(state, surr_runtime, surr_power, node, candidates.context)
 
     for it in range(cfg.mobo_iterations):
         Y = state.objective_array()
@@ -438,10 +481,10 @@ def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         nodes, acq = _acq_nodes_mobo(candidates, gp_r, gp_p, front, ref, z, cfg, rng)
         observed_nodes = {s.node_count for s in state.observed}
         pick, best_acq = _pick_candidate(nodes, acq, observed_nodes, rng)
-        sample = _observe(state, surr_runtime, surr_power, pick, candidates.context)
+        sample = _observe(state, candidates, objectives, pick)
         _record(state, it, sample, best_acq, spread_method)
 
-    return _finalize_report(METHOD_MOBO, cfg, candidates.context, state, len(init),
+    return _finalize_report(METHOD_MOBO, cfg, candidates.context, state, n_initial,
                             spread_method)
 
 
@@ -454,11 +497,8 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     if objective not in ("runtime", "power"):
         raise ConfigError(f"objective must be runtime or power, got {objective!r}")
     _require_searchable(candidates)
-    state = OptimizerState(observed=[], history=[])
+    state, objectives, n_initial = _start(surr_runtime, surr_power, candidates)
     rng = np.random.default_rng([cfg.seed, 13])
-    init = initial_design(*candidates.bounds)
-    for node in init:
-        _observe(state, surr_runtime, surr_power, node, candidates.context)
 
     col = 0 if objective == "runtime" else 1
     method = METHOD_SOBO_RUNTIME if objective == "runtime" else METHOD_SOBO_POWER
@@ -476,10 +516,10 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         acq = np.log(expected_improvement(mean, var, incumbent) + ACQ_EPS)
         observed_nodes = {s.node_count for s in state.observed}
         pick, best_acq = _pick_candidate(candidates.node_counts, acq, observed_nodes, rng)
-        sample = _observe(state, surr_runtime, surr_power, pick, candidates.context)
+        sample = _observe(state, candidates, objectives, pick)
         _record(state, it, sample, best_acq, spread_method)
 
-    return _finalize_report(method, cfg, candidates.context, state, len(init),
+    return _finalize_report(method, cfg, candidates.context, state, n_initial,
                             spread_method)
 
 
@@ -489,10 +529,7 @@ def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     """Seed-split uniform search: floor(budget / seeds) draws per seed on top
     of the shared initial design, pooled into one report."""
     validate_config(cfg)
-    state = OptimizerState(observed=[], history=[])
-    init = initial_design(*candidates.bounds)
-    for node in init:
-        _observe(state, surr_runtime, surr_power, node, candidates.context)
+    state, objectives, n_initial = _start(surr_runtime, surr_power, candidates)
 
     per_seed = cfg.mobo_iterations // cfg.random_seeds
     sub_reports: list[ParetoReport] = []
@@ -502,7 +539,7 @@ def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         seed_state = OptimizerState(observed=[], history=[])
         for _ in range(per_seed):
             node = int(rng.choice(candidates.node_counts))
-            sample = _observe(state, surr_runtime, surr_power, node, candidates.context)
+            sample = _observe(state, candidates, objectives, node)
             seed_state.observed.append(sample)
             _record(state, it, sample, math.nan, spread_method)
             it += 1
@@ -511,12 +548,12 @@ def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
                 f"{METHOD_RANDOM}[seed {s}]", cfg, candidates.context, seed_state,
                 0, spread_method))
     budget = {
-        "n_initial": len(init),
+        "n_initial": n_initial,
         "evaluations_per_seed": per_seed,
         "pooled_evaluations": per_seed * cfg.random_seeds,
         "total_evaluations": len(state.observed),
     }
-    return _finalize_report(METHOD_RANDOM, cfg, candidates.context, state, len(init),
+    return _finalize_report(METHOD_RANDOM, cfg, candidates.context, state, n_initial,
                             spread_method, budget=budget, per_seed=sub_reports)
 
 

@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .core import (
 )
 from .ingest import preprocess_fit, read_table, write_table
 from .optimizer import (
-    ALL_METHODS,
     METHOD_MOBO,
     METHOD_RANDOM,
     METHOD_SOBO_POWER,
@@ -75,6 +74,31 @@ TIMING_ROWS = (
     "SOBO Runtime",
     "SOBO Power",
 )
+
+
+class Method(NamedTuple):
+    """One optimizer of the comparison: its report label and how to run it.
+
+    `run(surr_runtime, surr_power, candidates, cfg, **options)` takes the
+    engines' keyword options `log_runtime_gp` and `spread_method`.
+    """
+
+    label: str
+    run: Callable[..., ParetoReport]
+
+
+# Keyed by the stem of each method's stage and report files, in run order.
+# The lambdas look the engines up when called, not when this module loads.
+METHODS: dict[str, Method] = {
+    "mobo": Method(METHOD_MOBO, lambda r, p, c, cfg, **opts: mobo_run(r, p, c, cfg, **opts)),
+    "sobo_runtime": Method(METHOD_SOBO_RUNTIME, lambda r, p, c, cfg, **opts: sobo_run(
+        r, p, c, "runtime", cfg, **opts)),
+    "sobo_power": Method(METHOD_SOBO_POWER, lambda r, p, c, cfg, **opts: sobo_run(
+        r, p, c, "power", cfg, **opts)),
+    "random": Method(METHOD_RANDOM, lambda r, p, c, cfg, log_runtime_gp=True, **opts:
+                     random_run(r, p, c, cfg, **opts)),
+}
+ALL_METHODS = tuple(method.label for method in METHODS.values())
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -188,6 +212,11 @@ def tree_params(settings: PipelineSettings, seed: int) -> TreeParams:
         learning_rate=settings.learning_rate,
         seed=seed,
     )
+
+
+def _engine_options(settings: PipelineSettings) -> dict:
+    return {"log_runtime_gp": settings.log_runtime_gp,
+            "spread_method": settings.spread_method}
 
 
 def file_sha256(path: Path) -> str:
@@ -442,7 +471,6 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
 
     def preproc_mobo_stage():
         subset = state["subset"]
-        surr_r = state["surr_runtime"]
         rng = np.random.default_rng([cfg.seed, 42])
         n_ctx = min(settings.n_job_contexts, subset.n_rows)
         rows = np.sort(rng.choice(subset.n_rows, size=n_ctx, replace=False))
@@ -457,53 +485,38 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
             path = out / f"context_{i}.csv"
             save_context(ctx, path)
             outputs.append(path)
-        bounds = surr_r.design_bounds
-        state["candidates"] = [CandidateSet.from_bounds(bounds[0], bounds[1], c)
-                               for c in contexts]
+        state["candidates"] = [
+            CandidateSet.for_surrogates(state["surr_runtime"], state["surr_power"], c)
+            for c in contexts
+        ]
         return outputs
 
     run.stage("preproc_mobo", [out / "subset.csv"], preproc_mobo_stage)
 
     truth = load_truth(settings.truth_path) if settings.truth_path else None
     reports_dir = out / "reports"
-    method_stage_names = {
-        METHOD_MOBO: "mobo",
-        METHOD_SOBO_RUNTIME: "sobo_runtime",
-        METHOD_SOBO_POWER: "sobo_power",
-        METHOD_RANDOM: "random",
-    }
     per_context_reports: list[dict[str, ParetoReport]] = [
         {} for _ in state["contexts"]
     ]
 
     surr_r = state["surr_runtime"]
     surr_p = state["surr_power"]
-    for method, stage_name in method_stage_names.items():
-        def method_fn(method=method):
+    options = _engine_options(settings)
+    for stem, method in METHODS.items():
+        def method_fn(stem=stem, method=method):
             outputs = []
             for i, candidates in enumerate(state["candidates"]):
-                if method == METHOD_MOBO:
-                    rep = mobo_run(surr_r, surr_p, candidates, cfg,
-                                   settings.log_runtime_gp, settings.spread_method)
-                elif method == METHOD_SOBO_RUNTIME:
-                    rep = sobo_run(surr_r, surr_p, candidates, "runtime", cfg,
-                                   settings.log_runtime_gp, settings.spread_method)
-                elif method == METHOD_SOBO_POWER:
-                    rep = sobo_run(surr_r, surr_p, candidates, "power", cfg,
-                                   settings.log_runtime_gp, settings.spread_method)
-                else:
-                    rep = random_run(surr_r, surr_p, candidates, cfg,
-                                     settings.spread_method)
-                per_context_reports[i][method] = rep
-                path = reports_dir / f"{stage_name}_ctx{i}.json"
+                rep = method.run(surr_r, surr_p, candidates, cfg, **options)
+                per_context_reports[i][method.label] = rep
+                path = reports_dir / f"{stem}_ctx{i}.json"
                 save_report(rep, path)
                 outputs.append(path)
-                front_path = reports_dir / f"{stage_name}_ctx{i}_front.csv"
+                front_path = reports_dir / f"{stem}_ctx{i}_front.csv"
                 front_to_csv(rep.front, front_path, node_counts=rep.front_nodes,
                              iterations=rep.front_found_at)
                 outputs.append(front_path)
             return outputs
-        run.stage(stage_name, [out / "runtime_model.json", out / "power_model.json"],
+        run.stage(stem, [out / "runtime_model.json", out / "power_model.json"],
                   method_fn)
 
     def report_stage():
@@ -604,17 +617,11 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
         v: {m: {"hv": [], "spread": []} for m in methods} for v in variants
     }
 
-    def method_run(method, surr_r, surr_p, candidates, seed_cfg):
-        if method == METHOD_MOBO:
-            return mobo_run(surr_r, surr_p, candidates, seed_cfg,
-                            settings.log_runtime_gp, settings.spread_method)
-        if method == METHOD_SOBO_RUNTIME:
-            return sobo_run(surr_r, surr_p, candidates, "runtime", seed_cfg,
-                            settings.log_runtime_gp, settings.spread_method)
-        if method == METHOD_SOBO_POWER:
-            return sobo_run(surr_r, surr_p, candidates, "power", seed_cfg,
-                            settings.log_runtime_gp, settings.spread_method)
-        return random_run(surr_r, surr_p, candidates, seed_cfg, settings.spread_method)
+    runs = {method.label: method.run for method in METHODS.values()}
+    unknown = [m for m in methods if m not in runs]
+    if unknown:
+        raise ConfigError(f"unknown method(s) {unknown}; expected some of {list(runs)}")
+    options = _engine_options(settings)
 
     for s in range(settings.h1_seeds):
         seed = cfg.seed + s
@@ -629,11 +636,10 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
                 m: {"hv": [], "spread": []} for m in methods
             }
             for row in context_rows:
-                candidates = CandidateSet.from_bounds(
-                    surr_r.design_bounds[0], surr_r.design_bounds[1],
-                    context_from_row(table, row))
+                candidates = CandidateSet.for_surrogates(
+                    surr_r, surr_p, context_from_row(table, row))
                 for method in methods:
-                    rep = method_run(method, surr_r, surr_p, candidates, seed_cfg)
+                    rep = runs[method](surr_r, surr_p, candidates, seed_cfg, **options)
                     if truth is not None:
                         scored = truth_capture(rep, truth["jobs"][row],
                                                candidates.bounds,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -341,8 +341,7 @@ def train_objective_surrogate(
                           lr=mask_lr, seed=seed)
         Z = embed(mask, Z)
         weights = mask.m
-    params = params or TreeParams()
-    params.seed = seed
+    params = replace(params or TreeParams(), seed=seed)
     ensemble = fit_tree_ensemble(Z, y, params, feature_weights=weights)
     design = table.design_column().name
     nodes = table.numeric_matrix([design])[:, 0]

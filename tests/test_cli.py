@@ -1,6 +1,8 @@
 import json
+import logging
 
-from hpcmobo.cli import main
+from hpcmobo.cli import build_parser, main
+from hpcmobo.pipeline import METHODS
 
 
 def _synth(tmp_path, jobs=200, seed=3):
@@ -88,6 +90,34 @@ def test_optimize_subcommand_from_artifacts(tmp_path):
     assert "wall_clock_seconds" in payload
     assert len(payload["history"]) == 4
     assert payload["hv"] > 0
+
+
+def test_optimize_method_choices_follow_the_registry(tmp_path):
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    method = next(a for a in subcommands["optimize"]._actions if a.dest == "method")
+    assert method.choices == [stem.replace("_", "-") for stem in METHODS]
+    cfg = _synth(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    for choice in method.choices:
+        rc = main([
+            "optimize", "--config", str(cfg), "--method", choice, "--iters", "2",
+            "--surrogates", str(out), "--job-context", str(out / "context_0.csv"),
+            "--out", str(out / f"{choice}.json"),
+        ])
+        assert rc == 0
+        payload = json.loads((out / f"{choice}.json").read_text())
+        assert payload["method"] == METHODS[choice.replace("-", "_")].label
+
+
+def test_run_logs_a_wall_clock_covering_every_stage(tmp_path, caplog):
+    cfg = _synth(tmp_path)
+    caplog.set_level(logging.INFO, logger="hpcmobo")
+    assert main(["run", "--config", str(cfg)]) == 0
+    [record] = [r for r in caplog.records if r.msg.startswith("pipeline complete in")]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    stages = sum(stage["seconds"] for stage in manifest["stages"])
+    assert record.args[0] >= stages > manifest["timing_table"]["TOTAL"]
 
 
 def test_report_h1_subcommand(tmp_path):

@@ -22,7 +22,6 @@ def test_validate_config_defaults_are_valid():
     cfg = RunConfig()
     assert validate_config(cfg) is cfg
     assert cfg.mobo_iterations == 300
-    assert cfg.q == 1
     assert cfg.mc_samples == 128
     assert cfg.acq_restarts == 5
     assert cfg.raw_candidates == 32
@@ -45,8 +44,6 @@ def test_validate_config_reports_first_violation_with_field_name():
         validate_config(RunConfig(mobo_iterations=0, p_min=0.0))
     with pytest.raises(ConfigError, match="p_min"):
         validate_config(RunConfig(p_min=0.0))
-    with pytest.raises(ConfigError, match="q is fixed at 1"):
-        validate_config(RunConfig(q=2))
 
 
 def test_config_file_parsing_with_sections_and_overrides(tmp_path):

@@ -90,3 +90,11 @@ def test_query_dimension_mismatch():
 def test_needs_two_observations():
     with pytest.raises(DataError):
         fit_gp(np.array([[1.0]]), np.array([1.0]))
+
+
+def test_inputs_must_hold_one_row_per_target():
+    # a 1 x 5 input is one point with five coordinates, not five points
+    with pytest.raises(DataError, match="one row per target"):
+        fit_gp(np.arange(5.0)[None, :], np.arange(5.0))
+    with pytest.raises(DataError, match="one row per target"):
+        fit_gp(np.arange(5.0), np.arange(5.0))

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpcmobo.core import DataError, RunConfig
 from hpcmobo.optimizer import (
@@ -22,6 +25,7 @@ from hpcmobo.optimizer import (
     sobo_run,
 )
 from hpcmobo.pareto import hypervolume, infer_reference, nondominated
+from hpcmobo.pipeline import METHODS
 
 
 class ConstantSurrogate:
@@ -76,14 +80,16 @@ def _fast_cfg(**kw):
 
 
 def test_evaluate_objectives_constant_surrogates():
-    r, p = evaluate_objectives(ConstantSurrogate(7.0), ConstantSurrogate(9.0), 5, _context())
-    assert (r, p) == (7.0, 9.0)
+    table = evaluate_objectives(ConstantSurrogate(7.0), ConstantSurrogate(9.0), _candidates(5, 9))
+    assert table.shape == (5, 2)
+    assert (table == [7.0, 9.0]).all()
 
 
 def test_evaluate_objectives_traces_known_tradeoff():
     surr_r, surr_p = _amdahl_surrogates()
+    table = evaluate_objectives(surr_r, surr_p, _candidates(1, 64))
     for n in (1, 8, 64):
-        r, p = evaluate_objectives(surr_r, surr_p, n, _context())
+        r, p = table[n - 1]
         assert r == pytest.approx(100.0 / n + 2.0)
         assert p == pytest.approx(5.0 * n)
 
@@ -91,7 +97,91 @@ def test_evaluate_objectives_traces_known_tradeoff():
 def test_evaluate_objectives_out_of_bounds():
     surr_r, surr_p = _amdahl_surrogates(bounds=(1, 32))
     with pytest.raises(DataError, match="bounds"):
-        evaluate_objectives(surr_r, surr_p, 33, _context())
+        evaluate_objectives(surr_r, surr_p, _candidates(1, 33))
+    # the power surrogate's bounds count as much as the runtime one's
+    surr_r, surr_p = _amdahl_surrogates(bounds=(1, 64))[0], _amdahl_surrogates((1, 32))[1]
+    with pytest.raises(DataError, match="bounds"):
+        evaluate_objectives(surr_r, surr_p, _candidates(1, 64))
+
+
+@functools.cache
+def _trained_pair():
+    """Small runtime and power surrogates trained on a synthetic job log."""
+    from hpcmobo.ingest import preprocess_fit
+    from hpcmobo.surrogate import TreeParams, train_objective_surrogate
+    from hpcmobo.synthgen import DURATION_PAIRS, SyntheticSpec, generate
+
+    table, _ = generate(SyntheticSpec(n_jobs=150, n_noise_features=2, seed=4))
+    processed, _ = preprocess_fit(table, DURATION_PAIRS)
+    params = TreeParams(n_estimators=6, max_depth=5)
+    return tuple(train_objective_surrogate(processed, target, params=params,
+                                           mask_epochs=40, seed=4)
+                 for target in ("runtime_seconds", "node_power"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_evaluation_equals_row_by_row_predicts(data):
+    surr_r, surr_p = _trained_pair()
+    names = tuple(surr_r.feature_names)
+    values = np.array(data.draw(st.lists(
+        st.floats(-1e4, 1e4, allow_nan=False), min_size=len(names), max_size=len(names))))
+    lo_b, hi_b = surr_r.design_bounds
+    lo = data.draw(st.integers(lo_b, hi_b))
+    hi = data.draw(st.integers(lo, hi_b))
+    context = JobContext(names, values, surr_r.design_feature)
+    candidates = CandidateSet.from_bounds(lo, hi, context)
+    table = evaluate_objectives(surr_r, surr_p, candidates)
+    rows = [(surr_r.predict(context.row_for(n)[None, :])[0],
+             surr_p.predict(context.row_for(n)[None, :])[0])
+            for n in candidates.node_counts]
+    assert table.tobytes() == np.array(rows).tobytes()
+
+
+class CountingSurrogate(LawSurrogate):
+    """Law surrogate that counts its predict calls."""
+
+    def __init__(self, fn, bounds=(1, 64)):
+        super().__init__(fn, bounds)
+        self.calls = 0
+
+    def predict(self, X):
+        self.calls += 1
+        return super().predict(X)
+
+
+@pytest.mark.parametrize("stem", list(METHODS))
+def test_each_engine_call_predicts_once_per_surrogate(stem):
+    surr_r = CountingSurrogate(AMDAHL["runtime"])
+    surr_p = CountingSurrogate(AMDAHL["power"])
+    report = METHODS[stem].run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=6))
+    assert report.n_evaluations > 4
+    assert (surr_r.calls, surr_p.calls) == (1, 1)
+
+
+def test_observing_a_node_outside_the_candidates_raises():
+    from hpcmobo.optimizer import OptimizerState, _observe
+
+    candidates = _candidates(5, 9)
+    table = evaluate_objectives(*_amdahl_surrogates(), candidates)
+    state = OptimizerState(observed=[], history=[])
+    assert _observe(state, candidates, table, 9).power == 45.0
+    # 4 would index row -1 if positions were computed as node - lo
+    for node in (4, 10, 0):
+        with pytest.raises(DataError, match="not a candidate"):
+            _observe(state, candidates, table, node)
+    assert len(state.observed) == 1
+
+
+def test_candidates_for_surrogates_intersects_design_bounds():
+    from hpcmobo.core import ConfigError
+
+    wide, narrow = _amdahl_surrogates((1, 64))[0], _amdahl_surrogates((1, 32))[1]
+    assert CandidateSet.for_surrogates(wide, narrow, _context()).bounds == (1, 32)
+    assert CandidateSet.for_surrogates(narrow, wide, _context()).bounds == (1, 32)
+    with pytest.raises(ConfigError, match="do not overlap"):
+        CandidateSet.for_surrogates(LawSurrogate(AMDAHL["runtime"], (1, 8)),
+                                    LawSurrogate(AMDAHL["power"], (9, 16)), _context())
 
 
 def test_initial_design_is_four_space_filling_points():

@@ -136,6 +136,14 @@ def test_train_objective_surrogate_bundles_scaler_mask_and_bounds():
     assert pred.shape == (table.n_rows,)
 
 
+def test_training_leaves_the_callers_params_unchanged():
+    params = TreeParams(n_estimators=4, max_depth=3, seed=5)
+    model = train_objective_surrogate(_toy_table(), "runtime", use_embedding=False,
+                                      params=params, seed=0)
+    assert params.seed == 5
+    assert model.ensemble.params.seed == 0
+
+
 def test_surrogate_pairing_is_independent():
     table = _toy_table()
     params = TreeParams(n_estimators=10, max_depth=4)
