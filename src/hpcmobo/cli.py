@@ -28,6 +28,7 @@ from .ingest import preprocess_fit, read_table, write_table
 from .optimizer import CandidateSet, report_to_dict
 from .pipeline import (
     METHODS,
+    _engine_options,
     load_context,
     parse_settings,
     report_h1,
@@ -209,8 +210,12 @@ def _cmd_optimize(args) -> int:
     context = load_context(Path(args.job_context), surr_r.design_feature)
     candidates = CandidateSet.for_surrogates(surr_r, surr_p, context)
     method = METHODS[args.method.replace("-", "_")]
+    # engine settings from [pipeline], as `run` uses them; engine defaults without
+    options = {}
+    if "pipeline" in sections:
+        options = _engine_options(parse_settings(sections, Path(args.config).parent))
     start = time.perf_counter()
-    report = method.run(surr_r, surr_p, candidates, cfg)
+    report = method.run(surr_r, surr_p, candidates, cfg, **options)
     elapsed = time.perf_counter() - start
     payload = report_to_dict(report)
     payload["wall_clock_seconds"] = {"optimize": elapsed}

@@ -302,7 +302,8 @@ def run_config_from_sections(sections: Mapping[str, Mapping[str, str]],
     """Build a RunConfig from parsed config sections plus CLI overrides.
 
     Fields are read from the [run] section, falling back to top-level keys.
-    `tau` is accepted as an alias for sampling_fraction.
+    `tau` is accepted as an alias for sampling_fraction. An unknown key in
+    [run] is a ConfigError; unknown top-level keys are ignored.
     """
     merged: dict[str, Any] = {}
     for scope in ("", "run"):
@@ -310,6 +311,11 @@ def run_config_from_sections(sections: Mapping[str, Mapping[str, str]],
             name = "sampling_fraction" if key == "tau" else key
             if name in _RUN_FIELD_TYPES:
                 merged[name] = _coerce(name, value)
+            elif scope == "run":
+                raise ConfigError(
+                    f"unknown [run] key {key!r}; valid fields are "
+                    f"{', '.join(_RUN_FIELD_TYPES)} (and tau for sampling_fraction)"
+                )
     for key, value in (overrides or {}).items():
         if value is None:
             continue

@@ -2,7 +2,12 @@
 
 Hyperparameters (per-dimension lengthscales, signal variance, noise variance)
 are fit by maximizing the log marginal likelihood with a gradient-free
-multi-start coordinate search in log space. The Cholesky factor of
+multi-start coordinate search in log space. Each LML evaluation is the
+Cholesky recipe of Rasmussen & Williams (2006), Algorithm 2.1. The kernel's
+exponential exp(-d^2 / 2) depends on the lengthscales only, so the search
+recomputes it on lengthscale steps and reuses it across signal and noise
+steps. The factor and solve call LAPACK's potrf/potrs directly; fit_gp checks
+its inputs for finite values once, at entry. The Cholesky factor of
 K + (noise + jitter) I is cached so posterior queries are O(n) after the
 one-time solve.
 """
@@ -13,12 +18,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .core import DataError, NumericalError
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4)
 _VAR_SNAP = 1e-10  # posterior variances below this fraction of the prior are numerical noise
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray, ls: np.ndarray) -> np.ndarray:
@@ -31,6 +38,13 @@ def _sq_dists(A: np.ndarray, B: np.ndarray, ls: np.ndarray) -> np.ndarray:
 
 def _kernel(A: np.ndarray, B: np.ndarray, ls: np.ndarray, sf2: float) -> np.ndarray:
     return sf2 * np.exp(-0.5 * _sq_dists(A, B, ls))
+
+
+def _unit_kernel(Z: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """exp(-d^2 / 2) over the training inputs, so that sf2 * E equals
+    _kernel(Z, Z, ls, sf2) bit for bit. Fortran order lets potrf factor
+    sf2 * E in place."""
+    return np.exp(-0.5 * _sq_dists(Z, Z, ls), order="F")
 
 
 @dataclass
@@ -60,28 +74,31 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (X - mean) / std, mean, std
 
 
-def _try_factor(K: np.ndarray, noise: float, base_jitter: float):
-    n = len(K)
+def _factor(E: np.ndarray, sf2: float, noise: float, base_jitter: float):
+    """Lower Cholesky factor of sf2 * E + (noise + jitter) I with the smallest
+    jitter in _JITTERS, at or above base_jitter, that makes the matrix
+    positive definite. Returns (L, jitter), or (None, None) if none does.
+    The upper triangle of L keeps the matrix's entries (potrf's clean=False)."""
+    n = len(E)
     for jitter in _JITTERS:
         if jitter < base_jitter:
             continue
-        try:
-            factor = cho_factor(K + (noise + jitter) * np.eye(n), lower=True)
-            return factor, jitter
-        except np.linalg.LinAlgError:
-            continue
+        # rebuilt per attempt: a failed in-place potrf leaves K half-factored
+        K = sf2 * E
+        K.flat[:: n + 1] += noise + jitter
+        L, info = _POTRF(K, lower=True, overwrite_a=True, clean=False)
+        if info == 0:
+            return L, jitter
     return None, None
 
 
-def _lml(Z: np.ndarray, yc: np.ndarray, ls, sf2, sn2, base_jitter) -> float:
-    K = _kernel(Z, Z, ls, sf2)
-    factor, _ = _try_factor(K, sn2, base_jitter)
-    if factor is None:
+def _lml(E: np.ndarray, yc: np.ndarray, sf2, sn2, base_jitter) -> float:
+    L, _ = _factor(E, sf2, sn2, base_jitter)
+    if L is None:
         return -math.inf
-    alpha = cho_solve(factor, yc)
-    L = factor[0]
+    alpha, _ = _POTRS(L, yc, lower=True)
     return float(
-        -0.5 * (yc @ alpha) - np.log(np.diag(L)).sum() - 0.5 * len(yc) * math.log(2 * math.pi)
+        -0.5 * (yc @ alpha) - np.log(L.diagonal()).sum() - 0.5 * len(yc) * math.log(2 * math.pi)
     )
 
 
@@ -111,12 +128,9 @@ def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
     y_var = max(float(yc.var()), 1e-12)
 
     # spread of starting points: lengthscale scale set by pairwise distances
-    if n > 1:
-        dists = np.sqrt(_sq_dists(Z, Z, np.ones(d)))
-        pos = dists[dists > 0]
-        ls_scale = float(np.median(pos)) if pos.size else 1.0
-    else:
-        ls_scale = 1.0
+    dists = np.sqrt(_sq_dists(Z, Z, np.ones(d)))
+    pos = dists[dists > 0]
+    ls_scale = float(np.median(pos)) if pos.size else 1.0
     ls_factors = (0.1, 0.3, 1.0, 3.0)
     noise_fracs = (1e-6, 1e-2)
     starts = []
@@ -131,6 +145,8 @@ def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
 
     fit_noise = noise_var is None
     sweeps = ((8.0, 4.0, 2.0), (2.0, 1.5), (1.25, 1.1))
+    sf_lo, sf_hi = 1e-8 * y_var, 1e4 * y_var
+    sn_lo, sn_hi = 1e-12 * y_var, y_var
     best = None
     best_lml = -math.inf
     trace: list[float] = []  # accepted-step trajectory of the winning restart
@@ -138,42 +154,44 @@ def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
         ls = ls0.copy()
         sf2 = sf0
         sn2 = sn0
-        cur = _lml(Z, yc, ls, sf2, sn2, jitter)
+        E = _unit_kernel(Z, ls)  # moves with ls; signal and noise steps reuse it
+        cur = _lml(E, yc, sf2, sn2, jitter)
         local: list[float] = [cur] if math.isfinite(cur) else []
         for factors in sweeps:
             for coord in range(d + 1 + (1 if fit_noise else 0)):
                 for f in factors:
                     for mult in (f, 1.0 / f):
-                        ls_t, sf_t, sn_t = ls.copy(), sf2, sn2
+                        ls_t, sf_t, sn_t, E_t = ls, sf2, sn2, E
                         if coord < d:
-                            ls_t[coord] = float(np.clip(ls_t[coord] * mult, 1e-3, 1e3))
+                            ls_t = ls.copy()
+                            ls_t[coord] = min(max(ls_t[coord] * mult, 1e-3), 1e3)
+                            E_t = _unit_kernel(Z, ls_t)
                         elif coord == d:
-                            sf_t = float(np.clip(sf_t * mult, 1e-8 * y_var, 1e4 * y_var))
+                            sf_t = min(max(sf2 * mult, sf_lo), sf_hi)
                         else:
-                            sn_t = float(np.clip(sn_t * mult, 1e-12 * y_var, y_var))
-                        cand = _lml(Z, yc, ls_t, sf_t, sn_t, jitter)
+                            sn_t = min(max(sn2 * mult, sn_lo), sn_hi)
+                        cand = _lml(E_t, yc, sf_t, sn_t, jitter)
                         if cand > cur:
-                            ls, sf2, sn2, cur = ls_t, sf_t, sn_t, cand
+                            ls, sf2, sn2, E, cur = ls_t, sf_t, sn_t, E_t, cand
                             local.append(cur)
         if cur > best_lml:
             best_lml = cur
-            best = (ls, sf2, sn2)
+            best = (ls, sf2, sn2, E)
             trace = local
     if best is None or not math.isfinite(best_lml):
         raise NumericalError("GP hyperparameter search found no valid configuration")
 
-    ls, sf2, sn2 = best
-    K = _kernel(Z, Z, ls, sf2)
-    factor, used_jitter = _try_factor(K, sn2, jitter)
-    if factor is None:
+    ls, sf2, sn2, E = best
+    L, used_jitter = _factor(E, sf2, sn2, jitter)
+    if L is None:
         raise NumericalError(
             "GP kernel matrix is ill-conditioned even after jitter escalation to 1e-4"
         )
-    alpha = cho_solve(factor, yc)
+    alpha, _ = _POTRS(L, yc, lower=True)
     return GaussianProcess(
         lengthscales=ls, signal_var=sf2, noise_var=sn2,
         X=Z, y=yc, y_mean=y_mean, x_mean=x_mean, x_std=x_std,
-        chol=factor, alpha=alpha, jitter=used_jitter,
+        chol=(L, True), alpha=alpha, jitter=used_jitter,
         lml=best_lml, lml_trace=trace,
     )
 
@@ -194,7 +212,7 @@ def gp_posterior(gp: GaussianProcess, Xq: np.ndarray) -> tuple[np.ndarray, np.nd
     k_star = _kernel(gp.X, Zq, gp.lengthscales, gp.signal_var)
     mean = gp.y_mean + k_star.T @ gp.alpha
     L = gp.chol[0]
-    v = solve_triangular(L, k_star, lower=True)
+    v = solve_triangular(L, k_star, lower=True, check_finite=False)
     var = gp.signal_var - (v * v).sum(axis=0)
     var = np.maximum(var, 0.0)
     var[var < _VAR_SNAP * gp.signal_var] = 0.0

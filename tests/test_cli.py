@@ -92,6 +92,25 @@ def test_optimize_subcommand_from_artifacts(tmp_path):
     assert payload["hv"] > 0
 
 
+def test_optimize_uses_the_config_pipeline_settings(tmp_path):
+    cfg = _synth(tmp_path)
+    text = cfg.read_text().replace(
+        "out_dir = out\n", "out_dir = out\nspread_method = deb\nlog_runtime_gp = false\n")
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    rc = main([
+        "optimize", "--config", str(cfg), "--method", "mobo",
+        "--surrogates", str(out), "--job-context", str(out / "context_0.csv"),
+        "--out", str(out / "opt_report.json"),
+    ])
+    assert rc == 0
+    optimized = json.loads((out / "opt_report.json").read_text())
+    pipelined = json.loads((out / "reports" / "mobo_ctx0.json").read_text())
+    assert optimized["spread_method"] == pipelined["spread_method"] == "deb"
+    assert optimized["observations"] == pipelined["observations"]
+
+
 def test_optimize_method_choices_follow_the_registry(tmp_path):
     subcommands = build_parser()._subparsers._group_actions[0].choices
     method = next(a for a in subcommands["optimize"]._actions if a.dest == "method")

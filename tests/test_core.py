@@ -61,6 +61,23 @@ tau = 0.5
     assert cfg.seed == 9  # CLI override wins over file
 
 
+@pytest.mark.parametrize("line", ["mobo_iteration = 5", "q = 2"])
+def test_config_rejects_unknown_run_key(line):
+    # a typo and a retired knob would otherwise parse to the defaults unnoticed
+    key = line.split("=")[0].strip()
+    sections = parse_config_text(f"[run]\n{line}\n")
+    with pytest.raises(ConfigError, match=f"unknown \\[run\\] key '{key}'") as exc:
+        run_config_from_sections(sections)
+    assert "mobo_iterations" in str(exc.value) and "sampling_fraction" in str(exc.value)
+
+
+def test_config_ignores_unknown_top_level_keys():
+    sections = parse_config_text("mobo_iteration = 5\n[run]\nseed = 4\n")
+    cfg = run_config_from_sections(sections)
+    assert cfg.mobo_iterations == 300
+    assert cfg.seed == 4
+
+
 def test_config_rejects_malformed_line():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("not a key value pair")

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from hpcmobo.core import DataError
-from hpcmobo.gp import fit_gp, gp_posterior
+from hpcmobo.gp import _kernel, fit_gp, gp_posterior
+from hpcmobo.optimizer import fit_objective_gp
 
 
 def test_noise_free_gp_interpolates_training_targets():
@@ -98,3 +104,63 @@ def test_inputs_must_hold_one_row_per_target():
         fit_gp(np.arange(5.0)[None, :], np.arange(5.0))
     with pytest.raises(DataError, match="one row per target"):
         fit_gp(np.arange(5.0), np.arange(5.0))
+
+
+def _reference_lml(gp) -> float:
+    """LML at the fitted hyperparameters through scipy's checked Cholesky
+    wrappers (Rasmussen & Williams 2006, Algorithm 2.1)."""
+    n = len(gp.y)
+    K = _kernel(gp.X, gp.X, gp.lengthscales, gp.signal_var)
+    factor = cho_factor(K + (gp.noise_var + gp.jitter) * np.eye(n), lower=True)
+    alpha = cho_solve(factor, gp.y)
+    return float(-0.5 * (gp.y @ alpha) - np.log(np.diag(factor[0])).sum()
+                 - 0.5 * n * math.log(2 * math.pi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-1e3, 1e3)),
+             min_size=2, max_size=40),
+    st.integers(1, 8),
+)
+def test_fitted_lml_equals_scipy_cholesky_oracle(points, restarts):
+    X = np.array([[x] for x, _ in points])
+    y = np.array([v for _, v in points])
+    gp = fit_gp(X, y, restarts=restarts)
+    assert gp.lml == _reference_lml(gp)
+
+
+def test_jitter_escalation_refactors_a_fresh_matrix():
+    # three copies of each input and no noise: the kernel matrix has rank 4,
+    # and at this scale jitters 1e-10 and 1e-8 are lost to rounding
+    X = np.repeat(np.arange(4.0), 3)[:, None]
+    y = 1e5 * np.repeat([-0.9, -0.5, 0.2, -1.0], 3)
+    gp = fit_gp(X, y, noise_var=0.0)
+    assert gp.jitter > 1e-10
+    L, lower = gp.chol
+    assert lower
+    L = np.tril(L)
+    K = _kernel(gp.X, gp.X, gp.lengthscales, gp.signal_var)
+    K += (gp.noise_var + gp.jitter) * np.eye(len(y))
+    assert np.max(np.abs(L @ L.T - K)) <= 1e-10 * np.max(np.abs(K))
+    assert gp.lml == _reference_lml(gp)
+
+
+_NODES = [1, 4, 9, 16, 25, 36, 49, 64]
+
+
+@pytest.mark.parametrize("values, log_space, expected", [
+    # power-like targets, modelled as they are
+    ([0.9, 3.7, 8.2, 14.9, 23.1, 33.8, 45.2, 59.6], False,
+     ([3.5148544323587956], 3187.547343750001, 0.06800101000000003, -16.804018545933197)),
+    # runtime-like targets, modelled in log space
+    ([812.0, 240.5, 118.25, 77.0, 61.5, 58.0, 60.75, 66.0], True,
+     ([0.11619353495400976], 0.6929476326128605, 5.458767157952872e-09, -9.760187991912886)),
+])
+def test_objective_gp_golden_hyperparameters(values, log_space, expected):
+    # exact values of the coordinate search, as the optimizer engines call it
+    # (restarts=4); any change to the search's arithmetic moves them
+    ogp = fit_objective_gp(_NODES, values, log_space=log_space)
+    gp = ogp.gp
+    assert ogp.log_space is log_space
+    assert (gp.lengthscales.tolist(), gp.signal_var, gp.noise_var, gp.lml) == expected
