@@ -30,10 +30,15 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 def _sq_dists(A: np.ndarray, B: np.ndarray, ls: np.ndarray) -> np.ndarray:
     a = A / ls
-    b = B / ls
-    return np.maximum(
-        (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * (a @ b.T), 0.0
-    )
+    a2 = (a * a).sum(1)
+    if B is A:
+        # the squared norms are shared, but a @ b.T stays on two buffers: on
+        # one buffer numpy calls syrk, which need not match gemm bit for bit
+        b, b2 = a.copy(), a2
+    else:
+        b = B / ls
+        b2 = (b * b).sum(1)
+    return np.maximum(a2[:, None] + b2[None, :] - 2.0 * (a @ b.T), 0.0)
 
 
 def _kernel(A: np.ndarray, B: np.ndarray, ls: np.ndarray, sf2: float) -> np.ndarray:

@@ -5,11 +5,17 @@ optimizer.
 One tree implementation serves both modes. Splits greedily minimize the
 summed squared error of the two children; candidate thresholds are midpoints
 between consecutive distinct sorted values, so fits are independent of row
-order within a node.
+order within a node. Each node scores all its candidate features in one 2-D
+pass (one stable argsort and one prefix sum per column, taken together).
+Attention weights that steer the feature subsampling are validated and
+normalized once per fit, and each split draws its weighted subset with
+numpy's own without-replacement algorithm minus its per-call checks.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import logging
 import math
@@ -109,56 +115,93 @@ class _TreeBuilder:
 
     def _grow(self, idx: np.ndarray, depth: int) -> int:
         ysub = self.y[idx]
-        mean = float(ysub.mean())
+        total = ysub.sum()
+        mean = float(total / len(idx))  # what ysub.mean() computes, bit for bit
         if depth >= self.max_depth or len(idx) < self.min_samples_split:
             return self._emit(-1, 0.0, mean)
-        split = self._best_split(idx, ysub)
+        split = self._best_split(idx, ysub, total)
         if split is None:
             return self._emit(-1, 0.0, mean)
-        feat, thr = split
+        feat, thr, go_left = split
         node = self._emit(feat, thr, mean)
-        go_left = self.X[idx, feat] < thr
         self.left[node] = self._grow(idx[go_left], depth + 1)
         self.right[node] = self._grow(idx[~go_left], depth + 1)
         return node
 
-    def _candidate_features(self, d: int) -> np.ndarray:
-        if self.n_sub >= d and self.weights is None:
+    def _candidate_features(self, d: int) -> np.ndarray | list[int]:
+        k = min(self.n_sub, d)
+        if self.weights is not None:
+            return _weighted_choice(self.rng, self.weights, k)
+        if k == d:
             return np.arange(d)
-        return self.rng.choice(d, size=min(self.n_sub, d), replace=False,
-                               p=self.weights)
+        return self.rng.choice(d, size=k, replace=False)
 
-    def _best_split(self, idx: np.ndarray, ysub: np.ndarray):
+    def _best_split(self, idx: np.ndarray, ysub: np.ndarray, total: float):
+        """Best (feature, threshold, rows going left) over the candidate
+        features, or None. Every candidate column is scored in one 2-D pass;
+        each column's prefix sums and SSEs are those a per-column loop would
+        compute, so the chosen split is the same bit for bit."""
         n = len(idx)
-        total = ysub.sum()
         total2 = float(ysub @ ysub)
         sse_parent = total2 - total * total / n
         if sse_parent <= 1e-12 * max(1.0, total2):
             return None  # node already pure
+        feats = self._candidate_features(self.X.shape[1])
+        cols = np.arange(len(feats))
+        V = self.X[idx][:, feats]
+        order = V.argsort(axis=0, kind="stable")
+        vs = V[order, cols]
+        ys = ysub[order]
+        ls = ys.cumsum(axis=0)[:-1]  # left sums for left sizes 1..n-1
+        ls2 = (ys * ys).cumsum(axis=0)[:-1]
+        kn = np.arange(1.0, n)[:, None]
+        rn = n - kn
+        sse = (ls2 - ls * ls / kn) + ((total2 - ls2) - (total - ls) ** 2 / rn)
+        # no threshold between equal values; a column without any gets -inf gains
+        sse[vs[1:] == vs[:-1]] = np.inf
+        j = sse.argmin(axis=0)  # the first minimum among real boundaries
+        gains = (sse_parent - sse[j, cols]).tolist()
+        tol = 1e-12 * max(1.0, sse_parent)
         best_gain = 0.0
         best = None
-        for f in self._candidate_features(self.X.shape[1]):
-            v = self.X[idx, f]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            ys = ysub[order]
-            boundary = np.flatnonzero(vs[1:] != vs[:-1]) + 1  # left-part sizes
-            if len(boundary) == 0:
-                continue
-            csum = np.cumsum(ys)
-            csum2 = np.cumsum(ys * ys)
-            ls = csum[boundary - 1]
-            ls2 = csum2[boundary - 1]
-            kn = boundary.astype(float)
-            rn = n - kn
-            sse = (ls2 - ls * ls / kn) + ((total2 - ls2) - (total - ls) ** 2 / rn)
-            j = int(np.argmin(sse))
-            gain = sse_parent - float(sse[j])
-            if gain > best_gain + 1e-12 * max(1.0, sse_parent):
-                k = boundary[j]
+        for c, gain in enumerate(gains):
+            if gain > best_gain + tol:
                 best_gain = gain
-                best = (int(f), float((vs[k - 1] + vs[k]) / 2.0))
-        return best
+                best = c
+        if best is None:
+            return None
+        k = j[best] + 1
+        thr = float((vs[k - 1, best] + vs[k, best]) / 2.0)
+        return int(feats[best]), thr, V[:, best] < thr
+
+
+def _weighted_choice(rng: np.random.Generator, p: list[float], k: int) -> list[int]:
+    """rng.choice(len(p), size=k, replace=False, p=p), without numpy's
+    per-call validation of p: fit_tree_ensemble checks the weights once per
+    fit (finite, positive, normalized).
+
+    This is numpy's algorithm on the same random stream. Each round draws one
+    uniform per missing index, inverts the CDF of the weights not yet drawn
+    (cumulative sums divided by their total, then the first entry above each
+    uniform), and keeps the new indices in first-occurrence order. Drawn
+    indices have zero weight, so every round adds at least one. Plain floats
+    do the same IEEE sums and divisions in the same order as numpy's cumsum,
+    at half the call cost for the dozen or so weights of a split.
+    """
+    p = list(p)
+    found: list[int] = []
+    while len(found) < k:
+        x = rng.random(k - len(found)).tolist()
+        cdf = list(itertools.accumulate(p))
+        last = cdf[-1]
+        cdf = [c / last for c in cdf]
+        for u in x:
+            i = bisect.bisect_right(cdf, u)
+            if i not in found:
+                found.append(i)
+        for i in found:
+            p[i] = 0.0
+    return found
 
 
 @dataclass
@@ -193,7 +236,8 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = 
 
     feature_weights, when given, bias the per-split feature subsampling
     (bagged mode); this is how attention masks steer trees, which are
-    otherwise invariant to per-column rescaling.
+    otherwise invariant to per-column rescaling. They must be finite and
+    positive, one per column, and are validated and normalized once here.
     """
     params = params or TreeParams()
     X = np.asarray(X, dtype=float)
@@ -207,10 +251,15 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = 
         raise DataError("training data must be finite")
     weights = None
     if feature_weights is not None:
-        weights = np.asarray(feature_weights, dtype=float)
-        if weights.shape != (d,) or (weights <= 0).any():
-            raise DataError("feature_weights must be positive with one entry per column")
-        weights = weights / weights.sum()
+        # checked once here, not at every split; a sum that overflows leaves
+        # normalized weights of zero
+        w = np.asarray(feature_weights, dtype=float)
+        if w.shape == (d,) and (np.isfinite(w) & (w > 0)).all():
+            weights = w / w.sum()
+        if weights is None or not (weights > 0).all():
+            raise DataError("feature_weights must be finite and positive "
+                            "with one entry per column")
+        weights = weights.tolist()
 
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_estimators)
     if params.mode == "bagged":

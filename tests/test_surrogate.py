@@ -1,9 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hpcmobo import surrogate
 from hpcmobo.core import ColumnSpec, DataError, NumericalError, build_table
 from hpcmobo.surrogate import (
     TreeParams,
+    _TreeBuilder,
+    _weighted_choice,
     fit_tree_ensemble,
     load_surrogate,
     mape,
@@ -88,6 +95,21 @@ def test_fit_rejects_tiny_or_bad_input():
         fit_tree_ensemble(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("weights", [
+    [1.0, np.nan, 1.0],
+    [1.0, np.inf, 1.0],
+    [1.0, 0.0, 1.0],
+    [1.0, -1.0, 1.0],
+    [1e308, 1e308, 1e308],  # finite, but the sum overflows
+    [1.0, 1.0],
+])
+def test_fit_rejects_feature_weights_that_are_not_finite_and_positive(weights):
+    X = np.random.default_rng(0).random((20, 3))
+    y = X[:, 0]
+    with np.errstate(over="ignore"), pytest.raises(DataError, match="feature_weights"):
+        fit_tree_ensemble(X, y, TreeParams(n_estimators=2), feature_weights=np.array(weights))
+
+
 def test_boosted_learning_rate_composition():
     X = np.linspace(0, 1, 50)[:, None]
     y = 3.0 * X[:, 0]
@@ -168,3 +190,183 @@ def test_surrogate_serialization_round_trip(tmp_path):
     assert np.array_equal(model.predict(X), loaded.predict(X))
     assert loaded.design_bounds == model.design_bounds
     assert loaded.target == "runtime"
+
+
+class _ReferenceBuilder(_TreeBuilder):
+    """The tree builder before the 2-D split search: one argsort and cumsum
+    per candidate feature over the compressed boundary array, the node mean
+    from ysub.mean(), and numpy's validated rng.choice(p=...) per split."""
+
+    def _grow(self, idx, depth):
+        ysub = self.y[idx]
+        mean = float(ysub.mean())
+        if depth >= self.max_depth or len(idx) < self.min_samples_split:
+            return self._emit(-1, 0.0, mean)
+        split = self._best_split(idx, ysub)
+        if split is None:
+            return self._emit(-1, 0.0, mean)
+        feat, thr = split
+        node = self._emit(feat, thr, mean)
+        go_left = self.X[idx, feat] < thr
+        self.left[node] = self._grow(idx[go_left], depth + 1)
+        self.right[node] = self._grow(idx[~go_left], depth + 1)
+        return node
+
+    def _candidate_features(self, d):
+        if self.n_sub >= d and self.weights is None:
+            return np.arange(d)
+        return self.rng.choice(d, size=min(self.n_sub, d), replace=False,
+                               p=self.weights)
+
+    def _best_split(self, idx, ysub):
+        n = len(idx)
+        total = ysub.sum()
+        total2 = float(ysub @ ysub)
+        sse_parent = total2 - total * total / n
+        if sse_parent <= 1e-12 * max(1.0, total2):
+            return None
+        best_gain = 0.0
+        best = None
+        for f in self._candidate_features(self.X.shape[1]):
+            v = self.X[idx, f]
+            order = np.argsort(v, kind="stable")
+            vs = v[order]
+            ys = ysub[order]
+            boundary = np.flatnonzero(vs[1:] != vs[:-1]) + 1
+            if len(boundary) == 0:
+                continue
+            csum = np.cumsum(ys)
+            csum2 = np.cumsum(ys * ys)
+            ls = csum[boundary - 1]
+            ls2 = csum2[boundary - 1]
+            kn = boundary.astype(float)
+            rn = n - kn
+            sse = (ls2 - ls * ls / kn) + ((total2 - ls2) - (total - ls) ** 2 / rn)
+            j = int(np.argmin(sse))
+            gain = sse_parent - float(sse[j])
+            if gain > best_gain + 1e-12 * max(1.0, sse_parent):
+                k = boundary[j]
+                best_gain = gain
+                best = (int(f), float((vs[k - 1] + vs[k]) / 2.0))
+        return best
+
+
+def _fit_recording_states(builder_cls, X, y, params, weights):
+    """fit_tree_ensemble with builder_cls building the trees; also returns
+    each tree's generator state after the tree is built."""
+    states = []
+
+    class Recording(builder_cls):
+        def build(self, idx):
+            tree = super().build(idx)
+            states.append(self.rng.bit_generator.state)
+            return tree
+
+    saved = surrogate._TreeBuilder
+    surrogate._TreeBuilder = Recording
+    try:
+        model = fit_tree_ensemble(X, y, params, feature_weights=weights)
+    finally:
+        surrogate._TreeBuilder = saved
+    return model, states
+
+
+@st.composite
+def _tree_problems(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 12))
+    # few distinct values per column, so ties, duplicate rows and constant
+    # columns are common; some columns get arbitrary floats instead
+    grid = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    wide = st.floats(-1e3, 1e3, allow_nan=False)
+    cols = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["grid", "wide", "constant"]))
+        if kind == "constant":
+            cols.append([draw(grid)] * n)
+        else:
+            cols.append(draw(st.lists(grid if kind == "grid" else wide, min_size=n, max_size=n)))
+    X = np.array(cols).T
+    y = np.array(draw(st.lists(st.one_of(grid, wide), min_size=n, max_size=n)))
+    mode = draw(st.sampled_from(["bagged", "boosted"]))
+    params = TreeParams(
+        mode=mode,
+        n_estimators=draw(st.integers(1, 4)),
+        max_depth=draw(st.integers(1, 6)),
+        min_samples_split=draw(st.integers(2, 5)),
+        bootstrap=draw(st.booleans()),
+        feature_sample=draw(st.sampled_from(["sqrt", "all"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    return X, y, params, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_tree_problems())
+def test_trees_and_generator_states_equal_the_per_feature_reference(problem):
+    X, y, params, weights = problem
+    got, got_states = _fit_recording_states(_TreeBuilder, X, y, params, weights)
+    ref, ref_states = _fit_recording_states(_ReferenceBuilder, X, y, params, weights)
+    assert len(got.trees) == len(ref.trees)
+    for a, b in zip(got.trees, ref.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert got_states == ref_states
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=600))
+def test_node_mean_from_the_shared_sum_is_numpys_mean(values):
+    a = np.array(values)
+    assert np.float64(a.sum() / len(a)).tobytes() == a.mean().tobytes()
+
+
+def test_weighted_choice_equals_numpys_weighted_choice():
+    # a guard too: this fails if numpy changes its without-replacement algorithm
+    for seed in range(12):
+        skew = np.random.default_rng(1000 + seed)
+        for d in range(2, 41):
+            if seed % 3 == 0:
+                w = 10.0 ** skew.uniform(-12, 12, size=d)
+            elif seed % 3 == 1:
+                w = np.ones(d)
+                w[skew.integers(d)] = 1e9
+            else:
+                w = 2.0 ** -np.arange(d) * skew.uniform(0.5, 1.5, size=d)
+            p = w / w.sum()
+            for k in range(1, d + 1):
+                ours = np.random.default_rng([seed, d, k])
+                ref = np.random.default_rng([seed, d, k])
+                drawn = _weighted_choice(ours, p.tolist(), k)
+                expected = ref.choice(d, size=k, replace=False, p=p)
+                assert drawn == expected.tolist(), (seed, d, k)
+                assert ours.random() == ref.random(), (seed, d, k)
+
+
+# sha256 of save_surrogate's JSON, recorded before the 2-D split search and
+# the unvalidated weighted draw replaced the per-feature loop and rng.choice
+_GOLDEN_DIGESTS = {
+    "bagged_embedding": "d118786ef092203435d1f3eb11215d54d593e80d76c1a8172d4de0934c9ce199",
+    "boosted": "78b886bcfb0908d77160dc7892ce8bc67a9455ce2127b4bb39be413388330501",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_DIGESTS))
+def test_trained_surrogate_json_matches_the_golden_digest(case, tmp_path):
+    from hpcmobo.ingest import preprocess_fit
+    from hpcmobo.synthgen import DURATION_PAIRS, SyntheticSpec, generate
+
+    table, _ = generate(SyntheticSpec(n_jobs=200, n_noise_features=3, seed=11))
+    processed, _ = preprocess_fit(table, DURATION_PAIRS)
+    if case == "boosted":
+        kw = dict(use_embedding=False, params=TreeParams.boosted(n_estimators=10, max_depth=4))
+    else:
+        kw = dict(use_embedding=True, params=TreeParams(n_estimators=12, max_depth=8),
+                  mask_epochs=60)
+    model = train_objective_surrogate(processed, "runtime_seconds", seed=3, **kw)
+    path = tmp_path / "model.json"
+    save_surrogate(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_DIGESTS[case]
