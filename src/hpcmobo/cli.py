@@ -59,8 +59,6 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--mobo-iterations", type=int, default=None)
     run.add_argument("--mc-samples", type=int, default=None)
-    run.add_argument("--acq-restarts", type=int, default=None)
-    run.add_argument("--raw-candidates", type=int, default=None)
     run.add_argument("--random-seeds", type=int, default=None)
     run.add_argument("--sampling-fraction", "--tau", type=float, default=None,
                      dest="sampling_fraction")
@@ -72,8 +70,6 @@ def _overrides(args) -> dict:
         "seed": args.seed,
         "mobo_iterations": args.mobo_iterations,
         "mc_samples": args.mc_samples,
-        "acq_restarts": args.acq_restarts,
-        "raw_candidates": args.raw_candidates,
         "random_seeds": args.random_seeds,
         "sampling_fraction": args.sampling_fraction,
         "p_min": args.run_p_min,

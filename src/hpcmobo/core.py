@@ -215,12 +215,14 @@ class ObjectiveSample:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Optimizer and sampler budget knobs, overridable from config file and CLI."""
+    """Optimizer and sampler budget knobs, overridable from config file and CLI.
+
+    mc_samples is still accepted and validated so existing configs load, but
+    no engine reads it: MOBO scores candidates with exact EHVI.
+    """
 
     mobo_iterations: int = 300
     mc_samples: int = 128
-    acq_restarts: int = 5
-    raw_candidates: int = 32
     random_seeds: int = 5
     sampling_fraction: float = 1.0
     p_min: float = 0.01
@@ -233,10 +235,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"mobo_iterations must be >= 1, got {cfg.mobo_iterations}")
     if cfg.mc_samples < 1:
         raise ConfigError(f"mc_samples must be >= 1, got {cfg.mc_samples}")
-    if cfg.acq_restarts < 1:
-        raise ConfigError(f"acq_restarts must be >= 1, got {cfg.acq_restarts}")
-    if cfg.raw_candidates < 1:
-        raise ConfigError(f"raw_candidates must be >= 1, got {cfg.raw_candidates}")
     if cfg.random_seeds < 1:
         raise ConfigError(f"random_seeds must be >= 1, got {cfg.random_seeds}")
     if cfg.sampling_fraction <= 0:

@@ -1,16 +1,19 @@
 """Optimization engines over the discrete node-count domain.
 
-MOBO proposes one candidate per iteration by Monte-Carlo q=1 log expected
-hypervolume improvement under two independent GP posteriors; SOBO runs
-closed-form log expected improvement on a single objective; the random
-baseline spends a matched budget of uniform draws split across seeds. All
-methods start from the same 4-point space-filling initial design and evaluate
-objectives against frozen surrogates, which stand in for the machine.
+MOBO proposes one candidate per iteration by q=1 log expected hypervolume
+improvement under two independent GP posteriors, computed exactly for every
+candidate from the 2-D strip decomposition of the improvement (`ehvi`; no
+sampling in the loop); SOBO runs closed-form log expected improvement on a
+single objective; the random baseline spends a matched budget of uniform
+draws split across seeds. All methods start from the same 4-point
+space-filling initial design and evaluate objectives against frozen
+surrogates, which stand in for the machine.
 
 The surrogates are frozen and the domain is a finite set of node counts, so
 each engine call evaluates every candidate once, up front, with one batched
 predict per surrogate (`evaluate_objectives`); an observation is then a
-lookup in that table.
+lookup in that table. The Monte-Carlo estimator `log_ehvi`/`ehvi_samples`
+stays as a test oracle for `ehvi`.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.stats import norm, qmc
 
 from .core import ConfigError, DataError, NumericalError, ObjectiveSample, RunConfig, validate_config
 from .gp import GaussianProcess, fit_gp, gp_posterior
 from .pareto import (
     ParetoFront,
+    hvi_strips,
     hypervolume,
     hypervolume_improvement,
     infer_reference,
@@ -37,7 +42,7 @@ from .pareto import (
 )
 
 ACQ_EPS = 1e-12
-EXHAUSTIVE_LIMIT = 4096
+_SQRT_2PI = np.sqrt(2 * np.pi)
 METHOD_MOBO = "MOBO"
 METHOD_SOBO_RUNTIME = "SOBO (Runtime)"
 METHOD_SOBO_POWER = "SOBO (Power)"
@@ -178,8 +183,11 @@ def _deterministic_hvi(mu_r: float, mu_p: float, gp_runtime: ObjectiveGP,
                                          np.array([[y_r, y_p]]))[0])
 
 
-def _ehvi_samples(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, node_count: int,
-                  front: ParetoFront, ref, z: np.ndarray) -> np.ndarray:
+def ehvi_samples(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, node_count: int,
+                 front: ParetoFront, ref, mc_samples: int, seed) -> np.ndarray:
+    """Per-sample hypervolume improvements backing log_ehvi, the Monte-Carlo
+    oracle for `ehvi`; exposed so tests can form standard errors."""
+    z = _base_normals(mc_samples, seed)
     nodes = np.array([node_count])
     mu_r, var_r = gp_runtime.posterior(nodes)
     mu_p, var_p = gp_power.posterior(nodes)
@@ -193,19 +201,11 @@ def _ehvi_samples(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, node_count: in
                                    np.column_stack([y_r, y_p]))
 
 
-def ehvi_samples(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, node_count: int,
-                 front: ParetoFront, ref, mc_samples: int, seed) -> np.ndarray:
-    """Per-sample hypervolume improvements backing log_ehvi; exposed so tests
-    can form Monte-Carlo standard errors."""
-    z = _base_normals(mc_samples, seed)
-    return _ehvi_samples(gp_runtime, gp_power, node_count, front, ref, z)
-
-
 def log_ehvi(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, node_count: int,
              front: ParetoFront, ref, mc_samples: int, seed) -> float:
-    """log(mean HVI + eps) at one candidate. A zero-variance candidate is a
-    deterministic sample: it reduces to log(HVI(posterior mean) + eps)
-    exactly, independent of mc_samples."""
+    """Monte-Carlo log(mean HVI + eps) at one candidate. A zero-variance
+    candidate is a deterministic sample: it reduces to log(HVI(posterior
+    mean) + eps) exactly, independent of mc_samples."""
     nodes = np.array([node_count])
     mu_r, var_r = gp_runtime.posterior(nodes)
     mu_p, var_p = gp_power.posterior(nodes)
@@ -217,28 +217,52 @@ def log_ehvi(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, node_count: int,
     return math.log(float(samples.mean()) + ACQ_EPS)
 
 
-def _log_ehvi_over(nodes: np.ndarray, gp_r: ObjectiveGP, gp_p: ObjectiveGP,
-                   front: ParetoFront, ref, z: np.ndarray) -> np.ndarray:
-    """Batched acquisition over a node array, sharing one base-normal draw
-    (common random numbers across candidates within an iteration)."""
-    mu_r, var_r = gp_r.posterior(nodes)
-    mu_p, var_p = gp_p.posterior(nodes)
-    sd_r = np.sqrt(var_r)
-    sd_p = np.sqrt(var_p)
-    out = np.empty(len(nodes))
-    for i in range(len(nodes)):
-        if sd_r[i] == 0.0 and sd_p[i] == 0.0:
-            hvi_det = _deterministic_hvi(mu_r[i], mu_p[i], gp_r, gp_p, front, ref)
-            out[i] = math.log(hvi_det + ACQ_EPS)
-            continue
-        y_r = mu_r[i] + sd_r[i] * z[:, 0]
-        y_p = mu_p[i] + sd_p[i] * z[:, 1]
-        if gp_r.log_space:
-            y_r = np.exp(y_r)
-        if gp_p.log_space:
-            y_p = np.exp(y_p)
-        hvi = hypervolume_improvement(front, ref, np.column_stack([y_r, y_p]))
-        out[i] = math.log(float(hvi.mean()) + ACQ_EPS)
+def _partial_expectation(c: np.ndarray, mean: np.ndarray, sd: np.ndarray,
+                         log_space: bool = False) -> np.ndarray:
+    """E[(c - Y)+] for Y ~ N(mean, sd^2), or for Y = exp(N(mean, sd^2)) when
+    log_space (0 for c <= 0); broadcasts over its arguments. Where sd is 0
+    it is (c - Y)+ exactly."""
+    pos = sd > 0
+    s = np.where(pos, sd, 1.0)
+    if log_space:
+        y = np.exp(mean)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = (np.log(c) - mean) / s
+        pe = np.where(c > 0, c * ndtr(d) - np.exp(mean + s * s / 2.0) * ndtr(d - s), 0.0)
+    else:
+        y = mean
+        u = (c - mean) / s
+        pe = s * (u * ndtr(u) + np.exp(-u**2 / 2.0) / _SQRT_2PI)
+    return np.where(pos, pe, np.maximum(c - y, 0.0))
+
+
+def ehvi(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, nodes: np.ndarray,
+         front: ParetoFront, ref) -> np.ndarray:
+    """Exact q=1 expected hypervolume improvement at every node, never negative.
+
+    In 2-D, HVI(a, b) = sum_s w_s(a) h_s(b) over the strips of `hvi_strips`,
+    with w_s(a) = (hi_s - a)+ - (lo_s - a)+ and h_s(b) = (top_s - b)+. The two
+    posteriors are independent, so E[HVI] = sum_s E[w_s] E[h_s], and each
+    factor is a partial expectation E[(c - Y)+] (box-decomposition EHVI,
+    Emmerich et al. 2011; Yang et al. 2019). A node with zero variance in
+    both objectives gets the HVI of its posterior mean bit for bit.
+    """
+    ref = np.asarray(ref, dtype=float)
+    edges, tops = hvi_strips(front, ref)
+    mu_r, var_r = gp_runtime.posterior(nodes)
+    mu_p, var_p = gp_power.posterior(nodes)
+    p_r = _partial_expectation(edges[None, :], mu_r[:, None], np.sqrt(var_r)[:, None],
+                               gp_runtime.log_space)
+    # lo_s is the previous edge, and E[(-inf - Y)+] = 0
+    widths = np.diff(p_r, axis=1, prepend=0.0)
+    heights = _partial_expectation(tops[None, :], mu_p[:, None], np.sqrt(var_p)[:, None],
+                                   gp_power.log_space)
+    out = np.maximum((widths * heights).sum(axis=1), 0.0)
+    det = (var_r == 0.0) & (var_p == 0.0)
+    if det.any():
+        means = np.column_stack([np.exp(mu_r) if gp_runtime.log_space else mu_r,
+                                 np.exp(mu_p) if gp_power.log_space else mu_p])
+        out[det] = hypervolume_improvement(front, ref, means[det])
     return out
 
 
@@ -248,13 +272,7 @@ def expected_improvement(mean: np.ndarray, var: np.ndarray,
     max(incumbent - mean, 0)."""
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
-    sigma = np.sqrt(np.maximum(var, 0.0))
-    ei = np.maximum(incumbent - mean, 0.0)
-    pos = sigma > 0
-    if pos.any():
-        u = (incumbent - mean[pos]) / sigma[pos]
-        ei[pos] = sigma[pos] * (u * norm.cdf(u) + norm.pdf(u))
-    return ei
+    return _partial_expectation(incumbent, mean, np.sqrt(np.maximum(var, 0.0)))
 
 
 @dataclass
@@ -428,40 +446,12 @@ def _pick_candidate(nodes: np.ndarray, acq: np.ndarray, observed_nodes: set[int]
     return int(winners.min()), best
 
 
-def _acq_nodes_mobo(candidates: CandidateSet, gp_r, gp_p, front, ref, z,
-                    cfg: RunConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    nodes = candidates.node_counts
-    if len(nodes) <= EXHAUSTIVE_LIMIT:
-        return nodes, _log_ehvi_over(nodes, gp_r, gp_p, front, ref, z)
-    # restart-based discrete search with local +-1 hill climbing
-    node_set = set(int(n) for n in nodes)
-    seen: dict[int, float] = {}
-
-    def acq_of(n: int) -> float:
-        if n not in seen:
-            seen[n] = float(_log_ehvi_over(np.array([n]), gp_r, gp_p, front, ref, z)[0])
-        return seen[n]
-
-    for _ in range(cfg.acq_restarts):
-        raw = rng.choice(nodes, size=min(cfg.raw_candidates, len(nodes)), replace=False)
-        best_n = max((int(n) for n in raw), key=acq_of)
-        for _ in range(200):
-            neighbors = [best_n - 1, best_n + 1]
-            improved = False
-            for nb in neighbors:
-                if nb in node_set and acq_of(nb) > acq_of(best_n):
-                    best_n = nb
-                    improved = True
-            if not improved:
-                break
-    out_nodes = np.array(sorted(seen), dtype=int)
-    return out_nodes, np.array([seen[int(n)] for n in out_nodes])
-
-
 def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
              candidates: CandidateSet, cfg: RunConfig,
              log_runtime_gp: bool = True, spread_method: str = "polyline") -> ParetoReport:
-    """q=1 Monte-Carlo logEHVI loop over the candidate node counts."""
+    """q=1 logEHVI loop: each iteration refits both GPs and scores every
+    candidate node count with the exact `ehvi`, so no Monte-Carlo draw is
+    made and cfg.mc_samples is not read."""
     validate_config(cfg)
     _require_searchable(candidates)
     state, objectives, n_initial = _start(surr_runtime, surr_power, candidates)
@@ -477,8 +467,8 @@ def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
             raise NumericalError(f"GP fit failed at MOBO iteration {it}: {exc}") from exc
         ref = np.asarray(infer_reference(Y), dtype=float)
         front = nondominated(Y)
-        z = _base_normals(cfg.mc_samples, np.random.default_rng([cfg.seed, 7, it]))
-        nodes, acq = _acq_nodes_mobo(candidates, gp_r, gp_p, front, ref, z, cfg, rng)
+        nodes = candidates.node_counts
+        acq = np.log(ehvi(gp_r, gp_p, nodes, front, ref) + ACQ_EPS)
         observed_nodes = {s.node_count for s in state.observed}
         pick, best_acq = _pick_candidate(nodes, acq, observed_nodes, rng)
         sample = _observe(state, candidates, objectives, pick)

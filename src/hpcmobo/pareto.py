@@ -70,28 +70,35 @@ def hypervolume(front: ParetoFront | Sequence[Sequence[float]],
     return float(hv)
 
 
+def hvi_strips(front: ParetoFront, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertical strips of the box below `ref` that `front` leaves free.
+
+    Returns (edges, tops): strip s spans x in [edges[s-1], edges[s]), with
+    edges[-1] read as -inf, and is free from y = tops[s] downward. The edges
+    are the x-coordinates of the front points inside the box, then ref[0].
+    A point (a, b) adds (edges[s] - max(edges[s-1], a))+ * (tops[s] - b)+
+    of hypervolume in strip s.
+    """
+    pts = front.as_array()
+    if len(pts):
+        inside = (pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])
+        pts = pts[inside]
+    if len(pts) == 0:
+        return np.array([ref[0]]), np.array([ref[1]])
+    return np.concatenate((pts[:, 0], [ref[0]])), np.concatenate(([ref[1]], pts[:, 1]))
+
+
 def hypervolume_improvement(front: ParetoFront, ref: np.ndarray,
                             candidates: np.ndarray) -> np.ndarray:
     """Vectorized HV(front + point) - HV(front) for an (m, 2) candidate batch.
 
     Decomposes the dominated region into vertical strips between consecutive
-    front x-coordinates; each candidate adds the rectangle parts of those
-    strips it newly dominates.
+    front x-coordinates (`hvi_strips`); each candidate adds the rectangle
+    parts of those strips it newly dominates.
     """
-    pts = front.as_array()
     cand = np.asarray(candidates, dtype=float).reshape(-1, 2)
-    # strip s spans [seg_lo[s], seg_hi[s]) with free height down to seg_y[s]
-    if len(pts):
-        inside = (pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])
-        pts = pts[inside]
-    if len(pts) == 0:
-        seg_lo = np.array([-math.inf])
-        seg_hi = np.array([ref[0]])
-        seg_y = np.array([ref[1]])
-    else:
-        seg_lo = np.concatenate(([-math.inf], pts[:, 0]))
-        seg_hi = np.concatenate((pts[:, 0], [ref[0]]))
-        seg_y = np.concatenate(([ref[1]], pts[:, 1]))
+    seg_hi, seg_y = hvi_strips(front, ref)
+    seg_lo = np.concatenate(([-math.inf], seg_hi[:-1]))
     a = cand[:, :1]
     b = cand[:, 1:]
     widths = np.minimum(seg_hi, ref[0])[None, :] - np.maximum(seg_lo[None, :], a)

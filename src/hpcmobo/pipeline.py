@@ -173,9 +173,12 @@ def parse_settings(sections, config_dir: Path,
         path = Path(p)
         return path if path.is_absolute() else config_dir / path
 
+    # paths in the file are relative to it; an override is relative to the cwd
+    out_dir = (Path(out_dir_override) if out_dir_override
+               else resolve(pipe.get("out_dir", "out")))
     settings = PipelineSettings(
         input_path=resolve(pipe["input"]),
-        out_dir=resolve(out_dir_override or pipe.get("out_dir", "out")),
+        out_dir=out_dir,
         runtime_target=pipe["runtime_target"],
         power_target=pipe["power_target"],
         specs=specs,

@@ -23,8 +23,6 @@ def test_validate_config_defaults_are_valid():
     assert validate_config(cfg) is cfg
     assert cfg.mobo_iterations == 300
     assert cfg.mc_samples == 128
-    assert cfg.acq_restarts == 5
-    assert cfg.raw_candidates == 32
     assert cfg.random_seeds == 5
     assert cfg.sampling_fraction == 1.0
     assert cfg.p_min == 0.01

@@ -12,6 +12,7 @@ from hpcmobo.optimizer import (
     JobContext,
     ObjectiveGP,
     compare_methods,
+    ehvi,
     ehvi_samples,
     evaluate_objectives,
     expected_improvement,
@@ -261,6 +262,52 @@ def test_acquisition_nonnegative_over_candidate_sweep():
         assert math.exp(val) - 1e-12 >= -1e-15
 
 
+@pytest.mark.parametrize("log_space", [False, True])
+def test_exact_ehvi_matches_mc_oracle(log_space):
+    rng = np.random.default_rng(505 + log_space)
+    for trial in range(50):
+        k = int(rng.integers(4, 9))
+        nodes = np.sort(rng.choice(np.arange(1, 65), size=k, replace=False))
+        runtimes = rng.uniform(5, 60, size=k)
+        powers = rng.uniform(20, 400, size=k)
+        gp_r, gp_p = _toy_gps(nodes, runtimes, powers, log_space=log_space)
+        Y = np.column_stack([runtimes, powers])
+        front = nondominated(Y)
+        ref = infer_reference(Y)
+        sweep = ehvi(gp_r, gp_p, np.arange(1, 65), front, ref)
+        assert (sweep >= 0.0).all(), f"trial {trial}"
+        x = int(rng.integers(1, 65))
+        samples = ehvi_samples(gp_r, gp_p, x, front, ref, 2 ** 14, seed=trial)
+        se = float(samples.std(ddof=1)) / math.sqrt(len(samples))
+        assert abs(sweep[x - 1] - float(samples.mean())) <= 3 * se + 1e-12, f"trial {trial}"
+
+
+@pytest.mark.parametrize("log_space", [False, True])
+def test_exact_ehvi_zero_variance_equals_hvi_at_posterior_mean(log_space):
+    from hpcmobo.gp import fit_gp
+    from hpcmobo.pareto import hypervolume_improvement
+    nodes = np.array([1.0, 16.0, 32.0, 64.0])
+    runtimes = np.array([50.0, 20.0, 8.0, 4.0])
+    gp_r = ObjectiveGP(fit_gp(nodes[:, None], np.log(runtimes) if log_space else runtimes,
+                              noise_var=0.0), log_space=log_space)
+    gp_p = ObjectiveGP(fit_gp(nodes[:, None], [5.0, 20.0, 40.0, 80.0], noise_var=0.0),
+                       log_space=False)
+    ref = np.array([100.0, 100.0])
+    mean_r, var_r = gp_r.posterior(nodes)
+    mean_p, var_p = gp_p.posterior(nodes)
+    assert (var_r == 0.0).all() and (var_p == 0.0).all()
+    means = np.column_stack([np.exp(mean_r) if log_space else mean_r, mean_p])
+    # random fronts include some where (hi - a)+ - (lo - a)+ rounds differently
+    # from the HVI's (hi - max(lo, a))+
+    rng = np.random.default_rng(3)
+    fronts = [nondominated([(9.0, 90.0)]), nondominated([(4.0, 4.0)])]
+    fronts += [nondominated(np.column_stack([rng.uniform(2, 60, 5), rng.uniform(3, 90, 5)]))
+               for _ in range(30)]
+    for front in fronts:
+        det = hypervolume_improvement(front, ref, means)
+        assert (ehvi(gp_r, gp_p, nodes, front, ref) == det).all()
+
+
 def test_expected_improvement_closed_form_cases():
     # zero variance above incumbent: no improvement
     assert expected_improvement(np.array([5.0]), np.array([0.0]), 4.0)[0] == 0.0
@@ -415,9 +462,9 @@ def test_all_methods_share_the_same_initial_design():
     assert zero.hv == pytest.approx(hypervolume(nondominated(init_y), ref))
 
 
-def test_mobo_large_candidate_set_uses_restart_search():
+def test_mobo_large_candidate_set_scores_every_node():
     surr_r, surr_p = _amdahl_surrogates(bounds=(1, 6000))
-    cfg = _fast_cfg(mobo_iterations=4, seed=7, raw_candidates=16, acq_restarts=3)
+    cfg = _fast_cfg(mobo_iterations=4, seed=7)
     report = mobo_run(surr_r, surr_p, CandidateSet.from_bounds(1, 6000, _context()), cfg)
     assert report.n_evaluations == report.n_initial + 4
     assert all(1 <= s.node_count <= 6000 for s in report.observations)

@@ -3,12 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpcmobo.core import RunConfig
+from hpcmobo.core import RunConfig, load_config_file
 from hpcmobo.ingest import preprocess_fit, write_table
 from hpcmobo.pipeline import (
     PipelineSettings,
     manifest_comparable,
     parse_schema_sections,
+    parse_settings,
     report_h1,
     run_pipeline,
     timing_table,
@@ -130,6 +131,19 @@ def test_pipeline_rerun_is_deterministic(tmp_path):
             continue
         q = tmp_path / "o2" / p.relative_to(tmp_path / "o1")
         assert p.read_bytes() == q.read_bytes(), p.name
+
+
+def test_out_dir_override_is_relative_to_cwd(tmp_path, monkeypatch):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    cfg_path, _ = _write_config(inputs)
+    monkeypatch.chdir(tmp_path)
+    run_pipeline(cfg_path, out_dir_override="art/x")
+    assert (tmp_path / "art" / "x" / "manifest.json").exists()
+    assert not (inputs / "art").exists()
+    # without an override, [pipeline] out_dir stays relative to the config file
+    sections = load_config_file(cfg_path)
+    assert parse_settings(sections, cfg_path.parent).out_dir == inputs / "out"
 
 
 def test_sampled_run_trains_on_fewer_rows(tmp_path):
