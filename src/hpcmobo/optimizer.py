@@ -12,8 +12,12 @@ surrogates, which stand in for the machine.
 The surrogates are frozen and the domain is a finite set of node counts, so
 each engine call evaluates every candidate once, up front, with one batched
 predict per surrogate (`evaluate_objectives`); an observation is then a
-lookup in that table. The Monte-Carlo estimator `log_ehvi`/`ehvi_samples`
-stays as a test oracle for `ehvi`.
+lookup in that table. For the same reason a GP, and the acquisition scored
+from it, depend only on the set of distinct observed nodes: MOBO and SOBO
+refit and rescore only after an iteration that observed a new node, and a
+repeated proposal costs no GP work. Each report's `budget` records its
+`unique_evaluations`, and the GP methods' their `gp_refits`. The Monte-Carlo
+estimator `log_ehvi`/`ehvi_samples` stays as a test oracle for `ehvi`.
 """
 
 from __future__ import annotations
@@ -336,7 +340,7 @@ def initial_design(lo: int, hi: int) -> list[int]:
 
 
 def _require_searchable(candidates: CandidateSet) -> None:
-    # the per-iteration GP refit needs at least two distinct design points
+    # the GP fit needs at least two distinct design points
     if len(np.unique(candidates.node_counts)) < 2:
         raise ConfigError(
             "GP-based optimizers need at least 2 distinct candidate node counts; "
@@ -367,7 +371,8 @@ def _finalize_report(method: str, cfg: RunConfig, context: JobContext,
         spread_method=spread_method,
         history=list(state.history),
         n_initial=n_initial,
-        budget=budget or {},
+        budget={**(budget or {}),
+                "unique_evaluations": len({s.node_count for s in state.observed})},
         per_seed=per_seed or [],
     )
 
@@ -446,43 +451,77 @@ def _pick_candidate(nodes: np.ndarray, acq: np.ndarray, observed_nodes: set[int]
     return int(winners.min()), best
 
 
+def _search(state: OptimizerState, candidates: CandidateSet, objectives: np.ndarray,
+            iterations: int, rng: np.random.Generator, score,
+            spread_method: str) -> int:
+    """Propose, observe and record one node per iteration; returns how many
+    iterations called `score(it)`, which fits the GP(s) to state.observed and
+    returns the acquisition of every candidate.
+
+    The acquisition is a function of the distinct observed nodes only (the
+    GP fit collapses duplicates; reference point, front and incumbent ignore
+    them), so it is rescored only after an iteration observed a new node. A
+    repeated pick is either a deterministic argmax or the floor fallback
+    with no unobserved node left, which draws nothing from rng, so the
+    proposals equal those of a refit every iteration. Nothing changes after
+    a repeat, so every later pick repeats it too: the refits are the
+    iterations up to and including the first one that repeats a node.
+    """
+    nodes = candidates.node_counts
+    observed_nodes = {s.node_count for s in state.observed}
+    acq = None
+    refits = 0
+    for it in range(iterations):
+        if acq is None:
+            acq = score(it)
+            refits += 1
+        pick, best_acq = _pick_candidate(nodes, acq, observed_nodes, rng)
+        if pick not in observed_nodes:
+            observed_nodes.add(pick)
+            acq = None
+        sample = _observe(state, candidates, objectives, pick)
+        _record(state, it, sample, best_acq, spread_method)
+    return refits
+
+
 def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
              candidates: CandidateSet, cfg: RunConfig,
              log_runtime_gp: bool = True, spread_method: str = "polyline") -> ParetoReport:
-    """q=1 logEHVI loop: each iteration refits both GPs and scores every
-    candidate node count with the exact `ehvi`, so no Monte-Carlo draw is
-    made and cfg.mc_samples is not read."""
+    """q=1 logEHVI loop: after every iteration that observed a new node, refit
+    both GPs and score every candidate node count with the exact `ehvi`, so
+    no Monte-Carlo draw is made and cfg.mc_samples is not read. A repeated
+    node reuses the last scores (see `_search`); budget["gp_refits"] counts
+    the iterations that fitted."""
     validate_config(cfg)
     _require_searchable(candidates)
     state, objectives, n_initial = _start(surr_runtime, surr_power, candidates)
     rng = np.random.default_rng([cfg.seed, 11])
 
-    for it in range(cfg.mobo_iterations):
+    def score(it: int) -> np.ndarray:
         Y = state.objective_array()
+        observed = [s.node_count for s in state.observed]
         try:
-            gp_r = fit_objective_gp([s.node_count for s in state.observed], Y[:, 0],
-                                    log_space=log_runtime_gp)
-            gp_p = fit_objective_gp([s.node_count for s in state.observed], Y[:, 1])
+            gp_r = fit_objective_gp(observed, Y[:, 0], log_space=log_runtime_gp)
+            gp_p = fit_objective_gp(observed, Y[:, 1])
         except NumericalError as exc:
             raise NumericalError(f"GP fit failed at MOBO iteration {it}: {exc}") from exc
         ref = np.asarray(infer_reference(Y), dtype=float)
-        front = nondominated(Y)
-        nodes = candidates.node_counts
-        acq = np.log(ehvi(gp_r, gp_p, nodes, front, ref) + ACQ_EPS)
-        observed_nodes = {s.node_count for s in state.observed}
-        pick, best_acq = _pick_candidate(nodes, acq, observed_nodes, rng)
-        sample = _observe(state, candidates, objectives, pick)
-        _record(state, it, sample, best_acq, spread_method)
+        return np.log(ehvi(gp_r, gp_p, candidates.node_counts, nondominated(Y), ref)
+                      + ACQ_EPS)
 
+    refits = _search(state, candidates, objectives, cfg.mobo_iterations, rng, score,
+                     spread_method)
     return _finalize_report(METHOD_MOBO, cfg, candidates.context, state, n_initial,
-                            spread_method)
+                            spread_method, budget={"gp_refits": refits})
 
 
 def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
              candidates: CandidateSet, objective: str, cfg: RunConfig,
              log_runtime_gp: bool = True, spread_method: str = "polyline") -> ParetoReport:
     """Single-objective logEI loop; the untargeted objective is still recorded
-    so the resulting point set carries HV and spread."""
+    so the resulting point set carries HV and spread. The GP is refitted and
+    EI rescored only after an iteration observed a new node, as in
+    `mobo_run`."""
     validate_config(cfg)
     if objective not in ("runtime", "power"):
         raise ConfigError(f"objective must be runtime or power, got {objective!r}")
@@ -492,9 +531,9 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
 
     col = 0 if objective == "runtime" else 1
     method = METHOD_SOBO_RUNTIME if objective == "runtime" else METHOD_SOBO_POWER
-    for it in range(cfg.mobo_iterations):
-        Y = state.objective_array()
-        values = Y[:, col]
+
+    def score(it: int) -> np.ndarray:
+        values = state.objective_array()[:, col]
         try:
             gp = fit_objective_gp([s.node_count for s in state.observed], values,
                                   log_space=log_runtime_gp and objective == "runtime")
@@ -503,14 +542,12 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         model_vals = np.log(values) if gp.log_space else values
         incumbent = float(model_vals.min())
         mean, var = gp.posterior(candidates.node_counts)
-        acq = np.log(expected_improvement(mean, var, incumbent) + ACQ_EPS)
-        observed_nodes = {s.node_count for s in state.observed}
-        pick, best_acq = _pick_candidate(candidates.node_counts, acq, observed_nodes, rng)
-        sample = _observe(state, candidates, objectives, pick)
-        _record(state, it, sample, best_acq, spread_method)
+        return np.log(expected_improvement(mean, var, incumbent) + ACQ_EPS)
 
+    refits = _search(state, candidates, objectives, cfg.mobo_iterations, rng, score,
+                     spread_method)
     return _finalize_report(method, cfg, candidates.context, state, n_initial,
-                            spread_method)
+                            spread_method, budget={"gp_refits": refits})
 
 
 def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,

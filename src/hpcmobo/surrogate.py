@@ -4,12 +4,14 @@ optimizer.
 
 One tree implementation serves both modes. Splits greedily minimize the
 summed squared error of the two children; candidate thresholds are midpoints
-between consecutive distinct sorted values, so fits are independent of row
-order within a node. Each node scores all its candidate features in one 2-D
-pass (one stable argsort and one prefix sum per column, taken together).
-Attention weights that steer the feature subsampling are validated and
-normalized once per fit, and each split draws its weighted subset with
-numpy's own without-replacement algorithm minus its per-call checks.
+between consecutive distinct sorted values (the upper value when the midpoint
+of two adjacent floats rounds down to the lower one, so no child is empty),
+and fits are independent of row order within a node. Each node scores all
+its candidate features in one 2-D pass (one stable argsort and one prefix
+sum per column, taken together). Attention weights that steer the feature
+subsampling are validated and normalized once per fit, and each split draws
+its weighted subset with numpy's own without-replacement algorithm minus its
+per-call checks.
 """
 
 from __future__ import annotations
@@ -171,7 +173,10 @@ class _TreeBuilder:
         if best is None:
             return None
         k = j[best] + 1
-        thr = float((vs[k - 1, best] + vs[k, best]) / 2.0)
+        lo, hi = vs[k - 1, best], vs[k, best]
+        thr = float((lo + hi) / 2.0)
+        if thr <= lo:  # adjacent floats: the midpoint rounds down to lo
+            thr = float(hi)
         return int(feats[best]), thr, V[:, best] < thr
 
 

@@ -479,3 +479,209 @@ def test_report_serialization_round_trips_key_fields(tmp_path):
     assert payload["n_evaluations"] == report.n_evaluations
     assert len(payload["front"]) == len(report.front)
     assert payload["budget"]["pooled_evaluations"] == report.budget["pooled_evaluations"]
+
+
+
+def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg, log_runtime_gp=True,
+                        spread_method="polyline"):
+    """The MOBO loop before the refit rule: both GPs refitted and every
+    candidate rescored in every iteration, repeats included."""
+    from hpcmobo import optimizer as opt
+
+    state, objectives, n_initial = opt._start(surr_runtime, surr_power, candidates)
+    rng = np.random.default_rng([cfg.seed, 11])
+    for it in range(cfg.mobo_iterations):
+        Y = state.objective_array()
+        gp_r = fit_objective_gp([s.node_count for s in state.observed], Y[:, 0],
+                                log_space=log_runtime_gp)
+        gp_p = fit_objective_gp([s.node_count for s in state.observed], Y[:, 1])
+        ref = np.asarray(infer_reference(Y), dtype=float)
+        front = nondominated(Y)
+        nodes = candidates.node_counts
+        acq = np.log(opt.ehvi(gp_r, gp_p, nodes, front, ref) + opt.ACQ_EPS)
+        observed_nodes = {s.node_count for s in state.observed}
+        pick, best_acq = opt._pick_candidate(nodes, acq, observed_nodes, rng)
+        sample = opt._observe(state, candidates, objectives, pick)
+        opt._record(state, it, sample, best_acq, spread_method)
+    return opt._finalize_report(opt.METHOD_MOBO, cfg, candidates.context, state,
+                                n_initial, spread_method)
+
+
+def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg,
+                        log_runtime_gp=True, spread_method="polyline"):
+    """The SOBO loop before the refit rule: the GP refitted and EI rescored in
+    every iteration, repeats included."""
+    from hpcmobo import optimizer as opt
+
+    state, objectives, n_initial = opt._start(surr_runtime, surr_power, candidates)
+    rng = np.random.default_rng([cfg.seed, 13])
+    col = 0 if objective == "runtime" else 1
+    method = opt.METHOD_SOBO_RUNTIME if objective == "runtime" else opt.METHOD_SOBO_POWER
+    for it in range(cfg.mobo_iterations):
+        values = state.objective_array()[:, col]
+        gp = fit_objective_gp([s.node_count for s in state.observed], values,
+                              log_space=log_runtime_gp and objective == "runtime")
+        model_vals = np.log(values) if gp.log_space else values
+        incumbent = float(model_vals.min())
+        mean, var = gp.posterior(candidates.node_counts)
+        acq = np.log(opt.expected_improvement(mean, var, incumbent) + opt.ACQ_EPS)
+        observed_nodes = {s.node_count for s in state.observed}
+        pick, best_acq = opt._pick_candidate(candidates.node_counts, acq, observed_nodes, rng)
+        sample = opt._observe(state, candidates, objectives, pick)
+        opt._record(state, it, sample, best_acq, spread_method)
+    return opt._finalize_report(method, cfg, candidates.context, state, n_initial,
+                                spread_method)
+
+
+def _without_new_budget_keys(report):
+    payload = report_to_dict(report)
+    payload["budget"] = {k: v for k, v in payload["budget"].items()
+                         if k not in ("unique_evaluations", "gp_refits")}
+    return payload
+
+
+def _fits_expected(report):
+    """Iterations whose previous pick was a node not observed before it; the
+    first iteration follows the initial design, which is all new."""
+    seen = {s.node_count for s in report.observations[:report.n_initial]}
+    expected = 0
+    previous_new = True
+    for entry in report.history:
+        expected += previous_new
+        previous_new = entry.node_count not in seen
+        seen.add(entry.node_count)
+    return expected
+
+
+# (surrogates, domain, iterations, seed), each budget at least 3x its domain so
+# that the loops repeat nodes. The fitted GP noise keeps EHVI and EI above the
+# floor on real data, so "floor_fallback" zeroes both acquisitions: every pick
+# is then a random unobserved node until the domain is spent, then nodes.min()
+_REFIT_CASES = {
+    "amdahl": (_amdahl_surrogates((1, 12)), (1, 12), 40, 3),
+    "amdahl_other_seed": (_amdahl_surrogates((1, 12)), (1, 12), 40, 17),
+    "wavy": ((LawSurrogate(lambda n: 30.0 + 10.0 * math.sin(n) + 40.0 / n, (1, 10)),
+              LawSurrogate(lambda n: 4.0 * n + 3.0 * math.cos(2.0 * n), (1, 10))),
+             (1, 10), 35, 5),
+    "floor_fallback": (_amdahl_surrogates((1, 8)), (1, 8), 30, 2),
+}
+
+
+@pytest.fixture
+def refit_case(request, monkeypatch):
+    """One _REFIT_CASES entry, plus a list that records each optimizer.fit_gp
+    call made after the reference run."""
+    from hpcmobo import optimizer
+
+    case = _REFIT_CASES[request.param]
+    if request.param == "floor_fallback":
+        monkeypatch.setattr(optimizer, "ehvi",
+                            lambda gp_r, gp_p, nodes, front, ref: np.zeros(len(nodes)))
+        monkeypatch.setattr(optimizer, "expected_improvement",
+                            lambda mean, var, incumbent: np.zeros(len(mean)))
+    calls = []
+    original = optimizer.fit_gp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    return case, lambda: monkeypatch.setattr(optimizer, "fit_gp", counting), calls
+
+
+@pytest.mark.parametrize("log_runtime_gp", [True, False])
+@pytest.mark.parametrize("refit_case", sorted(_REFIT_CASES), indirect=True)
+def test_mobo_refits_only_after_a_new_node_and_matches_the_refit_every_loop(
+        refit_case, log_runtime_gp):
+    ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = refit_case
+    cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
+    ref = _reference_mobo_run(surr_r, surr_p, _candidates(*bounds), cfg,
+                              log_runtime_gp=log_runtime_gp)
+    count_fits()
+    got = mobo_run(surr_r, surr_p, _candidates(*bounds), cfg, log_runtime_gp=log_runtime_gp)
+    assert _without_new_budget_keys(got) == _without_new_budget_keys(ref)
+    nodes = [s.node_count for s in got.observations]
+    assert len(set(nodes)) < len(nodes)  # the budget repeats nodes
+    assert got.budget["unique_evaluations"] == len(set(nodes))
+    assert got.budget["gp_refits"] == _fits_expected(got) < iterations
+    assert len(calls) == 2 * got.budget["gp_refits"]
+
+
+@pytest.mark.parametrize("log_runtime_gp", [True, False])
+@pytest.mark.parametrize("objective", ["runtime", "power"])
+@pytest.mark.parametrize("refit_case", sorted(_REFIT_CASES), indirect=True)
+def test_sobo_refits_only_after_a_new_node_and_matches_the_refit_every_loop(
+        refit_case, objective, log_runtime_gp):
+    ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = refit_case
+    cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
+    ref = _reference_sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg,
+                              log_runtime_gp=log_runtime_gp)
+    count_fits()
+    got = sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg,
+                   log_runtime_gp=log_runtime_gp)
+    assert _without_new_budget_keys(got) == _without_new_budget_keys(ref)
+    nodes = [s.node_count for s in got.observations]
+    assert len(set(nodes)) < len(nodes)
+    assert got.budget["unique_evaluations"] == len(set(nodes))
+    assert got.budget["gp_refits"] == _fits_expected(got) == len(calls) < iterations
+
+
+@pytest.mark.parametrize("refit_case", ["floor_fallback"], indirect=True)
+def test_floor_fallback_spends_the_domain_at_random_then_repeats_the_minimum(refit_case):
+    from hpcmobo.optimizer import ACQ_EPS
+
+    ((surr_r, surr_p), (lo, hi), iterations, seed), _, _ = refit_case
+    cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
+    unobserved = set(range(lo, hi + 1)) - set(initial_design(lo, hi))
+    for report in (mobo_run(surr_r, surr_p, _candidates(lo, hi), cfg),
+                   sobo_run(surr_r, surr_p, _candidates(lo, hi), "power", cfg)):
+        assert all(h.acquisition == math.log(ACQ_EPS) for h in report.history)
+        picks = [h.node_count for h in report.history]
+        n_new = len(unobserved)
+        assert set(picks[:n_new]) == unobserved
+        assert picks[n_new:] == [lo] * (iterations - n_new)
+        assert report.budget["gp_refits"] == n_new + 1
+
+
+def test_every_report_counts_its_unique_evaluations():
+    surr_r, surr_p = _amdahl_surrogates((1, 8))
+    report = random_run(surr_r, surr_p, _candidates(1, 8), _fast_cfg(mobo_iterations=30))
+    assert report.budget["unique_evaluations"] == len({s.node_count
+                                                       for s in report.observations})
+    for sub in report.per_seed:
+        assert sub.budget["unique_evaluations"] == len({s.node_count
+                                                        for s in sub.observations})
+    assert "gp_refits" not in report.budget
+
+
+
+@pytest.mark.parametrize("method", ["MOBO", "SOBO"])
+def test_a_failed_refit_names_the_iteration_it_ran_in(method, monkeypatch):
+    from hpcmobo import optimizer
+    from hpcmobo.core import NumericalError
+
+    (surr_r, surr_p), bounds, iterations, seed = _REFIT_CASES["wavy"]
+    cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
+
+    def run():
+        if method == "MOBO":
+            return mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
+        return sobo_run(surr_r, surr_p, _candidates(*bounds), "runtime", cfg)
+
+    # refits run on consecutive iterations from the first: after a repeat the
+    # acquisition is unchanged, so every later pick repeats too
+    last = run().budget["gp_refits"] - 1
+    assert last > 0
+    fits_per_refit = 2 if method == "MOBO" else 1
+    original = optimizer.fit_gp
+    calls = []
+
+    def failing_last(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > last * fits_per_refit:
+            raise NumericalError("no valid configuration")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "fit_gp", failing_last)
+    with pytest.raises(NumericalError, match=f"GP fit failed at {method} iteration {last}: "):
+        run()

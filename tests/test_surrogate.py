@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpcmobo import surrogate
@@ -247,19 +247,25 @@ class _ReferenceBuilder(_TreeBuilder):
             if gain > best_gain + 1e-12 * max(1.0, sse_parent):
                 k = boundary[j]
                 best_gain = gain
-                best = (int(f), float((vs[k - 1] + vs[k]) / 2.0))
+                thr = float((vs[k - 1] + vs[k]) / 2.0)
+                if thr <= vs[k - 1]:
+                    thr = float(vs[k])
+                best = (int(f), thr)
         return best
 
 
 def _fit_recording_states(builder_cls, X, y, params, weights):
     """fit_tree_ensemble with builder_cls building the trees; also returns
-    each tree's generator state after the tree is built."""
+    each tree's generator state after the tree is built, and the training
+    rows each tree was built on."""
     states = []
+    rows = []
 
     class Recording(builder_cls):
         def build(self, idx):
             tree = super().build(idx)
             states.append(self.rng.bit_generator.state)
+            rows.append(idx)
             return tree
 
     saved = surrogate._TreeBuilder
@@ -268,7 +274,7 @@ def _fit_recording_states(builder_cls, X, y, params, weights):
         model = fit_tree_ensemble(X, y, params, feature_weights=weights)
     finally:
         surrogate._TreeBuilder = saved
-    return model, states
+    return model, states, rows
 
 
 @st.composite
@@ -304,17 +310,66 @@ def _tree_problems(draw):
     return X, y, params, weights
 
 
+def _adjacent_floats_problem():
+    """A split between -1000 and the next float up, whose midpoint rounds
+    down to -1000; hypothesis found this example against the reference
+    comparison when the threshold was always the midpoint."""
+    X = np.full((23, 5), -2.0)
+    X[:, 0] = [0.0] * 21 + [-1000.0, np.nextafter(-1000.0, 0.0)]
+    y = np.array([-2.0] * 22 + [0.0])
+    params = TreeParams(n_estimators=1, max_depth=2, bootstrap=False, seed=0)
+    return X, y, params, None
+
+
 @settings(max_examples=200, deadline=None)
 @given(problem=_tree_problems())
+@example(problem=_adjacent_floats_problem())
 def test_trees_and_generator_states_equal_the_per_feature_reference(problem):
     X, y, params, weights = problem
-    got, got_states = _fit_recording_states(_TreeBuilder, X, y, params, weights)
-    ref, ref_states = _fit_recording_states(_ReferenceBuilder, X, y, params, weights)
+    got, got_states, _ = _fit_recording_states(_TreeBuilder, X, y, params, weights)
+    ref, ref_states, _ = _fit_recording_states(_ReferenceBuilder, X, y, params, weights)
     assert len(got.trees) == len(ref.trees)
     for a, b in zip(got.trees, ref.trees):
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert got_states == ref_states
+
+
+def test_a_split_between_adjacent_floats_leaves_no_child_empty():
+    lo = -1000.0
+    X = np.array([[lo]] * 3 + [[np.nextafter(lo, 0.0)]] * 3)
+    y = np.array([0.0] * 3 + [1.0] * 3)
+    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=1, max_depth=2,
+                                               bootstrap=False))
+    tree = model.trees[0]
+    assert tree.value.tolist() == [0.5, 0.0, 1.0]
+    assert model.predict(np.array([[-2000.0], [lo], [X[-1, 0]], [0.0]])).tolist() == [
+        0.0, 0.0, 1.0, 1.0]
+
+
+def _leaf_rows(tree, X):
+    """The index of the leaf each row of X reaches."""
+    node = np.zeros(len(X), dtype=int)
+    while True:
+        inner = tree.feature[node] >= 0
+        if not inner.any():
+            return node
+        rows = np.flatnonzero(inner)
+        f = tree.feature[node[rows]]
+        go_left = X[rows, f] < tree.threshold[node[rows]]
+        node[rows] = np.where(go_left, tree.left[node[rows]], tree.right[node[rows]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_tree_problems())
+@example(problem=_adjacent_floats_problem())
+def test_every_leaf_holds_a_training_row_and_a_finite_value(problem):
+    X, y, params, weights = problem
+    model, _, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights)
+    for tree, idx in zip(model.trees, rows):
+        leaves = np.flatnonzero(tree.feature < 0)
+        assert np.isfinite(tree.value[leaves]).all()
+        assert set(_leaf_rows(tree, X[idx]).tolist()) == set(leaves.tolist())
 
 
 @settings(max_examples=200, deadline=None)
