@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Subcommands: synthgen, preprocess, sample, embed, train, optimize, report,
-run. Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-failure.
+run. preprocess, sample and train each run one stage of `run` through the
+function `run` calls (`pipeline.*_stage`), and embed runs train's mask fit
+(`surrogate.fit_feature_mask`). Exit codes: 0 success, 2 config error,
+3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,24 +21,25 @@ import numpy as np
 from .core import (
     ConfigError,
     PipelineError,
-    RunConfig,
     load_config_file,
     run_config_from_sections,
 )
-from .embedding import train_mask
-from .ingest import preprocess_fit, read_table, write_table
+from .ingest import read_table, write_table
 from .optimizer import CandidateSet, report_to_dict
 from .pipeline import (
     METHODS,
+    PipelineSettings,
     _engine_options,
     load_context,
+    model_stage,
     parse_settings,
+    preprocess_stage,
     report_h1,
     run_pipeline,
-    train_single_surrogate,
+    sample_stage,
+    write_surrogate_metrics,
 )
-from .sampler import sample_table
-from .surrogate import FeatureScaler, load_surrogate, save_surrogate, surrogate_features
+from .surrogate import fit_feature_mask, load_surrogate, training_data
 from .synthgen import (
     DURATION_PAIRS,
     SyntheticSpec,
@@ -136,41 +139,34 @@ def _write_pipeline_config(args, spec: SyntheticSpec) -> None:
     Path(args.emit_config).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _settings(args, sections) -> PipelineSettings:
+    return parse_settings(sections, Path(args.config).parent, args.out_dir)
+
+
 def _cmd_preprocess(args) -> int:
     sections, cfg = _load(args)
-    settings = parse_settings(sections, Path(args.config).parent, args.out_dir)
+    settings = _settings(args, sections)
     settings.out_dir.mkdir(parents=True, exist_ok=True)
-    table = read_table(args.input or settings.input_path, settings.specs)
-    processed, recipe = preprocess_fit(table, settings.duration_pairs)
-    write_table(processed, settings.out_dir / "preprocessed.csv")
-    recipe.save(settings.out_dir / "recipe.json")
+    processed, _ = preprocess_stage(settings, Path(args.input or settings.input_path))
     log.info("preprocessed %d rows, %d columns", processed.n_rows, len(processed.columns))
     return 0
 
 
 def _cmd_sample(args) -> int:
     sections, cfg = _load(args)
+    settings = _settings(args, sections)
     table = read_table(args.input)
-    tau = args.fraction if args.fraction is not None else cfg.sampling_fraction
-    p_min = args.p_min if args.p_min is not None else cfg.p_min
-    seed = args.seed if args.seed is not None else cfg.seed
-    subset, plan = sample_table(table, tau, p_min, seed)
-    write_table(subset, args.out)
-    plan.save(args.plan)
-    log.info("kept %d of %d rows (target %.3f, realized %.3f)",
-             subset.n_rows, table.n_rows, tau, subset.n_rows / table.n_rows)
+    (subset, _), _ = sample_stage(table, cfg, settings.sat_cap, Path(args.out), Path(args.plan))
+    log.info("kept %d of %d rows (target %.3f, realized %.3f)", subset.n_rows,
+             table.n_rows, cfg.sampling_fraction, subset.n_rows / table.n_rows)
     return 0
 
 
 def _cmd_embed(args) -> int:
     sections, cfg = _load(args)
-    table = read_table(args.input)
-    features = surrogate_features(table)
-    X = table.numeric_matrix(features)
-    y = table.numeric_matrix([args.target])[:, 0]
-    scaler = FeatureScaler.fit(X)
-    mask = train_mask(scaler.transform(X), y, epochs=args.epochs, lr=args.lr,
-                      seed=args.seed if args.seed is not None else cfg.seed)
+    settings = _settings(args, sections)
+    features, X, y = training_data(read_table(args.input), args.target)
+    scaler, mask = fit_feature_mask(X, y, settings.mask_epochs, settings.mask_lr, cfg.seed)
     mask.save(args.out, scaler_mean=scaler.mean, scaler_std=scaler.std)
     log.info("trained mask over %d features; top weight %s",
              len(features), features[int(np.argmax(mask.m))])
@@ -179,27 +175,20 @@ def _cmd_embed(args) -> int:
 
 def _cmd_train(args) -> int:
     sections, cfg = _load(args)
-    settings = parse_settings(sections, Path(args.config).parent, args.out_dir)
+    settings = _settings(args, sections)
     settings.out_dir.mkdir(parents=True, exist_ok=True)
     if args.no_embedding:
         settings.use_embedding = False
     table = read_table(args.input)
     metrics = {}
-    for key, target in (("runtime", settings.runtime_target),
-                        ("power", settings.power_target)):
-        model, entry = train_single_surrogate(table, settings, target, seed=cfg.seed)
-        save_surrogate(model, settings.out_dir / f"{key}_model.json")
-        metrics[target] = entry
-    (settings.out_dir / "surrogate_metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True), encoding="utf-8")
+    for key, target in settings.targets().items():
+        (_, metrics[target]), _ = model_stage(table, settings, key, target, cfg.seed)
+    write_surrogate_metrics(metrics, settings.out_dir)
     return 0
 
 
 def _cmd_optimize(args) -> int:
     sections, cfg = _load(args, require_config=False)
-    if args.iters is not None:
-        cfg = run_config_from_sections(
-            sections, {**_overrides(args), "mobo_iterations": args.iters})
     surr_dir = Path(args.surrogates)
     surr_r = load_surrogate(surr_dir / "runtime_model.json")
     surr_p = load_surrogate(surr_dir / "power_model.json")
@@ -209,7 +198,7 @@ def _cmd_optimize(args) -> int:
     # engine settings from [pipeline], as `run` uses them; engine defaults without
     options = {}
     if "pipeline" in sections:
-        options = _engine_options(parse_settings(sections, Path(args.config).parent))
+        options = _engine_options(_settings(args, sections))
     start = time.perf_counter()
     report = method.run(surr_r, surr_p, candidates, cfg, **options)
     elapsed = time.perf_counter() - start
@@ -225,7 +214,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_report(args) -> int:
     sections, cfg = _load(args)
-    settings = parse_settings(sections, Path(args.config).parent, args.out_dir)
+    settings = _settings(args, sections)
     if args.h1:
         table = read_table(Path(args.input))
         truth = None
@@ -235,7 +224,7 @@ def _cmd_report(args) -> int:
                            out_dir=settings.out_dir / "reports", truth=truth)
         log.info("H1 report written; downstream space: %s", result["downstream_space"])
         return 0
-    # rebuild the comparison from per-method report files
+    # check that `run` left a first-context report for every method
     reports_dir = settings.out_dir / "reports"
     missing = [method.label for stem, method in METHODS.items()
                if not (reports_dir / f"{stem}_ctx0.json").exists()]
@@ -283,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="loss-proportional subset sampling")
     _add_global_flags(p)
-    p.add_argument("--fraction", type=float, default=None, help="target rate tau")
-    p.add_argument("--p-min", type=float, default=None)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--plan", required=True)
@@ -294,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(p)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_embed)
 
@@ -309,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(p)
     p.add_argument("--method", required=True,
                    choices=[stem.replace("_", "-") for stem in METHODS])
-    p.add_argument("--iters", type=int, default=None)
     p.add_argument("--surrogates", required=True, help="directory with *_model.json")
     p.add_argument("--job-context", required=True, help="one-row CSV of feature values")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_optimize)
 
-    p = sub.add_parser("report", help="verify or rebuild comparison reports")
+    p = sub.add_parser("report", help="check that every method's context-0 report "
+                                      "exists, or write the embedded-vs-raw comparison")
     _add_global_flags(p)
     p.add_argument("--h1", action="store_true",
                    help="produce the embedded-vs-raw comparison")

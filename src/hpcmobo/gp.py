@@ -202,12 +202,12 @@ def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
 
 
 def gp_posterior(gp: GaussianProcess, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive mean and (latent) variance at query points via the cached
-    Cholesky factor. Variances are clamped at zero; values within numerical
-    noise of zero snap to exactly zero."""
+    """Predictive mean and (latent) variance at the rows of a 2-D query via
+    the cached Cholesky factor. Variances are clamped at zero; values within
+    numerical noise of zero snap to exactly zero."""
     Xq = np.asarray(Xq, dtype=float)
-    if Xq.ndim == 1:
-        Xq = Xq[None, :] if len(Xq) == gp.X.shape[1] else Xq[:, None]
+    if Xq.ndim != 2:
+        raise DataError(f"query must be 2-D (points x dimensions), got shape {Xq.shape}")
     if Xq.shape[1] != gp.X.shape[1]:
         raise DataError(
             f"query dimension {Xq.shape[1]} does not match training dimension "

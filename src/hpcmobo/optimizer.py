@@ -324,9 +324,6 @@ class OptimizerState:
 
     observed: list[ObjectiveSample]
     history: list[HistoryEntry]
-    gp_runtime: ObjectiveGP | None = None
-    gp_power: ObjectiveGP | None = None
-    ref: tuple[float, float] | None = None
 
     def objective_array(self) -> np.ndarray:
         return np.array([s.y for s in self.observed], dtype=float)
@@ -675,7 +672,7 @@ def report_to_dict(report: ParetoReport) -> dict:
             for s in report.observations
         ],
         "history": [h.as_dict() for h in report.history],
-        "budget": report.budget,
+        "budget": dict(report.budget),
         "per_seed": [report_to_dict(r) for r in report.per_seed],
     }
 

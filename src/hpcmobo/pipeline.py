@@ -1,8 +1,9 @@
 """End-to-end pipeline orchestration.
 
 Stages run in order (preprocess -> sample -> runtime model -> power model ->
-optimizer prep -> MOBO -> SOBO x2 -> random -> report), each reading and
-writing file artifacts so any stage can be rerun in isolation. A manifest
+optimizer prep -> MOBO -> SOBO x2 -> random -> report), each a `*_stage`
+function that writes file artifacts; the CLI's stage subcommands call the
+same functions, so any stage can be rerun in isolation. A manifest
 records every artifact with its content hash, per-stage wall-clock timings,
 and the dataset fingerprint; stage inputs are fingerprint-checked before the
 stage runs.
@@ -54,7 +55,7 @@ from .pareto import (
     nondominated,
     spread,
 )
-from .sampler import sample_table
+from .sampler import SamplerPlan, sample_table
 from .surrogate import (
     SurrogateModel,
     TreeParams,
@@ -139,6 +140,10 @@ class PipelineSettings:
     h1_seeds: int = 3
     truth_path: Path | None = None
 
+    def targets(self) -> dict[str, str]:
+        """Objective key -> target column, runtime first."""
+        return {"runtime": self.runtime_target, "power": self.power_target}
+
 
 def parse_schema_sections(sections) -> tuple[list[ColumnSpec], list[tuple[str, str, str]]]:
     schema = sections.get("schema", {})
@@ -161,9 +166,35 @@ def parse_schema_sections(sections) -> tuple[list[ColumnSpec], list[tuple[str, s
     return specs, pairs
 
 
+# optional [pipeline] keys, each cast into the PipelineSettings field of its name
+_SETTING_CASTS: dict[str, Callable[[str, str], object]] = {
+    "n_job_contexts": lambda v, k: int(v),
+    "use_embedding": _parse_bool,
+    "surrogate_mode": lambda v, k: v.strip(),
+    "n_estimators": lambda v, k: int(v),
+    "max_depth": lambda v, k: int(v),
+    "learning_rate": lambda v, k: float(v),
+    "mask_epochs": lambda v, k: int(v),
+    "mask_lr": lambda v, k: float(v),
+    "spread_method": lambda v, k: v.strip(),
+    "sat_cap": lambda v, k: float(v),
+    "log_runtime_gp": _parse_bool,
+    "validation_fraction": lambda v, k: float(v),
+    "h1_seeds": lambda v, k: int(v),
+}
+_PIPELINE_KEYS = ("input", "runtime_target", "power_target", "out_dir", "truth",
+                  *_SETTING_CASTS)
+
+
 def parse_settings(sections, config_dir: Path,
                    out_dir_override: str | None = None) -> PipelineSettings:
+    """PipelineSettings from the [pipeline], [schema] and [durations]
+    sections. An unknown [pipeline] key is a ConfigError."""
     pipe = sections.get("pipeline", {})
+    for key in pipe:
+        if key not in _PIPELINE_KEYS:
+            raise ConfigError(f"unknown [pipeline] key {key!r}; valid keys are "
+                              f"{', '.join(_PIPELINE_KEYS)}")
     for key in ("input", "runtime_target", "power_target"):
         if key not in pipe:
             raise ConfigError(f"[pipeline] section is missing required key {key!r}")
@@ -184,22 +215,7 @@ def parse_settings(sections, config_dir: Path,
         specs=specs,
         duration_pairs=pairs,
     )
-    casts: dict[str, Callable[[str, str], object]] = {
-        "n_job_contexts": lambda v, k: int(v),
-        "use_embedding": _parse_bool,
-        "surrogate_mode": lambda v, k: v.strip(),
-        "n_estimators": lambda v, k: int(v),
-        "max_depth": lambda v, k: int(v),
-        "learning_rate": lambda v, k: float(v),
-        "mask_epochs": lambda v, k: int(v),
-        "mask_lr": lambda v, k: float(v),
-        "spread_method": lambda v, k: v.strip(),
-        "sat_cap": lambda v, k: float(v),
-        "log_runtime_gp": _parse_bool,
-        "validation_fraction": lambda v, k: float(v),
-        "h1_seeds": lambda v, k: int(v),
-    }
-    for key, cast in casts.items():
+    for key, cast in _SETTING_CASTS.items():
         if key in pipe:
             setattr(settings, key, cast(pipe[key], key))
     if "truth" in pipe:
@@ -261,10 +277,14 @@ class PipelineRun:
                 if file_sha256(p) != self.artifacts[rel]:
                     raise DataError(f"stage input fingerprint mismatch: {p}")
 
-    def stage(self, name: str, inputs: list[Path], fn: Callable[[], list[Path]]):
+    def stage(self, name: str, inputs: list[Path],
+              fn: Callable[..., tuple[object, list[Path]]], *args):
+        """Check the inputs, then run fn(*args) as the timed stage `name`. fn
+        returns (result, written paths); the paths are fingerprinted and the
+        result is returned."""
         self.check_inputs(inputs)
         start = time.perf_counter()
-        outputs = fn()
+        result, outputs = fn(*args)
         seconds = time.perf_counter() - start
         self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
         self.register(*outputs)
@@ -275,7 +295,7 @@ class PipelineRun:
             "outputs": [self.rel(p) for p in outputs],
             "seconds": seconds,
         })
-        return outputs
+        return result
 
 
 def manifest_comparable(manifest: dict) -> dict:
@@ -415,6 +435,119 @@ def load_context(path: Path, design_feature: str) -> JobContext:
     return JobContext(feature_names=names, values=values, design_feature=design_feature)
 
 
+def preprocess_stage(settings: PipelineSettings,
+                     input_path: Path) -> tuple[JobTable, list[Path]]:
+    """Read the raw log, fit the preprocessing recipe, and write
+    `preprocessed.csv` (with its schema sidecar) and `recipe.json` into
+    settings.out_dir. Returns the processed table and the written paths."""
+    table = read_table(input_path, settings.specs)
+    processed, recipe = preprocess_fit(table, settings.duration_pairs)
+    recipe_path = settings.out_dir / "recipe.json"
+    outputs = write_table(processed, settings.out_dir / "preprocessed.csv")
+    recipe.save(recipe_path)
+    return processed, outputs + [recipe_path]
+
+
+def sample_stage(table: JobTable, cfg: RunConfig, sat_cap: float, subset_path: Path,
+                 plan_path: Path) -> tuple[tuple[JobTable, SamplerPlan], list[Path]]:
+    """Draw the loss-proportional subset at the run config's rate and write
+    it (with its schema sidecar) and the plan. Returns (subset, plan) and the
+    written paths."""
+    subset, plan = sample_table(table, cfg.sampling_fraction, cfg.p_min, cfg.seed, sat_cap)
+    outputs = write_table(subset, subset_path)
+    plan.save(plan_path)
+    return (subset, plan), outputs + [plan_path]
+
+
+def model_stage(table: JobTable, settings: PipelineSettings, key: str, target: str,
+                seed: int) -> tuple[tuple[SurrogateModel, dict], list[Path]]:
+    """Train one objective's surrogate and save it as
+    settings.out_dir/`{key}_model.json`. Returns (model, validation entry)
+    and the written path."""
+    model, entry = train_single_surrogate(table, settings, target, seed=seed)
+    path = settings.out_dir / f"{key}_model.json"
+    save_surrogate(model, path)
+    return (model, entry), [path]
+
+
+def write_surrogate_metrics(metrics: dict, out_dir: Path) -> Path:
+    """Write the per-target validation entries as `surrogate_metrics.json`."""
+    path = out_dir / "surrogate_metrics.json"
+    path.write_text(json.dumps(metrics, indent=2, sort_keys=True), encoding="utf-8")
+    return path
+
+
+def preproc_mobo_stage(subset: JobTable, plan: SamplerPlan, n_contexts: int, seed: int,
+                       surr_r: SurrogateModel, surr_p: SurrogateModel, out_dir: Path
+                       ) -> tuple[tuple[list[int], list[CandidateSet]], list[Path]]:
+    """Draw the job contexts to optimize, write each as `context_{i}.csv` and
+    build its candidate set. Returns (the contexts' rows in the full table,
+    the candidate sets) and the written paths."""
+    rng = np.random.default_rng([seed, 42])
+    n_ctx = min(n_contexts, subset.n_rows)
+    rows = np.sort(rng.choice(subset.n_rows, size=n_ctx, replace=False))
+    # map subset rows back to original dataset rows for truth lookup
+    original = np.flatnonzero(plan.mask)[rows] if plan.mask is not None else rows
+    candidates, outputs = [], []
+    for i, row in enumerate(rows):
+        context = context_from_row(subset, int(row))
+        path = out_dir / f"context_{i}.csv"
+        save_context(context, path)
+        candidates.append(CandidateSet.for_surrogates(surr_r, surr_p, context))
+        outputs.append(path)
+    return ([int(i) for i in original], candidates), outputs
+
+
+def method_stage(stem: str, method: Method, surr_r: SurrogateModel, surr_p: SurrogateModel,
+                 candidates: list[CandidateSet], cfg: RunConfig, options: dict,
+                 reports_dir: Path) -> tuple[list[ParetoReport], list[Path]]:
+    """Run one method on every context's candidates and write each report
+    and its front. Returns the reports and the written paths."""
+    reports, outputs = [], []
+    for i, context_candidates in enumerate(candidates):
+        rep = method.run(surr_r, surr_p, context_candidates, cfg, **options)
+        path = reports_dir / f"{stem}_ctx{i}.json"
+        front_path = reports_dir / f"{stem}_ctx{i}_front.csv"
+        save_report(rep, path)
+        front_to_csv(rep.front, front_path, node_counts=rep.front_nodes,
+                     iterations=rep.front_found_at)
+        reports.append(rep)
+        outputs += [path, front_path]
+    return reports, outputs
+
+
+def report_stage(reports: dict[str, list[ParetoReport]], candidates: list[CandidateSet],
+                 context_rows: list[int], truth: dict | None, reports_dir: Path,
+                 spread_method: str) -> tuple[None, list[Path]]:
+    """Write each context's comparison and front overlay, then the mean over
+    contexts. `reports` maps each method label to its per-context reports."""
+    outputs = []
+    aggregate: dict[str, dict[str, list[float]]] = {
+        m: {"hv": [], "spread": []} for m in ALL_METHODS
+    }
+    for i, context_candidates in enumerate(candidates):
+        truth_front = None
+        if truth is not None:
+            job = truth["jobs"][context_rows[i]]
+            truth_front = true_front_for_job(job, context_candidates.bounds)
+        table = report_h2({m: reps[i] for m, reps in reports.items()}, reports_dir,
+                          f"ctx{i}", truth_front, spread_method)
+        outputs.append(reports_dir / f"comparison_ctx{i}.csv")
+        outputs.append(reports_dir / f"pareto_ctx{i}.svg")
+        for m in ALL_METHODS:
+            aggregate[m]["hv"].append(table.hv[m])
+            aggregate[m]["spread"].append(table.spread[m])
+    agg_path = reports_dir / "comparison_aggregate.csv"
+    lines = ["Metric," + ",".join(ALL_METHODS)]
+    lines.append("Hypervolume (mean over contexts),"
+                 + ",".join(repr(float(np.mean(aggregate[m]["hv"]))) for m in ALL_METHODS))
+    lines.append("Spread (mean over contexts),"
+                 + ",".join(repr(float(np.mean(aggregate[m]["spread"]))) for m in ALL_METHODS))
+    agg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outputs.append(agg_path)
+    return None, outputs
+
+
 def run_pipeline(config_path: str | Path, overrides: dict | None = None,
                  out_dir_override: str | None = None) -> dict:
     """Execute every stage and return the manifest (also written to disk)."""
@@ -425,131 +558,32 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
     run = PipelineRun(settings, cfg, sections)
     out = run.out_dir
 
-    state: dict = {}
-
-    def preprocess_stage():
-        table = read_table(settings.input_path, settings.specs)
-        processed, recipe = preprocess_fit(table, settings.duration_pairs)
-        state["processed"] = processed
-        outputs = write_table(processed, out / "preprocessed.csv")
-        recipe.save(out / "recipe.json")
-        return outputs + [out / "recipe.json"]
-
-    run.stage("preprocess", [settings.input_path], preprocess_stage)
-
-    def sample_stage():
-        subset, plan = sample_table(
-            state["processed"], cfg.sampling_fraction, cfg.p_min, cfg.seed,
-            settings.sat_cap,
-        )
-        state["subset"] = subset
-        state["plan"] = plan
-        outputs = write_table(subset, out / "subset.csv")
-        plan.save(out / "plan.json")
-        return outputs + [out / "plan.json"]
-
-    run.stage("sample", [out / "preprocessed.csv"], sample_stage)
-
-    state["metrics"] = {}
-
-    def model_stage(target_key: str, target: str):
-        def fn():
-            model, entry = train_single_surrogate(state["subset"], settings, target,
-                                                  seed=cfg.seed)
-            state[f"surr_{target_key}"] = model
-            state["metrics"][target] = entry
-            path = out / f"{target_key}_model.json"
-            save_surrogate(model, path)
-            return [path]
-        return fn
-
-    run.stage("runtime_model", [out / "subset.csv"],
-              model_stage("runtime", settings.runtime_target))
-    run.stage("power_model", [out / "subset.csv"],
-              model_stage("power", settings.power_target))
-    metrics_path = out / "surrogate_metrics.json"
-    metrics_path.write_text(json.dumps(state["metrics"], indent=2, sort_keys=True),
-                            encoding="utf-8")
-    run.register(metrics_path)
-
-    def preproc_mobo_stage():
-        subset = state["subset"]
-        rng = np.random.default_rng([cfg.seed, 42])
-        n_ctx = min(settings.n_job_contexts, subset.n_rows)
-        rows = np.sort(rng.choice(subset.n_rows, size=n_ctx, replace=False))
-        contexts = [context_from_row(subset, int(r)) for r in rows]
-        state["contexts"] = contexts
-        # map subset rows back to original dataset rows for truth lookup
-        mask = state["plan"].mask
-        original = np.flatnonzero(mask)[rows] if mask is not None else rows
-        state["context_rows"] = [int(i) for i in original]
-        outputs = []
-        for i, ctx in enumerate(contexts):
-            path = out / f"context_{i}.csv"
-            save_context(ctx, path)
-            outputs.append(path)
-        state["candidates"] = [
-            CandidateSet.for_surrogates(state["surr_runtime"], state["surr_power"], c)
-            for c in contexts
-        ]
-        return outputs
-
-    run.stage("preproc_mobo", [out / "subset.csv"], preproc_mobo_stage)
+    processed = run.stage("preprocess", [settings.input_path], preprocess_stage,
+                          settings, settings.input_path)
+    subset, plan = run.stage("sample", [out / "preprocessed.csv"], sample_stage, processed,
+                             cfg, settings.sat_cap, out / "subset.csv", out / "plan.json")
+    surrogates, metrics = {}, {}
+    for key, target in settings.targets().items():
+        surrogates[key], metrics[target] = run.stage(
+            f"{key}_model", [out / "subset.csv"], model_stage, subset, settings, key, target,
+            cfg.seed)
+    run.register(write_surrogate_metrics(metrics, out))
+    surr_r, surr_p = surrogates["runtime"], surrogates["power"]
+    context_rows, candidates = run.stage(
+        "preproc_mobo", [out / "subset.csv"], preproc_mobo_stage, subset, plan,
+        settings.n_job_contexts, cfg.seed, surr_r, surr_p, out)
 
     truth = load_truth(settings.truth_path) if settings.truth_path else None
     reports_dir = out / "reports"
-    per_context_reports: list[dict[str, ParetoReport]] = [
-        {} for _ in state["contexts"]
-    ]
-
-    surr_r = state["surr_runtime"]
-    surr_p = state["surr_power"]
     options = _engine_options(settings)
-    for stem, method in METHODS.items():
-        def method_fn(stem=stem, method=method):
-            outputs = []
-            for i, candidates in enumerate(state["candidates"]):
-                rep = method.run(surr_r, surr_p, candidates, cfg, **options)
-                per_context_reports[i][method.label] = rep
-                path = reports_dir / f"{stem}_ctx{i}.json"
-                save_report(rep, path)
-                outputs.append(path)
-                front_path = reports_dir / f"{stem}_ctx{i}_front.csv"
-                front_to_csv(rep.front, front_path, node_counts=rep.front_nodes,
-                             iterations=rep.front_found_at)
-                outputs.append(front_path)
-            return outputs
-        run.stage(stem, [out / "runtime_model.json", out / "power_model.json"],
-                  method_fn)
-
-    def report_stage():
-        outputs = []
-        aggregate: dict[str, dict[str, list[float]]] = {
-            m: {"hv": [], "spread": []} for m in ALL_METHODS
-        }
-        for i, reports in enumerate(per_context_reports):
-            truth_front = None
-            if truth is not None:
-                job = truth["jobs"][state["context_rows"][i]]
-                truth_front = true_front_for_job(job, state["candidates"][i].bounds)
-            table = report_h2(reports, reports_dir, f"ctx{i}", truth_front,
-                              settings.spread_method)
-            outputs.append(reports_dir / f"comparison_ctx{i}.csv")
-            outputs.append(reports_dir / f"pareto_ctx{i}.svg")
-            for m in ALL_METHODS:
-                aggregate[m]["hv"].append(table.hv[m])
-                aggregate[m]["spread"].append(table.spread[m])
-        agg_path = reports_dir / "comparison_aggregate.csv"
-        lines = ["Metric," + ",".join(ALL_METHODS)]
-        lines.append("Hypervolume (mean over contexts),"
-                     + ",".join(repr(float(np.mean(aggregate[m]["hv"]))) for m in ALL_METHODS))
-        lines.append("Spread (mean over contexts),"
-                     + ",".join(repr(float(np.mean(aggregate[m]["spread"]))) for m in ALL_METHODS))
-        agg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outputs.append(agg_path)
-        return outputs
-
-    run.stage("report", [], report_stage)
+    reports = {
+        method.label: run.stage(stem, [out / "runtime_model.json", out / "power_model.json"],
+                                method_stage, stem, method, surr_r, surr_p, candidates, cfg,
+                                options, reports_dir)
+        for stem, method in METHODS.items()
+    }
+    run.stage("report", [], report_stage, reports, candidates, context_rows, truth,
+              reports_dir, settings.spread_method)
 
     timings = timing_table(run.stage_seconds)
     write_timing_csv(timings, out / "timing_table.csv")
@@ -560,13 +594,13 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
         "run_config": asdict(cfg),
         "dataset": {
             "path": str(settings.input_path),
-            "rows": state["processed"].n_rows,
-            "columns": len(state["processed"].columns),
+            "rows": processed.n_rows,
+            "columns": len(processed.columns),
             "sha256": file_sha256(settings.input_path),
         },
-        "subset_rows": state["subset"].n_rows,
-        "context_rows": state["context_rows"],
-        "aggregation": f"mean over {len(state['contexts'])} sampled job contexts",
+        "subset_rows": subset.n_rows,
+        "context_rows": context_rows,
+        "aggregation": f"mean over {len(candidates)} sampled job contexts",
         "stages": run.stage_records,
         "artifacts": dict(sorted(run.artifacts.items())),
         "timing_table": {name: s for name, s in timings.entries} | {"TOTAL": timings.total},

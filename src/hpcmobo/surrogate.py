@@ -23,7 +23,6 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -361,6 +360,31 @@ def surrogate_features(table: JobTable) -> list[str]:
     return names
 
 
+def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Feature names, feature matrix and target vector of a fully
+    preprocessed table."""
+    features = surrogate_features(table)
+    if target in features:
+        raise DataError(f"target {target!r} cannot also be a feature")
+    X = table.numeric_matrix(features)
+    y = table.numeric_matrix([target])[:, 0]
+    if np.isnan(X).any() or np.isnan(y).any():
+        raise DataError("surrogate training requires a fully preprocessed table")
+    return features, X, y
+
+
+def fit_feature_mask(X: np.ndarray, y: np.ndarray, epochs: int = 400, lr: float = 0.05,
+                     seed: int = 0) -> tuple[FeatureScaler, AttentiveMask]:
+    """Fit the feature scaler and train the attentive mask on standardized
+    features against the standardized target: the attention weights do not
+    depend on the target's scale, so one learning rate suits any target."""
+    scaler = FeatureScaler.fit(X)
+    y_std = float(y.std()) or 1.0
+    mask = train_mask(scaler.transform(X), (y - y.mean()) / y_std, epochs=epochs,
+                      lr=lr, seed=seed)
+    return scaler, mask
+
+
 def train_objective_surrogate(
     table: JobTable,
     target: str,
@@ -372,29 +396,18 @@ def train_objective_surrogate(
 ) -> SurrogateModel:
     """Train one objective predictor from a fully preprocessed table.
 
-    With use_embedding, an attentive mask is trained on the standardized
-    features first; the mask both reweights the inputs and biases the tree
-    feature subsampling toward high-attention columns.
+    With use_embedding, an attentive mask is trained first (see
+    `fit_feature_mask`); the mask both reweights the inputs and biases the
+    tree feature subsampling toward high-attention columns.
     """
-    features = surrogate_features(table)
-    if target in features:
-        raise DataError(f"target {target!r} cannot also be a feature")
-    X = table.numeric_matrix(features)
-    y = table.numeric_matrix([target])[:, 0]
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise DataError("surrogate training requires a fully preprocessed table")
-    scaler = FeatureScaler.fit(X)
-    Z = scaler.transform(X)
-    mask = None
-    weights = None
+    features, X, y = training_data(table, target)
     if use_embedding:
-        # mask training sees a standardized target: the attention weights are
-        # what we keep and they are invariant to the target's scale
-        y_std = float(y.std()) or 1.0
-        mask = train_mask(Z, (y - y.mean()) / y_std, epochs=mask_epochs,
-                          lr=mask_lr, seed=seed)
-        Z = embed(mask, Z)
+        scaler, mask = fit_feature_mask(X, y, mask_epochs, mask_lr, seed)
+        Z = embed(mask, scaler.transform(X))
         weights = mask.m
+    else:
+        scaler, mask, weights = FeatureScaler.fit(X), None, None
+        Z = scaler.transform(X)
     params = replace(params or TreeParams(), seed=seed)
     ensemble = fit_tree_ensemble(Z, y, params, feature_weights=weights)
     design = table.design_column().name

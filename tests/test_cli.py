@@ -1,8 +1,13 @@
 import json
 import logging
 
+import numpy as np
+
 from hpcmobo.cli import build_parser, main
+from hpcmobo.core import load_config_file, run_config_from_sections
+from hpcmobo.ingest import read_table
 from hpcmobo.pipeline import METHODS
+from hpcmobo.surrogate import train_objective_surrogate
 
 
 def _synth(tmp_path, jobs=200, seed=3):
@@ -43,7 +48,7 @@ def test_sample_subcommand_writes_plan(tmp_path):
     rc = main(["preprocess", "--config", str(cfg)])
     assert rc == 0
     rc = main([
-        "sample", "--config", str(cfg), "--fraction", "0.5", "--p-min", "0.01",
+        "sample", "--config", str(cfg), "--tau", "0.5", "--run-p-min", "0.01",
         "--seed", "7", "--in", str(tmp_path / "out" / "preprocessed.csv"),
         "--out", str(tmp_path / "out" / "half.csv"),
         "--plan", str(tmp_path / "out" / "plan_half.json"),
@@ -59,7 +64,7 @@ def test_embed_and_train_subcommands(tmp_path):
     assert main(["preprocess", "--config", str(cfg)]) == 0
     rc = main([
         "embed", "--config", str(cfg), "--in", str(tmp_path / "out" / "preprocessed.csv"),
-        "--target", "runtime_seconds", "--epochs", "50",
+        "--target", "runtime_seconds",
         "--out", str(tmp_path / "out" / "mask.json"),
     ])
     assert rc == 0
@@ -72,12 +77,49 @@ def test_embed_and_train_subcommands(tmp_path):
     assert (tmp_path / "out" / "power_model.json").exists()
 
 
+def test_stage_subcommands_write_the_bytes_run_writes(tmp_path):
+    cfg = _synth(tmp_path)
+    text = cfg.read_text().replace("out_dir = out\n", "out_dir = out\nsat_cap = 0.9\n")
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 0
+    out, alone = tmp_path / "out", tmp_path / "alone"
+    flags = ["--config", str(cfg), "--out-dir", str(alone)]
+    assert main(["preprocess", *flags]) == 0
+    assert main(["sample", *flags, "--in", str(out / "preprocessed.csv"),
+                 "--out", str(alone / "subset.csv"), "--plan", str(alone / "plan.json")]) == 0
+    assert main(["train", *flags, "--in", str(out / "subset.csv")]) == 0
+    for name in ("preprocessed.csv", "recipe.json", "subset.csv", "plan.json",
+                 "runtime_model.json", "power_model.json", "surrogate_metrics.json"):
+        assert (alone / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_embed_with_default_settings_fits_the_mask_train_fits(tmp_path):
+    cfg = _synth(tmp_path)
+    assert main(["preprocess", "--config", str(cfg)]) == 0
+    table_path = tmp_path / "out" / "preprocessed.csv"
+    rc = main(["embed", "--config", str(cfg), "--in", str(table_path),
+               "--target", "runtime_seconds", "--out", str(tmp_path / "mask.json")])
+    assert rc == 0
+    saved = np.asarray(json.loads((tmp_path / "mask.json").read_text())["theta"])
+    seed = run_config_from_sections(load_config_file(cfg)).seed
+    model = train_objective_surrogate(read_table(table_path), "runtime_seconds", seed=seed)
+    assert np.array_equal(saved, model.mask.theta)
+
+
+def test_unknown_pipeline_key_is_config_error(tmp_path, capsys):
+    cfg = _synth(tmp_path)
+    cfg.write_text(cfg.read_text().replace("n_estimators = 10", "n_estimator = 5"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'n_estimator'" in err and "n_estimators" in err
+
+
 def test_optimize_subcommand_from_artifacts(tmp_path):
     cfg = _synth(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
     out = tmp_path / "out"
     rc = main([
-        "optimize", "--config", str(cfg), "--method", "mobo", "--iters", "4",
+        "optimize", "--config", str(cfg), "--method", "mobo", "--mobo-iterations", "4",
         "--seed", "2", "--surrogates", str(out),
         "--job-context", str(out / "context_0.csv"),
         "--out", str(out / "opt_report.json"),
@@ -120,7 +162,7 @@ def test_optimize_method_choices_follow_the_registry(tmp_path):
     out = tmp_path / "out"
     for choice in method.choices:
         rc = main([
-            "optimize", "--config", str(cfg), "--method", choice, "--iters", "2",
+            "optimize", "--config", str(cfg), "--method", choice, "--mobo-iterations", "2",
             "--surrogates", str(out), "--job-context", str(out / "context_0.csv"),
             "--out", str(out / f"{choice}.json"),
         ])

@@ -93,6 +93,14 @@ def test_query_dimension_mismatch():
         gp_posterior(gp, np.array([[1.0, 2.0, 3.0]]))
 
 
+@pytest.mark.parametrize("query", [np.array([1.0, 2.0]), np.array(1.0),
+                                   np.zeros((1, 2, 1))])
+def test_a_query_that_is_not_2d_is_a_data_error(query):
+    gp = fit_gp(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]), noise_var=0.0)
+    with pytest.raises(DataError, match="2-D"):
+        gp_posterior(gp, query)
+
+
 def test_needs_two_observations():
     with pytest.raises(DataError):
         fit_gp(np.array([[1.0]]), np.array([1.0]))

@@ -481,6 +481,14 @@ def test_report_serialization_round_trips_key_fields(tmp_path):
     assert payload["budget"]["pooled_evaluations"] == report.budget["pooled_evaluations"]
 
 
+def test_editing_the_payload_budget_leaves_the_report_as_it_was():
+    surr_r, surr_p = _amdahl_surrogates()
+    report = mobo_run(surr_r, surr_p, _candidates(1, 16), _fast_cfg(mobo_iterations=3))
+    before = dict(report.budget)
+    report_to_dict(report)["budget"].pop("unique_evaluations")
+    assert report.budget == before
+
+
 
 def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg, log_runtime_gp=True,
                         spread_method="polyline"):

@@ -222,9 +222,9 @@ def test_stage_input_fingerprint_guard(tmp_path):
 
     def produce():
         artifact.write_text("v1")
-        return [artifact]
+        return None, [artifact]
 
     run.stage("one", [], produce)
     artifact.write_text("tampered")
     with pytest.raises(DataError, match="fingerprint"):
-        run.stage("two", [artifact], lambda: [])
+        run.stage("two", [artifact], lambda: (None, []))
