@@ -2,7 +2,10 @@
 
 Hyperparameters (per-dimension lengthscales, signal variance, noise variance)
 are fit by maximizing the log marginal likelihood with a gradient-free
-multi-start coordinate search in log space. Each LML evaluation is the
+multi-start coordinate search in log space. A refit may instead be
+warm-started from an earlier fit (`warm`): one coordinate search from that
+fit's optimum, rescaled to the new data, replaces the cold restarts; a fit
+without `warm` is the cold multi-start search. Each LML evaluation is the
 Cholesky recipe of Rasmussen & Williams (2006), Algorithm 2.1. The kernel's
 exponential exp(-d^2 / 2) depends on the lengthscales only, so the search
 recomputes it on lengthscale steps and reuses it across signal and noise
@@ -108,11 +111,17 @@ def _lml(E: np.ndarray, yc: np.ndarray, sf2, sn2, base_jitter) -> float:
 
 
 def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
-           noise_var: float | None = None, restarts: int = 8) -> GaussianProcess:
+           noise_var: float | None = None, restarts: int = 8,
+           warm: GaussianProcess | None = None) -> GaussianProcess:
     """Fit GP hyperparameters by multi-start coordinate search on the LML.
 
     noise_var fixes the noise level when given (0.0 for a noise-free
     interpolator); otherwise it is searched alongside the kernel parameters.
+    With `warm`, an earlier fit on inputs of the same dimension, one search
+    starts from its optimum instead of the `restarts` cold starts: its
+    lengthscales are rescaled from its input standardization to this one's
+    and clamped to [1e-3, 1e3], and its signal and noise variances are
+    clamped into this fit's bounds (a fixed noise_var still wins).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -132,26 +141,38 @@ def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
     yc = y - y_mean
     y_var = max(float(yc.var()), 1e-12)
 
-    # spread of starting points: lengthscale scale set by pairwise distances
-    dists = np.sqrt(_sq_dists(Z, Z, np.ones(d)))
-    pos = dists[dists > 0]
-    ls_scale = float(np.median(pos)) if pos.size else 1.0
-    ls_factors = (0.1, 0.3, 1.0, 3.0)
-    noise_fracs = (1e-6, 1e-2)
-    starts = []
-    for i in range(restarts):
-        lf = ls_factors[i % len(ls_factors)]
-        nf = noise_fracs[(i // len(ls_factors)) % len(noise_fracs)]
-        starts.append((
-            np.full(d, max(lf * ls_scale, 1e-3)),
-            y_var,
-            nf * y_var if noise_var is None else noise_var,
-        ))
-
     fit_noise = noise_var is None
     sweeps = ((8.0, 4.0, 2.0), (2.0, 1.5), (1.25, 1.1))
     sf_lo, sf_hi = 1e-8 * y_var, 1e4 * y_var
     sn_lo, sn_hi = 1e-12 * y_var, y_var
+    if warm is not None:
+        if warm.X.shape[1] != d:
+            raise DataError(
+                f"warm-start GP has input dimension {warm.X.shape[1]}, "
+                f"but the training inputs have {d}"
+            )
+        starts = [(
+            np.clip(warm.lengthscales * warm.x_std / x_std, 1e-3, 1e3),
+            min(max(warm.signal_var, sf_lo), sf_hi),
+            min(max(warm.noise_var, sn_lo), sn_hi) if fit_noise else noise_var,
+        )]
+    else:
+        # spread of starting points: lengthscale scale set by pairwise distances
+        dists = np.sqrt(_sq_dists(Z, Z, np.ones(d)))
+        pos = dists[dists > 0]
+        ls_scale = float(np.median(pos)) if pos.size else 1.0
+        ls_factors = (0.1, 0.3, 1.0, 3.0)
+        noise_fracs = (1e-6, 1e-2)
+        starts = []
+        for i in range(restarts):
+            lf = ls_factors[i % len(ls_factors)]
+            nf = noise_fracs[(i // len(ls_factors)) % len(noise_fracs)]
+            starts.append((
+                np.full(d, max(lf * ls_scale, 1e-3)),
+                y_var,
+                nf * y_var if noise_var is None else noise_var,
+            ))
+
     best = None
     best_lml = -math.inf
     trace: list[float] = []  # accepted-step trajectory of the winning restart

@@ -38,7 +38,13 @@ def _parse_cell(token: str, spec: ColumnSpec, row: int):
         return _parse_float(token, row, spec.name)
     if spec.kind == "power_array":
         parts = [p for p in token.split(ARRAY_SEP) if p != ""]
-        return np.array([_parse_float(p, row, spec.name) for p in parts], dtype=float)
+        try:
+            # numpy converts each str through float(): same tokens, same bits
+            return np.array(parts, dtype=float)
+        except ValueError:
+            for p in parts:
+                _parse_float(p, row, spec.name)
+            raise
     # categorical / datetime / string_numeric stay as text until their pass
     return token
 

@@ -13,11 +13,16 @@ The surrogates are frozen and the domain is a finite set of node counts, so
 each engine call evaluates every candidate once, up front, with one batched
 predict per surrogate (`evaluate_objectives`); an observation is then a
 lookup in that table. For the same reason a GP, and the acquisition scored
-from it, depend only on the set of distinct observed nodes: MOBO and SOBO
-refit and rescore only after an iteration that observed a new node, and a
-repeated proposal costs no GP work. Each report's `budget` records its
-`unique_evaluations`, and the GP methods' their `gp_refits`. The Monte-Carlo
-estimator `log_ehvi`/`ehvi_samples` stays as a test oracle for `ehvi`.
+from it, change only when the set of distinct observed nodes does: MOBO and
+SOBO refit and rescore only after an iteration that observed a new node, and
+a repeated proposal costs no GP work. The first fit of each GP in an engine
+call is the cold multi-start search; every refit warm-starts from the
+previous fit, made at the previous set of distinct nodes. Each report's
+`budget` records its `unique_evaluations`, and the GP methods' their
+`gp_refits`; each history entry of a GP method records whether its
+iteration refitted and the hyperparameters, LML and jitter of the GP(s) that
+scored its pick. The Monte-Carlo estimator `log_ehvi`/`ehvi_samples` stays
+as a test oracle for `ehvi`.
 """
 
 from __future__ import annotations
@@ -151,11 +156,23 @@ class ObjectiveGP:
         X = np.asarray(nodes, dtype=float)[:, None]
         return gp_posterior(self.gp, X)
 
+    def telemetry(self) -> dict:
+        """The fitted hyperparameters, LML and jitter, as a report records them."""
+        gp = self.gp
+        return {"lengthscale": float(gp.lengthscales[0]), "signal_var": float(gp.signal_var),
+                "noise_var": float(gp.noise_var), "lml": float(gp.lml),
+                "jitter": float(gp.jitter)}
+
 
 def fit_objective_gp(nodes: Sequence[int], values: Sequence[float],
-                     log_space: bool = False) -> ObjectiveGP:
-    """Refit helper used once per optimizer iteration. Duplicate node counts
-    collapse to their first observation (evaluations are deterministic)."""
+                     log_space: bool = False,
+                     warm: ObjectiveGP | None = None) -> ObjectiveGP:
+    """Fit the GP of one objective over node count, as the MOBO and SOBO
+    engines do after each iteration that observed a new node. Duplicate node
+    counts collapse to their first observation (evaluations are
+    deterministic). The fit warm-starts from `warm`, the engine's previous fit
+    of this objective, when that fit modelled the same space (log or not);
+    otherwise it is the cold 4-restart search."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     _, keep = np.unique(nodes, return_index=True)
@@ -163,7 +180,8 @@ def fit_objective_gp(nodes: Sequence[int], values: Sequence[float],
     values = values[np.sort(keep)]
     use_log = log_space and bool((values > 0).all())
     y = np.log(values) if use_log else values
-    gp = fit_gp(nodes[:, None], y, restarts=4)
+    same_space = warm is not None and warm.log_space == use_log
+    gp = fit_gp(nodes[:, None], y, restarts=4, warm=warm.gp if same_space else None)
     return ObjectiveGP(gp=gp, log_space=use_log)
 
 
@@ -288,9 +306,13 @@ class HistoryEntry:
     hv_so_far: float
     spread_so_far: float
     acquisition: float
+    # GP methods only: whether this iteration fitted the GP(s), and the
+    # ObjectiveGP.telemetry() of each GP that scored this pick, by objective
+    refit: bool | None = None
+    gp: dict[str, dict] | None = None
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -418,7 +440,8 @@ def _start(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
 
 
 def _record(state: OptimizerState, iteration: int, sample: ObjectiveSample,
-            acq: float, spread_method: str) -> None:
+            acq: float, spread_method: str, refit: bool | None = None,
+            gp: dict[str, dict] | None = None) -> None:
     Y = state.objective_array()
     ref = infer_reference(Y)
     front = nondominated(Y)
@@ -430,6 +453,8 @@ def _record(state: OptimizerState, iteration: int, sample: ObjectiveSample,
         hv_so_far=hypervolume(front, ref),
         spread_so_far=spread(front, spread_method),
         acquisition=acq,
+        refit=refit,
+        gp=gp,
     ))
 
 
@@ -453,31 +478,37 @@ def _search(state: OptimizerState, candidates: CandidateSet, objectives: np.ndar
             spread_method: str) -> int:
     """Propose, observe and record one node per iteration; returns how many
     iterations called `score(it)`, which fits the GP(s) to state.observed and
-    returns the acquisition of every candidate.
+    returns the acquisition of every candidate and the fitted ObjectiveGPs by
+    objective name.
 
-    The acquisition is a function of the distinct observed nodes only (the
-    GP fit collapses duplicates; reference point, front and incumbent ignore
-    them), so it is rescored only after an iteration observed a new node. A
-    repeated pick is either a deterministic argmax or the floor fallback
-    with no unobserved node left, which draws nothing from rng, so the
-    proposals equal those of a refit every iteration. Nothing changes after
-    a repeat, so every later pick repeats it too: the refits are the
-    iterations up to and including the first one that repeats a node.
+    The acquisition is a function of the distinct observed nodes and of the
+    fits the GPs warm-start from (the GP fit collapses duplicates; reference
+    point, front and incumbent ignore them), and those fits were made at the
+    previous set of distinct nodes, so it is rescored only after an
+    iteration observed a new node. A repeated pick is either a deterministic
+    argmax or the floor fallback with no unobserved node left, which draws
+    nothing from rng, so the proposals equal those of a refit every
+    iteration warm-started from the fit at the previous distinct node set.
+    Nothing changes after a repeat, so every later pick repeats it too: the
+    refits are the iterations up to and including the first one that
+    repeats a node.
     """
     nodes = candidates.node_counts
     observed_nodes = {s.node_count for s in state.observed}
     acq = None
     refits = 0
     for it in range(iterations):
-        if acq is None:
-            acq = score(it)
+        refit = acq is None
+        if refit:
+            acq, gps = score(it)
+            telemetry = {name: ogp.telemetry() for name, ogp in gps.items()}
             refits += 1
         pick, best_acq = _pick_candidate(nodes, acq, observed_nodes, rng)
         if pick not in observed_nodes:
             observed_nodes.add(pick)
             acq = None
         sample = _observe(state, candidates, objectives, pick)
-        _record(state, it, sample, best_acq, spread_method)
+        _record(state, it, sample, best_acq, spread_method, refit, telemetry)
     return refits
 
 
@@ -486,25 +517,29 @@ def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
              log_runtime_gp: bool = True, spread_method: str = "polyline") -> ParetoReport:
     """q=1 logEHVI loop: after every iteration that observed a new node, refit
     both GPs and score every candidate node count with the exact `ehvi`, so
-    no Monte-Carlo draw is made and cfg.mc_samples is not read. A repeated
-    node reuses the last scores (see `_search`); budget["gp_refits"] counts
-    the iterations that fitted."""
+    no Monte-Carlo draw is made and cfg.mc_samples is not read. The first
+    fit of each GP is cold and every later one warm-starts from the one
+    before it. A repeated node reuses the last scores (see `_search`);
+    budget["gp_refits"] counts the iterations that fitted."""
     validate_config(cfg)
     _require_searchable(candidates)
     state, objectives, n_initial = _start(surr_runtime, surr_power, candidates)
     rng = np.random.default_rng([cfg.seed, 11])
+    last = {"runtime": None, "power": None}
 
-    def score(it: int) -> np.ndarray:
+    def score(it: int) -> tuple[np.ndarray, dict[str, ObjectiveGP]]:
         Y = state.objective_array()
         observed = [s.node_count for s in state.observed]
         try:
-            gp_r = fit_objective_gp(observed, Y[:, 0], log_space=log_runtime_gp)
-            gp_p = fit_objective_gp(observed, Y[:, 1])
+            gp_r = fit_objective_gp(observed, Y[:, 0], log_space=log_runtime_gp,
+                                    warm=last["runtime"])
+            gp_p = fit_objective_gp(observed, Y[:, 1], warm=last["power"])
         except NumericalError as exc:
             raise NumericalError(f"GP fit failed at MOBO iteration {it}: {exc}") from exc
+        last.update(runtime=gp_r, power=gp_p)
         ref = np.asarray(infer_reference(Y), dtype=float)
         return np.log(ehvi(gp_r, gp_p, candidates.node_counts, nondominated(Y), ref)
-                      + ACQ_EPS)
+                      + ACQ_EPS), dict(last)
 
     refits = _search(state, candidates, objectives, cfg.mobo_iterations, rng, score,
                      spread_method)
@@ -516,9 +551,9 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
              candidates: CandidateSet, objective: str, cfg: RunConfig,
              log_runtime_gp: bool = True, spread_method: str = "polyline") -> ParetoReport:
     """Single-objective logEI loop; the untargeted objective is still recorded
-    so the resulting point set carries HV and spread. The GP is refitted and
-    EI rescored only after an iteration observed a new node, as in
-    `mobo_run`."""
+    so the resulting point set carries HV and spread. The GP is refitted, warm
+    from its previous fit after the first, and EI rescored only after an
+    iteration observed a new node, as in `mobo_run`."""
     validate_config(cfg)
     if objective not in ("runtime", "power"):
         raise ConfigError(f"objective must be runtime or power, got {objective!r}")
@@ -529,17 +564,21 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     col = 0 if objective == "runtime" else 1
     method = METHOD_SOBO_RUNTIME if objective == "runtime" else METHOD_SOBO_POWER
 
-    def score(it: int) -> np.ndarray:
+    last = {objective: None}
+
+    def score(it: int) -> tuple[np.ndarray, dict[str, ObjectiveGP]]:
         values = state.objective_array()[:, col]
         try:
             gp = fit_objective_gp([s.node_count for s in state.observed], values,
-                                  log_space=log_runtime_gp and objective == "runtime")
+                                  log_space=log_runtime_gp and objective == "runtime",
+                                  warm=last[objective])
         except NumericalError as exc:
             raise NumericalError(f"GP fit failed at SOBO iteration {it}: {exc}") from exc
+        last[objective] = gp
         model_vals = np.log(values) if gp.log_space else values
         incumbent = float(model_vals.min())
         mean, var = gp.posterior(candidates.node_counts)
-        return np.log(expected_improvement(mean, var, incumbent) + ACQ_EPS)
+        return np.log(expected_improvement(mean, var, incumbent) + ACQ_EPS), dict(last)
 
     refits = _search(state, candidates, objectives, cfg.mobo_iterations, rng, score,
                      spread_method)

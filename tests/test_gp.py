@@ -172,3 +172,86 @@ def test_objective_gp_golden_hyperparameters(values, log_space, expected):
     gp = ogp.gp
     assert ogp.log_space is log_space
     assert (gp.lengthscales.tolist(), gp.signal_var, gp.noise_var, gp.lml) == expected
+
+
+def _warm_start_lml(warm, X, y, jitter=1e-10) -> float:
+    """LML at the point a warm fit starts from, computed as fit_gp documents
+    it: the warm lengthscales rescaled to this data's standardization and
+    clamped to [1e-3, 1e3], the variances clamped into this fit's bounds."""
+    x_std = X.std(axis=0)
+    x_std = np.where(x_std > 0, x_std, 1.0)
+    Z = (X - X.mean(axis=0)) / x_std
+    yc = y - y.mean()
+    y_var = max(float(yc.var()), 1e-12)
+    ls = np.clip(warm.lengthscales * warm.x_std / x_std, 1e-3, 1e3)
+    sf2 = min(max(warm.signal_var, 1e-8 * y_var), 1e4 * y_var)
+    sn2 = min(max(warm.noise_var, 1e-12 * y_var), y_var)
+    K = _kernel(Z, Z, ls, sf2) + (sn2 + jitter) * np.eye(len(y))
+    factor = cho_factor(K, lower=True)
+    alpha = cho_solve(factor, yc)
+    return float(-0.5 * (yc @ alpha) - np.log(np.diag(factor[0])).sum()
+                 - 0.5 * len(y) * math.log(2 * math.pi))
+
+
+@pytest.mark.parametrize("seed, d, n_warm, n", [(1, 1, 6, 9), (2, 1, 12, 13), (3, 2, 15, 20),
+                                                (4, 1, 5, 5)])
+def test_warm_fit_climbs_from_its_rescaled_start(seed, d, n_warm, n):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 10, size=(n, d))
+    y = np.sin(X).sum(axis=1) + 0.1 * X[:, 0] + rng.normal(0, 0.05, size=n)
+    warm = fit_gp(X[:n_warm] * 3.0, y[:n_warm] * 2.0, restarts=4)
+    gp = fit_gp(X, y, restarts=4, warm=warm)
+    start = _warm_start_lml(warm, X, y)
+    assert gp.lml_trace[0] == pytest.approx(start, rel=1e-9, abs=1e-9)
+    assert gp.lml >= start
+    assert np.all(np.diff(gp.lml_trace) >= 0.0)
+    assert gp.lml == gp.lml_trace[-1]
+
+
+@pytest.mark.parametrize("noise_var", [None, 0.0])
+def test_warm_refit_of_identical_data_does_not_lower_the_lml(noise_var):
+    rng = np.random.default_rng(11)
+    X = rng.uniform(1, 64, size=(10, 1))
+    y = 100.0 / X[:, 0] + rng.normal(0, 0.5, size=10)
+    cold = fit_gp(X, y, restarts=4, noise_var=noise_var)
+    warm = fit_gp(X, y, restarts=4, noise_var=noise_var, warm=cold)
+    assert warm.lml >= cold.lml
+    assert warm.lml_trace[0] == cold.lml
+
+
+def test_warm_fit_keeps_a_fixed_noise_var():
+    X = np.linspace(0, 1, 8)[:, None]
+    noisy = fit_gp(X, np.cos(3 * X[:, 0]) + 0.1 * np.sin(40 * X[:, 0]))
+    assert noisy.noise_var > 0
+    gp = fit_gp(X, np.cos(3 * X[:, 0]), noise_var=0.0, warm=noisy)
+    assert gp.noise_var == 0.0
+
+
+@pytest.mark.parametrize("values, log_space, expected", [
+    ([0.9, 3.7, 8.2, 14.9, 23.1, 33.8, 45.2, 59.6], False,
+     ([4.437947515604539], 3967.4891666666667, 0.07630933333333331, -16.385705078177853)),
+    ([812.0, 240.5, 118.25, 77.0, 61.5, 58.0, 60.75, 66.0], True,
+     ([0.11716181441195984], 0.7245879219275203, 1.1228118624909922e-10, -9.763371796506192)),
+])
+def test_objective_gp_golden_warm_refit(values, log_space, expected):
+    # exact values of one warm refit, as the optimizer engines make it: the
+    # fit on the first six nodes warm-starts the fit on all eight
+    warm = fit_objective_gp(_NODES[:6], values[:6], log_space=log_space)
+    ogp = fit_objective_gp(_NODES, values, log_space=log_space, warm=warm)
+    gp = ogp.gp
+    assert (gp.lengthscales.tolist(), gp.signal_var, gp.noise_var, gp.lml) == expected
+
+
+def test_objective_gp_fits_cold_when_the_warm_fit_modelled_another_space():
+    values = [812.0, 240.5, 118.25, 77.0, 61.5, 58.0, 60.75, 66.0]
+    warm = fit_objective_gp(_NODES, values, log_space=False)
+    ogp = fit_objective_gp(_NODES, values, log_space=True, warm=warm)
+    cold = fit_objective_gp(_NODES, values, log_space=True)
+    assert ogp.gp.lml == cold.gp.lml
+    assert ogp.gp.lml_trace == cold.gp.lml_trace
+
+
+def test_warm_gp_of_another_input_dimension_is_a_data_error():
+    warm = fit_gp(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]), np.array([0.0, 1.0, 3.0]))
+    with pytest.raises(DataError, match="input dimension 2"):
+        fit_gp(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 3.0]), warm=warm)

@@ -43,6 +43,20 @@ def test_load_csv_parses_power_array_field(tmp_path):
     assert np.array_equal(table.column("power")[0], np.array([100.0, 200.0, 300.0]))
 
 
+def test_power_array_parts_parse_as_float_parses_them(tmp_path):
+    parts = ["1_0", " 2.5 ", "inf", "-Infinity", "1e400", "4.9e-324", "0.1", "-0.0", ".5"]
+    path = _write(tmp_path, "runtime,nodes,power\n10,1,\"" + ";".join(parts) + ";\"\n")
+    got = load_csv(path, BASIC_SPECS).column("power")[0]
+    assert got.dtype == float
+    assert got.tobytes() == np.array([float(p) for p in parts]).tobytes()
+
+
+def test_load_csv_reports_bad_power_array_part_position(tmp_path):
+    path = _write(tmp_path, "runtime,nodes,power\n10,1,1;2\n10,1,1;2;0x10;3\n")
+    with pytest.raises(DataError, match="row 1, column 'power': '0x10'"):
+        load_csv(path, BASIC_SPECS)
+
+
 def test_load_csv_header_mismatch_lists_columns(tmp_path):
     path = _write(tmp_path, "runtime,power\n10,1\n")
     with pytest.raises(DataError, match="nodes"):

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import json
 import math
 
 import numpy as np
@@ -23,6 +25,7 @@ from hpcmobo.optimizer import (
     mobo_run,
     random_run,
     report_to_dict,
+    save_report,
     sobo_run,
 )
 from hpcmobo.pareto import hypervolume, infer_reference, nondominated
@@ -493,24 +496,32 @@ def test_editing_the_payload_budget_leaves_the_report_as_it_was():
 def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg, log_runtime_gp=True,
                         spread_method="polyline"):
     """The MOBO loop before the refit rule: both GPs refitted and every
-    candidate rescored in every iteration, repeats included."""
+    candidate rescored in every iteration, repeats included. Each fit
+    warm-starts from the fit made at the previous distinct node set (the
+    first is cold), so a repeat refits from the same warm GP."""
     from hpcmobo import optimizer as opt
 
     state, objectives, n_initial = opt._start(surr_runtime, surr_power, candidates)
     rng = np.random.default_rng([cfg.seed, 11])
+    fitted_at, warm_r, warm_p, gp_r, gp_p = None, None, None, None, None
     for it in range(cfg.mobo_iterations):
+        observed_nodes = {s.node_count for s in state.observed}
+        new_set = observed_nodes != fitted_at
+        if new_set:
+            fitted_at, warm_r, warm_p = observed_nodes, gp_r, gp_p
         Y = state.objective_array()
         gp_r = fit_objective_gp([s.node_count for s in state.observed], Y[:, 0],
-                                log_space=log_runtime_gp)
-        gp_p = fit_objective_gp([s.node_count for s in state.observed], Y[:, 1])
+                                log_space=log_runtime_gp, warm=warm_r)
+        gp_p = fit_objective_gp([s.node_count for s in state.observed], Y[:, 1],
+                                warm=warm_p)
         ref = np.asarray(infer_reference(Y), dtype=float)
         front = nondominated(Y)
         nodes = candidates.node_counts
         acq = np.log(opt.ehvi(gp_r, gp_p, nodes, front, ref) + opt.ACQ_EPS)
-        observed_nodes = {s.node_count for s in state.observed}
         pick, best_acq = opt._pick_candidate(nodes, acq, observed_nodes, rng)
         sample = opt._observe(state, candidates, objectives, pick)
-        opt._record(state, it, sample, best_acq, spread_method)
+        opt._record(state, it, sample, best_acq, spread_method, new_set,
+                    {"runtime": gp_r.telemetry(), "power": gp_p.telemetry()})
     return opt._finalize_report(opt.METHOD_MOBO, cfg, candidates.context, state,
                                 n_initial, spread_method)
 
@@ -518,25 +529,32 @@ def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg, log_runtime_g
 def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg,
                         log_runtime_gp=True, spread_method="polyline"):
     """The SOBO loop before the refit rule: the GP refitted and EI rescored in
-    every iteration, repeats included."""
+    every iteration, repeats included, each fit warm-started from the fit made
+    at the previous distinct node set (the first is cold)."""
     from hpcmobo import optimizer as opt
 
     state, objectives, n_initial = opt._start(surr_runtime, surr_power, candidates)
     rng = np.random.default_rng([cfg.seed, 13])
     col = 0 if objective == "runtime" else 1
     method = opt.METHOD_SOBO_RUNTIME if objective == "runtime" else opt.METHOD_SOBO_POWER
+    fitted_at, warm, gp = None, None, None
     for it in range(cfg.mobo_iterations):
+        observed_nodes = {s.node_count for s in state.observed}
+        new_set = observed_nodes != fitted_at
+        if new_set:
+            fitted_at, warm = observed_nodes, gp
         values = state.objective_array()[:, col]
         gp = fit_objective_gp([s.node_count for s in state.observed], values,
-                              log_space=log_runtime_gp and objective == "runtime")
+                              log_space=log_runtime_gp and objective == "runtime",
+                              warm=warm)
         model_vals = np.log(values) if gp.log_space else values
         incumbent = float(model_vals.min())
         mean, var = gp.posterior(candidates.node_counts)
         acq = np.log(opt.expected_improvement(mean, var, incumbent) + opt.ACQ_EPS)
-        observed_nodes = {s.node_count for s in state.observed}
         pick, best_acq = opt._pick_candidate(candidates.node_counts, acq, observed_nodes, rng)
         sample = opt._observe(state, candidates, objectives, pick)
-        opt._record(state, it, sample, best_acq, spread_method)
+        opt._record(state, it, sample, best_acq, spread_method, new_set,
+                    {objective: gp.telemetry()})
     return opt._finalize_report(method, cfg, candidates.context, state, n_initial,
                                 spread_method)
 
@@ -693,3 +711,45 @@ def test_a_failed_refit_names_the_iteration_it_ran_in(method, monkeypatch):
     monkeypatch.setattr(optimizer, "fit_gp", failing_last)
     with pytest.raises(NumericalError, match=f"GP fit failed at {method} iteration {last}: "):
         run()
+
+
+def test_history_records_the_gp_that_scored_each_pick(tmp_path, monkeypatch):
+    from hpcmobo import gp as gp_module
+
+    # every factorization's first attempt, at the fit's base jitter 1e-10,
+    # reports an indefinite matrix, so each one escalates to the next jitter
+    potrf = gp_module._POTRF
+    calls = itertools.count()
+
+    def first_attempt_fails(K, **kwargs):
+        if next(calls) % 2 == 0:
+            return K, 1
+        return potrf(K, **kwargs)
+
+    monkeypatch.setattr(gp_module, "_POTRF", first_attempt_fails)
+    (surr_r, surr_p), bounds, iterations, seed = _REFIT_CASES["wavy"]
+    cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
+    reports = {"runtime power": mobo_run(surr_r, surr_p, _candidates(*bounds), cfg),
+               "power": sobo_run(surr_r, surr_p, _candidates(*bounds), "power", cfg)}
+    for objectives, report in reports.items():
+        save_report(report, tmp_path / "report.json")
+        history = json.loads((tmp_path / "report.json").read_text())["history"]
+        seen = {s.node_count for s in report.observations[:report.n_initial]}
+        previous_new, previous_gp = True, None
+        for entry in history:
+            assert entry["refit"] is previous_new
+            assert sorted(entry["gp"]) == sorted(objectives.split())
+            for fit in entry["gp"].values():
+                assert fit["jitter"] == 1e-8
+                assert sorted(fit) == ["jitter", "lengthscale", "lml", "noise_var",
+                                       "signal_var"]
+            if not entry["refit"]:
+                assert entry["gp"] == previous_gp
+            previous_new = entry["node_count"] not in seen
+            previous_gp = entry["gp"]
+            seen.add(entry["node_count"])
+        assert sum(e["refit"] for e in history) == report.budget["gp_refits"]
+
+    random_history = report_to_dict(random_run(surr_r, surr_p, _candidates(*bounds),
+                                               cfg))["history"]
+    assert all("refit" not in e and "gp" not in e for e in random_history)
