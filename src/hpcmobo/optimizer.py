@@ -10,19 +10,20 @@ space-filling initial design and evaluate objectives against frozen
 surrogates, which stand in for the machine.
 
 The surrogates are frozen and the domain is a finite set of node counts, so
-each engine call evaluates every candidate once, up front, with one batched
-predict per surrogate (`evaluate_objectives`); an observation is then a
-lookup in that table. For the same reason a GP, and the acquisition scored
-from it, change only when the set of distinct observed nodes does: MOBO and
-SOBO refit and rescore only after an iteration that observed a new node, and
-a repeated proposal costs no GP work. The first fit of each GP in an engine
-call is the cold multi-start search; every refit warm-starts from the
-previous fit, made at the previous set of distinct nodes. Each report's
-`budget` records its `unique_evaluations`, and the GP methods' their
-`gp_refits`; each history entry of a GP method records whether its
-iteration refitted and the hyperparameters, LML and jitter of the GP(s) that
-scored its pick. The Monte-Carlo estimator `log_ehvi`/`ehvi_samples` stays
-as a test oracle for `ehvi`.
+every candidate is evaluated once, with one batched predict per surrogate
+(`evaluate_objectives`), and the candidate set keeps that table for every
+engine run on it with the same surrogates (`CandidateSet.objectives`); an
+observation is then a lookup in that table. For the same reason a GP, and
+the acquisition scored from it, change only when the set of distinct
+observed nodes does: MOBO and SOBO refit and rescore only after an iteration
+that observed a new node, and a repeated proposal costs no GP work. The
+first fit of each GP in an engine call is the cold multi-start search; every
+refit warm-starts from the previous fit, made at the previous set of
+distinct nodes. Each report's `budget` records its `unique_evaluations`, and
+the GP methods' their `gp_refits`; each history entry of a GP method records
+whether its iteration refitted and the hyperparameters, LML and jitter of
+the GP(s) that scored its pick. The Monte-Carlo estimator
+`log_ehvi`/`ehvi_samples` stays as a test oracle for `ehvi`.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ class CandidateSet:
 
     node_counts: np.ndarray
     context: JobContext
+    # [runtime surrogate, power surrogate, their objective table] once computed
+    _table: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.node_counts) == 0:
@@ -114,6 +117,19 @@ class CandidateSet:
                 f"and {surr_power.design_bounds} do not overlap"
             )
         return cls.from_bounds(lo, hi, context)
+
+    def objectives(self, surr_runtime: ObjectiveSurrogate,
+                   surr_power: ObjectiveSurrogate) -> np.ndarray:
+        """The read-only `evaluate_objectives` table of these candidates
+        under this surrogate pair. The surrogates are frozen, so it is
+        computed on the first request and every later request with the same
+        two surrogate objects reads it; another pair replaces it."""
+        if self._table and self._table[0] is surr_runtime and self._table[1] is surr_power:
+            return self._table[2]
+        table = evaluate_objectives(surr_runtime, surr_power, self)
+        table.flags.writeable = False
+        self._table[:] = [surr_runtime, surr_power, table]
+        return table
 
 
 def _shared_bounds(surr_runtime: ObjectiveSurrogate,
@@ -429,9 +445,10 @@ def _observe(state: OptimizerState, candidates: CandidateSet, objectives: np.nda
 
 def _start(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
            candidates: CandidateSet) -> tuple[OptimizerState, np.ndarray, int]:
-    """Evaluate every candidate once and observe the shared initial design;
-    returns the state, the objective table and the initial design's size."""
-    objectives = evaluate_objectives(surr_runtime, surr_power, candidates)
+    """Look up the candidates' objective table and observe the shared
+    initial design; returns the state, the table and the initial design's
+    size."""
+    objectives = candidates.objectives(surr_runtime, surr_power)
     state = OptimizerState(observed=[], history=[])
     init = initial_design(*candidates.bounds)
     for node in init:

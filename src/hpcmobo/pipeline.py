@@ -326,10 +326,11 @@ def timing_table(stage_seconds: dict[str, float]) -> StageTimings:
 
 
 def write_timing_csv(timings: StageTimings, path: Path) -> None:
-    lines = ["Step,Seconds"]
-    for name, seconds in timings.entries:
-        lines.append(f"{name},{seconds:.6f}")
-    lines.append(f"TOTAL,{timings.total:.6f}")
+    """Write the rows with 6 decimals and a TOTAL row that is the sum of the
+    rows as written, so the file adds up whatever the rounding."""
+    rows = [(name, round(seconds, 6)) for name, seconds in timings.entries]
+    lines = ["Step,Seconds"] + [f"{name},{seconds:.6f}" for name, seconds in rows]
+    lines.append(f"TOTAL,{sum(seconds for _, seconds in rows):.6f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -2,22 +2,24 @@
 the MAPE accuracy metric and the trained-surrogate bundle used by the
 optimizer.
 
-One tree implementation serves both modes. Splits greedily minimize the
-summed squared error of the two children; candidate thresholds are midpoints
-between consecutive distinct sorted values (the upper value when the midpoint
-of two adjacent floats rounds down to the lower one, so no child is empty),
-and fits are independent of row order within a node. Each node scores all
-its candidate features in one 2-D pass (one stable argsort and one prefix
-sum per column, taken together). Attention weights that steer the feature
-subsampling are validated and normalized once per fit, and each split draws
-its weighted subset with numpy's own without-replacement algorithm minus its
-per-call checks.
+One tree builder serves both modes (`_grow_trees`). It grows every tree of a
+bagged ensemble together, one depth at a time, scoring all open nodes of
+all trees in one vectorized pass per depth (Chen & Guestrin 2016; Ke et al.
+2017); boosted mode calls it with one tree per round. Splits greedily
+minimize the summed squared error of the two children; candidate thresholds
+are midpoints between consecutive distinct sorted values (the upper value
+when the midpoint of two adjacent floats rounds down to the lower one, so no
+child is empty), and fits are independent of row order within a node. Each
+tree draws its bootstrap rows and then, per depth, one row of uniforms per
+open node from its own generator, from which the node takes its candidate
+features (weighted by the attention mask when one is given), so a tree does
+not depend on the others grown with it. Attention weights are validated and
+normalized once per fit. Trees are stored as flat breadth-first node
+arrays.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
 import logging
 import math
@@ -30,6 +32,11 @@ from .core import DataError, JobTable, NumericalError
 from .embedding import AttentiveMask, embed, train_mask
 
 log = logging.getLogger(__name__)
+
+# training rows times candidate features that one `_grow_batch` pass holds:
+# `_grow_trees` grows a larger forest in batches of trees, which bounds each
+# work array of a pass to about 0.5 MiB
+_ENTRY_BLOCK = 1 << 16
 
 
 @dataclass
@@ -54,7 +61,8 @@ class TreeParams:
 
 @dataclass
 class RegressionTree:
-    """Flat preorder node arrays; feature == -1 marks a leaf."""
+    """Flat breadth-first node arrays; feature == -1 marks a leaf, and
+    left/right hold the children's node indices."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -80,132 +88,206 @@ class RegressionTree:
         return out
 
 
-class _TreeBuilder:
-    def __init__(self, X, y, max_depth, min_samples_split, n_sub, rng, weights):
-        self.X = X
-        self.y = y
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.n_sub = n_sub
-        self.rng = rng
-        self.weights = weights
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def build(self, idx: np.ndarray) -> RegressionTree:
-        self._grow(idx, 0)
-        return RegressionTree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=float),
-        )
-
-    def _emit(self, feat: int, thr: float, val: float) -> int:
-        node = len(self.feature)
-        self.feature.append(feat)
-        self.threshold.append(thr)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(val)
-        return node
-
-    def _grow(self, idx: np.ndarray, depth: int) -> int:
-        ysub = self.y[idx]
-        total = ysub.sum()
-        mean = float(total / len(idx))  # what ysub.mean() computes, bit for bit
-        if depth >= self.max_depth or len(idx) < self.min_samples_split:
-            return self._emit(-1, 0.0, mean)
-        split = self._best_split(idx, ysub, total)
-        if split is None:
-            return self._emit(-1, 0.0, mean)
-        feat, thr, go_left = split
-        node = self._emit(feat, thr, mean)
-        self.left[node] = self._grow(idx[go_left], depth + 1)
-        self.right[node] = self._grow(idx[~go_left], depth + 1)
-        return node
-
-    def _candidate_features(self, d: int) -> np.ndarray | list[int]:
-        k = min(self.n_sub, d)
-        if self.weights is not None:
-            return _weighted_choice(self.rng, self.weights, k)
-        if k == d:
-            return np.arange(d)
-        return self.rng.choice(d, size=k, replace=False)
-
-    def _best_split(self, idx: np.ndarray, ysub: np.ndarray, total: float):
-        """Best (feature, threshold, rows going left) over the candidate
-        features, or None. Every candidate column is scored in one 2-D pass;
-        each column's prefix sums and SSEs are those a per-column loop would
-        compute, so the chosen split is the same bit for bit."""
-        n = len(idx)
-        total2 = float(ysub @ ysub)
-        sse_parent = total2 - total * total / n
-        if sse_parent <= 1e-12 * max(1.0, total2):
-            return None  # node already pure
-        feats = self._candidate_features(self.X.shape[1])
-        cols = np.arange(len(feats))
-        V = self.X[idx][:, feats]
-        order = V.argsort(axis=0, kind="stable")
-        vs = V[order, cols]
-        ys = ysub[order]
-        ls = ys.cumsum(axis=0)[:-1]  # left sums for left sizes 1..n-1
-        ls2 = (ys * ys).cumsum(axis=0)[:-1]
-        kn = np.arange(1.0, n)[:, None]
-        rn = n - kn
-        sse = (ls2 - ls * ls / kn) + ((total2 - ls2) - (total - ls) ** 2 / rn)
-        # no threshold between equal values; a column without any gets -inf gains
-        sse[vs[1:] == vs[:-1]] = np.inf
-        j = sse.argmin(axis=0)  # the first minimum among real boundaries
-        gains = (sse_parent - sse[j, cols]).tolist()
-        tol = 1e-12 * max(1.0, sse_parent)
-        best_gain = 0.0
-        best = None
-        for c, gain in enumerate(gains):
-            if gain > best_gain + tol:
-                best_gain = gain
-                best = c
-        if best is None:
-            return None
-        k = j[best] + 1
-        lo, hi = vs[k - 1, best], vs[k, best]
-        thr = float((lo + hi) / 2.0)
-        if thr <= lo:  # adjacent floats: the midpoint rounds down to lo
-            thr = float(hi)
-        return int(feats[best]), thr, V[:, best] < thr
+def _rank_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ranks of X and the values they index: X[i, f] ==
+    values[f, ranks[i, f]], where values[f] holds column f's distinct values
+    in increasing order (padded with inf to the longest column)."""
+    ranks = np.empty(X.shape, dtype=np.int64)
+    distinct = []
+    for f in range(X.shape[1]):
+        uniq, ranks[:, f] = np.unique(X[:, f], return_inverse=True)
+        distinct.append(uniq)
+    values = np.full((X.shape[1], max(map(len, distinct))), np.inf)
+    for f, uniq in enumerate(distinct):
+        values[f, :len(uniq)] = uniq
+    return ranks, values
 
 
-def _weighted_choice(rng: np.random.Generator, p: list[float], k: int) -> list[int]:
-    """rng.choice(len(p), size=k, replace=False, p=p), without numpy's
-    per-call validation of p: fit_tree_ensemble checks the weights once per
-    fit (finite, positive, normalized).
+def _draw_features(u: np.ndarray, k: int, log_weights: np.ndarray | None) -> np.ndarray:
+    """The k features each row of uniforms `u` (one column per feature)
+    draws without replacement, in draw order.
 
-    This is numpy's algorithm on the same random stream. Each round draws one
-    uniform per missing index, inverts the CDF of the weights not yet drawn
-    (cumulative sums divided by their total, then the first entry above each
-    uniform), and keeps the new indices in first-occurrence order. Drawn
-    indices have zero weight, so every round adds at least one. Plain floats
-    do the same IEEE sums and divisions in the same order as numpy's cumsum,
-    at half the call cost for the dozen or so weights of a split.
+    Weighted, these are the k smallest keys log(-log u) - log w
+    (Efraimidis-Spirakis), distributed as numpy's successive weighted draw;
+    unweighted, the k smallest -log u.
     """
-    p = list(p)
-    found: list[int] = []
-    while len(found) < k:
-        x = rng.random(k - len(found)).tolist()
-        cdf = list(itertools.accumulate(p))
-        last = cdf[-1]
-        cdf = [c / last for c in cdf]
-        for u in x:
-            i = bisect.bisect_right(cdf, u)
-            if i not in found:
-                found.append(i)
-        for i in found:
-            p[i] = 0.0
-    return found
+    if log_weights is None:
+        keys = -np.log(u)
+    else:
+        keys = np.log(-np.log(u)) - log_weights
+    return np.argsort(keys, axis=1, kind="stable")[:, :k]
+
+
+def _grow_trees(ranks: np.ndarray, values: np.ndarray, y: np.ndarray,
+                rows: list[np.ndarray], rngs: list[np.random.Generator], max_depth: int,
+                min_samples_split: int, n_sub: int,
+                log_weights: np.ndarray | None) -> list[RegressionTree]:
+    """Grow one tree on each rows[t] (training rows, repeats allowed) with
+    generator rngs[t], together, one depth at a time, in batches of trees
+    that hold at most _ENTRY_BLOCK rows times candidates. `ranks` and
+    `values` are the training matrix as `_rank_columns` returns it.
+
+    A node becomes a leaf at max_depth, below min_samples_split rows or
+    when pure (its SSE is at most 1e-12 * max(1, sum of y^2)); the others
+    at a depth are open. A tree then draws rng.random((its open nodes at
+    this depth, d)), one row per open node in breadth-first order, and each
+    takes its candidate features from its row (`_draw_features`);
+    unweighted draws of every feature draw nothing. So a tree is the same
+    whether it grows alone or with the rest of its forest. An open node
+    stays a leaf when no candidate gains more than 1e-12 * max(1, SSE).
+    Otherwise it splits where the children's summed SSE is least, over
+    boundaries between distinct values of its candidates; the first
+    candidate in draw order wins within that tolerance, and the first
+    boundary within a candidate. The threshold is the midpoint of the two
+    values, or the upper one when the midpoint of adjacent floats rounds
+    down to the lower. Node sums run in training-row order.
+    """
+    k = min(n_sub, ranks.shape[1])
+    batch = max(1, _ENTRY_BLOCK // (k * max(map(len, rows), default=1)))
+    return [tree for i in range(0, len(rows), batch)
+            for tree in _grow_batch(ranks, values, y, rows[i:i + batch], rngs[i:i + batch],
+                                    max_depth, min_samples_split, k, log_weights)]
+
+
+def _grow_batch(ranks, values, y, rows, rngs, max_depth, min_samples_split, k,
+                log_weights) -> list[RegressionTree]:
+    """`_grow_trees` for one batch of trees, with k candidates per node."""
+    d = ranks.shape[1]
+    draw = log_weights is not None or k < d
+    n_trees = len(rows)
+    # one entry per (tree, training row), grouped by node in training-row order
+    row = np.concatenate(rows)
+    node = np.repeat(np.arange(n_trees), [len(r) for r in rows])
+    node_tree = np.arange(n_trees)
+    levels = []  # per depth: tree, feature, threshold, value, first child
+    for depth in range(max_depth + 1):
+        m = len(node_tree)
+        count = np.bincount(node, minlength=m)
+        yv = y[row]
+        mean = np.bincount(node, yv, minlength=m) / count
+        c = yv - mean[node]
+        sse = np.bincount(node, c * c, minlength=m)
+        total2 = np.bincount(node, yv * yv, minlength=m)
+        feature = np.full(m, -1, dtype=np.int64)
+        cut = np.zeros(m, dtype=np.int64)  # rank of the last value that goes left
+        threshold = np.zeros(m)
+        open_ = (count >= min_samples_split) & (sse > 1e-12 * np.maximum(1.0, total2))
+        if depth < max_depth and open_.any():
+            if draw:
+                per_tree = np.bincount(node_tree[open_], minlength=n_trees)
+                u = np.concatenate([rngs[t].random((per_tree[t], d))
+                                    for t in np.flatnonzero(per_tree)])
+                feats = _draw_features(u, k, log_weights)
+            else:
+                feats = np.broadcast_to(np.arange(d), (int(open_.sum()), d))
+            _split_nodes(ranks, values, row, node, c, count, sse, open_, feats,
+                         feature, cut, threshold)
+        inner = feature >= 0
+        child = 2 * np.cumsum(inner) - 2  # the left child's index at the next depth
+        levels.append((node_tree, feature, threshold, mean, np.where(inner, child, -1)))
+        if not inner.any():
+            break
+        keep = inner[node]
+        row, node = row[keep], node[keep]
+        dest = child[node] + (ranks[row, feature[node]] > cut[node])
+        regroup = np.argsort(dest, kind="stable")
+        row, node = row[regroup], dest[regroup]
+        node_tree = np.repeat(node_tree[inner], 2)
+    return _assemble(levels, n_trees)
+
+
+def _split_nodes(ranks, values, row, node, c, count, sse, open_, feats,
+                 feature, cut, threshold) -> None:
+    """Find each open node's best split among its candidates (row i of
+    `feats` for the i-th open node; see `_grow_trees`) and write its
+    feature, the rank of its last left value and its threshold into
+    `feature`, `cut` and `threshold`.
+
+    Every candidate slot of every open node is scored in one pass: an
+    argsort of the key node * width + rank, then segmented prefix sums.
+    Entries with equal keys hold equal values, so nothing depends on their
+    order. The prefix sums are integer: each node's targets, centered on its
+    mean, are scaled by a power of two and rounded so that any sum of them
+    fits 63 bits, which makes every node's sums exact and independent of the
+    other nodes. With n rows, a left sum L over a rows and the node total T,
+    the SSE a split removes is (n * L - a * T)^2 / (a * (n - a) * n).
+    """
+    nodes = np.flatnonzero(open_)
+    keep = open_[node]
+    er, ec = row[keep], c[keep]
+    en = (np.cumsum(open_) - 1)[node[keep]]  # open nodes renumbered 0..len-1
+    size = len(en)
+    n = count[nodes]
+    starts = np.cumsum(n) - n
+    width = values.shape[1]
+    # |c| < 2**e and |q| <= 2**(62 - bit length of n)
+    e = np.frexp(np.maximum.reduceat(np.abs(ec), starts))[1]
+    shift = 62 - np.frexp(n.astype(float))[1] - e
+    q = np.rint(np.ldexp(ec, shift[en])).astype(np.int64)
+    total = np.add.reduceat(q, starts).astype(float)
+    a = np.arange(1, size + 1) - starts[en]
+    aT = a * total[en]
+    ab = a * (n[en] - a).astype(float)
+    ab[starts + n - 1] = np.inf  # no boundary after a node's last entry
+
+    key = en * width + ranks[er, feats[en].T]  # (slots, entries)
+    order = key.argsort(axis=1)
+    key = np.take_along_axis(key, order, axis=1)
+    left = np.cumsum(q[order], axis=1)  # wraps across nodes; exact within one
+    left -= np.where(starts > 0, left[:, starts - 1], 0)[:, en]
+    score = left.astype(float)
+    score *= n[en]
+    score -= aT
+    score *= score
+    score /= ab
+    score[:, :-1] *= key[:, 1:] != key[:, :-1]  # 0 where no boundary
+    best = np.maximum.reduceat(score, starts, axis=1)
+    first = np.where(score == best[:, en], np.arange(size), size)
+    first = np.minimum.reduceat(first, starts, axis=1)
+    gain = np.ldexp(best / n, -2 * shift)
+
+    tol = 1e-12 * np.maximum(1.0, sse[nodes])
+    best_gain = np.zeros(len(nodes))
+    slot = np.full(len(nodes), -1)
+    for s in range(len(gain)):
+        better = gain[s] > best_gain + tol
+        best_gain[better] = gain[s][better]
+        slot[better] = s
+    won = np.flatnonzero(slot >= 0)
+    s, at = slot[won], first[slot[won], won]
+    f = feats[won, s]
+    lo = key[s, at] - won * width
+    hi = key[s, at + 1] - won * width
+    thr = (values[f, lo] + values[f, hi]) / 2.0
+    feature[nodes[won]] = f
+    cut[nodes[won]] = lo
+    threshold[nodes[won]] = np.where(thr <= values[f, lo], values[f, hi], thr)
+
+
+def _assemble(levels, n_trees: int) -> list[RegressionTree]:
+    """Split the per-depth node arrays into one breadth-first RegressionTree
+    per tree."""
+    offsets = np.cumsum([0] + [len(level[0]) for level in levels])
+    tree, feature, threshold, value, child = (np.concatenate(a) for a in zip(*levels))
+    child = np.where(child >= 0, child + np.repeat(offsets[1:], np.diff(offsets)), -1)
+    perm = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=n_trees)
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(len(tree), dtype=np.int64)
+    local[perm] = np.arange(len(tree)) - starts[tree[perm]]
+    left = np.where(child >= 0, local[child], -1)
+    right = np.where(child >= 0, local[child + 1], -1)
+    trees = []
+    for t in range(n_trees):
+        idx = perm[starts[t]:starts[t] + sizes[t]]
+        trees.append(RegressionTree(
+            feature=feature[idx].astype(np.int32),
+            threshold=threshold[idx],
+            left=left[idx].astype(np.int32),
+            right=right[idx].astype(np.int32),
+            value=value[idx],
+        ))
+    return trees
 
 
 @dataclass
@@ -253,7 +335,7 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = 
         raise DataError(f"need at least 2 rows to fit, got {n}")
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise DataError("training data must be finite")
-    weights = None
+    weights = log_weights = None
     if feature_weights is not None:
         # checked once here, not at every split; a sum that overflows leaves
         # normalized weights of zero
@@ -263,18 +345,17 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = 
         if weights is None or not (weights > 0).all():
             raise DataError("feature_weights must be finite and positive "
                             "with one entry per column")
-        weights = weights.tolist()
+        log_weights = np.log(weights)
 
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_estimators)
+    ranks, values = _rank_columns(X)
     if params.mode == "bagged":
         n_sub = d if params.feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
-        trees = []
-        for ss in seeds:
-            rng = np.random.default_rng(ss)
-            idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-            builder = _TreeBuilder(X, y, params.max_depth, params.min_samples_split,
-                                   n_sub, rng, weights)
-            trees.append(builder.build(idx))
+        rngs = [np.random.default_rng(ss) for ss in seeds]
+        rows = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+                for rng in rngs]
+        trees = _grow_trees(ranks, values, y, rows, rngs, params.max_depth,
+                            params.min_samples_split, n_sub, log_weights)
         return TreeEnsemble(trees, "bagged", float(y.mean()), 0.0, params)
     if params.mode == "boosted":
         base = float(y.mean())
@@ -284,10 +365,9 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = 
             residual = y - pred
             if float(np.max(np.abs(residual))) <= 1e-12 * max(1.0, float(np.abs(y).max())):
                 break  # constant target: base-value-only model
-            rng = np.random.default_rng(ss)
-            builder = _TreeBuilder(X, residual, params.max_depth,
-                                   params.min_samples_split, d, rng, None)
-            tree = builder.build(np.arange(n))
+            tree, = _grow_trees(ranks, values, residual, [np.arange(n)],
+                                [np.random.default_rng(ss)], params.max_depth,
+                                params.min_samples_split, d, None)
             trees.append(tree)
             pred = pred + params.learning_rate * tree.predict(X)
         return TreeEnsemble(trees, "boosted", base, params.learning_rate, params)

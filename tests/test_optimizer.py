@@ -163,6 +163,25 @@ def test_each_engine_call_predicts_once_per_surrogate(stem):
     assert (surr_r.calls, surr_p.calls) == (1, 1)
 
 
+def test_engines_on_one_candidate_set_share_one_objective_table():
+    surr_r = CountingSurrogate(AMDAHL["runtime"])
+    surr_p = CountingSurrogate(AMDAHL["power"])
+    candidates = _candidates(1, 64)
+    reports = [method.run(surr_r, surr_p, candidates, _fast_cfg(mobo_iterations=6))
+               for method in METHODS.values()]
+    assert (surr_r.calls, surr_p.calls) == (1, 1)
+    alone = [method.run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=6))
+             for method in METHODS.values()]
+    for shared, own in zip(reports, alone):
+        assert report_to_dict(shared) == report_to_dict(own)
+    table = candidates.objectives(surr_r, surr_p)
+    assert not table.flags.writeable
+    # another surrogate pair gets its own table
+    other = CountingSurrogate(AMDAHL["runtime"])
+    candidates.objectives(other, surr_p)
+    assert (other.calls, surr_p.calls) == (1, 6)
+
+
 def test_observing_a_node_outside_the_candidates_raises():
     from hpcmobo.optimizer import OptimizerState, _observe
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpcmobo.core import RunConfig, load_config_file
+from hpcmobo.core import RunConfig, StageTimings, load_config_file
 from hpcmobo.ingest import preprocess_fit, write_table
 from hpcmobo.pipeline import (
     PipelineSettings,
@@ -14,6 +14,7 @@ from hpcmobo.pipeline import (
     run_pipeline,
     timing_table,
     train_surrogate_pair,
+    write_timing_csv,
 )
 from hpcmobo.synthgen import (
     DURATION_PAIRS,
@@ -119,6 +120,14 @@ def test_timing_csv_matches_table9_layout(tmp_path):
     assert names == TIMING_ROW_SET + ["TOTAL"]
     seconds = [float(line.split(",")[1]) for line in lines[1:]]
     assert seconds[-1] == pytest.approx(sum(seconds[:-1]), rel=1e-4)
+
+
+def test_timing_csv_total_is_the_sum_of_its_rows(tmp_path):
+    # each row rounds down by 4e-7; the unrounded total would round up
+    timings = StageTimings.from_entries([(name, 1.0000004) for name in TIMING_ROW_SET])
+    write_timing_csv(timings, tmp_path / "timing_table.csv")
+    lines = (tmp_path / "timing_table.csv").read_text().strip().splitlines()
+    assert lines[1:] == [f"{name},1.000000" for name in TIMING_ROW_SET] + ["TOTAL,7.000000"]
 
 
 def test_pipeline_rerun_is_deterministic(tmp_path):

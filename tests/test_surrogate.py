@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hpcmobo import surrogate
 from hpcmobo.core import ColumnSpec, DataError, NumericalError, build_table
 from hpcmobo.surrogate import (
     TreeParams,
-    _TreeBuilder,
-    _weighted_choice,
+    _rank_columns,
+    _draw_features,
     fit_tree_ensemble,
     load_surrogate,
     mape,
@@ -26,6 +27,14 @@ def test_constant_target_predicts_exactly_in_both_modes():
                    TreeParams.boosted(n_estimators=10)):
         model = fit_tree_ensemble(X, y, params)
         assert np.all(model.predict(X) == 7.0)
+
+
+def test_an_ensemble_of_no_trees_predicts_the_mean():
+    X = np.random.default_rng(0).random((20, 3))
+    y = X[:, 0]
+    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=0))
+    assert model.trees == []
+    assert np.all(model.predict(X) == y.mean())
 
 
 def test_single_tree_depth_one_finds_the_obvious_split():
@@ -192,89 +201,29 @@ def test_surrogate_serialization_round_trip(tmp_path):
     assert loaded.target == "runtime"
 
 
-class _ReferenceBuilder(_TreeBuilder):
-    """The tree builder before the 2-D split search: one argsort and cumsum
-    per candidate feature over the compressed boundary array, the node mean
-    from ysub.mean(), and numpy's validated rng.choice(p=...) per split."""
-
-    def _grow(self, idx, depth):
-        ysub = self.y[idx]
-        mean = float(ysub.mean())
-        if depth >= self.max_depth or len(idx) < self.min_samples_split:
-            return self._emit(-1, 0.0, mean)
-        split = self._best_split(idx, ysub)
-        if split is None:
-            return self._emit(-1, 0.0, mean)
-        feat, thr = split
-        node = self._emit(feat, thr, mean)
-        go_left = self.X[idx, feat] < thr
-        self.left[node] = self._grow(idx[go_left], depth + 1)
-        self.right[node] = self._grow(idx[~go_left], depth + 1)
-        return node
-
-    def _candidate_features(self, d):
-        if self.n_sub >= d and self.weights is None:
-            return np.arange(d)
-        return self.rng.choice(d, size=min(self.n_sub, d), replace=False,
-                               p=self.weights)
-
-    def _best_split(self, idx, ysub):
-        n = len(idx)
-        total = ysub.sum()
-        total2 = float(ysub @ ysub)
-        sse_parent = total2 - total * total / n
-        if sse_parent <= 1e-12 * max(1.0, total2):
-            return None
-        best_gain = 0.0
-        best = None
-        for f in self._candidate_features(self.X.shape[1]):
-            v = self.X[idx, f]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            ys = ysub[order]
-            boundary = np.flatnonzero(vs[1:] != vs[:-1]) + 1
-            if len(boundary) == 0:
-                continue
-            csum = np.cumsum(ys)
-            csum2 = np.cumsum(ys * ys)
-            ls = csum[boundary - 1]
-            ls2 = csum2[boundary - 1]
-            kn = boundary.astype(float)
-            rn = n - kn
-            sse = (ls2 - ls * ls / kn) + ((total2 - ls2) - (total - ls) ** 2 / rn)
-            j = int(np.argmin(sse))
-            gain = sse_parent - float(sse[j])
-            if gain > best_gain + 1e-12 * max(1.0, sse_parent):
-                k = boundary[j]
-                best_gain = gain
-                thr = float((vs[k - 1] + vs[k]) / 2.0)
-                if thr <= vs[k - 1]:
-                    thr = float(vs[k])
-                best = (int(f), thr)
-        return best
+# the builder under test, the one every fit goes through
+_TreeBuilder = surrogate._grow_trees
 
 
-def _fit_recording_states(builder_cls, X, y, params, weights):
-    """fit_tree_ensemble with builder_cls building the trees; also returns
-    each tree's generator state after the tree is built, and the training
-    rows each tree was built on."""
-    states = []
+def _fit_recording_states(grow, X, y, params, weights):
+    """fit_tree_ensemble with `grow` growing the trees. Also returns, per
+    tree, its targets and its generator's state when growth began (after the
+    bootstrap draw), and the training rows it was grown on."""
+    inputs = []
     rows = []
 
-    class Recording(builder_cls):
-        def build(self, idx):
-            tree = super().build(idx)
-            states.append(self.rng.bit_generator.state)
-            rows.append(idx)
-            return tree
+    def recording(ranks, values, y, tree_rows, rngs, *args):
+        inputs.extend((y, rng.bit_generator.state) for rng in rngs)
+        rows.extend(tree_rows)
+        return grow(ranks, values, y, tree_rows, rngs, *args)
 
-    saved = surrogate._TreeBuilder
-    surrogate._TreeBuilder = Recording
+    saved = surrogate._grow_trees
+    surrogate._grow_trees = recording
     try:
         model = fit_tree_ensemble(X, y, params, feature_weights=weights)
     finally:
-        surrogate._TreeBuilder = saved
-    return model, states, rows
+        surrogate._grow_trees = saved
+    return model, inputs, rows
 
 
 @st.composite
@@ -312,8 +261,8 @@ def _tree_problems(draw):
 
 def _adjacent_floats_problem():
     """A split between -1000 and the next float up, whose midpoint rounds
-    down to -1000; hypothesis found this example against the reference
-    comparison when the threshold was always the midpoint."""
+    down to -1000; hypothesis found this example when the threshold was
+    always the midpoint."""
     X = np.full((23, 5), -2.0)
     X[:, 0] = [0.0] * 21 + [-1000.0, np.nextafter(-1000.0, 0.0)]
     y = np.array([-2.0] * 22 + [0.0])
@@ -321,18 +270,136 @@ def _adjacent_floats_problem():
     return X, y, params, None
 
 
+def _levels(tree):
+    """Node indices of a breadth-first tree, one array per depth."""
+    levels = [np.array([0])]
+    while True:
+        inner = levels[-1][tree.feature[levels[-1]] >= 0]
+        if not len(inner):
+            return levels
+        levels.append(np.column_stack([tree.left[inner], tree.right[inner]]).ravel())
+
+
+def _draw_inputs(params, d, weights):
+    """The candidate count and log feature weights fit_tree_ensemble grows
+    its trees with."""
+    if params.mode == "boosted":
+        return d, None
+    k = d if params.feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
+    return k, None if weights is None else np.log(weights / weights.sum())
+
+
+def _is_open(t, min_samples_split):
+    """The builder's stop rule for a node with targets t in training-row
+    order: enough rows and not pure, from the same sequential sums."""
+    if len(t) < min_samples_split:
+        return False
+    c = t - np.cumsum(t)[-1] / len(t)
+    return np.cumsum(c * c)[-1] > 1e-12 * max(1.0, np.cumsum(t * t)[-1])
+
+
+def _drawn_features(tree, state, params, d, weights, reached, t):
+    """Each open node's candidate features, drawn again from the tree's
+    generator: per depth below max_depth, one row of uniforms per open node,
+    breadth-first. reached[node] indexes the targets t of the node's rows."""
+    k, log_w = _draw_inputs(params, d, weights)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    drawn = {}
+    for depth, level in enumerate(_levels(tree)[:params.max_depth]):
+        open_nodes = [node for node in level.tolist()
+                      if _is_open(t[reached[node]], params.min_samples_split)]
+        if log_w is None and k == d:
+            feats = [list(range(d))] * len(open_nodes)
+        else:
+            feats = _draw_features(rng.random((len(open_nodes), d)), k, log_w).tolist()
+        drawn.update(zip(open_nodes, feats))
+    return drawn
+
+
+def _least_sse(v, t):
+    """Least children's SSE over boundaries between distinct values of v,
+    by brute force (inf without a boundary)."""
+    best = math.inf
+    for cut in np.unique(v)[:-1]:
+        left, right = t[v <= cut], t[v > cut]
+        best = min(best, float(((left - left.mean()) ** 2).sum()
+                               + ((right - right.mean()) ** 2).sum()))
+    return best
+
+
+def _node_rows(tree, X):
+    """Per node, the positions of the rows of X that pass through it."""
+    reached = {0: np.arange(len(X))}
+    for node in range(len(tree.feature)):
+        f = tree.feature[node]
+        if f >= 0:
+            here = reached[node]
+            go_left = X[here, f] < tree.threshold[node]
+            reached[tree.left[node]] = here[go_left]
+            reached[tree.right[node]] = here[~go_left]
+    return reached
+
+
 @settings(max_examples=200, deadline=None)
 @given(problem=_tree_problems())
 @example(problem=_adjacent_floats_problem())
-def test_trees_and_generator_states_equal_the_per_feature_reference(problem):
+def test_each_split_has_the_least_sse_among_its_drawn_features(problem):
     X, y, params, weights = problem
-    got, got_states, _ = _fit_recording_states(_TreeBuilder, X, y, params, weights)
-    ref, ref_states, _ = _fit_recording_states(_ReferenceBuilder, X, y, params, weights)
-    assert len(got.trees) == len(ref.trees)
-    for a, b in zip(got.trees, ref.trees):
+    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights)
+    for tree, (target, state), idx in zip(model.trees, inputs, rows):
+        depth = {node: dep for dep, level in enumerate(_levels(tree)) for node in level.tolist()}
+        reached = _node_rows(tree, X[idx])
+        drawn = _drawn_features(tree, state, params, X.shape[1], weights, reached, target[idx])
+        for node, here in reached.items():
+            v, t = X[idx[here]], target[idx[here]]
+            # every leaf value is the mean of its rows
+            assert abs(tree.value[node] - t.mean()) <= 1e-10 * max(1.0, np.abs(t).max())
+            c = t - t.mean()
+            sse = float(c @ c)
+            f = tree.feature[node]
+            if f < 0:
+                if depth[node] < params.max_depth and node in drawn:
+                    # no drawn feature gains more than the gain tolerance
+                    least = min(_least_sse(v[:, g], t) for g in drawn[node])
+                    assert sse - least <= 1e-9 * max(1.0, sse), node
+                continue
+            assert f in drawn[node]
+            least = min(_least_sse(v[:, g], t) for g in drawn[node])
+            thr = tree.threshold[node]
+            lo, hi = v[v[:, f] < thr, f].max(), v[v[:, f] >= thr, f].min()
+            assert thr == (lo + hi) / 2 or (thr == hi and (lo + hi) / 2 <= lo)
+            left, right = c[v[:, f] < thr], c[v[:, f] >= thr]
+            chosen = float(((left - left.mean()) ** 2).sum() + ((right - right.mean()) ** 2).sum())
+            assert chosen <= least + 1e-9 * max(1.0, sse), node
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_tree_problems())
+@example(problem=_adjacent_floats_problem())
+def test_a_tree_grown_in_its_forest_equals_the_tree_grown_alone(problem):
+    X, y, params, weights = problem
+    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights)
+    n_sub, log_w = _draw_inputs(params, X.shape[1], weights)
+    for tree, (target, state), idx in zip(model.trees, inputs, rows):
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        alone, = _TreeBuilder(*_rank_columns(X), target, [idx], [rng], params.max_depth,
+                              params.min_samples_split, n_sub, log_w)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(alone, name), getattr(tree, name)), name
+
+
+def test_a_forest_grown_in_batches_equals_the_forest_grown_in_one_pass(monkeypatch):
+    X, y = _noisy_quadratic(6, n=60)
+    params = TreeParams(n_estimators=7, max_depth=5, seed=2)
+    weights = np.array([4.0, 1.0, 2.0, 0.5])
+    whole = fit_tree_ensemble(X, y, params, feature_weights=weights)
+    monkeypatch.setattr(surrogate, "_ENTRY_BLOCK", 2 * 60)  # one tree per pass
+    batched = fit_tree_ensemble(X, y, params, feature_weights=weights)
+    for a, b in zip(whole.trees, batched.trees, strict=True):
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert got_states == ref_states
 
 
 def test_a_split_between_adjacent_floats_leaves_no_child_empty():
@@ -379,33 +446,33 @@ def test_node_mean_from_the_shared_sum_is_numpys_mean(values):
     assert np.float64(a.sum() / len(a)).tobytes() == a.mean().tobytes()
 
 
-def test_weighted_choice_equals_numpys_weighted_choice():
-    # a guard too: this fails if numpy changes its without-replacement algorithm
-    for seed in range(12):
-        skew = np.random.default_rng(1000 + seed)
-        for d in range(2, 41):
-            if seed % 3 == 0:
-                w = 10.0 ** skew.uniform(-12, 12, size=d)
-            elif seed % 3 == 1:
-                w = np.ones(d)
-                w[skew.integers(d)] = 1e9
-            else:
-                w = 2.0 ** -np.arange(d) * skew.uniform(0.5, 1.5, size=d)
-            p = w / w.sum()
-            for k in range(1, d + 1):
-                ours = np.random.default_rng([seed, d, k])
-                ref = np.random.default_rng([seed, d, k])
-                drawn = _weighted_choice(ours, p.tolist(), k)
-                expected = ref.choice(d, size=k, replace=False, p=p)
-                assert drawn == expected.tolist(), (seed, d, k)
-                assert ours.random() == ref.random(), (seed, d, k)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_feature_draws_are_distinct_and_all_d_when_k_is_d(weighted):
+    rng = np.random.default_rng(5)
+    for d in range(1, 14):
+        log_w = np.log(rng.uniform(1e-3, 1e3, size=d)) if weighted else None
+        u = rng.random((200, d))
+        for k in range(1, d + 1):
+            drawn = _draw_features(u, k, log_w)
+            assert drawn.shape == (200, k)
+            assert all(len(set(row)) == k for row in drawn.tolist())
+        assert (np.sort(_draw_features(u, d, log_w), axis=1) == np.arange(d)).all()
 
 
-# sha256 of save_surrogate's JSON, recorded before the 2-D split search and
-# the unvalidated weighted draw replaced the per-feature loop and rng.choice
+def test_first_weighted_pick_is_proportional_to_the_weights():
+    w = np.array([1.0, 2.0, 3.0, 4.0, 10.0, 0.5])
+    p = w / w.sum()
+    n = 20000
+    drawn = _draw_features(np.random.default_rng(3).random((n, len(w))), 3, np.log(p))
+    counts = np.bincount(drawn[:, 0], minlength=len(w))
+    # within 4 binomial standard deviations of n * p for every feature
+    assert (np.abs(counts - n * p) <= 4 * np.sqrt(n * p * (1 - p))).all(), counts
+
+
+# sha256 of save_surrogate's JSON, recorded from the level-wise builder
 _GOLDEN_DIGESTS = {
-    "bagged_embedding": "d118786ef092203435d1f3eb11215d54d593e80d76c1a8172d4de0934c9ce199",
-    "boosted": "78b886bcfb0908d77160dc7892ce8bc67a9455ce2127b4bb39be413388330501",
+    "bagged_embedding": "7a9902ae829bd357cd0cfc1ea1b6e747ef958496748b9ac6cccaba0aa7bc401b",
+    "boosted": "a417edda7faea12733f27df5b5991ae526edf0bbdd215fa7b927e467cfcfaacd",
 }
 
 
