@@ -12,7 +12,6 @@ from .core import (
     DataError,
     JobTable,
     NumericalError,
-    ObjectiveSample,
     PipelineError,
     RunConfig,
     StageTimings,
@@ -28,7 +27,6 @@ __all__ = [
     "DataError",
     "JobTable",
     "NumericalError",
-    "ObjectiveSample",
     "ParetoFront",
     "PipelineError",
     "RunConfig",

@@ -1,4 +1,4 @@
-"""Shared domain types: tables, columns, objective points, run configuration."""
+"""Shared domain types: tables, columns, run configuration."""
 
 from __future__ import annotations
 
@@ -189,28 +189,6 @@ def tables_equal(a: JobTable, b: JobTable) -> bool:
             elif va != vb and not (va is None and vb is None):
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class ObjectiveSample:
-    """One evaluated design point in minimization space."""
-
-    node_count: int
-    context: np.ndarray
-    runtime: float
-    power: float
-
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise DataError(f"node_count must be a positive integer, got {self.node_count}")
-        if not (math.isfinite(self.runtime) and math.isfinite(self.power)):
-            raise NumericalError(
-                f"objective values must be finite, got ({self.runtime}, {self.power})"
-            )
-
-    @property
-    def y(self) -> tuple[float, float]:
-        return (self.runtime, self.power)
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,24 @@ surrogates, which stand in for the machine.
 The surrogates are frozen and the domain is a finite set of node counts, so
 every candidate is evaluated once, with one batched predict per surrogate
 (`evaluate_objectives`), and the candidate set keeps that table for every
-engine run on it with the same surrogates (`CandidateSet.objectives`); an
-observation is then a lookup in that table. For the same reason a GP, and
-the acquisition scored from it, change only when the set of distinct
-observed nodes does: MOBO and SOBO refit and rescore only after an iteration
-that observed a new node, and a repeated proposal costs no GP work. The
-first fit of each GP in an engine call is the cold multi-start search; every
-refit warm-starts from the previous fit, made at the previous set of
-distinct nodes. Each report's `budget` records its `unique_evaluations`, and
-the GP methods' their `gp_refits`; each history entry of a GP method records
-whether its iteration refitted and the hyperparameters, LML and jitter of
-the GP(s) that scored its pick. The Monte-Carlo estimator
-`log_ehvi`/`ehvi_samples` stays as a test oracle for `ehvi`.
+engine run on it with the same surrogates (`CandidateSet.objectives`). An
+engine's observations are then just the list of table rows it picked, the
+initial design first; GP fits and acquisitions read those rows of the
+table, and the loop records only each iteration's acquisition, whether it
+refitted and the fitted GP telemetry. The report's observations, front,
+`front_found_at` and per-iteration `hv_so_far`/`spread_so_far` are built
+once from the rows at the end (`_finalize_report`). For the same reason a
+GP, and the acquisition scored from it, change only when the set of
+distinct observed nodes does: MOBO and SOBO refit and rescore only after an
+iteration that observed a new node, and a repeated proposal costs no GP
+work. The first fit of each GP in an engine call is the cold multi-start
+search; every refit warm-starts from the previous fit, made at the previous
+set of distinct nodes. Each report's `budget` records its
+`unique_evaluations`, and the GP methods' their `gp_refits`; each history
+entry of a GP method records whether its iteration refitted and the
+hyperparameters, LML and jitter of the GP(s) that scored its pick. The
+Monte-Carlo estimator `log_ehvi`/`ehvi_samples` stays as a test oracle for
+`ehvi`.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import norm, qmc
 
-from .core import ConfigError, DataError, NumericalError, ObjectiveSample, RunConfig, validate_config
+from .core import ConfigError, DataError, NumericalError, RunConfig, validate_config
 from .gp import GaussianProcess, fit_gp, gp_posterior
 from .pareto import (
     ParetoFront,
@@ -85,7 +91,10 @@ class JobContext:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """All integer node counts in [min, max] plus the fixed job context."""
+    """Positive, strictly increasing node counts plus the fixed job context.
+
+    Engines refer to a candidate by its row; the order makes the first row
+    of a tie the smallest node count."""
 
     node_counts: np.ndarray
     context: JobContext
@@ -95,6 +104,9 @@ class CandidateSet:
     def __post_init__(self) -> None:
         if len(self.node_counts) == 0:
             raise ConfigError("candidate set must be non-empty")
+        if self.node_counts[0] < 1 or (np.diff(self.node_counts) <= 0).any():
+            raise ConfigError("candidate node counts must be positive and strictly "
+                              f"increasing, got {self.node_counts}")
 
     @property
     def bounds(self) -> tuple[int, int]:
@@ -143,7 +155,8 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
     """Predict (runtime, power) for every candidate from the frozen surrogates.
 
     Row i of the (n, 2) result belongs to candidates.node_counts[i]; each
-    surrogate is called once, on all rows.
+    surrogate is called once, on all rows. A non-finite prediction is a
+    NumericalError.
     """
     context = candidates.context
     nodes = candidates.node_counts
@@ -158,7 +171,12 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
                 f"expects {len(surr.feature_names)}"
             )
     rows = np.array([context.row_for(n) for n in nodes])
-    return np.column_stack([surr_runtime.predict(rows), surr_power.predict(rows)])
+    table = np.column_stack([surr_runtime.predict(rows), surr_power.predict(rows)])
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        raise NumericalError(f"objective values must be finite, got {table[bad[0]].tolist()} "
+                             f"at node count {nodes[bad[0]]}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -338,7 +356,8 @@ class ParetoReport:
     method: str
     config: RunConfig
     context: JobContext
-    observations: list[ObjectiveSample]
+    observed_nodes: np.ndarray  # node count of each observation, in order
+    observed: np.ndarray  # (n, 2) runtime and power of each observation
     front: ParetoFront
     front_nodes: list[int]
     front_found_at: list[int]
@@ -353,18 +372,7 @@ class ParetoReport:
 
     @property
     def n_evaluations(self) -> int:
-        return len(self.observations)
-
-
-@dataclass
-class OptimizerState:
-    """Mutable loop state owned by a single run."""
-
-    observed: list[ObjectiveSample]
-    history: list[HistoryEntry]
-
-    def objective_array(self) -> np.ndarray:
-        return np.array([s.y for s in self.observed], dtype=float)
+        return len(self.observed_nodes)
 
 
 def initial_design(lo: int, hi: int) -> list[int]:
@@ -376,127 +384,104 @@ def initial_design(lo: int, hi: int) -> list[int]:
 
 def _require_searchable(candidates: CandidateSet) -> None:
     # the GP fit needs at least two distinct design points
-    if len(np.unique(candidates.node_counts)) < 2:
+    if len(candidates.node_counts) < 2:
         raise ConfigError(
             "GP-based optimizers need at least 2 distinct candidate node counts; "
             "use the random baseline for a single-point domain"
         )
 
 
-def _finalize_report(method: str, cfg: RunConfig, context: JobContext,
-                     state: OptimizerState, n_initial: int,
-                     spread_method: str = "polyline",
+def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
+                     objectives: np.ndarray, picks: list[int], n_initial: int,
+                     spread_method: str, steps: list[tuple],
                      budget: dict | None = None,
                      per_seed: list[ParetoReport] | None = None) -> ParetoReport:
-    Y = state.objective_array()
-    ref = infer_reference(Y)
-    front = nondominated(Y)
-    front_nodes, front_found_at = _nodes_for_front(front, state.observed)
+    """Build a report from the picked rows of the objective table. The first
+    n_initial picks are the initial design; each later pick has one
+    (acquisition, refit, gp telemetry) step, and its history entry carries
+    the HV and spread of the observations up to and including it, under
+    their own inferred reference."""
+    observed = objectives[picks]
+    observed_nodes = candidates.node_counts[picks]
+    history = []
+    for it, (acq, refit, gp) in enumerate(steps):
+        row = n_initial + it
+        so_far = nondominated(observed[:row + 1])
+        history.append(HistoryEntry(
+            iteration=it,
+            node_count=int(observed_nodes[row]),
+            runtime=float(observed[row, 0]),
+            power=float(observed[row, 1]),
+            hv_so_far=hypervolume(so_far, infer_reference(observed[:row + 1])),
+            spread_so_far=spread(so_far, spread_method),
+            acquisition=acq,
+            refit=refit,
+            gp=gp,
+        ))
+    ref = infer_reference(observed)
+    front = nondominated(observed)
+    # every front point is an observation; argmax finds its first row
+    matches = (observed[None, :, :] == front.as_array()[:, None, :]).all(axis=2)
+    found_at = matches.argmax(axis=1)
     return ParetoReport(
         method=method,
         config=cfg,
-        context=context,
-        observations=list(state.observed),
+        context=candidates.context,
+        observed_nodes=observed_nodes,
+        observed=observed,
         front=front,
-        front_nodes=front_nodes,
-        front_found_at=front_found_at,
+        front_nodes=[int(observed_nodes[i]) for i in found_at],
+        front_found_at=[int(i) for i in found_at],
         ref=ref,
         hv=hypervolume(front, ref),
         spread=spread(front, spread_method),
         spread_method=spread_method,
-        history=list(state.history),
+        history=history,
         n_initial=n_initial,
-        budget={**(budget or {}),
-                "unique_evaluations": len({s.node_count for s in state.observed})},
+        budget={**(budget or {}), "unique_evaluations": len(set(picks))},
         per_seed=per_seed or [],
     )
 
 
-def _nodes_for_front(front: ParetoFront,
-                     observed: list[ObjectiveSample]) -> tuple[list[int], list[int]]:
-    """Node count and first-observation index for each front point."""
-    nodes = []
-    found_at = []
-    for point in front.points:
-        for i, sample in enumerate(observed):
-            if sample.y == point:
-                nodes.append(sample.node_count)
-                found_at.append(i)
-                break
-        else:
-            nodes.append(-1)
-            found_at.append(-1)
-    return nodes, found_at
-
-
-def _observe(state: OptimizerState, candidates: CandidateSet, objectives: np.ndarray,
-             node: int) -> ObjectiveSample:
-    """Record the objectives of one candidate node, read from the table
-    `evaluate_objectives` returned for `candidates`."""
+def _candidate_index(candidates: CandidateSet, node: int) -> int:
+    """The row of `node` in the candidate set."""
     hits = np.flatnonzero(candidates.node_counts == node)
     if len(hits) == 0:
         raise DataError(f"node count {node} is not a candidate in {candidates.bounds}")
-    runtime, power = objectives[hits[0]]
-    sample = ObjectiveSample(node_count=node, context=candidates.context.values,
-                             runtime=float(runtime), power=float(power))
-    state.observed.append(sample)
-    return sample
+    return int(hits[0])
 
 
 def _start(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-           candidates: CandidateSet) -> tuple[OptimizerState, np.ndarray, int]:
-    """Look up the candidates' objective table and observe the shared
-    initial design; returns the state, the table and the initial design's
-    size."""
+           candidates: CandidateSet) -> tuple[np.ndarray, list[int]]:
+    """Look up the candidates' objective table; returns it and the rows of
+    the shared initial design, the first picks of every engine."""
     objectives = candidates.objectives(surr_runtime, surr_power)
-    state = OptimizerState(observed=[], history=[])
-    init = initial_design(*candidates.bounds)
-    for node in init:
-        _observe(state, candidates, objectives, node)
-    return state, objectives, len(init)
+    picks = [_candidate_index(candidates, node)
+             for node in initial_design(*candidates.bounds)]
+    return objectives, picks
 
 
-def _record(state: OptimizerState, iteration: int, sample: ObjectiveSample,
-            acq: float, spread_method: str, refit: bool | None = None,
-            gp: dict[str, dict] | None = None) -> None:
-    Y = state.objective_array()
-    ref = infer_reference(Y)
-    front = nondominated(Y)
-    state.history.append(HistoryEntry(
-        iteration=iteration,
-        node_count=sample.node_count,
-        runtime=sample.runtime,
-        power=sample.power,
-        hv_so_far=hypervolume(front, ref),
-        spread_so_far=spread(front, spread_method),
-        acquisition=acq,
-        refit=refit,
-        gp=gp,
-    ))
-
-
-def _pick_candidate(nodes: np.ndarray, acq: np.ndarray, observed_nodes: set[int],
+def _pick_candidate(acq: np.ndarray, seen: np.ndarray,
                     rng: np.random.Generator) -> tuple[int, float]:
-    """Argmax with smallest-node tie-breaking; when the acquisition ties at
-    the log-eps floor everywhere, fall back to a random unobserved candidate."""
+    """The first row of the acquisition's maximum, which is its smallest
+    node; when the acquisition ties at the log-eps floor everywhere, fall
+    back to a random row not yet `seen` (row 0 once every row is)."""
     floor = math.log(ACQ_EPS)
     best = float(acq.max())
     if best <= floor + 1e-9:
-        unobserved = np.array([n for n in nodes if int(n) not in observed_nodes])
-        if len(unobserved):
-            return int(rng.choice(unobserved)), best
-        return int(nodes.min()), best
-    winners = nodes[acq == best]
-    return int(winners.min()), best
+        unseen = np.flatnonzero(~seen)
+        if len(unseen):
+            return int(rng.choice(unseen)), best
+        return 0, best
+    return int(np.argmax(acq)), best
 
 
-def _search(state: OptimizerState, candidates: CandidateSet, objectives: np.ndarray,
-            iterations: int, rng: np.random.Generator, score,
-            spread_method: str) -> int:
-    """Propose, observe and record one node per iteration; returns how many
-    iterations called `score(it)`, which fits the GP(s) to state.observed and
-    returns the acquisition of every candidate and the fitted ObjectiveGPs by
-    objective name.
+def _search(picks: list[int], n_rows: int, iterations: int, rng: np.random.Generator,
+            score) -> list[tuple]:
+    """Propose one row per iteration and append it to `picks`; returns each
+    iteration's (acquisition, refit, gp telemetry) step. `score(it)` fits
+    the GP(s) to the picked rows and returns the acquisition of every row
+    and the fitted ObjectiveGPs by objective name.
 
     The acquisition is a function of the distinct observed nodes and of the
     fits the GPs warm-start from (the GP fit collapses duplicates; reference
@@ -510,23 +495,22 @@ def _search(state: OptimizerState, candidates: CandidateSet, objectives: np.ndar
     refits are the iterations up to and including the first one that
     repeats a node.
     """
-    nodes = candidates.node_counts
-    observed_nodes = {s.node_count for s in state.observed}
+    seen = np.zeros(n_rows, dtype=bool)
+    seen[picks] = True
     acq = None
-    refits = 0
+    steps = []
     for it in range(iterations):
         refit = acq is None
         if refit:
             acq, gps = score(it)
             telemetry = {name: ogp.telemetry() for name, ogp in gps.items()}
-            refits += 1
-        pick, best_acq = _pick_candidate(nodes, acq, observed_nodes, rng)
-        if pick not in observed_nodes:
-            observed_nodes.add(pick)
+        row, best_acq = _pick_candidate(acq, seen, rng)
+        if not seen[row]:
+            seen[row] = True
             acq = None
-        sample = _observe(state, candidates, objectives, pick)
-        _record(state, it, sample, best_acq, spread_method, refit, telemetry)
-    return refits
+        picks.append(row)
+        steps.append((best_acq, refit, telemetry))
+    return steps
 
 
 def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
@@ -540,28 +524,28 @@ def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     budget["gp_refits"] counts the iterations that fitted."""
     validate_config(cfg)
     _require_searchable(candidates)
-    state, objectives, n_initial = _start(surr_runtime, surr_power, candidates)
+    objectives, picks = _start(surr_runtime, surr_power, candidates)
+    n_initial = len(picks)
     rng = np.random.default_rng([cfg.seed, 11])
+    nodes = candidates.node_counts
     last = {"runtime": None, "power": None}
 
     def score(it: int) -> tuple[np.ndarray, dict[str, ObjectiveGP]]:
-        Y = state.objective_array()
-        observed = [s.node_count for s in state.observed]
+        Y = objectives[picks]
         try:
-            gp_r = fit_objective_gp(observed, Y[:, 0], log_space=log_runtime_gp,
+            gp_r = fit_objective_gp(nodes[picks], Y[:, 0], log_space=log_runtime_gp,
                                     warm=last["runtime"])
-            gp_p = fit_objective_gp(observed, Y[:, 1], warm=last["power"])
+            gp_p = fit_objective_gp(nodes[picks], Y[:, 1], warm=last["power"])
         except NumericalError as exc:
             raise NumericalError(f"GP fit failed at MOBO iteration {it}: {exc}") from exc
         last.update(runtime=gp_r, power=gp_p)
         ref = np.asarray(infer_reference(Y), dtype=float)
-        return np.log(ehvi(gp_r, gp_p, candidates.node_counts, nondominated(Y), ref)
-                      + ACQ_EPS), dict(last)
+        return np.log(ehvi(gp_r, gp_p, nodes, nondominated(Y), ref) + ACQ_EPS), dict(last)
 
-    refits = _search(state, candidates, objectives, cfg.mobo_iterations, rng, score,
-                     spread_method)
-    return _finalize_report(METHOD_MOBO, cfg, candidates.context, state, n_initial,
-                            spread_method, budget={"gp_refits": refits})
+    steps = _search(picks, len(nodes), cfg.mobo_iterations, rng, score)
+    refits = sum(refit for _, refit, _ in steps)
+    return _finalize_report(METHOD_MOBO, cfg, candidates, objectives, picks, n_initial,
+                            spread_method, steps, budget={"gp_refits": refits})
 
 
 def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
@@ -575,8 +559,10 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     if objective not in ("runtime", "power"):
         raise ConfigError(f"objective must be runtime or power, got {objective!r}")
     _require_searchable(candidates)
-    state, objectives, n_initial = _start(surr_runtime, surr_power, candidates)
+    objectives, picks = _start(surr_runtime, surr_power, candidates)
+    n_initial = len(picks)
     rng = np.random.default_rng([cfg.seed, 13])
+    nodes = candidates.node_counts
 
     col = 0 if objective == "runtime" else 1
     method = METHOD_SOBO_RUNTIME if objective == "runtime" else METHOD_SOBO_POWER
@@ -584,9 +570,9 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     last = {objective: None}
 
     def score(it: int) -> tuple[np.ndarray, dict[str, ObjectiveGP]]:
-        values = state.objective_array()[:, col]
+        values = objectives[picks, col]
         try:
-            gp = fit_objective_gp([s.node_count for s in state.observed], values,
+            gp = fit_objective_gp(nodes[picks], values,
                                   log_space=log_runtime_gp and objective == "runtime",
                                   warm=last[objective])
         except NumericalError as exc:
@@ -594,13 +580,13 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         last[objective] = gp
         model_vals = np.log(values) if gp.log_space else values
         incumbent = float(model_vals.min())
-        mean, var = gp.posterior(candidates.node_counts)
+        mean, var = gp.posterior(nodes)
         return np.log(expected_improvement(mean, var, incumbent) + ACQ_EPS), dict(last)
 
-    refits = _search(state, candidates, objectives, cfg.mobo_iterations, rng, score,
-                     spread_method)
-    return _finalize_report(method, cfg, candidates.context, state, n_initial,
-                            spread_method, budget={"gp_refits": refits})
+    steps = _search(picks, len(nodes), cfg.mobo_iterations, rng, score)
+    refits = sum(refit for _, refit, _ in steps)
+    return _finalize_report(method, cfg, candidates, objectives, picks, n_initial,
+                            spread_method, steps, budget={"gp_refits": refits})
 
 
 def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
@@ -609,43 +595,36 @@ def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     """Seed-split uniform search: floor(budget / seeds) draws per seed on top
     of the shared initial design, pooled into one report."""
     validate_config(cfg)
-    state, objectives, n_initial = _start(surr_runtime, surr_power, candidates)
+    objectives, picks = _start(surr_runtime, surr_power, candidates)
+    n_initial = len(picks)
+    n_rows = len(candidates.node_counts)
 
     per_seed = cfg.mobo_iterations // cfg.random_seeds
     sub_reports: list[ParetoReport] = []
-    it = 0
     for s in range(cfg.random_seeds):
         rng = np.random.default_rng([cfg.seed, 101, s])
-        seed_state = OptimizerState(observed=[], history=[])
-        for _ in range(per_seed):
-            node = int(rng.choice(candidates.node_counts))
-            sample = _observe(state, candidates, objectives, node)
-            seed_state.observed.append(sample)
-            _record(state, it, sample, math.nan, spread_method)
-            it += 1
-        if seed_state.observed:
+        seed_picks = [int(rng.choice(n_rows)) for _ in range(per_seed)]
+        picks += seed_picks
+        if seed_picks:
             sub_reports.append(_finalize_report(
-                f"{METHOD_RANDOM}[seed {s}]", cfg, candidates.context, seed_state,
-                0, spread_method))
+                f"{METHOD_RANDOM}[seed {s}]", cfg, candidates, objectives, seed_picks,
+                0, spread_method, []))
     budget = {
         "n_initial": n_initial,
         "evaluations_per_seed": per_seed,
         "pooled_evaluations": per_seed * cfg.random_seeds,
-        "total_evaluations": len(state.observed),
+        "total_evaluations": len(picks),
     }
-    return _finalize_report(METHOD_RANDOM, cfg, candidates.context, state, n_initial,
-                            spread_method, budget=budget, per_seed=sub_reports)
+    steps = [(math.nan, None, None)] * (len(picks) - n_initial)
+    return _finalize_report(METHOD_RANDOM, cfg, candidates, objectives, picks, n_initial,
+                            spread_method, steps, budget=budget, per_seed=sub_reports)
 
 
 def hv_history_under_ref(report: ParetoReport, ref) -> list[float]:
     """Recompute HV-so-far against one fixed reference point (the online
     inflating reference is reporting-only and not monotone)."""
-    out = []
-    Y: list[tuple[float, float]] = [s.y for s in report.observations[:report.n_initial]]
-    for entry in report.history:
-        Y.append((entry.runtime, entry.power))
-        out.append(hypervolume(nondominated(Y), ref))
-    return out
+    return [hypervolume(nondominated(report.observed[:report.n_initial + it + 1]), ref)
+            for it in range(len(report.history))]
 
 
 @dataclass
@@ -679,16 +658,11 @@ def compare_methods(reports: dict[str, ParetoReport],
     fronts read as more balanced trade-offs)."""
     if not reports:
         raise DataError("no reports to compare")
-    union: list[tuple[float, float]] = []
-    for rep in reports.values():
-        union.extend(s.y for s in rep.observations)
-    if not union:
-        raise DataError("cannot compare methods with zero observations")
-    ref = infer_reference(union)
+    ref = infer_reference(np.concatenate([rep.observed for rep in reports.values()]))
     hv: dict[str, float] = {}
     spr: dict[str, float] = {}
     for name, rep in reports.items():
-        front = nondominated([s.y for s in rep.observations]) if rep.observations else ParetoFront(())
+        front = nondominated(rep.observed)
         hv[name] = hypervolume(front, ref)
         spr[name] = spread(front, spread_method)
     best_hv = max(hv.values())
@@ -724,8 +698,8 @@ def report_to_dict(report: ParetoReport) -> dict:
                                report.front_found_at)
         ],
         "observations": [
-            {"node_count": s.node_count, "runtime": s.runtime, "power": s.power}
-            for s in report.observations
+            {"node_count": int(n), "runtime": float(y[0]), "power": float(y[1])}
+            for n, y in zip(report.observed_nodes, report.observed)
         ],
         "history": [h.as_dict() for h in report.history],
         "budget": dict(report.budget),

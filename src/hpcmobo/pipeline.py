@@ -334,13 +334,14 @@ def write_timing_csv(timings: StageTimings, path: Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _law_points(job: dict, nodes) -> list[tuple[float, float]]:
+    """(runtime, power) of a synthgen truth job at each node count."""
+    return [(runtime_law(job["base"], job["serial_frac"], n),
+             power_law(job["idle"], job["per_node"], n)) for n in nodes]
+
+
 def true_front_for_job(job: dict, bounds: tuple[int, int]) -> ParetoFront:
-    pts = [
-        (runtime_law(job["base"], job["serial_frac"], n),
-         power_law(job["idle"], job["per_node"], n))
-        for n in range(bounds[0], bounds[1] + 1)
-    ]
-    return nondominated(pts)
+    return nondominated(_law_points(job, range(bounds[0], bounds[1] + 1)))
 
 
 def report_h2(reports: dict[str, ParetoReport], out_dir: Path, tag: str,
@@ -616,19 +617,10 @@ def truth_capture(report: ParetoReport, job: dict, bounds: tuple[int, int],
                   spread_method: str = "polyline") -> dict:
     """Score a run's recommended front on the exact laws: fraction of the
     exhaustive true-front hypervolume captured, plus the truth-space spread."""
-    enum = [
-        (runtime_law(job["base"], job["serial_frac"], n),
-         power_law(job["idle"], job["per_node"], n))
-        for n in range(bounds[0], bounds[1] + 1)
-    ]
+    enum = _law_points(job, range(bounds[0], bounds[1] + 1))
     ref = infer_reference(enum)
     true_hv = hypervolume(nondominated(enum), ref)
-    rec = [
-        (runtime_law(job["base"], job["serial_frac"], n),
-         power_law(job["idle"], job["per_node"], n))
-        for n in report.front_nodes
-    ]
-    front = nondominated(rec)
+    front = nondominated(_law_points(job, report.front_nodes))
     hv = hypervolume(front, ref)
     return {
         "hv": hv / true_hv if true_hv > 0 else 0.0,

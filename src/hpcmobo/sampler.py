@@ -10,7 +10,7 @@ p_min keeps every row reachable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +45,7 @@ class SamplerPlan:
     mask: np.ndarray | None = None
 
     def with_mask(self, mask: np.ndarray) -> "SamplerPlan":
-        return SamplerPlan(
-            losses=self.losses, probs=self.probs, lam=self.lam, p_min=self.p_min,
-            target_rate=self.target_rate, expected_rate=self.expected_rate,
-            saturated_fraction=self.saturated_fraction,
-            rate_converged=self.rate_converged, sat_exceeded=self.sat_exceeded,
-            winsorized=self.winsorized, mask=np.asarray(mask, dtype=bool),
-        )
+        return replace(self, mask=np.asarray(mask, dtype=bool))
 
     def save(self, path: str | Path) -> None:
         payload = {

@@ -419,8 +419,9 @@ class SurrogateModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
+        if X.ndim != 2:
+            raise DataError(f"surrogate {self.target!r} prediction input must be 2-D, "
+                            f"got shape {X.shape}")
         if X.shape[1] != len(self.feature_names):
             raise DataError(
                 f"surrogate {self.target!r} expects {len(self.feature_names)} "

@@ -7,7 +7,6 @@ from hpcmobo.core import (
     ColumnSpec,
     ConfigError,
     NumericalError,
-    ObjectiveSample,
     RunConfig,
     StageTimings,
     build_table,
@@ -81,14 +80,24 @@ def test_config_rejects_malformed_line():
         parse_config_text("not a key value pair")
 
 
-def test_objective_sample_rejects_non_finite():
-    ctx = np.array([1.0])
-    with pytest.raises(NumericalError):
-        ObjectiveSample(node_count=2, context=ctx, runtime=math.nan, power=1.0)
-    with pytest.raises(NumericalError):
-        ObjectiveSample(node_count=2, context=ctx, runtime=1.0, power=math.inf)
-    ok = ObjectiveSample(node_count=2, context=ctx, runtime=1.0, power=2.0)
-    assert ok.y == (1.0, 2.0)
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, math.nan)])
+def test_a_non_finite_surrogate_prediction_is_a_numerical_error(bad):
+    from hpcmobo.optimizer import CandidateSet, JobContext, evaluate_objectives
+
+    class OneBadNode:
+        feature_names = ["nodes"]
+        design_feature = "nodes"
+        design_bounds = (1, 8)
+
+        def __init__(self, col):
+            self.col = col
+
+        def predict(self, X):
+            return np.where(X[:, 0] == 5, bad[self.col], 1.0)
+
+    candidates = CandidateSet.from_bounds(1, 8, JobContext(("nodes",), np.array([1.0]), "nodes"))
+    with pytest.raises(NumericalError, match="must be finite.*at node count 5"):
+        evaluate_objectives(OneBadNode(0), OneBadNode(1), candidates)
 
 
 def test_stage_timings_total_matches_sum():

@@ -182,18 +182,20 @@ def test_engines_on_one_candidate_set_share_one_objective_table():
     assert (other.calls, surr_p.calls) == (1, 6)
 
 
-def test_observing_a_node_outside_the_candidates_raises():
-    from hpcmobo.optimizer import OptimizerState, _observe
+@pytest.mark.parametrize("stem", list(METHODS))
+def test_an_initial_design_node_outside_the_candidates_raises(stem):
+    # initial_design(1, 64) includes 22 and 43, which this set leaves out
+    candidates = CandidateSet(np.array([1, 2, 64]), _context())
+    with pytest.raises(DataError, match="node count 22 is not a candidate"):
+        METHODS[stem].run(*_amdahl_surrogates(), candidates, _fast_cfg(mobo_iterations=2))
 
-    candidates = _candidates(5, 9)
-    table = evaluate_objectives(*_amdahl_surrogates(), candidates)
-    state = OptimizerState(observed=[], history=[])
-    assert _observe(state, candidates, table, 9).power == 45.0
-    # 4 would index row -1 if positions were computed as node - lo
-    for node in (4, 10, 0):
-        with pytest.raises(DataError, match="not a candidate"):
-            _observe(state, candidates, table, node)
-    assert len(state.observed) == 1
+
+@pytest.mark.parametrize("nodes", [[1, 3, 2], [1, 2, 2, 3], [0, 1, 2], [-2, 5]])
+def test_candidate_sets_need_positive_strictly_increasing_node_counts(nodes):
+    from hpcmobo.core import ConfigError
+
+    with pytest.raises(ConfigError, match="positive and strictly increasing"):
+        CandidateSet(np.array(nodes), _context())
 
 
 def test_candidates_for_surrogates_intersects_design_bounds():
@@ -384,12 +386,45 @@ def test_hv_so_far_monotone_under_fixed_final_ref():
     assert all(b >= a - 1e-12 for a, b in zip(fixed, fixed[1:]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_report_rows_front_and_history_agree_for_any_table_and_picks(data):
+    from hpcmobo import optimizer as opt
+
+    # few distinct values, so that equal rows, ties and repeats are common
+    table = np.array(data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                        min_size=1, max_size=10)), dtype=float)
+    lo = data.draw(st.integers(1, 40))
+    candidates = CandidateSet.from_bounds(lo, lo + len(table) - 1, _context())
+    picks = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=25))
+    n_initial = data.draw(st.integers(1, len(picks)))
+    steps = [(float(it), None, None) for it in range(len(picks) - n_initial)]
+    report = opt._finalize_report("T", _fast_cfg(), candidates, table, list(picks),
+                                  n_initial, "polyline", steps)
+
+    assert (report.observed == table[picks]).all()
+    assert list(report.observed_nodes) == [lo + row for row in picks]
+    for i, point in enumerate(report.front.points):
+        at = report.front_found_at[i]
+        assert report.front_nodes[i] == report.observed_nodes[at]
+        assert tuple(report.observed[at]) == point
+        assert not (report.observed[:at] == point).all(axis=1).any()
+    assert len(report.history) == len(steps)
+    for it, entry in enumerate(report.history):
+        prefix = report.observed[:n_initial + it + 1]
+        assert entry.node_count == report.observed_nodes[n_initial + it]
+        assert (entry.runtime, entry.power) == tuple(prefix[-1])
+        assert entry.hv_so_far == hypervolume(nondominated(prefix), infer_reference(prefix))
+    fixed = hv_history_under_ref(report, report.ref)
+    assert all(b >= a - 1e-9 * max(1.0, a) for a, b in zip(fixed, fixed[1:]))
+
+
 def test_sobo_runtime_converges_to_runtime_corner():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=25, seed=4)
     report = sobo_run(surr_r, surr_p, _candidates(1, 64), "runtime", cfg)
-    best = min(report.observations, key=lambda s: s.runtime)
-    assert best.node_count == 64  # runtime-minimizing corner
+    best = report.observed_nodes[np.argmin(report.observed[:, 0])]
+    assert best == 64  # runtime-minimizing corner
     # directional H2: its HV cannot beat MOBO's on the same truth
     mobo = mobo_run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=25, seed=4))
     table = compare_methods({"MOBO": mobo, "SOBO (Runtime)": report})
@@ -401,8 +436,7 @@ def test_sobo_records_both_objectives():
     cfg = _fast_cfg(mobo_iterations=3)
     report = sobo_run(surr_r, surr_p, _candidates(1, 16), "power", cfg)
     assert report.method == "SOBO (Power)"
-    for s in report.observations:
-        assert s.runtime > 0 and s.power > 0
+    assert (report.observed > 0).all()
     assert report.hv >= 0
 
 
@@ -458,8 +492,7 @@ def test_compare_methods_uses_shared_reference():
     a = mobo_run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=8, seed=1))
     b = random_run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=8, seed=1))
     table = compare_methods({"MOBO": a, "Random": b})
-    union = [s.y for s in a.observations] + [s.y for s in b.observations]
-    assert table.ref == infer_reference(union)
+    assert table.ref == infer_reference(list(a.observed) + list(b.observed))
 
 
 def test_all_methods_share_the_same_initial_design():
@@ -475,7 +508,7 @@ def test_all_methods_share_the_same_initial_design():
     }
     init = initial_design(1, 64)
     for rep in reports.values():
-        assert [s.node_count for s in rep.observations[:len(init)]] == init
+        assert list(rep.observed_nodes[:len(init)]) == init
     # zero-budget random (fewer iterations than seeds) keeps only the init design
     zero = reports["Random"]
     assert zero.budget["evaluations_per_seed"] == 0
@@ -489,7 +522,7 @@ def test_mobo_large_candidate_set_scores_every_node():
     cfg = _fast_cfg(mobo_iterations=4, seed=7)
     report = mobo_run(surr_r, surr_p, CandidateSet.from_bounds(1, 6000, _context()), cfg)
     assert report.n_evaluations == report.n_initial + 4
-    assert all(1 <= s.node_count <= 6000 for s in report.observations)
+    assert all(1 <= n <= 6000 for n in report.observed_nodes)
 
 
 def test_report_serialization_round_trips_key_fields(tmp_path):
@@ -520,29 +553,28 @@ def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg, log_runtime_g
     first is cold), so a repeat refits from the same warm GP."""
     from hpcmobo import optimizer as opt
 
-    state, objectives, n_initial = opt._start(surr_runtime, surr_power, candidates)
+    objectives, picks = opt._start(surr_runtime, surr_power, candidates)
+    n_initial = len(picks)
+    nodes = candidates.node_counts
     rng = np.random.default_rng([cfg.seed, 11])
     fitted_at, warm_r, warm_p, gp_r, gp_p = None, None, None, None, None
+    steps = []
     for it in range(cfg.mobo_iterations):
-        observed_nodes = {s.node_count for s in state.observed}
-        new_set = observed_nodes != fitted_at
+        seen = np.isin(np.arange(len(nodes)), picks)
+        new_set = set(picks) != fitted_at
         if new_set:
-            fitted_at, warm_r, warm_p = observed_nodes, gp_r, gp_p
-        Y = state.objective_array()
-        gp_r = fit_objective_gp([s.node_count for s in state.observed], Y[:, 0],
-                                log_space=log_runtime_gp, warm=warm_r)
-        gp_p = fit_objective_gp([s.node_count for s in state.observed], Y[:, 1],
-                                warm=warm_p)
+            fitted_at, warm_r, warm_p = set(picks), gp_r, gp_p
+        Y = objectives[picks]
+        gp_r = fit_objective_gp(nodes[picks], Y[:, 0], log_space=log_runtime_gp, warm=warm_r)
+        gp_p = fit_objective_gp(nodes[picks], Y[:, 1], warm=warm_p)
         ref = np.asarray(infer_reference(Y), dtype=float)
-        front = nondominated(Y)
-        nodes = candidates.node_counts
-        acq = np.log(opt.ehvi(gp_r, gp_p, nodes, front, ref) + opt.ACQ_EPS)
-        pick, best_acq = opt._pick_candidate(nodes, acq, observed_nodes, rng)
-        sample = opt._observe(state, candidates, objectives, pick)
-        opt._record(state, it, sample, best_acq, spread_method, new_set,
-                    {"runtime": gp_r.telemetry(), "power": gp_p.telemetry()})
-    return opt._finalize_report(opt.METHOD_MOBO, cfg, candidates.context, state,
-                                n_initial, spread_method)
+        acq = np.log(opt.ehvi(gp_r, gp_p, nodes, nondominated(Y), ref) + opt.ACQ_EPS)
+        row, best_acq = opt._pick_candidate(acq, seen, rng)
+        picks.append(row)
+        steps.append((best_acq, new_set,
+                      {"runtime": gp_r.telemetry(), "power": gp_p.telemetry()}))
+    return opt._finalize_report(opt.METHOD_MOBO, cfg, candidates, objectives, picks,
+                                n_initial, spread_method, steps)
 
 
 def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg,
@@ -552,30 +584,32 @@ def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg,
     at the previous distinct node set (the first is cold)."""
     from hpcmobo import optimizer as opt
 
-    state, objectives, n_initial = opt._start(surr_runtime, surr_power, candidates)
+    objectives, picks = opt._start(surr_runtime, surr_power, candidates)
+    n_initial = len(picks)
+    nodes = candidates.node_counts
     rng = np.random.default_rng([cfg.seed, 13])
     col = 0 if objective == "runtime" else 1
     method = opt.METHOD_SOBO_RUNTIME if objective == "runtime" else opt.METHOD_SOBO_POWER
     fitted_at, warm, gp = None, None, None
+    steps = []
     for it in range(cfg.mobo_iterations):
-        observed_nodes = {s.node_count for s in state.observed}
-        new_set = observed_nodes != fitted_at
+        seen = np.isin(np.arange(len(nodes)), picks)
+        new_set = set(picks) != fitted_at
         if new_set:
-            fitted_at, warm = observed_nodes, gp
-        values = state.objective_array()[:, col]
-        gp = fit_objective_gp([s.node_count for s in state.observed], values,
+            fitted_at, warm = set(picks), gp
+        values = objectives[picks, col]
+        gp = fit_objective_gp(nodes[picks], values,
                               log_space=log_runtime_gp and objective == "runtime",
                               warm=warm)
         model_vals = np.log(values) if gp.log_space else values
         incumbent = float(model_vals.min())
-        mean, var = gp.posterior(candidates.node_counts)
+        mean, var = gp.posterior(nodes)
         acq = np.log(opt.expected_improvement(mean, var, incumbent) + opt.ACQ_EPS)
-        pick, best_acq = opt._pick_candidate(candidates.node_counts, acq, observed_nodes, rng)
-        sample = opt._observe(state, candidates, objectives, pick)
-        opt._record(state, it, sample, best_acq, spread_method, new_set,
-                    {objective: gp.telemetry()})
-    return opt._finalize_report(method, cfg, candidates.context, state, n_initial,
-                                spread_method)
+        row, best_acq = opt._pick_candidate(acq, seen, rng)
+        picks.append(row)
+        steps.append((best_acq, new_set, {objective: gp.telemetry()}))
+    return opt._finalize_report(method, cfg, candidates, objectives, picks, n_initial,
+                                spread_method, steps)
 
 
 def _without_new_budget_keys(report):
@@ -588,7 +622,7 @@ def _without_new_budget_keys(report):
 def _fits_expected(report):
     """Iterations whose previous pick was a node not observed before it; the
     first iteration follows the initial design, which is all new."""
-    seen = {s.node_count for s in report.observations[:report.n_initial]}
+    seen = set(report.observed_nodes[:report.n_initial])
     expected = 0
     previous_new = True
     for entry in report.history:
@@ -645,7 +679,7 @@ def test_mobo_refits_only_after_a_new_node_and_matches_the_refit_every_loop(
     count_fits()
     got = mobo_run(surr_r, surr_p, _candidates(*bounds), cfg, log_runtime_gp=log_runtime_gp)
     assert _without_new_budget_keys(got) == _without_new_budget_keys(ref)
-    nodes = [s.node_count for s in got.observations]
+    nodes = list(got.observed_nodes)
     assert len(set(nodes)) < len(nodes)  # the budget repeats nodes
     assert got.budget["unique_evaluations"] == len(set(nodes))
     assert got.budget["gp_refits"] == _fits_expected(got) < iterations
@@ -665,7 +699,7 @@ def test_sobo_refits_only_after_a_new_node_and_matches_the_refit_every_loop(
     got = sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg,
                    log_runtime_gp=log_runtime_gp)
     assert _without_new_budget_keys(got) == _without_new_budget_keys(ref)
-    nodes = [s.node_count for s in got.observations]
+    nodes = list(got.observed_nodes)
     assert len(set(nodes)) < len(nodes)
     assert got.budget["unique_evaluations"] == len(set(nodes))
     assert got.budget["gp_refits"] == _fits_expected(got) == len(calls) < iterations
@@ -691,11 +725,9 @@ def test_floor_fallback_spends_the_domain_at_random_then_repeats_the_minimum(ref
 def test_every_report_counts_its_unique_evaluations():
     surr_r, surr_p = _amdahl_surrogates((1, 8))
     report = random_run(surr_r, surr_p, _candidates(1, 8), _fast_cfg(mobo_iterations=30))
-    assert report.budget["unique_evaluations"] == len({s.node_count
-                                                       for s in report.observations})
+    assert report.budget["unique_evaluations"] == len(set(report.observed_nodes))
     for sub in report.per_seed:
-        assert sub.budget["unique_evaluations"] == len({s.node_count
-                                                        for s in sub.observations})
+        assert sub.budget["unique_evaluations"] == len(set(sub.observed_nodes))
     assert "gp_refits" not in report.budget
 
 
@@ -753,7 +785,7 @@ def test_history_records_the_gp_that_scored_each_pick(tmp_path, monkeypatch):
     for objectives, report in reports.items():
         save_report(report, tmp_path / "report.json")
         history = json.loads((tmp_path / "report.json").read_text())["history"]
-        seen = {s.node_count for s in report.observations[:report.n_initial]}
+        seen = set(report.observed_nodes[:report.n_initial])
         previous_new, previous_gp = True, None
         for entry in history:
             assert entry["refit"] is previous_new

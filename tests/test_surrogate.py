@@ -167,6 +167,16 @@ def test_train_objective_surrogate_bundles_scaler_mask_and_bounds():
     assert pred.shape == (table.n_rows,)
 
 
+def test_surrogate_predict_takes_only_a_2d_matrix():
+    model = train_objective_surrogate(_toy_table(), "runtime",
+                                      params=TreeParams(n_estimators=2, max_depth=2), seed=0)
+    row = _toy_table().numeric_matrix(model.feature_names)[0]
+    assert model.predict(row[None, :]).shape == (1,)
+    for bad in (row, row[None, None, :], np.float64(3.0)):
+        with pytest.raises(DataError, match="must be 2-D"):
+            model.predict(bad)
+
+
 def test_training_leaves_the_callers_params_unchanged():
     params = TreeParams(n_estimators=4, max_depth=3, seed=5)
     model = train_objective_surrogate(_toy_table(), "runtime", use_embedding=False,
