@@ -1,15 +1,19 @@
 """CSV ingestion and the numeric-view preprocessing steps.
 
 Raw job logs arrive as RFC-4180 CSV with power arrays packed into single
-";"-separated fields. Preprocessing reduces arrays to scalar totals, converts
-datetimes to epoch seconds, derives configured durations, imputes, and
-label-encodes, leaving a fully numeric table with an empty missing mask.
+";"-separated fields. The reader sums each array as it parses its row, so a
+loaded table holds power columns as numeric totals and ingest memory grows
+with rows, not with rows times nodes. Preprocessing reduces any arrays left
+in an in-memory table to the same totals, converts datetimes to epoch
+seconds, derives configured durations, imputes, and label-encodes, leaving a
+fully numeric table with an empty missing mask.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,6 +35,19 @@ def _parse_float(token: str, row: int, name: str) -> float:
         ) from exc
 
 
+def _power_total(parts) -> float | None:
+    """The total of one power-array cell, or None (missing) when it is empty.
+
+    `parts` is the cell's array or its parsed tokens; numpy converts each str
+    through float(), so tokens and the floats they spell give the same bits.
+    The start value -0.0 changes no other total but keeps an all -0.0 array's
+    sign, which numpy's default start of +0.0 drops.
+    """
+    if len(parts) == 0:
+        return None
+    return float(np.sum(np.asarray(parts, dtype=float), initial=-0.0))
+
+
 def _parse_cell(token: str, spec: ColumnSpec, row: int):
     if token in _NA_TOKENS:
         return None
@@ -39,8 +56,7 @@ def _parse_cell(token: str, spec: ColumnSpec, row: int):
     if spec.kind == "power_array":
         parts = [p for p in token.split(ARRAY_SEP) if p != ""]
         try:
-            # numpy converts each str through float(): same tokens, same bits
-            return np.array(parts, dtype=float)
+            return _power_total(parts)
         except ValueError:
             for p in parts:
                 _parse_float(p, row, spec.name)
@@ -50,16 +66,25 @@ def _parse_cell(token: str, spec: ColumnSpec, row: int):
 
 
 def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
-    """Load a CSV whose header matches `specs` by name, in any column order."""
+    """Load a CSV whose header matches `specs` by name, in any column order.
+
+    Each power_array cell is summed as its row is read (`_power_total`), so
+    the returned table holds those columns as numeric totals, an empty array
+    is missing, and no array outlives its row. A leading UTF-8 byte-order
+    mark is skipped; a header that names a column twice is a DataError.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"empty CSV file: {path}") from None
+        duplicates = sorted(n for n, count in Counter(header).items() if count > 1)
+        if duplicates:
+            raise DataError(f"header of {path} repeats columns {duplicates}")
         expected = [s.name for s in specs]
         missing_cols = [n for n in expected if n not in header]
         extra_cols = [n for n in header if n not in expected]
@@ -78,7 +103,9 @@ def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
             for j, spec in enumerate(specs):
                 cells[j].append(_parse_cell(row[positions[j]], spec, row_i))
     masks = tuple(np.array([v is None for v in col], dtype=bool) for col in cells)
-    return JobTable(tuple(specs), tuple(cells), masks)
+    columns = tuple(ColumnSpec(s.name, "numeric", s.role) if s.kind == "power_array" else s
+                    for s in specs)
+    return JobTable(columns, tuple(cells), masks)
 
 
 def _format_cell(value) -> str:
@@ -106,7 +133,8 @@ def write_csv(table: JobTable, path: str | Path) -> None:
 
 
 def reduce_power_arrays(table: JobTable) -> JobTable:
-    """Replace each power_array column with per-row array sums.
+    """Replace each power_array column of an in-memory table with per-row
+    `_power_total`s, the totals `load_csv` gives for the same arrays.
 
     Empty arrays become missing; the column keeps its name and role but turns
     numeric.
@@ -115,13 +143,7 @@ def reduce_power_arrays(table: JobTable) -> JobTable:
     for spec in table.columns:
         if spec.kind != "power_array":
             continue
-        col = out.column(spec.name)
-        values = []
-        for v in col:
-            if v is None or len(v) == 0:
-                values.append(None)
-            else:
-                values.append(float(np.sum(v)))
+        values = [None if v is None else _power_total(v) for v in out.column(spec.name)]
         out = out.replace_column(
             spec.name, ColumnSpec(spec.name, "numeric", spec.role), values
         )

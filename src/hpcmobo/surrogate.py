@@ -35,8 +35,8 @@ log = logging.getLogger(__name__)
 
 # training rows times candidate features that one `_grow_batch` pass holds:
 # `_grow_trees` grows a larger forest in batches of trees, which bounds each
-# work array of a pass to about 0.5 MiB
-_ENTRY_BLOCK = 1 << 16
+# 8-byte work array of a pass to about 128 KiB
+_ENTRY_BLOCK = 1 << 14
 
 
 @dataclass

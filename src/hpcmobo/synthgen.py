@@ -116,7 +116,8 @@ def generate(spec: SyntheticSpec) -> tuple[JobTable, dict]:
     power_arrays = []
     for k, total in zip(nodes, powers):
         shares = rng.uniform(0.5, 1.5, size=int(k))
-        power_arrays.append(shares * (total / shares.sum()))
+        shares *= total / shares.sum()
+        power_arrays.append(shares)
 
     submit = _EPOCH_START + arrivals
     start = submit + waits
@@ -161,7 +162,8 @@ def generate(spec: SyntheticSpec) -> tuple[JobTable, dict]:
 
 def save_truth(truth: dict, path: str | Path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(truth, indent=2), encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(truth, fh, indent=2)  # streams its chunks instead of joining them
 
 
 def load_truth(path: str | Path) -> dict:

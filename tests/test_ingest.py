@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpcmobo.core import ColumnSpec, DataError, build_table, tables_equal
 from hpcmobo.ingest import (
@@ -11,9 +15,12 @@ from hpcmobo.ingest import (
     load_csv,
     preprocess_apply,
     preprocess_fit,
+    read_table,
     reduce_power_arrays,
     write_csv,
+    write_table,
 )
+from hpcmobo.synthgen import SyntheticSpec, generate
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -40,15 +47,18 @@ def test_load_csv_marks_empty_cell_missing(tmp_path):
 def test_load_csv_parses_power_array_field(tmp_path):
     path = _write(tmp_path, "runtime,nodes,power\n10,1,100;200;300\n")
     table = load_csv(path, BASIC_SPECS)
-    assert np.array_equal(table.column("power")[0], np.array([100.0, 200.0, 300.0]))
+    assert table.spec("power") == ColumnSpec("power", "numeric", "regression_target")
+    assert table.column("power") == [600.0]
+    assert table.mask("power").tolist() == [False]
 
 
 def test_power_array_parts_parse_as_float_parses_them(tmp_path):
     parts = ["1_0", " 2.5 ", "inf", "-Infinity", "1e400", "4.9e-324", "0.1", "-0.0", ".5"]
-    path = _write(tmp_path, "runtime,nodes,power\n10,1,\"" + ";".join(parts) + ";\"\n")
-    got = load_csv(path, BASIC_SPECS).column("power")[0]
-    assert got.dtype == float
-    assert got.tobytes() == np.array([float(p) for p in parts]).tobytes()
+    rows = "".join(f'10,1,"{p};"\n' for p in parts)
+    got = load_csv(_write(tmp_path, "runtime,nodes,power\n" + rows), BASIC_SPECS)
+    totals = got.column("power")
+    assert all(type(t) is float for t in totals)
+    assert np.array(totals).tobytes() == np.array([float(p) for p in parts]).tobytes()
 
 
 def test_load_csv_reports_bad_power_array_part_position(tmp_path):
@@ -61,6 +71,72 @@ def test_load_csv_header_mismatch_lists_columns(tmp_path):
     path = _write(tmp_path, "runtime,power\n10,1\n")
     with pytest.raises(DataError, match="nodes"):
         load_csv(path, BASIC_SPECS)
+
+
+def test_load_csv_rejects_a_header_that_repeats_a_column(tmp_path):
+    path = _write(tmp_path, "a,a,b\n1,2,3\n")
+    specs = [ColumnSpec("a", "numeric", "feature"), ColumnSpec("b", "numeric", "feature")]
+    with pytest.raises(DataError, match=r"repeats columns \['a'\]"):
+        load_csv(path, specs)
+
+
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    path = _write(tmp_path, "\ufeffruntime,nodes,power\n10,1,1;2\n")
+    table = load_csv(path, BASIC_SPECS)
+    assert table.names == ["runtime", "nodes", "power"]
+    assert table.column("runtime") == [10.0]
+    assert table.column("power") == [3.0]
+
+
+def test_load_csv_holds_no_power_array_past_its_row(tmp_path):
+    n_rows, width = 200, 5000
+    cell = ";".join(["250.5"] * width)
+    path = _write(tmp_path, "runtime,nodes,power\n" + f"10,1,{cell}\n" * n_rows)
+    array_bytes = n_rows * width * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        table = load_csv(path, BASIC_SPECS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * array_bytes
+    assert table.column("power") == [250.5 * width] * n_rows
+
+
+_power_cells = st.one_of(
+    st.none(),
+    st.lists(st.floats(allow_nan=False, width=64), max_size=8).map(np.array),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_power_cells, min_size=1, max_size=12))
+def test_reader_totals_equal_reduced_totals_bit_for_bit(tmp_path_factory, cells):
+    specs = [ColumnSpec("power", "power_array", "regression_target")]
+    table = build_table(specs, {"power": cells})
+    path = tmp_path_factory.mktemp("totals") / "power.csv"
+    write_csv(table, path)
+    read = load_csv(path, specs)
+    reduced = reduce_power_arrays(table)
+    assert read.columns == reduced.columns
+    assert np.array_equal(read.mask("power"), reduced.mask("power"))
+
+    def bits(column):
+        return [None if v is None else np.float64(v).tobytes() for v in column]
+
+    assert bits(read.column("power")) == bits(reduced.column("power"))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 40), st.integers(1, 300))
+def test_a_written_log_preprocesses_like_the_generated_table(tmp_path_factory, seed, n_jobs,
+                                                             max_nodes):
+    spec = SyntheticSpec(n_jobs=n_jobs, n_noise_features=1, node_range=(1, max_nodes),
+                         seed=seed)
+    table, _ = generate(spec)
+    written = tmp_path_factory.mktemp("log") / "log.csv"
+    write_table(table, written)
+    assert tables_equal(preprocess_fit(read_table(written))[0], preprocess_fit(table)[0])
 
 
 def test_load_csv_reports_bad_cell_position(tmp_path):
@@ -87,7 +163,10 @@ def test_csv_round_trip_is_cell_identical(tmp_path):
     path = tmp_path / "round.csv"
     write_csv(table, path)
     again = load_csv(path, specs)
-    assert tables_equal(table, again)
+    # the power column reads back as its totals, every other cell as written
+    assert again.spec("power") == ColumnSpec("power", "numeric", "regression_target")
+    assert again.column("power") == [4.0, None, 0.0, 7.0]
+    assert tables_equal(reduce_power_arrays(table), again)
 
 
 def test_reduce_power_arrays_sums_and_flags_empty():
