@@ -108,20 +108,32 @@ def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
     return JobTable(columns, tuple(cells), masks)
 
 
-def _format_cell(value) -> str:
+def _format_cell(value, row: int, name: str) -> str:
+    """The CSV text of one cell. A present cell whose text `load_csv` would
+    read as missing (a NaN, or a string that is an NA token) is a DataError;
+    an empty power array is written empty and reads back as missing."""
     if value is None:
         return ""
     if isinstance(value, np.ndarray):
-        return ARRAY_SEP.join(repr(float(v)) for v in value)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+        if len(value) == 0:
+            return ""
+        text = ARRAY_SEP.join(repr(float(v)) for v in value)
+    elif isinstance(value, (float, np.floating)):
+        text = repr(float(value))
+    else:
+        text = str(value)
+    if text in _NA_TOKENS:
+        raise DataError(f"cell at row {row}, column {name!r} is not missing but would "
+                        f"be written as {text!r}, which reads back as missing")
+    return text
 
 
 def write_csv(table: JobTable, path: str | Path) -> None:
     """Write a JobTable back to CSV; missing cells become empty fields.
 
-    Floats are written with repr so a write/read cycle is bit-identical.
+    Floats are written with repr so a write/read cycle is bit-identical; a
+    present cell that would read back as missing is a DataError
+    (`_format_cell`).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -129,7 +141,8 @@ def write_csv(table: JobTable, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(table.names)
         for i in range(table.n_rows):
-            writer.writerow([_format_cell(col[i]) for col in table.cells])
+            writer.writerow([_format_cell(col[i], i, name)
+                             for name, col in zip(table.names, table.cells)])
 
 
 def reduce_power_arrays(table: JobTable) -> JobTable:

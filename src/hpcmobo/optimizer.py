@@ -709,6 +709,6 @@ def report_to_dict(report: ParetoReport) -> dict:
 
 def save_report(report: ParetoReport, path: str | Path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True), encoding="utf-8"
-    )
+    with Path(path).open("w", encoding="utf-8") as fh:
+        # streams its chunks instead of joining them
+        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)

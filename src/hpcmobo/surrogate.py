@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -524,7 +525,30 @@ def _tree_from_dict(d: dict) -> RegressionTree:
     )
 
 
+def _write_sorted_json(fh, obj) -> None:
+    """Write to `fh` the text json.dumps(obj, sort_keys=True) gives, one dict
+    value at a time; an iterator stands for a list whose items are rendered
+    and written one at a time, so the largest string held is one item's."""
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_sorted_json(fh, obj[key])
+        fh.write("}")
+    elif isinstance(obj, Iterator):
+        fh.write("[")
+        for i, item in enumerate(obj):
+            fh.write(", " if i else "")
+            fh.write(json.dumps(item, sort_keys=True))
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj, sort_keys=True))
+
+
 def save_surrogate(model: SurrogateModel, path: str | Path) -> None:
+    """Write `model` as JSON, one tree at a time: the bytes are those of
+    json.dumps(payload, sort_keys=True), but the file never exists as one
+    string, so writing a forest holds one tree's text, not the forest's."""
     payload = {
         "target": model.target,
         "feature_names": model.feature_names,
@@ -541,14 +565,24 @@ def save_surrogate(model: SurrogateModel, path: str | Path) -> None:
             "mode": model.ensemble.mode,
             "base_value": model.ensemble.base_value,
             "learning_rate": model.ensemble.learning_rate,
-            "trees": [_tree_to_dict(t) for t in model.ensemble.trees],
+            "trees": map(_tree_to_dict, model.ensemble.trees),
         },
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        _write_sorted_json(fh, payload)
 
 
 def load_surrogate(path: str | Path) -> SurrogateModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a model `save_surrogate` wrote. A file that cannot be read, is
+    not valid JSON (malformed or truncated) or lacks a field is a DataError
+    naming it."""
+    try:
+        return _surrogate_from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"unreadable surrogate model {path}: {exc!r}") from exc
+
+
+def _surrogate_from_payload(payload: dict) -> SurrogateModel:
     mask = None
     if payload["mask"] is not None:
         mask = AttentiveMask(

@@ -235,3 +235,22 @@ def test_data_error_exit_code(tmp_path):
 
 def test_missing_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
+    cfg = _synth(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    model = out / "runtime_model.json"
+    flags = ["optimize", "--config", str(cfg), "--method", "random",
+             "--surrogates", str(out), "--job-context", str(out / "context_0.csv"),
+             "--out", str(out / "opt_report.json")]
+    model.write_bytes(model.read_bytes()[:1000])
+    assert main(flags) == 3
+    assert "runtime_model.json" in capsys.readouterr().err
+    model.write_text('{"target": "x"}')
+    assert main(flags) == 3
+    assert "runtime_model.json" in capsys.readouterr().err
+    model.unlink()
+    assert main(flags) == 3
+    assert "runtime_model.json" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,29 @@ def test_csv_round_trip_is_cell_identical(tmp_path):
     assert again.spec("power") == ColumnSpec("power", "numeric", "regression_target")
     assert again.column("power") == [4.0, None, 0.0, 7.0]
     assert tables_equal(reduce_power_arrays(table), again)
+
+
+def _write_one_bad_cell(tmp_path, spec, cells):
+    specs = [ColumnSpec("nodes", "numeric", "design_variable"), spec]
+    table = build_table(specs, {"nodes": [1.0] * len(cells), spec.name: cells})
+    path = tmp_path / "bad.csv"
+    with pytest.raises(DataError, match=rf"row 1, column '{spec.name}'"):
+        write_csv(table, path)
+
+
+def test_write_csv_rejects_a_nan_that_would_read_back_as_missing(tmp_path):
+    # written as `nan`, an NA token: the cell came back missing
+    _write_one_bad_cell(tmp_path, ColumnSpec("x", "numeric", "feature"), [2.0, math.nan])
+
+
+def test_write_csv_rejects_a_one_element_nan_power_array(tmp_path):
+    spec = ColumnSpec("power", "power_array", "regression_target")
+    _write_one_bad_cell(tmp_path, spec, [np.array([1.0, 2.0]), np.array([math.nan])])
+
+
+def test_write_csv_rejects_a_string_that_is_an_na_token(tmp_path):
+    _write_one_bad_cell(tmp_path, ColumnSpec("queue", "categorical", "feature"),
+                        ["batch", "NA"])
 
 
 def test_reduce_power_arrays_sums_and_flags_empty():

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ from hypothesis import strategies as st
 
 from hpcmobo import surrogate
 from hpcmobo.core import ColumnSpec, DataError, NumericalError, build_table
+from hpcmobo.embedding import AttentiveMask
 from hpcmobo.surrogate import (
+    FeatureScaler,
+    SurrogateModel,
     TreeParams,
     _rank_columns,
     _draw_features,
@@ -502,3 +507,90 @@ def test_trained_surrogate_json_matches_the_golden_digest(case, tmp_path):
     path = tmp_path / "model.json"
     save_surrogate(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_DIGESTS[case]
+
+
+def _reference_json(model) -> str:
+    """The text save_surrogate wrote as one string before it streamed trees."""
+    return json.dumps({
+        "target": model.target,
+        "feature_names": model.feature_names,
+        "scaler_mean": model.scaler.mean.tolist(),
+        "scaler_std": model.scaler.std.tolist(),
+        "design_feature": model.design_feature,
+        "design_bounds": list(model.design_bounds),
+        "mask": None if model.mask is None else {
+            "theta": model.mask.theta.tolist(),
+            "readout_w": model.mask.readout_w.tolist(),
+            "readout_b": model.mask.readout_b,
+        },
+        "ensemble": {
+            "mode": model.ensemble.mode,
+            "base_value": model.ensemble.base_value,
+            "learning_rate": model.ensemble.learning_rate,
+            "trees": [surrogate._tree_to_dict(t) for t in model.ensemble.trees],
+        },
+    }, sort_keys=True)
+
+
+# names that would break a writer which splices or splits rendered text
+_names = st.one_of(st.text(max_size=8),
+                   st.sampled_from(['"trees": [', '"trees": []', 'a"b', "c\\d", "été",
+                                    "日本", '\\"}, "', "line\nbreak"]))
+
+
+@st.composite
+def _models(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.normal(size=(n, d))
+    # a constant target leaves a boosted model with no trees
+    y = np.full(n, 2.5) if draw(st.booleans()) else rng.normal(size=n)
+    params = draw(st.sampled_from([TreeParams(n_estimators=3, max_depth=3),
+                                   TreeParams.boosted(n_estimators=3, max_depth=2)]))
+    mask = None
+    if draw(st.booleans()):
+        mask = AttentiveMask(theta=rng.normal(size=d), readout_w=rng.normal(size=d),
+                             readout_b=float(rng.normal()))
+    return SurrogateModel(
+        target=draw(_names),
+        feature_names=draw(st.lists(_names, min_size=d, max_size=d)),
+        scaler=FeatureScaler(mean=rng.normal(size=d), std=rng.uniform(0.5, 2, size=d)),
+        ensemble=fit_tree_ensemble(X, y, params),
+        mask=mask,
+        design_feature=draw(_names),
+        design_bounds=(1, draw(st.integers(1, 1024))),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_models())
+@example(SurrogateModel(
+    target='"trees": [', feature_names=['"trees": [{"x": 1}], "y": ['],
+    scaler=FeatureScaler(mean=np.zeros(1), std=np.ones(1)),
+    ensemble=fit_tree_ensemble(np.zeros((3, 1)), np.ones(3), TreeParams.boosted()),
+    design_feature="é\\\"")).via("a zero-tree boosted model with hostile names")
+def test_streamed_model_bytes_equal_the_one_shot_json(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_surrogate(model, path)
+    assert path.read_bytes() == _reference_json(model).encode("utf-8")
+
+
+def test_saving_a_forest_holds_about_one_trees_text(tmp_path):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(1000, 4))
+    ensemble = fit_tree_ensemble(X, rng.normal(size=1000), TreeParams(n_estimators=100,
+                                                                       max_depth=10))
+    model = SurrogateModel(target="y", feature_names=["a", "b", "c", "d"],
+                           scaler=FeatureScaler(mean=np.zeros(4), std=np.ones(4)),
+                           ensemble=ensemble)
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        save_surrogate(model, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # rendering the whole forest at once held about 6x the bytes written
+    assert peak < 0.25 * path.stat().st_size
+
