@@ -29,7 +29,6 @@ from .optimizer import CandidateSet, report_to_dict
 from .pipeline import (
     METHODS,
     PipelineSettings,
-    _engine_options,
     load_context,
     model_stage,
     parse_settings,
@@ -61,7 +60,6 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     run = p.add_argument_group("run config overrides")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--mobo-iterations", type=int, default=None)
-    run.add_argument("--mc-samples", type=int, default=None)
     run.add_argument("--random-seeds", type=int, default=None)
     run.add_argument("--sampling-fraction", "--tau", type=float, default=None,
                      dest="sampling_fraction")
@@ -72,7 +70,6 @@ def _overrides(args) -> dict:
     return {
         "seed": args.seed,
         "mobo_iterations": args.mobo_iterations,
-        "mc_samples": args.mc_samples,
         "random_seeds": args.random_seeds,
         "sampling_fraction": args.sampling_fraction,
         "p_min": args.run_p_min,
@@ -111,7 +108,6 @@ def _write_pipeline_config(args, spec: SyntheticSpec) -> None:
     lines = [
         "[run]",
         "mobo_iterations = 40",
-        "mc_samples = 64",
         "random_seeds = 5",
         f"seed = {spec.seed}",
         "sampling_fraction = 0.75",
@@ -153,10 +149,9 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    sections, cfg = _load(args)
-    settings = _settings(args, sections)
+    _, cfg = _load(args)
     table = read_table(args.input)
-    (subset, _), _ = sample_stage(table, cfg, settings.sat_cap, Path(args.out), Path(args.plan))
+    (subset, _), _ = sample_stage(table, cfg, Path(args.out), Path(args.plan))
     log.info("kept %d of %d rows (target %.3f, realized %.3f)", subset.n_rows,
              table.n_rows, cfg.sampling_fraction, subset.n_rows / table.n_rows)
     return 0
@@ -166,7 +161,7 @@ def _cmd_embed(args) -> int:
     sections, cfg = _load(args)
     settings = _settings(args, sections)
     features, X, y = training_data(read_table(args.input), args.target)
-    scaler, mask = fit_feature_mask(X, y, settings.mask_epochs, settings.mask_lr, cfg.seed)
+    scaler, mask = fit_feature_mask(X, y, settings.mask_epochs, cfg.seed)
     mask.save(args.out, scaler_mean=scaler.mean, scaler_std=scaler.std)
     log.info("trained mask over %d features; top weight %s",
              len(features), features[int(np.argmax(mask.m))])
@@ -188,19 +183,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    sections, cfg = _load(args, require_config=False)
+    _, cfg = _load(args, require_config=False)
     surr_dir = Path(args.surrogates)
     surr_r = load_surrogate(surr_dir / "runtime_model.json")
     surr_p = load_surrogate(surr_dir / "power_model.json")
     context = load_context(Path(args.job_context), surr_r.design_feature)
     candidates = CandidateSet.for_surrogates(surr_r, surr_p, context)
     method = METHODS[args.method.replace("-", "_")]
-    # engine settings from [pipeline], as `run` uses them; engine defaults without
-    options = {}
-    if "pipeline" in sections:
-        options = _engine_options(_settings(args, sections))
     start = time.perf_counter()
-    report = method.run(surr_r, surr_p, candidates, cfg, **options)
+    report = method.run(surr_r, surr_p, candidates, cfg)
     elapsed = time.perf_counter() - start
     payload = report_to_dict(report)
     payload["wall_clock_seconds"] = {"optimize": elapsed}

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 class PipelineError(Exception):
@@ -193,14 +196,9 @@ def tables_equal(a: JobTable, b: JobTable) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Optimizer and sampler budget knobs, overridable from config file and CLI.
-
-    mc_samples is still accepted and validated so existing configs load, but
-    no engine reads it: MOBO scores candidates with exact EHVI.
-    """
+    """Optimizer and sampler budget knobs, overridable from config file and CLI."""
 
     mobo_iterations: int = 300
-    mc_samples: int = 128
     random_seeds: int = 5
     sampling_fraction: float = 1.0
     p_min: float = 0.01
@@ -211,8 +209,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     """Return cfg unchanged if valid; raise ConfigError naming the first bad field."""
     if cfg.mobo_iterations < 1:
         raise ConfigError(f"mobo_iterations must be >= 1, got {cfg.mobo_iterations}")
-    if cfg.mc_samples < 1:
-        raise ConfigError(f"mc_samples must be >= 1, got {cfg.mc_samples}")
     if cfg.random_seeds < 1:
         raise ConfigError(f"random_seeds must be >= 1, got {cfg.random_seeds}")
     if cfg.sampling_fraction <= 0:
@@ -226,9 +222,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     if not (0 < cfg.p_min <= 1):
         raise ConfigError(f"p_min must be in (0, 1], got {cfg.p_min}")
     return cfg
-
-
-_RUN_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
@@ -261,16 +254,50 @@ def load_config_file(path: str | Path) -> dict[str, dict[str, str]]:
     return parse_config_text(path.read_text(encoding="utf-8"))
 
 
-def _coerce(name: str, value: str):
-    kind = _RUN_FIELD_TYPES[name]
-    try:
-        if kind in ("int", int):
-            return int(value)
-        if kind in ("float", float):
-            return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"config field {name}={value!r} is not a valid {kind}") from exc
-    return value
+def _parse_bool(value: str) -> bool:
+    v = value.lower()
+    if v in ("1", "true", "yes", "on"):
+        return True
+    if v in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
+
+# the declared field types a config value can be cast to
+_CASTS: dict[str, Callable[[str], Any]] = {
+    "int": int, "float": float, "bool": _parse_bool, "str": str,
+}
+
+
+def config_fields(cls) -> dict[str, str]:
+    """Name -> declared type of each field of the dataclass `cls` that a
+    config value can set: those typed int, float, bool or str."""
+    types = {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(cls)}
+    return {name: kind for name, kind in types.items() if kind in _CASTS}
+
+
+def cast_section(section: str, values: Mapping[str, str],
+                 keys: Mapping[str, str]) -> dict[str, Any]:
+    """Cast each `key = value` of one config section by the type `keys` gives
+    it. An unknown key, or a value its type cannot parse, is a ConfigError
+    naming the key."""
+    where = f"[{section}]" if section else "top-level"
+    out: dict[str, Any] = {}
+    for key, value in values.items():
+        if key not in keys:
+            raise ConfigError(f"unknown {where} key {key!r}; valid keys are "
+                              f"{', '.join(keys)}")
+        try:
+            out[key] = _CASTS[keys[key]](value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{where} key {key!r} = {value!r} is not a valid {keys[key]}") from exc
+    return out
+
+
+_RUN_FIELDS = config_fields(RunConfig)
+# tau is the paper's name for sampling_fraction
+_RUN_KEYS = {**_RUN_FIELDS, "tau": "float"}
 
 
 def run_config_from_sections(sections: Mapping[str, Mapping[str, str]],
@@ -278,24 +305,23 @@ def run_config_from_sections(sections: Mapping[str, Mapping[str, str]],
     """Build a RunConfig from parsed config sections plus CLI overrides.
 
     Fields are read from the [run] section, falling back to top-level keys.
-    `tau` is accepted as an alias for sampling_fraction. An unknown key in
-    [run] is a ConfigError; unknown top-level keys are ignored.
+    An unknown key in [run] is a ConfigError; unknown top-level keys are
+    ignored, and `mc_samples` is ignored with a warning in either place.
     """
     merged: dict[str, Any] = {}
     for scope in ("", "run"):
+        values = {}
         for key, value in sections.get(scope, {}).items():
-            name = "sampling_fraction" if key == "tau" else key
-            if name in _RUN_FIELD_TYPES:
-                merged[name] = _coerce(name, value)
-            elif scope == "run":
-                raise ConfigError(
-                    f"unknown [run] key {key!r}; valid fields are "
-                    f"{', '.join(_RUN_FIELD_TYPES)} (and tau for sampling_fraction)"
-                )
+            if key == "mc_samples":  # set by older configs; MOBO's EHVI is exact
+                log.warning("config key %s is ignored: no engine reads it", key)
+            elif scope == "run" or key in _RUN_KEYS:
+                values[key] = value
+        for key, value in cast_section(scope, values, _RUN_KEYS).items():
+            merged["sampling_fraction" if key == "tau" else key] = value
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _RUN_FIELD_TYPES:
+        if key not in _RUN_FIELDS:
             raise ConfigError(f"unknown run config field {key!r}")
         merged[key] = value
     return validate_config(RunConfig(**merged))

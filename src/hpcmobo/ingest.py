@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -36,7 +37,8 @@ def _parse_float(token: str, row: int, name: str) -> float:
 
 
 def _power_total(parts) -> float | None:
-    """The total of one power-array cell, or None (missing) when it is empty.
+    """The total of one power-array cell, or None (missing) when it is empty
+    or a sample is NaN, so preprocessing imputes it like any missing cell.
 
     `parts` is the cell's array or its parsed tokens; numpy converts each str
     through float(), so tokens and the floats they spell give the same bits.
@@ -45,7 +47,8 @@ def _power_total(parts) -> float | None:
     """
     if len(parts) == 0:
         return None
-    return float(np.sum(np.asarray(parts, dtype=float), initial=-0.0))
+    total = float(np.sum(np.asarray(parts, dtype=float), initial=-0.0))
+    return None if math.isnan(total) else total
 
 
 def _parse_cell(token: str, spec: ColumnSpec, row: int):

@@ -518,10 +518,10 @@ def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
              log_runtime_gp: bool = True, spread_method: str = "polyline") -> ParetoReport:
     """q=1 logEHVI loop: after every iteration that observed a new node, refit
     both GPs and score every candidate node count with the exact `ehvi`, so
-    no Monte-Carlo draw is made and cfg.mc_samples is not read. The first
-    fit of each GP is cold and every later one warm-starts from the one
-    before it. A repeated node reuses the last scores (see `_search`);
-    budget["gp_refits"] counts the iterations that fitted."""
+    no Monte-Carlo draw is made. The first fit of each GP is cold and every
+    later one warm-starts from the one before it. A repeated node reuses the
+    last scores (see `_search`); budget["gp_refits"] counts the iterations
+    that fitted."""
     validate_config(cfg)
     _require_searchable(candidates)
     objectives, picks = _start(surr_runtime, surr_power, candidates)
@@ -651,8 +651,7 @@ class ComparisonTable:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def compare_methods(reports: dict[str, ParetoReport],
-                    spread_method: str = "polyline") -> ComparisonTable:
+def compare_methods(reports: dict[str, ParetoReport]) -> ComparisonTable:
     """Re-measure every method against one shared reference inferred from the
     union of all observations. Higher HV wins; lower spread wins (tighter
     fronts read as more balanced trade-offs)."""
@@ -664,7 +663,7 @@ def compare_methods(reports: dict[str, ParetoReport],
     for name, rep in reports.items():
         front = nondominated(rep.observed)
         hv[name] = hypervolume(front, ref)
-        spr[name] = spread(front, spread_method)
+        spr[name] = spread(front)
     best_hv = max(hv.values())
     best_spread = min(spr.values())
     return ComparisonTable(

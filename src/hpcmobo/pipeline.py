@@ -27,6 +27,8 @@ from .core import (
     JobTable,
     RunConfig,
     StageTimings,
+    cast_section,
+    config_fields,
     load_config_file,
     run_config_from_sections,
 )
@@ -64,7 +66,7 @@ from .surrogate import (
     surrogate_features,
     train_objective_surrogate,
 )
-from .synthgen import load_truth, runtime_law, power_law
+from .synthgen import load_truth, objectives_at, true_front
 
 TIMING_ROWS = (
     "Preprocessing",
@@ -77,12 +79,13 @@ TIMING_ROWS = (
 )
 
 
-class Method(NamedTuple):
-    """One optimizer of the comparison: its report label and how to run it.
+# share of the subset held out to score each surrogate
+VALIDATION_FRACTION = 0.2
 
-    `run(surr_runtime, surr_power, candidates, cfg, **options)` takes the
-    engines' keyword options `log_runtime_gp` and `spread_method`.
-    """
+
+class Method(NamedTuple):
+    """One optimizer of the comparison: its report label and how to run it
+    as `run(surr_runtime, surr_power, candidates, cfg)`."""
 
     label: str
     run: Callable[..., ParetoReport]
@@ -91,27 +94,19 @@ class Method(NamedTuple):
 # Keyed by the stem of each method's stage and report files, in run order.
 # The lambdas look the engines up when called, not when this module loads.
 METHODS: dict[str, Method] = {
-    "mobo": Method(METHOD_MOBO, lambda r, p, c, cfg, **opts: mobo_run(r, p, c, cfg, **opts)),
-    "sobo_runtime": Method(METHOD_SOBO_RUNTIME, lambda r, p, c, cfg, **opts: sobo_run(
-        r, p, c, "runtime", cfg, **opts)),
-    "sobo_power": Method(METHOD_SOBO_POWER, lambda r, p, c, cfg, **opts: sobo_run(
-        r, p, c, "power", cfg, **opts)),
-    "random": Method(METHOD_RANDOM, lambda r, p, c, cfg, log_runtime_gp=True, **opts:
-                     random_run(r, p, c, cfg, **opts)),
+    "mobo": Method(METHOD_MOBO, lambda r, p, c, cfg: mobo_run(r, p, c, cfg)),
+    "sobo_runtime": Method(METHOD_SOBO_RUNTIME, lambda r, p, c, cfg: sobo_run(
+        r, p, c, "runtime", cfg)),
+    "sobo_power": Method(METHOD_SOBO_POWER, lambda r, p, c, cfg: sobo_run(
+        r, p, c, "power", cfg)),
+    "random": Method(METHOD_RANDOM, lambda r, p, c, cfg: random_run(r, p, c, cfg)),
 }
 ALL_METHODS = tuple(method.label for method in METHODS.values())
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(value: str, key: str) -> bool:
-    v = value.strip().lower()
-    if v in _TRUE:
-        return True
-    if v in _FALSE:
-        return False
-    raise ConfigError(f"config field {key}={value!r} is not a boolean")
+# least value of each integer setting: a forest needs a tree and a split, a
+# run or an H1 sweep a context and a seed; zero mask epochs keep the uniform mask
+_SETTING_MINIMUMS = {"n_job_contexts": 1, "n_estimators": 1, "max_depth": 1,
+                     "mask_epochs": 0, "h1_seeds": 1}
 
 
 @dataclass
@@ -127,18 +122,17 @@ class PipelineSettings:
     duration_pairs: list[tuple[str, str, str]] = field(default_factory=list)
     n_job_contexts: int = 1
     use_embedding: bool = True
-    surrogate_mode: str = "bagged"
     n_estimators: int = 100
     max_depth: int = 10
-    learning_rate: float = 0.1
     mask_epochs: int = 400
-    mask_lr: float = 0.05
-    spread_method: str = "polyline"
-    sat_cap: float = 0.10
-    log_runtime_gp: bool = True
-    validation_fraction: float = 0.2
     h1_seeds: int = 3
     truth_path: Path | None = None
+
+    def __post_init__(self) -> None:
+        for key, least in _SETTING_MINIMUMS.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"[pipeline] {key} must be >= {least}, "
+                                  f"got {getattr(self, key)}")
 
     def targets(self) -> dict[str, str]:
         """Objective key -> target column, runtime first."""
@@ -166,35 +160,18 @@ def parse_schema_sections(sections) -> tuple[list[ColumnSpec], list[tuple[str, s
     return specs, pairs
 
 
-# optional [pipeline] keys, each cast into the PipelineSettings field of its name
-_SETTING_CASTS: dict[str, Callable[[str, str], object]] = {
-    "n_job_contexts": lambda v, k: int(v),
-    "use_embedding": _parse_bool,
-    "surrogate_mode": lambda v, k: v.strip(),
-    "n_estimators": lambda v, k: int(v),
-    "max_depth": lambda v, k: int(v),
-    "learning_rate": lambda v, k: float(v),
-    "mask_epochs": lambda v, k: int(v),
-    "mask_lr": lambda v, k: float(v),
-    "spread_method": lambda v, k: v.strip(),
-    "sat_cap": lambda v, k: float(v),
-    "log_runtime_gp": _parse_bool,
-    "validation_fraction": lambda v, k: float(v),
-    "h1_seeds": lambda v, k: int(v),
-}
-_PIPELINE_KEYS = ("input", "runtime_target", "power_target", "out_dir", "truth",
-                  *_SETTING_CASTS)
+# [pipeline] keys: three file paths, relative to the config file, and every
+# PipelineSettings field a config value can set
+_PIPELINE_KEYS = {"input": "str", "out_dir": "str", "truth": "str",
+                  **config_fields(PipelineSettings)}
 
 
 def parse_settings(sections, config_dir: Path,
                    out_dir_override: str | None = None) -> PipelineSettings:
     """PipelineSettings from the [pipeline], [schema] and [durations]
-    sections. An unknown [pipeline] key is a ConfigError."""
-    pipe = sections.get("pipeline", {})
-    for key in pipe:
-        if key not in _PIPELINE_KEYS:
-            raise ConfigError(f"unknown [pipeline] key {key!r}; valid keys are "
-                              f"{', '.join(_PIPELINE_KEYS)}")
+    sections. An unknown [pipeline] key, or a value of the wrong type or
+    range, is a ConfigError."""
+    pipe = cast_section("pipeline", sections.get("pipeline", {}), _PIPELINE_KEYS)
     for key in ("input", "runtime_target", "power_target"):
         if key not in pipe:
             raise ConfigError(f"[pipeline] section is missing required key {key!r}")
@@ -204,38 +181,24 @@ def parse_settings(sections, config_dir: Path,
         path = Path(p)
         return path if path.is_absolute() else config_dir / path
 
+    input_path = resolve(pipe.pop("input"))
     # paths in the file are relative to it; an override is relative to the cwd
-    out_dir = (Path(out_dir_override) if out_dir_override
-               else resolve(pipe.get("out_dir", "out")))
-    settings = PipelineSettings(
-        input_path=resolve(pipe["input"]),
+    out_dir = pipe.pop("out_dir", "out")
+    out_dir = Path(out_dir_override) if out_dir_override else resolve(out_dir)
+    truth = pipe.pop("truth", None)
+    return PipelineSettings(
+        input_path=input_path,
         out_dir=out_dir,
-        runtime_target=pipe["runtime_target"],
-        power_target=pipe["power_target"],
+        truth_path=resolve(truth) if truth is not None else None,
         specs=specs,
         duration_pairs=pairs,
+        **pipe,
     )
-    for key, cast in _SETTING_CASTS.items():
-        if key in pipe:
-            setattr(settings, key, cast(pipe[key], key))
-    if "truth" in pipe:
-        settings.truth_path = resolve(pipe["truth"])
-    return settings
 
 
 def tree_params(settings: PipelineSettings, seed: int) -> TreeParams:
-    return TreeParams(
-        mode=settings.surrogate_mode,
-        n_estimators=settings.n_estimators,
-        max_depth=settings.max_depth,
-        learning_rate=settings.learning_rate,
-        seed=seed,
-    )
-
-
-def _engine_options(settings: PipelineSettings) -> dict:
-    return {"log_runtime_gp": settings.log_runtime_gp,
-            "spread_method": settings.spread_method}
+    return TreeParams(n_estimators=settings.n_estimators, max_depth=settings.max_depth,
+                      seed=seed)
 
 
 def file_sha256(path: Path) -> str:
@@ -334,24 +297,13 @@ def write_timing_csv(timings: StageTimings, path: Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _law_points(job: dict, nodes) -> list[tuple[float, float]]:
-    """(runtime, power) of a synthgen truth job at each node count."""
-    return [(runtime_law(job["base"], job["serial_frac"], n),
-             power_law(job["idle"], job["per_node"], n)) for n in nodes]
-
-
-def true_front_for_job(job: dict, bounds: tuple[int, int]) -> ParetoFront:
-    return nondominated(_law_points(job, range(bounds[0], bounds[1] + 1)))
-
-
 def report_h2(reports: dict[str, ParetoReport], out_dir: Path, tag: str,
-              truth_front: ParetoFront | None = None,
-              spread_method: str = "polyline") -> ComparisonTable:
+              truth_front: ParetoFront | None = None) -> ComparisonTable:
     """Comparison table plus the overlaid Pareto scatter for one context."""
     missing = [m for m in ALL_METHODS if m not in reports]
     if missing:
         raise DataError(f"missing method reports: {missing}")
-    table = compare_methods(reports, spread_method)
+    table = compare_methods(reports)
     out_dir.mkdir(parents=True, exist_ok=True)
     table.to_csv(out_dir / f"comparison_{tag}.csv")
     fronts = {name: rep.front for name, rep in reports.items()}
@@ -360,11 +312,11 @@ def report_h2(reports: dict[str, ParetoReport], out_dir: Path, tag: str,
     return table
 
 
-def _train_val_split(table: JobTable, fraction: float, seed: int):
+def _train_val_split(table: JobTable, seed: int):
     n = table.n_rows
     rng = np.random.default_rng([seed, 77])
     order = rng.permutation(n)
-    n_val = max(1, int(round(fraction * n))) if n > 4 else 0
+    n_val = max(1, int(round(VALIDATION_FRACTION * n))) if n > 4 else 0
     val_idx = np.sort(order[:n_val])
     train_idx = np.sort(order[n_val:])
     return table.select_rows(train_idx), table.select_rows(val_idx)
@@ -376,11 +328,10 @@ def train_single_surrogate(table: JobTable, settings: PipelineSettings, target: 
     """Train one objective predictor on a train split; report validation
     MSE/MAPE on the held-out rows."""
     embedding = settings.use_embedding if use_embedding is None else use_embedding
-    train, val = _train_val_split(table, settings.validation_fraction, seed)
+    train, val = _train_val_split(table, seed)
     model = train_objective_surrogate(
-        train, target, use_embedding=embedding,
-        params=tree_params(settings, seed),
-        mask_epochs=settings.mask_epochs, mask_lr=settings.mask_lr, seed=seed,
+        train, target, use_embedding=embedding, params=tree_params(settings, seed),
+        mask_epochs=settings.mask_epochs, seed=seed,
     )
     entry: dict = {"mse": None, "mape": None,
                    "n_train": train.n_rows, "n_val": val.n_rows,
@@ -450,12 +401,12 @@ def preprocess_stage(settings: PipelineSettings,
     return processed, outputs + [recipe_path]
 
 
-def sample_stage(table: JobTable, cfg: RunConfig, sat_cap: float, subset_path: Path,
+def sample_stage(table: JobTable, cfg: RunConfig, subset_path: Path,
                  plan_path: Path) -> tuple[tuple[JobTable, SamplerPlan], list[Path]]:
     """Draw the loss-proportional subset at the run config's rate and write
     it (with its schema sidecar) and the plan. Returns (subset, plan) and the
     written paths."""
-    subset, plan = sample_table(table, cfg.sampling_fraction, cfg.p_min, cfg.seed, sat_cap)
+    subset, plan = sample_table(table, cfg.sampling_fraction, cfg.p_min, cfg.seed)
     outputs = write_table(subset, subset_path)
     plan.save(plan_path)
     return (subset, plan), outputs + [plan_path]
@@ -501,13 +452,13 @@ def preproc_mobo_stage(subset: JobTable, plan: SamplerPlan, n_contexts: int, see
 
 
 def method_stage(stem: str, method: Method, surr_r: SurrogateModel, surr_p: SurrogateModel,
-                 candidates: list[CandidateSet], cfg: RunConfig, options: dict,
+                 candidates: list[CandidateSet], cfg: RunConfig,
                  reports_dir: Path) -> tuple[list[ParetoReport], list[Path]]:
     """Run one method on every context's candidates and write each report
     and its front. Returns the reports and the written paths."""
     reports, outputs = [], []
     for i, context_candidates in enumerate(candidates):
-        rep = method.run(surr_r, surr_p, context_candidates, cfg, **options)
+        rep = method.run(surr_r, surr_p, context_candidates, cfg)
         path = reports_dir / f"{stem}_ctx{i}.json"
         front_path = reports_dir / f"{stem}_ctx{i}_front.csv"
         save_report(rep, path)
@@ -519,8 +470,8 @@ def method_stage(stem: str, method: Method, surr_r: SurrogateModel, surr_p: Surr
 
 
 def report_stage(reports: dict[str, list[ParetoReport]], candidates: list[CandidateSet],
-                 context_rows: list[int], truth: dict | None, reports_dir: Path,
-                 spread_method: str) -> tuple[None, list[Path]]:
+                 context_rows: list[int], truth: dict | None,
+                 reports_dir: Path) -> tuple[None, list[Path]]:
     """Write each context's comparison and front overlay, then the mean over
     contexts. `reports` maps each method label to its per-context reports."""
     outputs = []
@@ -531,9 +482,9 @@ def report_stage(reports: dict[str, list[ParetoReport]], candidates: list[Candid
         truth_front = None
         if truth is not None:
             job = truth["jobs"][context_rows[i]]
-            truth_front = true_front_for_job(job, context_candidates.bounds)
+            truth_front = true_front(job, context_candidates.bounds)
         table = report_h2({m: reps[i] for m, reps in reports.items()}, reports_dir,
-                          f"ctx{i}", truth_front, spread_method)
+                          f"ctx{i}", truth_front)
         outputs.append(reports_dir / f"comparison_ctx{i}.csv")
         outputs.append(reports_dir / f"pareto_ctx{i}.svg")
         for m in ALL_METHODS:
@@ -563,7 +514,7 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
     processed = run.stage("preprocess", [settings.input_path], preprocess_stage,
                           settings, settings.input_path)
     subset, plan = run.stage("sample", [out / "preprocessed.csv"], sample_stage, processed,
-                             cfg, settings.sat_cap, out / "subset.csv", out / "plan.json")
+                             cfg, out / "subset.csv", out / "plan.json")
     surrogates, metrics = {}, {}
     for key, target in settings.targets().items():
         surrogates[key], metrics[target] = run.stage(
@@ -577,15 +528,14 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
 
     truth = load_truth(settings.truth_path) if settings.truth_path else None
     reports_dir = out / "reports"
-    options = _engine_options(settings)
     reports = {
         method.label: run.stage(stem, [out / "runtime_model.json", out / "power_model.json"],
                                 method_stage, stem, method, surr_r, surr_p, candidates, cfg,
-                                options, reports_dir)
+                                reports_dir)
         for stem, method in METHODS.items()
     }
     run.stage("report", [], report_stage, reports, candidates, context_rows, truth,
-              reports_dir, settings.spread_method)
+              reports_dir)
 
     timings = timing_table(run.stage_seconds)
     write_timing_csv(timings, out / "timing_table.csv")
@@ -613,18 +563,17 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
     return manifest
 
 
-def truth_capture(report: ParetoReport, job: dict, bounds: tuple[int, int],
-                  spread_method: str = "polyline") -> dict:
+def truth_capture(report: ParetoReport, job: dict, bounds: tuple[int, int]) -> dict:
     """Score a run's recommended front on the exact laws: fraction of the
     exhaustive true-front hypervolume captured, plus the truth-space spread."""
-    enum = _law_points(job, range(bounds[0], bounds[1] + 1))
+    enum = objectives_at(job, range(bounds[0], bounds[1] + 1))
     ref = infer_reference(enum)
     true_hv = hypervolume(nondominated(enum), ref)
-    front = nondominated(_law_points(job, report.front_nodes))
+    front = nondominated(objectives_at(job, report.front_nodes))
     hv = hypervolume(front, ref)
     return {
         "hv": hv / true_hv if true_hv > 0 else 0.0,
-        "spread": spread(front, spread_method),
+        "spread": spread(front),
     }
 
 
@@ -651,7 +600,6 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
     unknown = [m for m in methods if m not in runs]
     if unknown:
         raise ConfigError(f"unknown method(s) {unknown}; expected some of {list(runs)}")
-    options = _engine_options(settings)
 
     for s in range(settings.h1_seeds):
         seed = cfg.seed + s
@@ -669,11 +617,9 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
                 candidates = CandidateSet.for_surrogates(
                     surr_r, surr_p, context_from_row(table, row))
                 for method in methods:
-                    rep = runs[method](surr_r, surr_p, candidates, seed_cfg, **options)
+                    rep = runs[method](surr_r, surr_p, candidates, seed_cfg)
                     if truth is not None:
-                        scored = truth_capture(rep, truth["jobs"][row],
-                                               candidates.bounds,
-                                               settings.spread_method)
+                        scored = truth_capture(rep, truth["jobs"][row], candidates.bounds)
                         scores[method]["hv"].append(scored["hv"])
                         scores[method]["spread"].append(scored["spread"])
                     else:

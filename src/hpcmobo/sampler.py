@@ -20,7 +20,9 @@ from .surrogate import TreeParams, fit_tree_ensemble
 
 RATE_TOL = 1e-3
 MAX_BISECT = 100
-DEFAULT_SAT_CAP = 0.10
+# largest share of rows the tuned probabilities may saturate at 1 before the
+# losses are winsorized
+SAT_CAP = 0.10
 _LAMBDA_CAP = 1e18
 
 
@@ -156,12 +158,11 @@ def _bisect(losses: np.ndarray, tau: float, p_min: float) -> tuple[float, np.nda
     return lam, probs, converged
 
 
-def tune_lambda(losses: np.ndarray, tau: float, p_min: float,
-                sat_cap: float = DEFAULT_SAT_CAP) -> LambdaTune:
+def tune_lambda(losses: np.ndarray, tau: float, p_min: float) -> LambdaTune:
     """Bisection on lambda until |mean(p) - tau| <= 1e-3 (or 100 iterations).
 
-    If the saturated fraction (p_i == 1) exceeds sat_cap, losses are
-    winsorized at their (1 - sat_cap) quantile and the search reruns once.
+    If the saturated fraction (p_i == 1) exceeds SAT_CAP, losses are
+    winsorized at their (1 - SAT_CAP) quantile and the search reruns once.
     """
     losses = np.asarray(losses, dtype=float)
     if (losses < 0).any() or not np.isfinite(losses).all():
@@ -176,8 +177,8 @@ def tune_lambda(losses: np.ndarray, tau: float, p_min: float,
     winsorized = False
     used = losses
     sat = float((probs == 1.0).mean())
-    if sat > sat_cap:
-        cut = float(np.quantile(losses, 1.0 - sat_cap))
+    if sat > SAT_CAP:
+        cut = float(np.quantile(losses, 1.0 - SAT_CAP))
         used = np.minimum(losses, cut)
         lam, probs, converged = _bisect(used, tau, p_min)
         winsorized = True
@@ -191,9 +192,8 @@ def tune_lambda(losses: np.ndarray, tau: float, p_min: float,
     )
 
 
-def build_plan(losses: np.ndarray, tau: float, p_min: float,
-               sat_cap: float = DEFAULT_SAT_CAP) -> SamplerPlan:
-    tune = tune_lambda(losses, tau, p_min, sat_cap)
+def build_plan(losses: np.ndarray, tau: float, p_min: float) -> SamplerPlan:
+    tune = tune_lambda(losses, tau, p_min)
     return SamplerPlan(
         losses=tune.losses,
         probs=tune.probs,
@@ -203,7 +203,7 @@ def build_plan(losses: np.ndarray, tau: float, p_min: float,
         expected_rate=tune.expected_rate,
         saturated_fraction=tune.saturated_fraction,
         rate_converged=tune.rate_converged,
-        sat_exceeded=tune.saturated_fraction > sat_cap,
+        sat_exceeded=tune.saturated_fraction > SAT_CAP,
         winsorized=tune.winsorized,
     )
 
@@ -222,10 +222,10 @@ def draw_subset(table: JobTable, probs: np.ndarray,
     return table.select_rows(mask), mask
 
 
-def sample_table(table: JobTable, tau: float, p_min: float, seed: int,
-                 sat_cap: float = DEFAULT_SAT_CAP) -> tuple[JobTable, SamplerPlan]:
+def sample_table(table: JobTable, tau: float, p_min: float,
+                 seed: int) -> tuple[JobTable, SamplerPlan]:
     """Score, tune, and draw in one call; returns the subset and the full plan."""
     losses = score_difficulty(table, seed=seed)
-    plan = build_plan(losses, tau, p_min, sat_cap)
+    plan = build_plan(losses, tau, p_min)
     subset, mask = draw_subset(table, plan.probs, seed)
     return subset, plan.with_mask(mask)

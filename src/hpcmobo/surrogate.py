@@ -455,15 +455,16 @@ def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, 
     return features, X, y
 
 
-def fit_feature_mask(X: np.ndarray, y: np.ndarray, epochs: int = 400, lr: float = 0.05,
+def fit_feature_mask(X: np.ndarray, y: np.ndarray, epochs: int = 400,
                      seed: int = 0) -> tuple[FeatureScaler, AttentiveMask]:
     """Fit the feature scaler and train the attentive mask on standardized
     features against the standardized target: the attention weights do not
-    depend on the target's scale, so one learning rate suits any target."""
+    depend on the target's scale, so `train_mask`'s one learning rate suits
+    any target."""
     scaler = FeatureScaler.fit(X)
     y_std = float(y.std()) or 1.0
     mask = train_mask(scaler.transform(X), (y - y.mean()) / y_std, epochs=epochs,
-                      lr=lr, seed=seed)
+                      seed=seed)
     return scaler, mask
 
 
@@ -473,7 +474,6 @@ def train_objective_surrogate(
     use_embedding: bool = True,
     params: TreeParams | None = None,
     mask_epochs: int = 400,
-    mask_lr: float = 0.05,
     seed: int = 0,
 ) -> SurrogateModel:
     """Train one objective predictor from a fully preprocessed table.
@@ -484,7 +484,7 @@ def train_objective_surrogate(
     """
     features, X, y = training_data(table, target)
     if use_embedding:
-        scaler, mask = fit_feature_mask(X, y, mask_epochs, mask_lr, seed)
+        scaler, mask = fit_feature_mask(X, y, mask_epochs, seed)
         Z = embed(mask, scaler.transform(X))
         weights = mask.m
     else:

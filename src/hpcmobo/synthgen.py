@@ -11,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -170,20 +171,13 @@ def load_truth(path: str | Path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def enumerate_objectives(spec: SyntheticSpec | dict, job: dict) -> list[tuple[int, float, float]]:
-    """Noise-free (node_count, runtime, power) for every node count in range."""
-    node_range = spec["node_range"] if isinstance(spec, dict) else spec.node_range
-    out = []
-    for k in range(int(node_range[0]), int(node_range[1]) + 1):
-        out.append((
-            k,
-            runtime_law(job["base"], job["serial_frac"], k),
-            power_law(job["idle"], job["per_node"], k),
-        ))
-    return out
+def objectives_at(job: dict, nodes: Iterable[int]) -> list[tuple[float, float]]:
+    """Noise-free (runtime, power) of one truth job at each node count."""
+    return [(runtime_law(job["base"], job["serial_frac"], k),
+             power_law(job["idle"], job["per_node"], k)) for k in nodes]
 
 
-def true_front(spec: SyntheticSpec | dict, job: dict) -> ParetoFront:
-    """Exhaustive-enumeration oracle: nondominated set of the exact laws."""
-    points = [(r, p) for _, r, p in enumerate_objectives(spec, job)]
-    return nondominated(points)
+def true_front(job: dict, bounds: tuple[int, int]) -> ParetoFront:
+    """Exhaustive-enumeration oracle: nondominated set of the exact laws over
+    the node counts bounds[0]..bounds[1]."""
+    return nondominated(objectives_at(job, range(bounds[0], bounds[1] + 1)))

@@ -210,7 +210,7 @@ def test_criterion_07_h2_directional():
 
         mobo_hv, sobo_r_hv, sobo_p_hv = [], [], []
         for seed in range(5):
-            cfg = RunConfig(mobo_iterations=50, mc_samples=128, seed=seed)
+            cfg = RunConfig(mobo_iterations=50, seed=seed)
             m = mobo_run(surr_r, surr_p, candidates, cfg)
             sr = sobo_run(surr_r, surr_p, candidates, "runtime", cfg)
             sp = sobo_run(surr_r, surr_p, candidates, "power", cfg)
@@ -234,7 +234,7 @@ def test_criterion_08_h1_directional():
             runtime_target="runtime_seconds", power_target="node_power", specs=[],
             n_estimators=60, max_depth=8, mask_epochs=300, h1_seeds=5,
         )
-        cfg = RunConfig(mobo_iterations=15, mc_samples=64, seed=0)
+        cfg = RunConfig(mobo_iterations=15, seed=0)
         result = report_h1(processed, settings, cfg, truth=truth,
                            context_rows=[0, 5, 11], methods=("MOBO",))
         med = result["median_validation"]

@@ -1,7 +1,9 @@
+import csv
 import json
 import logging
 
 import numpy as np
+import pytest
 
 from hpcmobo.cli import build_parser, main
 from hpcmobo.core import load_config_file, run_config_from_sections
@@ -79,8 +81,6 @@ def test_embed_and_train_subcommands(tmp_path):
 
 def test_stage_subcommands_write_the_bytes_run_writes(tmp_path):
     cfg = _synth(tmp_path)
-    text = cfg.read_text().replace("out_dir = out\n", "out_dir = out\nsat_cap = 0.9\n")
-    cfg.write_text(text)
     assert main(["run", "--config", str(cfg)]) == 0
     out, alone = tmp_path / "out", tmp_path / "alone"
     flags = ["--config", str(cfg), "--out-dir", str(alone)]
@@ -106,12 +106,38 @@ def test_embed_with_default_settings_fits_the_mask_train_fits(tmp_path):
     assert np.array_equal(saved, model.mask.theta)
 
 
-def test_unknown_pipeline_key_is_config_error(tmp_path, capsys):
+def _set_pipeline_line(cfg, line):
+    """Append `line` to the [pipeline] section of a synthgen config; it wins
+    over an earlier line setting the same key."""
+    cfg.write_text(cfg.read_text().replace("max_depth = 8\n", f"max_depth = 8\n{line}\n"))
+
+
+# a typo, then each key the pipeline no longer reads
+@pytest.mark.parametrize("line", [
+    "n_estimator = 5", "surrogate_mode = boosted", "learning_rate = 0.1", "mask_lr = 0.05",
+    "validation_fraction = 0.2", "sat_cap = 0.1", "spread_method = deb",
+    "log_runtime_gp = false",
+])
+def test_unknown_pipeline_key_is_config_error(tmp_path, capsys, line):
     cfg = _synth(tmp_path)
-    cfg.write_text(cfg.read_text().replace("n_estimators = 10", "n_estimator = 5"))
+    _set_pipeline_line(cfg, line)
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "'n_estimator'" in err and "n_estimators" in err
+    key = line.split(" = ")[0]
+    assert f"unknown [pipeline] key '{key}'" in err and "n_estimators" in err
+
+
+@pytest.mark.parametrize("line", [
+    "n_estimators = ten", "use_embedding = maybe", "max_depth = 2.5",
+    "n_estimators = 0", "max_depth = -1", "n_job_contexts = 0", "h1_seeds = 0",
+    "mask_epochs = -1",
+])
+def test_bad_pipeline_value_is_config_error_naming_the_key(tmp_path, capsys, line):
+    cfg = _synth(tmp_path)
+    _set_pipeline_line(cfg, line)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_optimize_subcommand_from_artifacts(tmp_path):
@@ -134,11 +160,8 @@ def test_optimize_subcommand_from_artifacts(tmp_path):
     assert payload["hv"] > 0
 
 
-def test_optimize_uses_the_config_pipeline_settings(tmp_path):
+def test_optimize_reproduces_the_run_report(tmp_path):
     cfg = _synth(tmp_path)
-    text = cfg.read_text().replace(
-        "out_dir = out\n", "out_dir = out\nspread_method = deb\nlog_runtime_gp = false\n")
-    cfg.write_text(text)
     assert main(["run", "--config", str(cfg)]) == 0
     out = tmp_path / "out"
     rc = main([
@@ -149,7 +172,6 @@ def test_optimize_uses_the_config_pipeline_settings(tmp_path):
     assert rc == 0
     optimized = json.loads((out / "opt_report.json").read_text())
     pipelined = json.loads((out / "reports" / "mobo_ctx0.json").read_text())
-    assert optimized["spread_method"] == pipelined["spread_method"] == "deb"
     assert optimized["observations"] == pipelined["observations"]
 
 
@@ -207,13 +229,12 @@ def test_report_subcommand_checks_method_files(tmp_path):
 def test_run_config_cli_overrides(tmp_path):
     cfg = _synth(tmp_path)
     rc = main(["run", "--config", str(cfg), "--mobo-iterations", "3",
-               "--mc-samples", "16", "--random-seeds", "2",
+               "--random-seeds", "2",
                "--sampling-fraction", "0.9", "--seed", "11"])
     assert rc == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     run_cfg = manifest["run_config"]
     assert run_cfg["mobo_iterations"] == 3
-    assert run_cfg["mc_samples"] == 16
     assert run_cfg["random_seeds"] == 2
     assert run_cfg["sampling_fraction"] == 0.9
     assert run_cfg["seed"] == 11
@@ -254,3 +275,19 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
     model.unlink()
     assert main(flags) == 3
     assert "runtime_model.json" in capsys.readouterr().err
+
+
+def test_a_nan_power_sample_is_imputed_like_a_missing_cell(tmp_path):
+    cfg = _synth(tmp_path)
+    data = tmp_path / "data.csv"
+    with data.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("node_power")
+    rows[6][col] = "nan;" + rows[6][col]  # data row 5
+    with data.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    power = read_table(out / "preprocessed.csv").column("node_power")
+    recipe = json.loads((out / "recipe.json").read_text())
+    assert power[5] == recipe["numeric_medians"]["node_power"]

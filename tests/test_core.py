@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hpcmobo.core import (
     RunConfig,
     StageTimings,
     build_table,
+    cast_section,
     parse_config_text,
     run_config_from_sections,
     tables_equal,
@@ -21,7 +23,6 @@ def test_validate_config_defaults_are_valid():
     cfg = RunConfig()
     assert validate_config(cfg) is cfg
     assert cfg.mobo_iterations == 300
-    assert cfg.mc_samples == 128
     assert cfg.random_seeds == 5
     assert cfg.sampling_fraction == 1.0
     assert cfg.p_min == 0.01
@@ -73,6 +74,32 @@ def test_config_ignores_unknown_top_level_keys():
     cfg = run_config_from_sections(sections)
     assert cfg.mobo_iterations == 300
     assert cfg.seed == 4
+
+
+@pytest.mark.parametrize("text", ["[run]\nmc_samples = 64\nseed = 4\n",
+                                  "mc_samples = 64\n[run]\nseed = 4\n"])
+def test_config_ignores_mc_samples_with_one_warning(text, caplog):
+    caplog.set_level(logging.WARNING, logger="hpcmobo")
+    cfg = run_config_from_sections(parse_config_text(text))
+    assert cfg == RunConfig(seed=4)
+    [record] = caplog.records
+    assert record.levelname == "WARNING" and "mc_samples" in record.getMessage()
+
+
+def test_cast_section_casts_by_declared_type():
+    keys = {"n": "int", "x": "float", "on": "bool", "name": "str"}
+    values = {"n": "3", "x": "0.5", "on": "Off", "name": "a b"}
+    assert cast_section("s", values, keys) == {"n": 3, "x": 0.5, "on": False, "name": "a b"}
+    for key, value in (("n", "3.0"), ("x", "half"), ("on", "maybe")):
+        with pytest.raises(ConfigError, match=f"\\[s\\] key '{key}' = '{value}'"):
+            cast_section("s", {key: value}, keys)
+    with pytest.raises(ConfigError, match="unknown top-level key 'm'; valid keys are n, x"):
+        cast_section("", {"m": "1"}, keys)
+
+
+def test_config_rejects_an_unparseable_run_value():
+    with pytest.raises(ConfigError, match="'seed' = 'x' is not a valid int"):
+        run_config_from_sections(parse_config_text("[run]\nseed = x\n"))
 
 
 def test_config_rejects_malformed_line():

@@ -78,7 +78,7 @@ def _amdahl_surrogates(bounds=(1, 64)):
 
 
 def _fast_cfg(**kw):
-    base = dict(mobo_iterations=10, mc_samples=64, random_seeds=5, seed=0)
+    base = dict(mobo_iterations=10, random_seeds=5, seed=0)
     base.update(kw)
     return RunConfig(**base)
 

@@ -191,7 +191,7 @@ def test_report_h1_direction_and_blocks(tmp_path):
         power_target="node_power", specs=[], n_estimators=16, max_depth=5,
         mask_epochs=150, h1_seeds=2,
     )
-    cfg = RunConfig(mobo_iterations=5, mc_samples=32, random_seeds=2, seed=0)
+    cfg = RunConfig(mobo_iterations=5, random_seeds=2, seed=0)
     result = report_h1(processed, settings, cfg, out_dir=tmp_path / "reports",
                        truth=truth, context_rows=[0], methods=("MOBO",))
     assert set(result["median_validation"]) == {"raw", "embedded"}
@@ -211,7 +211,7 @@ def test_report_h1_all_method_columns(tmp_path):
         power_target="node_power", specs=[], n_estimators=8, max_depth=4,
         mask_epochs=60, h1_seeds=1,
     )
-    cfg = RunConfig(mobo_iterations=3, mc_samples=32, random_seeds=2, seed=0)
+    cfg = RunConfig(mobo_iterations=3, random_seeds=2, seed=0)
     result = report_h1(processed, settings, cfg, out_dir=tmp_path / "r",
                        truth=truth, context_rows=[0])
     header = (tmp_path / "r" / "h1_blocks.csv").read_text().splitlines()[2]

@@ -114,7 +114,7 @@ def test_tune_lambda_infeasible_when_tau_below_p_min():
 def test_tune_lambda_winsorizes_heavy_tail():
     rng = np.random.default_rng(2)
     losses = rng.lognormal(0.0, 2.0, size=5000)
-    tune = tune_lambda(losses, tau=0.5, p_min=0.01, sat_cap=0.10)
+    tune = tune_lambda(losses, tau=0.5, p_min=0.01)
     # heavy tail saturates > 10% of rows, so the loss vector is winsorized at
     # the 0.9 quantile and the search reruns once; the rate stays calibrated
     assert tune.winsorized

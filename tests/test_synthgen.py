@@ -6,8 +6,8 @@ from hpcmobo.ingest import preprocess_fit, write_csv
 from hpcmobo.synthgen import (
     DURATION_PAIRS,
     SyntheticSpec,
-    enumerate_objectives,
     generate,
+    objectives_at,
     power_law,
     runtime_law,
     true_front,
@@ -68,21 +68,21 @@ def test_generated_table_passes_ingest_with_zero_imputation():
 
 def test_runtime_monotone_non_increasing_in_nodes():
     job = {"base": 200.0, "serial_frac": 0.3, "per_node": 5.0, "idle": 40.0}
-    objs = enumerate_objectives({"node_range": (1, 32)}, job)
-    runtimes = [r for _, r, _ in objs]
+    objs = objectives_at(job, range(1, 33))
+    runtimes = [r for r, _ in objs]
     assert all(a >= b for a, b in zip(runtimes, runtimes[1:]))
 
 
 def test_true_front_strict_tradeoff_keeps_every_node_count():
     # runtime strictly decreasing, power strictly increasing: all Pareto-optimal
     job = {"base": 100.0, "serial_frac": 0.0, "per_node": 5.0, "idle": 50.0}
-    front = true_front({"node_range": (1, 16)}, job)
+    front = true_front(job, (1, 16))
     assert len(front) == 16
 
 
 def test_true_front_constant_runtime_collapses_to_min_nodes():
     job = {"base": 100.0, "serial_frac": 1.0, "per_node": 5.0, "idle": 50.0}
-    front = true_front({"node_range": (1, 16)}, job)
+    front = true_front(job, (1, 16))
     assert len(front) == 1
     assert front.points[0] == (100.0, power_law(50.0, 5.0, 1))
 
@@ -91,8 +91,8 @@ def test_true_front_matches_brute_force_filter():
     from test_pareto import brute_force_front
     job = {"base": 300.0, "serial_frac": 0.2, "per_node": 3.0, "idle": 20.0}
     spec = SyntheticSpec(node_range=(1, 64))
-    front = true_front(spec, job)
-    pts = [(r, p) for _, r, p in enumerate_objectives(spec, job)]
+    front = true_front(job, spec.node_range)
+    pts = objectives_at(job, range(1, 65))
     assert sorted(front.points) == brute_force_front(pts)
 
 
