@@ -155,7 +155,9 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
     """Predict (runtime, power) for every candidate from the frozen surrogates.
 
     Row i of the (n, 2) result belongs to candidates.node_counts[i]; each
-    surrogate is called once, on all rows. A non-finite prediction is a
+    surrogate is called once, on all rows. The context must name each
+    surrogate's features in the surrogate's order, or it is a DataError
+    naming the first column that differs; a non-finite prediction is a
     NumericalError.
     """
     context = candidates.context
@@ -164,12 +166,16 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
     outside = nodes[(nodes < lo) | (nodes > hi)]
     if len(outside):
         raise DataError(f"node count {outside[0]} outside design bounds [{lo}, {hi}]")
-    for surr in (surr_runtime, surr_power):
-        if len(context.feature_names) != len(surr.feature_names):
-            raise DataError(
-                f"context has {len(context.feature_names)} features but surrogate "
-                f"expects {len(surr.feature_names)}"
-            )
+    names = tuple(context.feature_names)
+    for objective, surr in (("runtime", surr_runtime), ("power", surr_power)):
+        expected = tuple(surr.feature_names)
+        if names != expected:
+            i = next((i for i, (a, b) in enumerate(zip(names, expected)) if a != b),
+                     min(len(names), len(expected)))
+            have = repr(names[i]) if i < len(names) else "missing"
+            want = repr(expected[i]) if i < len(expected) else "nothing"
+            raise DataError(f"job context column {i} is {have} but the {objective} "
+                            f"surrogate expects {want} there")
     rows = np.array([context.row_for(n) for n in nodes])
     table = np.column_stack([surr_runtime.predict(rows), surr_power.predict(rows)])
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
@@ -364,7 +370,6 @@ class ParetoReport:
     ref: tuple[float, float]
     hv: float
     spread: float
-    spread_method: str
     history: list[HistoryEntry]
     n_initial: int
     budget: dict = field(default_factory=dict)
@@ -393,7 +398,7 @@ def _require_searchable(candidates: CandidateSet) -> None:
 
 def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
                      objectives: np.ndarray, picks: list[int], n_initial: int,
-                     spread_method: str, steps: list[tuple],
+                     steps: list[tuple],
                      budget: dict | None = None,
                      per_seed: list[ParetoReport] | None = None) -> ParetoReport:
     """Build a report from the picked rows of the objective table. The first
@@ -413,7 +418,7 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
             runtime=float(observed[row, 0]),
             power=float(observed[row, 1]),
             hv_so_far=hypervolume(so_far, infer_reference(observed[:row + 1])),
-            spread_so_far=spread(so_far, spread_method),
+            spread_so_far=spread(so_far),
             acquisition=acq,
             refit=refit,
             gp=gp,
@@ -434,8 +439,7 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
         front_found_at=[int(i) for i in found_at],
         ref=ref,
         hv=hypervolume(front, ref),
-        spread=spread(front, spread_method),
-        spread_method=spread_method,
+        spread=spread(front),
         history=history,
         n_initial=n_initial,
         budget={**(budget or {}), "unique_evaluations": len(set(picks))},
@@ -514,14 +518,14 @@ def _search(picks: list[int], n_rows: int, iterations: int, rng: np.random.Gener
 
 
 def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-             candidates: CandidateSet, cfg: RunConfig,
-             log_runtime_gp: bool = True, spread_method: str = "polyline") -> ParetoReport:
+             candidates: CandidateSet, cfg: RunConfig) -> ParetoReport:
     """q=1 logEHVI loop: after every iteration that observed a new node, refit
     both GPs and score every candidate node count with the exact `ehvi`, so
     no Monte-Carlo draw is made. The first fit of each GP is cold and every
-    later one warm-starts from the one before it. A repeated node reuses the
-    last scores (see `_search`); budget["gp_refits"] counts the iterations
-    that fitted."""
+    later one warm-starts from the one before it. Runtime is modelled in log
+    space (`fit_objective_gp`), power in plain values. A repeated node reuses
+    the last scores (see `_search`); budget["gp_refits"] counts the
+    iterations that fitted."""
     validate_config(cfg)
     _require_searchable(candidates)
     objectives, picks = _start(surr_runtime, surr_power, candidates)
@@ -533,7 +537,7 @@ def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     def score(it: int) -> tuple[np.ndarray, dict[str, ObjectiveGP]]:
         Y = objectives[picks]
         try:
-            gp_r = fit_objective_gp(nodes[picks], Y[:, 0], log_space=log_runtime_gp,
+            gp_r = fit_objective_gp(nodes[picks], Y[:, 0], log_space=True,
                                     warm=last["runtime"])
             gp_p = fit_objective_gp(nodes[picks], Y[:, 1], warm=last["power"])
         except NumericalError as exc:
@@ -545,16 +549,16 @@ def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     steps = _search(picks, len(nodes), cfg.mobo_iterations, rng, score)
     refits = sum(refit for _, refit, _ in steps)
     return _finalize_report(METHOD_MOBO, cfg, candidates, objectives, picks, n_initial,
-                            spread_method, steps, budget={"gp_refits": refits})
+                            steps, budget={"gp_refits": refits})
 
 
 def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-             candidates: CandidateSet, objective: str, cfg: RunConfig,
-             log_runtime_gp: bool = True, spread_method: str = "polyline") -> ParetoReport:
+             candidates: CandidateSet, objective: str, cfg: RunConfig) -> ParetoReport:
     """Single-objective logEI loop; the untargeted objective is still recorded
-    so the resulting point set carries HV and spread. The GP is refitted, warm
-    from its previous fit after the first, and EI rescored only after an
-    iteration observed a new node, as in `mobo_run`."""
+    so the resulting point set carries HV and spread. The GP models runtime
+    in log space and power in plain values, as in `mobo_run`; it is
+    refitted, warm from its previous fit after the first, and EI rescored
+    only after an iteration observed a new node."""
     validate_config(cfg)
     if objective not in ("runtime", "power"):
         raise ConfigError(f"objective must be runtime or power, got {objective!r}")
@@ -572,8 +576,7 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     def score(it: int) -> tuple[np.ndarray, dict[str, ObjectiveGP]]:
         values = objectives[picks, col]
         try:
-            gp = fit_objective_gp(nodes[picks], values,
-                                  log_space=log_runtime_gp and objective == "runtime",
+            gp = fit_objective_gp(nodes[picks], values, log_space=objective == "runtime",
                                   warm=last[objective])
         except NumericalError as exc:
             raise NumericalError(f"GP fit failed at SOBO iteration {it}: {exc}") from exc
@@ -586,12 +589,11 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     steps = _search(picks, len(nodes), cfg.mobo_iterations, rng, score)
     refits = sum(refit for _, refit, _ in steps)
     return _finalize_report(method, cfg, candidates, objectives, picks, n_initial,
-                            spread_method, steps, budget={"gp_refits": refits})
+                            steps, budget={"gp_refits": refits})
 
 
 def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-               candidates: CandidateSet, cfg: RunConfig,
-               spread_method: str = "polyline") -> ParetoReport:
+               candidates: CandidateSet, cfg: RunConfig) -> ParetoReport:
     """Seed-split uniform search: floor(budget / seeds) draws per seed on top
     of the shared initial design, pooled into one report."""
     validate_config(cfg)
@@ -608,7 +610,7 @@ def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         if seed_picks:
             sub_reports.append(_finalize_report(
                 f"{METHOD_RANDOM}[seed {s}]", cfg, candidates, objectives, seed_picks,
-                0, spread_method, []))
+                0, []))
     budget = {
         "n_initial": n_initial,
         "evaluations_per_seed": per_seed,
@@ -617,7 +619,7 @@ def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
     }
     steps = [(math.nan, None, None)] * (len(picks) - n_initial)
     return _finalize_report(METHOD_RANDOM, cfg, candidates, objectives, picks, n_initial,
-                            spread_method, steps, budget=budget, per_seed=sub_reports)
+                            steps, budget=budget, per_seed=sub_reports)
 
 
 def hv_history_under_ref(report: ParetoReport, ref) -> list[float]:
@@ -688,7 +690,7 @@ def report_to_dict(report: ParetoReport) -> dict:
         "ref": list(report.ref),
         "hv": report.hv,
         "spread": report.spread,
-        "spread_method": report.spread_method,
+        "spread_method": "polyline",  # the one spread; kept so reports keep their bytes
         "n_initial": report.n_initial,
         "n_evaluations": report.n_evaluations,
         "front": [

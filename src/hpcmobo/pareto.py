@@ -107,22 +107,13 @@ def hypervolume_improvement(front: ParetoFront, ref: np.ndarray,
     return gain.sum(axis=1)
 
 
-def spread(front: ParetoFront, method: str = "polyline") -> float:
-    """Front diversity. "polyline" (default) is the total length of the sorted
-    front; "deb" is a dimensionless consecutive-gap dispersion. Fronts of size
-    <= 1 score 0 under both."""
+def spread(front: ParetoFront) -> float:
+    """Front diversity: the total polyline length of the sorted front, in raw
+    objective units. Fronts of size <= 1 score 0."""
     pts = front.as_array()
     if len(pts) <= 1:
         return 0.0
-    gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    if method == "polyline":
-        return float(gaps.sum())
-    if method == "deb":
-        mean_gap = gaps.mean()
-        if mean_gap == 0:
-            return 0.0
-        return float(np.abs(gaps - mean_gap).sum() / (len(gaps) * mean_gap))
-    raise DataError(f"unknown spread method {method!r}")
+    return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
 
 
 def infer_reference(observed: Sequence[Sequence[float]]) -> tuple[float, float]:

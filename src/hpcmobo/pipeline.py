@@ -378,11 +378,23 @@ def save_context(context: JobContext, path: Path) -> None:
 
 
 def load_context(path: Path, design_feature: str) -> JobContext:
+    """Read the one-row context CSV `save_context` writes. A missing row, a
+    row whose value count differs from the header's, or a value that is not
+    a finite number is a DataError naming the file."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if len(lines) < 2:
         raise DataError(f"job context file {path} needs a header and one row")
     names = tuple(n.strip() for n in lines[0].split(","))
-    values = np.array([float(v) for v in lines[1].split(",")])
+    cells = lines[1].split(",")
+    if len(cells) != len(names):
+        raise DataError(f"job context file {path} has {len(names)} columns "
+                        f"but {len(cells)} values")
+    try:
+        values = np.array([float(v) for v in cells])
+    except ValueError as exc:
+        raise DataError(f"job context file {path}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise DataError(f"job context file {path} holds a non-finite value")
     if design_feature not in names:
         raise DataError(f"design feature {design_feature!r} not in context columns")
     return JobContext(feature_names=names, values=values, design_feature=design_feature)

@@ -66,7 +66,7 @@ class SamplerPlan:
 
 def _scorer_params(seed: int) -> TreeParams:
     # lightweight: shallow trees, one pass, no CV
-    return TreeParams(mode="bagged", n_estimators=16, max_depth=3, seed=seed)
+    return TreeParams(n_estimators=16, max_depth=3, seed=seed)
 
 
 def _minmax(errors: np.ndarray) -> np.ndarray:

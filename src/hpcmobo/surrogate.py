@@ -1,11 +1,9 @@
-"""Objective predictors: regression-tree ensembles (bagged or boosted) plus
-the MAPE accuracy metric and the trained-surrogate bundle used by the
-optimizer.
+"""Objective predictors: bagged regression-tree ensembles plus the MAPE
+accuracy metric and the trained-surrogate bundle used by the optimizer.
 
-One tree builder serves both modes (`_grow_trees`). It grows every tree of a
-bagged ensemble together, one depth at a time, scoring all open nodes of
-all trees in one vectorized pass per depth (Chen & Guestrin 2016; Ke et al.
-2017); boosted mode calls it with one tree per round. Splits greedily
+The tree builder (`_grow_trees`) grows every tree of an ensemble together,
+one depth at a time, scoring all open nodes of all trees in one vectorized
+pass per depth (Chen & Guestrin 2016; Ke et al. 2017). Splits greedily
 minimize the summed squared error of the two children; candidate thresholds
 are midpoints between consecutive distinct sorted values (the upper value
 when the midpoint of two adjacent floats rounds down to the lower one, so no
@@ -42,22 +40,14 @@ _ENTRY_BLOCK = 1 << 14
 
 @dataclass
 class TreeParams:
-    """Table defaults: bagged 100 x depth 10; boosted 100 x depth 6, lr 0.1."""
+    """Table defaults for a bagged ensemble: 100 trees of depth 10."""
 
-    mode: str = "bagged"
     n_estimators: int = 100
     max_depth: int = 10
-    learning_rate: float = 0.1
     min_samples_split: int = 2
     bootstrap: bool = True
-    feature_sample: str = "sqrt"  # "sqrt" or "all"; boosted mode always uses all
+    feature_sample: str = "sqrt"  # "sqrt" or "all"
     seed: int = 0
-
-    @classmethod
-    def boosted(cls, **kw) -> "TreeParams":
-        base = dict(mode="boosted", n_estimators=100, max_depth=6, learning_rate=0.1)
-        base.update(kw)
-        return cls(**base)
 
 
 @dataclass
@@ -293,11 +283,11 @@ def _assemble(levels, n_trees: int) -> list[RegressionTree]:
 
 @dataclass
 class TreeEnsemble:
+    """The average of its trees; an ensemble of no trees predicts
+    base_value, the training mean."""
+
     trees: list[RegressionTree]
-    mode: str
     base_value: float
-    learning_rate: float
-    params: TreeParams
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -308,23 +298,21 @@ class TreeEnsemble:
         acc = np.zeros(len(X))
         for tree in self.trees:
             acc += tree.predict(X)
-        if self.mode == "bagged":
-            return acc / len(self.trees)
-        return self.base_value + self.learning_rate * acc
+        return acc / len(self.trees)
 
     def train_mse_per_tree(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-tree training MSE (bagged mode), for the variance-reduction check."""
+        """Per-tree training MSE, for the variance-reduction check."""
         return np.array([float(np.mean((t.predict(X) - y) ** 2)) for t in self.trees])
 
 
 def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
                       feature_weights: np.ndarray | None = None) -> TreeEnsemble:
-    """Fit a bagged or boosted regression-tree ensemble.
+    """Fit a bagged regression-tree ensemble.
 
-    feature_weights, when given, bias the per-split feature subsampling
-    (bagged mode); this is how attention masks steer trees, which are
-    otherwise invariant to per-column rescaling. They must be finite and
-    positive, one per column, and are validated and normalized once here.
+    feature_weights, when given, bias the per-split feature subsampling;
+    this is how attention masks steer trees, which are otherwise invariant
+    to per-column rescaling. They must be finite and positive, one per
+    column, and are validated and normalized once here.
     """
     params = params or TreeParams()
     X = np.asarray(X, dtype=float)
@@ -350,29 +338,13 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = 
 
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_estimators)
     ranks, values = _rank_columns(X)
-    if params.mode == "bagged":
-        n_sub = d if params.feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
-        rngs = [np.random.default_rng(ss) for ss in seeds]
-        rows = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-                for rng in rngs]
-        trees = _grow_trees(ranks, values, y, rows, rngs, params.max_depth,
-                            params.min_samples_split, n_sub, log_weights)
-        return TreeEnsemble(trees, "bagged", float(y.mean()), 0.0, params)
-    if params.mode == "boosted":
-        base = float(y.mean())
-        pred = np.full(n, base)
-        trees = []
-        for ss in seeds:
-            residual = y - pred
-            if float(np.max(np.abs(residual))) <= 1e-12 * max(1.0, float(np.abs(y).max())):
-                break  # constant target: base-value-only model
-            tree, = _grow_trees(ranks, values, residual, [np.arange(n)],
-                                [np.random.default_rng(ss)], params.max_depth,
-                                params.min_samples_split, d, None)
-            trees.append(tree)
-            pred = pred + params.learning_rate * tree.predict(X)
-        return TreeEnsemble(trees, "boosted", base, params.learning_rate, params)
-    raise DataError(f"unknown ensemble mode {params.mode!r}")
+    n_sub = d if params.feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
+    rngs = [np.random.default_rng(ss) for ss in seeds]
+    rows = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+            for rng in rngs]
+    trees = _grow_trees(ranks, values, y, rows, rngs, params.max_depth,
+                        params.min_samples_split, n_sub, log_weights)
+    return TreeEnsemble(trees, float(y.mean()))
 
 
 def mape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -561,10 +533,12 @@ def save_surrogate(model: SurrogateModel, path: str | Path) -> None:
             "readout_w": model.mask.readout_w.tolist(),
             "readout_b": model.mask.readout_b,
         },
+        # "mode" and "learning_rate" keep the values every model file has
+        # held, so a file's bytes do not depend on the version that wrote it
         "ensemble": {
-            "mode": model.ensemble.mode,
+            "mode": "bagged",
             "base_value": model.ensemble.base_value,
-            "learning_rate": model.ensemble.learning_rate,
+            "learning_rate": 0.0,
             "trees": map(_tree_to_dict, model.ensemble.trees),
         },
     }
@@ -574,10 +548,15 @@ def save_surrogate(model: SurrogateModel, path: str | Path) -> None:
 
 def load_surrogate(path: str | Path) -> SurrogateModel:
     """Read a model `save_surrogate` wrote. A file that cannot be read, is
-    not valid JSON (malformed or truncated) or lacks a field is a DataError
-    naming it."""
+    not valid JSON (malformed or truncated), lacks a field or holds an
+    ensemble that is not bagged is a DataError naming it."""
     try:
-        return _surrogate_from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        mode = payload["ensemble"]["mode"]
+        if mode != "bagged":
+            raise DataError(f"surrogate model {path} holds a {mode!r} ensemble; "
+                            "only 'bagged' ensembles are supported")
+        return _surrogate_from_payload(payload)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"unreadable surrogate model {path}: {exc!r}") from exc
 
@@ -593,10 +572,7 @@ def _surrogate_from_payload(payload: dict) -> SurrogateModel:
     ens = payload["ensemble"]
     ensemble = TreeEnsemble(
         trees=[_tree_from_dict(t) for t in ens["trees"]],
-        mode=ens["mode"],
         base_value=float(ens["base_value"]),
-        learning_rate=float(ens["learning_rate"]),
-        params=TreeParams(mode=ens["mode"]),
     )
     return SurrogateModel(
         target=payload["target"],

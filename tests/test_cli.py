@@ -277,6 +277,40 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
     assert "runtime_model.json" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """The config and output directory of one `run` on the test config."""
+    cfg = _synth(tmp_path_factory.mktemp("run"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    return cfg, cfg.parent / "out"
+
+
+def _swap_first_two(header, row):
+    header[:2], row[:2] = header[1::-1], row[1::-1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # the same columns in another order, names and values together
+    (_swap_first_two, "job context column 0 is"),
+    (lambda header, row: row.pop(), "context.csv has"),
+    (lambda header, row: row.__setitem__(0, "x"), "context.csv: could not convert"),
+    (lambda header, row: row.__setitem__(0, "nan"), "context.csv holds a non-finite value"),
+], ids=["reordered", "value_missing", "not_a_number", "not_finite"])
+def test_optimize_with_a_bad_job_context_is_a_data_error(run_dir, tmp_path, capsys, edit,
+                                                         message):
+    cfg, out = run_dir
+    header, row = ((out / "context_0.csv").read_text().splitlines()[i].split(",")
+                   for i in (0, 1))
+    edit(header, row)
+    context = tmp_path / "context.csv"
+    context.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+    assert main(["optimize", "--config", str(cfg), "--method", "sobo-runtime",
+                 "--surrogates", str(out), "--job-context", str(context),
+                 "--out", str(tmp_path / "report.json")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_a_nan_power_sample_is_imputed_like_a_missing_cell(tmp_path):
     cfg = _synth(tmp_path)
     data = tmp_path / "data.csv"

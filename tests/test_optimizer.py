@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,31 @@ def test_evaluate_objectives_out_of_bounds():
     surr_r, surr_p = _amdahl_surrogates(bounds=(1, 64))[0], _amdahl_surrogates((1, 32))[1]
     with pytest.raises(DataError, match="bounds"):
         evaluate_objectives(surr_r, surr_p, _candidates(1, 64))
+
+
+def test_a_context_must_name_the_surrogates_features_in_their_order():
+    surr_r, surr_p = _trained_pair()
+    names = tuple(surr_r.feature_names)
+    values = np.arange(1.0, len(names) + 1.0)
+    # the first two columns swapped, names and values together
+    order = [1, 0, *range(2, len(names))]
+    swapped = JobContext(tuple(names[i] for i in order), values[order],
+                         surr_r.design_feature)
+    with pytest.raises(DataError, match=re.escape(
+            f"job context column 0 is {names[1]!r} but the runtime surrogate "
+            f"expects {names[0]!r}")):
+        evaluate_objectives(surr_r, surr_p, CandidateSet.for_surrogates(surr_r, surr_p,
+                                                                         swapped))
+    extra = JobContext(names + ("extra",), np.append(values, 0.0), surr_r.design_feature)
+    with pytest.raises(DataError, match=f"column {len(names)} is 'extra' but the runtime "
+                                        "surrogate expects nothing"):
+        evaluate_objectives(surr_r, surr_p, CandidateSet.for_surrogates(surr_r, surr_p,
+                                                                         extra))
+    # the power surrogate's names are checked as well as the runtime one's
+    other = ConstantSurrogate(1.0)
+    other.feature_names = ["nodes"]
+    with pytest.raises(DataError, match="the power surrogate expects 'nodes'"):
+        evaluate_objectives(ConstantSurrogate(1.0), other, _candidates(1, 4))
 
 
 @functools.cache
@@ -400,7 +426,7 @@ def test_report_rows_front_and_history_agree_for_any_table_and_picks(data):
     n_initial = data.draw(st.integers(1, len(picks)))
     steps = [(float(it), None, None) for it in range(len(picks) - n_initial)]
     report = opt._finalize_report("T", _fast_cfg(), candidates, table, list(picks),
-                                  n_initial, "polyline", steps)
+                                  n_initial, steps)
 
     assert (report.observed == table[picks]).all()
     assert list(report.observed_nodes) == [lo + row for row in picks]
@@ -545,8 +571,7 @@ def test_editing_the_payload_budget_leaves_the_report_as_it_was():
 
 
 
-def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg, log_runtime_gp=True,
-                        spread_method="polyline"):
+def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg):
     """The MOBO loop before the refit rule: both GPs refitted and every
     candidate rescored in every iteration, repeats included. Each fit
     warm-starts from the fit made at the previous distinct node set (the
@@ -565,7 +590,7 @@ def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg, log_runtime_g
         if new_set:
             fitted_at, warm_r, warm_p = set(picks), gp_r, gp_p
         Y = objectives[picks]
-        gp_r = fit_objective_gp(nodes[picks], Y[:, 0], log_space=log_runtime_gp, warm=warm_r)
+        gp_r = fit_objective_gp(nodes[picks], Y[:, 0], log_space=True, warm=warm_r)
         gp_p = fit_objective_gp(nodes[picks], Y[:, 1], warm=warm_p)
         ref = np.asarray(infer_reference(Y), dtype=float)
         acq = np.log(opt.ehvi(gp_r, gp_p, nodes, nondominated(Y), ref) + opt.ACQ_EPS)
@@ -574,11 +599,10 @@ def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg, log_runtime_g
         steps.append((best_acq, new_set,
                       {"runtime": gp_r.telemetry(), "power": gp_p.telemetry()}))
     return opt._finalize_report(opt.METHOD_MOBO, cfg, candidates, objectives, picks,
-                                n_initial, spread_method, steps)
+                                n_initial, steps)
 
 
-def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg,
-                        log_runtime_gp=True, spread_method="polyline"):
+def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg):
     """The SOBO loop before the refit rule: the GP refitted and EI rescored in
     every iteration, repeats included, each fit warm-started from the fit made
     at the previous distinct node set (the first is cold)."""
@@ -598,8 +622,7 @@ def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg,
         if new_set:
             fitted_at, warm = set(picks), gp
         values = objectives[picks, col]
-        gp = fit_objective_gp(nodes[picks], values,
-                              log_space=log_runtime_gp and objective == "runtime",
+        gp = fit_objective_gp(nodes[picks], values, log_space=objective == "runtime",
                               warm=warm)
         model_vals = np.log(values) if gp.log_space else values
         incumbent = float(model_vals.min())
@@ -609,7 +632,7 @@ def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg,
         picks.append(row)
         steps.append((best_acq, new_set, {objective: gp.telemetry()}))
     return opt._finalize_report(method, cfg, candidates, objectives, picks, n_initial,
-                                spread_method, steps)
+                                steps)
 
 
 def _without_new_budget_keys(report):
@@ -668,22 +691,34 @@ def refit_case(request, monkeypatch):
     return case, lambda: monkeypatch.setattr(optimizer, "fit_gp", counting), calls
 
 
+def _runtime_law(surr_r, bounds, log_runtime_gp):
+    """The case's runtime surrogate, or, for log_runtime_gp=False, the same law
+    shifted down to be nonpositive everywhere, so every runtime GP fit falls
+    back to plain values."""
+    if log_runtime_gp:
+        return surr_r
+    top = max(surr_r.fn(n) for n in range(bounds[0], bounds[1] + 1))
+    return LawSurrogate(lambda n: surr_r.fn(n) - top, surr_r.design_bounds)
+
+
 @pytest.mark.parametrize("log_runtime_gp", [True, False])
 @pytest.mark.parametrize("refit_case", sorted(_REFIT_CASES), indirect=True)
 def test_mobo_refits_only_after_a_new_node_and_matches_the_refit_every_loop(
         refit_case, log_runtime_gp):
     ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = refit_case
+    surr_r = _runtime_law(surr_r, bounds, log_runtime_gp)
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
-    ref = _reference_mobo_run(surr_r, surr_p, _candidates(*bounds), cfg,
-                              log_runtime_gp=log_runtime_gp)
+    ref = _reference_mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
     count_fits()
-    got = mobo_run(surr_r, surr_p, _candidates(*bounds), cfg, log_runtime_gp=log_runtime_gp)
+    got = mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
     assert _without_new_budget_keys(got) == _without_new_budget_keys(ref)
     nodes = list(got.observed_nodes)
     assert len(set(nodes)) < len(nodes)  # the budget repeats nodes
     assert got.budget["unique_evaluations"] == len(set(nodes))
     assert got.budget["gp_refits"] == _fits_expected(got) < iterations
     assert len(calls) == 2 * got.budget["gp_refits"]
+    # the runtime GP models log values exactly when every observation is positive
+    assert bool((got.observed[:, 0] > 0).all()) == log_runtime_gp
 
 
 @pytest.mark.parametrize("log_runtime_gp", [True, False])
@@ -692,17 +727,17 @@ def test_mobo_refits_only_after_a_new_node_and_matches_the_refit_every_loop(
 def test_sobo_refits_only_after_a_new_node_and_matches_the_refit_every_loop(
         refit_case, objective, log_runtime_gp):
     ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = refit_case
+    surr_r = _runtime_law(surr_r, bounds, log_runtime_gp)
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
-    ref = _reference_sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg,
-                              log_runtime_gp=log_runtime_gp)
+    ref = _reference_sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg)
     count_fits()
-    got = sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg,
-                   log_runtime_gp=log_runtime_gp)
+    got = sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg)
     assert _without_new_budget_keys(got) == _without_new_budget_keys(ref)
     nodes = list(got.observed_nodes)
     assert len(set(nodes)) < len(nodes)
     assert got.budget["unique_evaluations"] == len(set(nodes))
     assert got.budget["gp_refits"] == _fits_expected(got) == len(calls) < iterations
+    assert bool((got.observed[:, 0] > 0).all()) == log_runtime_gp
 
 
 @pytest.mark.parametrize("refit_case", ["floor_fallback"], indirect=True)

@@ -140,13 +140,6 @@ def test_spread_examples():
     assert spread(nondominated([(0, 2), (1, 1), (2, 0)])) == pytest.approx(2 * np.sqrt(2))
 
 
-def test_spread_deb_variant_is_dimensionless():
-    front = nondominated([(0, 3), (1, 1), (3, 0)])
-    assert spread(front, "deb") >= 0.0
-    even = nondominated([(0, 2), (1, 1), (2, 0)])
-    assert spread(even, "deb") == pytest.approx(0.0)
-
-
 def test_infer_reference_inflates_by_ten_percent_of_range():
     assert infer_reference([(1, 1), (3, 2)]) == pytest.approx((3.2, 2.1))
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,14 +23,17 @@ from hpcmobo.surrogate import (
     mape,
     save_surrogate,
     train_objective_surrogate,
+    training_data,
 )
 
 
 def test_constant_target_predicts_exactly_in_both_modes():
     X = np.random.default_rng(0).random((20, 3))
     y = np.full(20, 7.0)
+    # bootstrap rows with sampled features, and the whole sample with every feature
     for params in (TreeParams(n_estimators=10, max_depth=4),
-                   TreeParams.boosted(n_estimators=10)):
+                   TreeParams(n_estimators=10, max_depth=4, bootstrap=False,
+                              feature_sample="all")):
         model = fit_tree_ensemble(X, y, params)
         assert np.all(model.predict(X) == 7.0)
 
@@ -75,16 +79,6 @@ def test_defaults_fit_noisy_quadratic_with_good_r2():
     assert train_worse <= 1  # train error below test error, allowing one fluke
 
 
-def test_boosted_mode_is_row_order_independent():
-    X, y = _noisy_quadratic(3, n=80)
-    perm = np.random.default_rng(1).permutation(len(y))
-    a = fit_tree_ensemble(X, y, TreeParams.boosted(n_estimators=20, seed=5))
-    b = fit_tree_ensemble(X[perm], y[perm], TreeParams.boosted(n_estimators=20, seed=5))
-    q = np.random.default_rng(2).uniform(-2, 2, size=(30, 4))
-    # identical splits; leaf means may differ by float summation order only
-    assert np.allclose(a.predict(q), b.predict(q), rtol=1e-12, atol=1e-12)
-
-
 def test_same_seed_same_predictions():
     X, y = _noisy_quadratic(4, n=100)
     a = fit_tree_ensemble(X, y, TreeParams(n_estimators=15, seed=9))
@@ -122,14 +116,6 @@ def test_fit_rejects_feature_weights_that_are_not_finite_and_positive(weights):
     y = X[:, 0]
     with np.errstate(over="ignore"), pytest.raises(DataError, match="feature_weights"):
         fit_tree_ensemble(X, y, TreeParams(n_estimators=2), feature_weights=np.array(weights))
-
-
-def test_boosted_learning_rate_composition():
-    X = np.linspace(0, 1, 50)[:, None]
-    y = 3.0 * X[:, 0]
-    model = fit_tree_ensemble(X, y, TreeParams.boosted(n_estimators=50, max_depth=3))
-    pred = model.predict(X)
-    assert float(np.mean((pred - y) ** 2)) < 0.01
 
 
 def test_mape_examples():
@@ -187,7 +173,13 @@ def test_training_leaves_the_callers_params_unchanged():
     model = train_objective_surrogate(_toy_table(), "runtime", use_embedding=False,
                                       params=params, seed=0)
     assert params.seed == 5
-    assert model.ensemble.params.seed == 0
+    # the forest is the one the training seed grows, not the caller's seed
+    _, X, y = training_data(_toy_table(), "runtime")
+    Z = model.scaler.transform(X)
+    assert np.array_equal(model.ensemble.predict(Z),
+                          fit_tree_ensemble(Z, y, replace(params, seed=0)).predict(Z))
+    assert not np.array_equal(model.ensemble.predict(Z),
+                              fit_tree_ensemble(Z, y, params).predict(Z))
 
 
 def test_surrogate_pairing_is_independent():
@@ -258,9 +250,7 @@ def _tree_problems(draw):
             cols.append(draw(st.lists(grid if kind == "grid" else wide, min_size=n, max_size=n)))
     X = np.array(cols).T
     y = np.array(draw(st.lists(st.one_of(grid, wide), min_size=n, max_size=n)))
-    mode = draw(st.sampled_from(["bagged", "boosted"]))
     params = TreeParams(
-        mode=mode,
         n_estimators=draw(st.integers(1, 4)),
         max_depth=draw(st.integers(1, 6)),
         min_samples_split=draw(st.integers(2, 5)),
@@ -298,8 +288,6 @@ def _levels(tree):
 def _draw_inputs(params, d, weights):
     """The candidate count and log feature weights fit_tree_ensemble grows
     its trees with."""
-    if params.mode == "boosted":
-        return d, None
     k = d if params.feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
     return k, None if weights is None else np.log(weights / weights.sum())
 
@@ -487,7 +475,6 @@ def test_first_weighted_pick_is_proportional_to_the_weights():
 # sha256 of save_surrogate's JSON, recorded from the level-wise builder
 _GOLDEN_DIGESTS = {
     "bagged_embedding": "7a9902ae829bd357cd0cfc1ea1b6e747ef958496748b9ac6cccaba0aa7bc401b",
-    "boosted": "a417edda7faea12733f27df5b5991ae526edf0bbdd215fa7b927e467cfcfaacd",
 }
 
 
@@ -498,12 +485,9 @@ def test_trained_surrogate_json_matches_the_golden_digest(case, tmp_path):
 
     table, _ = generate(SyntheticSpec(n_jobs=200, n_noise_features=3, seed=11))
     processed, _ = preprocess_fit(table, DURATION_PAIRS)
-    if case == "boosted":
-        kw = dict(use_embedding=False, params=TreeParams.boosted(n_estimators=10, max_depth=4))
-    else:
-        kw = dict(use_embedding=True, params=TreeParams(n_estimators=12, max_depth=8),
-                  mask_epochs=60)
-    model = train_objective_surrogate(processed, "runtime_seconds", seed=3, **kw)
+    model = train_objective_surrogate(processed, "runtime_seconds", use_embedding=True,
+                                      params=TreeParams(n_estimators=12, max_depth=8),
+                                      mask_epochs=60, seed=3)
     path = tmp_path / "model.json"
     save_surrogate(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_DIGESTS[case]
@@ -524,9 +508,9 @@ def _reference_json(model) -> str:
             "readout_b": model.mask.readout_b,
         },
         "ensemble": {
-            "mode": model.ensemble.mode,
+            "mode": "bagged",
             "base_value": model.ensemble.base_value,
-            "learning_rate": model.ensemble.learning_rate,
+            "learning_rate": 0.0,
             "trees": [surrogate._tree_to_dict(t) for t in model.ensemble.trees],
         },
     }, sort_keys=True)
@@ -544,10 +528,10 @@ def _models(draw):
     n = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     X = rng.normal(size=(n, d))
-    # a constant target leaves a boosted model with no trees
+    # a constant target grows single-leaf trees; no trees write "trees": []
     y = np.full(n, 2.5) if draw(st.booleans()) else rng.normal(size=n)
     params = draw(st.sampled_from([TreeParams(n_estimators=3, max_depth=3),
-                                   TreeParams.boosted(n_estimators=3, max_depth=2)]))
+                                   TreeParams(n_estimators=0)]))
     mask = None
     if draw(st.booleans()):
         mask = AttentiveMask(theta=rng.normal(size=d), readout_w=rng.normal(size=d),
@@ -568,12 +552,24 @@ def _models(draw):
 @example(SurrogateModel(
     target='"trees": [', feature_names=['"trees": [{"x": 1}], "y": ['],
     scaler=FeatureScaler(mean=np.zeros(1), std=np.ones(1)),
-    ensemble=fit_tree_ensemble(np.zeros((3, 1)), np.ones(3), TreeParams.boosted()),
-    design_feature="é\\\"")).via("a zero-tree boosted model with hostile names")
+    ensemble=fit_tree_ensemble(np.zeros((3, 1)), np.ones(3), TreeParams(n_estimators=0)),
+    design_feature="é\\\"")).via("a zero-tree model with hostile names")
 def test_streamed_model_bytes_equal_the_one_shot_json(tmp_path_factory, model):
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_surrogate(model, path)
     assert path.read_bytes() == _reference_json(model).encode("utf-8")
+
+
+def test_a_model_file_whose_ensemble_is_not_bagged_is_a_data_error(tmp_path):
+    model = train_objective_surrogate(_toy_table(), "runtime",
+                                      params=TreeParams(n_estimators=2, max_depth=2), seed=0)
+    path = tmp_path / "runtime_model.json"
+    save_surrogate(model, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["ensemble"]["mode"] = "boosted"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=r"runtime_model\.json holds a 'boosted' ensemble"):
+        load_surrogate(path)
 
 
 def test_saving_a_forest_holds_about_one_trees_text(tmp_path):
