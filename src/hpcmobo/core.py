@@ -57,22 +57,22 @@ class ColumnSpec:
 
 @dataclass(frozen=True)
 class JobTable:
-    """Rectangular job-log table, column major. Missing cells hold None.
+    """Rectangular job-log table, column major. Missing cells hold None, and
+    they are the only record of what is missing: `mask(name)` derives from
+    them.
 
-    Transforms never mutate in place; they return new tables. `missing` mirrors
-    the None placements so the mask survives serialization round trips.
+    Transforms never mutate in place; they return new tables.
     """
 
     columns: tuple[ColumnSpec, ...]
     cells: tuple[list, ...]
-    missing: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.columns) != len(self.cells) or len(self.columns) != len(self.missing):
-            raise DataError("column specs, cells, and missing masks must align")
+        if len(self.columns) != len(self.cells):
+            raise DataError("column specs and cells must align")
         n = self.n_rows
-        for spec, col, mask in zip(self.columns, self.cells, self.missing):
-            if len(col) != n or len(mask) != n:
+        for spec, col in zip(self.columns, self.cells):
+            if len(col) != n:
                 raise DataError(f"column {spec.name!r} has ragged length")
 
     @property
@@ -96,7 +96,7 @@ class JobTable:
         return self.cells[self.index(name)]
 
     def mask(self, name: str) -> np.ndarray:
-        return self.missing[self.index(name)]
+        return np.array([v is None for v in self.column(name)], dtype=bool)
 
     def columns_with_role(self, *roles: str) -> list[ColumnSpec]:
         return [c for c in self.columns if c.role in roles]
@@ -121,24 +121,19 @@ class JobTable:
             return np.empty((self.n_rows, 0))
         return np.column_stack(cols)
 
-    def replace_column(self, name: str, spec: ColumnSpec, values: list,
-                       missing: np.ndarray | None = None) -> "JobTable":
+    def replace_column(self, name: str, spec: ColumnSpec, values: list) -> "JobTable":
         j = self.index(name)
         cells = list(self.cells)
         cols = list(self.columns)
-        masks = list(self.missing)
         cols[j] = spec
         cells[j] = values
-        masks[j] = _mask_for(values) if missing is None else np.asarray(missing, dtype=bool)
-        return JobTable(tuple(cols), tuple(cells), tuple(masks))
+        return JobTable(tuple(cols), tuple(cells))
 
-    def add_column(self, spec: ColumnSpec, values: list,
-                   missing: np.ndarray | None = None) -> "JobTable":
+    def add_column(self, spec: ColumnSpec, values: list) -> "JobTable":
         if spec.name in self.names:
             raise DataError(f"column {spec.name!r} already present")
-        mask = _mask_for(values) if missing is None else np.asarray(missing, dtype=bool)
         return JobTable(
-            self.columns + (spec,), self.cells + (values,), self.missing + (mask,)
+            self.columns + (spec,), self.cells + (values,)
         )
 
     def drop_columns(self, names: Iterable[str]) -> "JobTable":
@@ -147,7 +142,6 @@ class JobTable:
         return JobTable(
             tuple(self.columns[j] for j in keep),
             tuple(self.cells[j] for j in keep),
-            tuple(self.missing[j] for j in keep),
         )
 
     def select_rows(self, keep: np.ndarray) -> "JobTable":
@@ -157,34 +151,25 @@ class JobTable:
         else:
             idx = keep.astype(int)
         cells = tuple([col[i] for i in idx] for col in self.cells)
-        masks = tuple(m[idx] for m in self.missing)
-        return JobTable(self.columns, cells, masks)
-
-
-def _mask_for(values: list) -> np.ndarray:
-    return np.array([v is None for v in values], dtype=bool)
+        return JobTable(self.columns, cells)
 
 
 def build_table(columns: Sequence[ColumnSpec], data: Mapping[str, list]) -> JobTable:
     """Assemble a JobTable from per-column value lists; None marks missing."""
     cells = []
-    masks = []
     for spec in columns:
         if spec.name not in data:
             raise DataError(f"no data supplied for column {spec.name!r}")
-        col = list(data[spec.name])
-        cells.append(col)
-        masks.append(_mask_for(col))
-    return JobTable(tuple(columns), tuple(cells), tuple(masks))
+        cells.append(list(data[spec.name]))
+    return JobTable(tuple(columns), tuple(cells))
 
 
 def tables_equal(a: JobTable, b: JobTable) -> bool:
-    """Cell-for-cell equality, including the missing mask."""
+    """Cell-for-cell equality; a missing (None) cell equals only a missing
+    cell."""
     if a.columns != b.columns or a.n_rows != b.n_rows:
         return False
-    for col_a, col_b, m_a, m_b in zip(a.cells, b.cells, a.missing, b.missing):
-        if not np.array_equal(m_a, m_b):
-            return False
+    for col_a, col_b in zip(a.cells, b.cells):
         for va, vb in zip(col_a, col_b):
             if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
                 if not np.array_equal(np.asarray(va), np.asarray(vb)):

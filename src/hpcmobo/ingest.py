@@ -6,7 +6,7 @@ loaded table holds power columns as numeric totals and ingest memory grows
 with rows, not with rows times nodes. Preprocessing reduces any arrays left
 in an in-memory table to the same totals, converts datetimes to epoch
 seconds, derives configured durations, imputes, and label-encodes, leaving a
-fully numeric table with an empty missing mask.
+fully numeric table with no missing (None) cell.
 """
 
 from __future__ import annotations
@@ -105,10 +105,9 @@ def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
                 )
             for j, spec in enumerate(specs):
                 cells[j].append(_parse_cell(row[positions[j]], spec, row_i))
-    masks = tuple(np.array([v is None for v in col], dtype=bool) for col in cells)
     columns = tuple(ColumnSpec(s.name, "numeric", s.role) if s.kind == "power_array" else s
                     for s in specs)
-    return JobTable(columns, tuple(cells), masks)
+    return JobTable(columns, tuple(cells))
 
 
 def _format_cell(value, row: int, name: str) -> str:
@@ -200,18 +199,14 @@ def datetimes_to_epoch(table: JobTable) -> JobTable:
 
 @dataclass
 class PreprocessRecipe:
-    """Fitted preprocessing state, replayable on schema-compatible tables.
-
-    Label codes are dense, assigned in first-appearance order; unseen
-    categories at replay map to max_code + 1.
-    """
+    """Fitted preprocessing state: the duration pairs, the medians and
+    modes that filled missing cells, and the dense label codes, assigned in
+    first-appearance order."""
 
     derived_duration_columns: list[tuple[str, str, str]] = field(default_factory=list)
     numeric_medians: dict[str, float] = field(default_factory=dict)
     categorical_modes: dict[str, str] = field(default_factory=dict)
     label_encodings: dict[str, dict[str, int]] = field(default_factory=dict)
-    imputation: tuple[str, str] = ("median_numeric", "mode_categorical")
-    power_reduction: str = "sum"
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -219,28 +214,17 @@ class PreprocessRecipe:
             "numeric_medians": self.numeric_medians,
             "categorical_modes": self.categorical_modes,
             "label_encodings": self.label_encodings,
-            "imputation": list(self.imputation),
-            "power_reduction": self.power_reduction,
+            "imputation": ["median_numeric", "mode_categorical"],
+            "power_reduction": "sum",
         }
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "PreprocessRecipe":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            derived_duration_columns=[tuple(t) for t in payload["derived_duration_columns"]],
-            numeric_medians=payload["numeric_medians"],
-            categorical_modes=payload["categorical_modes"],
-            label_encodings=payload["label_encodings"],
-            imputation=tuple(payload["imputation"]),
-            power_reduction=payload["power_reduction"],
-        )
 
-
-def derive_durations(table: JobTable, recipe: PreprocessRecipe) -> JobTable:
-    """Add out_col = end - start per configured pair; negative gaps are missing."""
+def derive_durations(table: JobTable, pairs: list[tuple[str, str, str]]) -> JobTable:
+    """Add out_col = end - start per (start, end, out_col) pair; negative gaps
+    are missing."""
     out = table
-    for start_col, end_col, out_col in recipe.derived_duration_columns:
+    for start_col, end_col, out_col in pairs:
         for ref in (start_col, end_col):
             if ref not in out.names:
                 raise DataError(f"duration source column {ref!r} not in table")
@@ -280,7 +264,7 @@ def fit_apply_recipe(
 
     Expects array reduction and datetime conversion to have run already.
     Ignored-role columns are dropped here (explicitly, by role). The returned
-    table is fully numeric with an all-false missing mask.
+    table is fully numeric with no missing cell.
     """
     recipe = PreprocessRecipe(derived_duration_columns=list(duration_pairs or []))
     out = table.drop_columns([c.name for c in table.columns if c.role == "ignored"])
@@ -328,58 +312,15 @@ def fit_apply_recipe(
     return out, recipe
 
 
-def apply_recipe(table: JobTable, recipe: PreprocessRecipe) -> JobTable:
-    """Replay a fitted recipe on a schema-compatible table.
-
-    Idempotent: a table that is already fully numeric passes through unchanged.
-    Unseen categories map to the reserved code max_code + 1.
-    """
-    out = table.drop_columns([c.name for c in table.columns if c.role == "ignored"])
-    for spec in list(out.columns):
-        col = out.column(spec.name)
-        if spec.kind == "string_numeric":
-            col = [
-                None if v is None else _parse_float(str(v), i, spec.name)
-                for i, v in enumerate(col)
-            ]
-            spec = ColumnSpec(spec.name, "numeric", spec.role)
-            out = out.replace_column(spec.name, spec, col)
-        if spec.kind == "numeric":
-            if spec.name in recipe.numeric_medians and out.mask(spec.name).any():
-                median = recipe.numeric_medians[spec.name]
-                col = [median if v is None else float(v) for v in col]
-                out = out.replace_column(spec.name, spec, col)
-        elif spec.kind == "categorical":
-            codes = recipe.label_encodings.get(spec.name)
-            if codes is None:
-                raise DataError(f"recipe has no encoding for column {spec.name!r}")
-            unseen = max(codes.values()) + 1 if codes else 0
-            mode = recipe.categorical_modes.get(spec.name)
-            filled = [mode if v is None else v for v in col]
-            encoded = [float(codes.get(v, unseen)) for v in filled]
-            out = out.replace_column(
-                spec.name, ColumnSpec(spec.name, "numeric", spec.role), encoded
-            )
-    return out
-
-
 def preprocess_fit(
     table: JobTable, duration_pairs: list[tuple[str, str, str]] | None = None
 ) -> tuple[JobTable, PreprocessRecipe]:
     """Full numeric-view pass: arrays -> epochs -> durations -> impute/encode."""
+    pairs = duration_pairs or []
     out = reduce_power_arrays(table)
     out = datetimes_to_epoch(out)
-    stage = PreprocessRecipe(derived_duration_columns=list(duration_pairs or []))
-    out = derive_durations(out, stage)
-    out, recipe = fit_apply_recipe(out, duration_pairs=stage.derived_duration_columns)
-    return out, recipe
-
-
-def preprocess_apply(table: JobTable, recipe: PreprocessRecipe) -> JobTable:
-    out = reduce_power_arrays(table)
-    out = datetimes_to_epoch(out)
-    out = derive_durations(out, recipe)
-    return apply_recipe(out, recipe)
+    out = derive_durations(out, pairs)
+    return fit_apply_recipe(out, duration_pairs=pairs)
 
 
 def save_specs(specs, path: str | Path) -> None:

@@ -378,12 +378,13 @@ def save_context(context: JobContext, path: Path) -> None:
 
 
 def load_context(path: Path, design_feature: str) -> JobContext:
-    """Read the one-row context CSV `save_context` writes. A missing row, a
-    row whose value count differs from the header's, or a value that is not
-    a finite number is a DataError naming the file."""
+    """Read the one-row context CSV `save_context` writes. A missing or a
+    second row, a row whose value count differs from the header's, or a
+    value that is not a finite number is a DataError naming the file."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if len(lines) < 2:
-        raise DataError(f"job context file {path} needs a header and one row")
+    if len(lines) != 2:
+        raise DataError(f"job context file {path} needs a header and one row, "
+                        f"has {len(lines)} lines")
     names = tuple(n.strip() for n in lines[0].split(","))
     cells = lines[1].split(",")
     if len(cells) != len(names):

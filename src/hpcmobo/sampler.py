@@ -117,17 +117,6 @@ def score_difficulty(table: JobTable, seed: int = 0) -> np.ndarray:
     return np.mean(per_target, axis=0)
 
 
-@dataclass(frozen=True)
-class LambdaTune:
-    lam: float
-    probs: np.ndarray
-    losses: np.ndarray
-    expected_rate: float
-    saturated_fraction: float
-    rate_converged: bool
-    winsorized: bool
-
-
 def _clip_probs(lam: float, losses: np.ndarray, p_min: float) -> np.ndarray:
     return np.clip(lam * losses, p_min, 1.0)
 
@@ -158,8 +147,9 @@ def _bisect(losses: np.ndarray, tau: float, p_min: float) -> tuple[float, np.nda
     return lam, probs, converged
 
 
-def tune_lambda(losses: np.ndarray, tau: float, p_min: float) -> LambdaTune:
-    """Bisection on lambda until |mean(p) - tau| <= 1e-3 (or 100 iterations).
+def build_plan(losses: np.ndarray, tau: float, p_min: float) -> SamplerPlan:
+    """Tune lambda by bisection until |mean(p) - tau| <= 1e-3 (or 100
+    iterations) and return the plan.
 
     If the saturated fraction (p_i == 1) exceeds SAT_CAP, losses are
     winsorized at their (1 - SAT_CAP) quantile and the search reruns once.
@@ -183,28 +173,17 @@ def tune_lambda(losses: np.ndarray, tau: float, p_min: float) -> LambdaTune:
         lam, probs, converged = _bisect(used, tau, p_min)
         winsorized = True
         sat = float((probs == 1.0).mean())
-    return LambdaTune(
-        lam=lam, probs=probs, losses=used,
+    return SamplerPlan(
+        losses=used,
+        probs=probs,
+        lam=lam,
+        p_min=p_min,
+        target_rate=tau,
         expected_rate=float(probs.mean()),
         saturated_fraction=sat,
         rate_converged=converged,
+        sat_exceeded=sat > SAT_CAP,
         winsorized=winsorized,
-    )
-
-
-def build_plan(losses: np.ndarray, tau: float, p_min: float) -> SamplerPlan:
-    tune = tune_lambda(losses, tau, p_min)
-    return SamplerPlan(
-        losses=tune.losses,
-        probs=tune.probs,
-        lam=tune.lam,
-        p_min=p_min,
-        target_rate=tau,
-        expected_rate=tune.expected_rate,
-        saturated_fraction=tune.saturated_fraction,
-        rate_converged=tune.rate_converged,
-        sat_exceeded=tune.saturated_fraction > SAT_CAP,
-        winsorized=tune.winsorized,
     )
 
 

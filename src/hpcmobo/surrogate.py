@@ -548,17 +548,27 @@ def save_surrogate(model: SurrogateModel, path: str | Path) -> None:
 
 def load_surrogate(path: str | Path) -> SurrogateModel:
     """Read a model `save_surrogate` wrote. A file that cannot be read, is
-    not valid JSON (malformed or truncated), lacks a field or holds an
-    ensemble that is not bagged is a DataError naming it."""
+    not valid JSON (malformed or truncated), lacks a field, holds an
+    ensemble that is not bagged or a per-feature vector whose length is not
+    the number of feature names is a DataError naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         mode = payload["ensemble"]["mode"]
         if mode != "bagged":
             raise DataError(f"surrogate model {path} holds a {mode!r} ensemble; "
                             "only 'bagged' ensembles are supported")
-        return _surrogate_from_payload(payload)
+        model = _surrogate_from_payload(payload)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"unreadable surrogate model {path}: {exc!r}") from exc
+    vectors = {"scaler_mean": model.scaler.mean, "scaler_std": model.scaler.std}
+    if model.mask is not None:
+        vectors.update(theta=model.mask.theta, readout_w=model.mask.readout_w)
+    d = len(model.feature_names)
+    wrong = [f"{name} has shape {v.shape}" for name, v in vectors.items() if v.shape != (d,)]
+    if wrong:
+        raise DataError(f"surrogate model {path} names {d} features, but "
+                        + "; ".join(wrong))
+    return model
 
 
 def _surrogate_from_payload(payload: dict) -> SurrogateModel:

@@ -143,7 +143,6 @@ def generate(spec: SyntheticSpec) -> tuple[JobTable, dict]:
     table = JobTable(
         tuple(specs),
         tuple(list(data[s.name]) for s in specs),
-        tuple(np.zeros(n, dtype=bool) for _ in specs),
     )
     truth = {
         "spec": asdict(spec),

@@ -266,7 +266,15 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
     flags = ["optimize", "--config", str(cfg), "--method", "random",
              "--surrogates", str(out), "--job-context", str(out / "context_0.csv"),
              "--out", str(out / "opt_report.json")]
-    model.write_bytes(model.read_bytes()[:1000])
+    good = model.read_text()
+    for field in ("scaler_mean", "scaler_std", "theta", "readout_w"):
+        short = json.loads(good)
+        (short if field in short else short["mask"])[field].pop()  # one entry short
+        model.write_text(json.dumps(short))
+        assert main(flags) == 3
+        err = capsys.readouterr().err
+        assert "runtime_model.json names" in err and f"{field} has shape" in err
+    model.write_text(good[:1000])
     assert main(flags) == 3
     assert "runtime_model.json" in capsys.readouterr().err
     model.write_text('{"target": "x"}')
@@ -289,13 +297,18 @@ def _swap_first_two(header, row):
     header[:2], row[:2] = header[1::-1], row[1::-1]
 
 
+def _repeat_row(header, row):
+    row[-1] += "\n" + ",".join(row)
+
+
 @pytest.mark.parametrize("edit, message", [
     # the same columns in another order, names and values together
     (_swap_first_two, "job context column 0 is"),
     (lambda header, row: row.pop(), "context.csv has"),
     (lambda header, row: row.__setitem__(0, "x"), "context.csv: could not convert"),
     (lambda header, row: row.__setitem__(0, "nan"), "context.csv holds a non-finite value"),
-], ids=["reordered", "value_missing", "not_a_number", "not_finite"])
+    (_repeat_row, "context.csv needs a header and one row, has 3 lines"),
+], ids=["reordered", "value_missing", "not_a_number", "not_finite", "second_row"])
 def test_optimize_with_a_bad_job_context_is_a_data_error(run_dir, tmp_path, capsys, edit,
                                                          message):
     cfg, out = run_dir

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hpcmobo.pipeline import (
     train_surrogate_pair,
     write_timing_csv,
 )
+from hpcmobo.sampler import sample_table
 from hpcmobo.synthgen import (
     DURATION_PAIRS,
     SyntheticSpec,
@@ -237,3 +239,24 @@ def test_stage_input_fingerprint_guard(tmp_path):
     artifact.write_text("tampered")
     with pytest.raises(DataError, match="fingerprint"):
         run.stage("two", [artifact], lambda: (None, []))
+
+
+# sha256 of recipe.json, and of plan.json at two sampling fractions, from one
+# fixed synthetic log; at tau = 0.8 more than SAT_CAP of the rows saturate, so
+# that plan is the winsorized one
+@pytest.mark.parametrize("tau, digest", [
+    (None, "96e343c8d1406f8394c94ace7c6436df4b1526be378485e0a94c7e16bbeba166"),
+    (0.5, "ba561db1a3d63ecf32d1984327b48d831fa16eaa54230dbb102b109bb8893e32"),
+    (0.8, "7837207c5f63bb60c8f4c9e47dddaa4f20ce578b2358bc760a4f4f06490f18f9"),
+], ids=["recipe", "plan", "plan_winsorized"])
+def test_recipe_and_plan_json_match_the_golden_digest(tau, digest, tmp_path):
+    table, _ = generate(SyntheticSpec(n_jobs=200, n_noise_features=3, seed=11))
+    processed, recipe = preprocess_fit(table, DURATION_PAIRS)
+    path = tmp_path / "out.json"
+    if tau is None:
+        recipe.save(path)
+    else:
+        _, plan = sample_table(processed, tau, 0.01, 3)
+        assert plan.winsorized == (tau == 0.8)
+        plan.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -8,7 +8,6 @@ from hpcmobo.sampler import (
     draw_subset,
     sample_table,
     score_difficulty,
-    tune_lambda,
 )
 
 
@@ -79,48 +78,48 @@ def test_score_difficulty_is_higher_for_harder_rows():
     assert losses[:10].mean() > 2 * losses[10:].mean()
 
 
-def test_tune_lambda_constant_losses_closed_form():
+def test_build_plan_constant_losses_closed_form():
     # clip map on constant losses: mean(p) = clip(lam * c) so lam = tau / c
     c = 2.0
     losses = np.full(500, c)
-    tune = tune_lambda(losses, tau=0.5, p_min=0.01)
-    assert tune.lam == pytest.approx(0.5 / c, rel=2e-2)
-    assert np.all(tune.probs == tune.probs[0])
-    assert abs(tune.expected_rate - 0.5) <= 1e-3
-    assert tune.rate_converged
+    plan = build_plan(losses, tau=0.5, p_min=0.01)
+    assert plan.lam == pytest.approx(0.5 / c, rel=2e-2)
+    assert np.all(plan.probs == plan.probs[0])
+    assert abs(plan.expected_rate - 0.5) <= 1e-3
+    assert plan.rate_converged
 
 
-def test_tune_lambda_full_rate_saturates_everything():
+def test_build_plan_full_rate_saturates_everything():
     rng = np.random.default_rng(1)
     losses = rng.uniform(0.1, 1.0, size=2000)
-    tune = tune_lambda(losses, tau=1.0, p_min=0.01)
-    assert np.all(tune.probs == 1.0)
-    assert tune.expected_rate == 1.0
+    plan = build_plan(losses, tau=1.0, p_min=0.01)
+    assert np.all(plan.probs == 1.0)
+    assert plan.expected_rate == 1.0
 
 
-def test_tune_lambda_all_zero_losses_reports_floor_with_flag():
+def test_build_plan_all_zero_losses_reports_floor_with_flag():
     losses = np.zeros(1000)
-    tune = tune_lambda(losses, tau=0.3, p_min=0.01)
-    assert np.all(tune.probs == 0.01)
-    assert tune.expected_rate == pytest.approx(0.01)
-    assert not tune.rate_converged
+    plan = build_plan(losses, tau=0.3, p_min=0.01)
+    assert np.all(plan.probs == 0.01)
+    assert plan.expected_rate == pytest.approx(0.01)
+    assert not plan.rate_converged
 
 
-def test_tune_lambda_infeasible_when_tau_below_p_min():
+def test_build_plan_infeasible_when_tau_below_p_min():
     with pytest.raises(ConfigError, match="infeasible"):
-        tune_lambda(np.ones(10), tau=0.005, p_min=0.01)
+        build_plan(np.ones(10), tau=0.005, p_min=0.01)
 
 
-def test_tune_lambda_winsorizes_heavy_tail():
+def test_build_plan_winsorizes_heavy_tail():
     rng = np.random.default_rng(2)
     losses = rng.lognormal(0.0, 2.0, size=5000)
-    tune = tune_lambda(losses, tau=0.5, p_min=0.01)
+    plan = build_plan(losses, tau=0.5, p_min=0.01)
     # heavy tail saturates > 10% of rows, so the loss vector is winsorized at
     # the 0.9 quantile and the search reruns once; the rate stays calibrated
-    assert tune.winsorized
-    assert abs(tune.expected_rate - 0.5) <= 1e-3
-    assert np.all(tune.losses <= np.quantile(losses, 0.9) + 1e-12)
-    assert tune.rate_converged
+    assert plan.winsorized
+    assert abs(plan.expected_rate - 0.5) <= 1e-3
+    assert np.all(plan.losses <= np.quantile(losses, 0.9) + 1e-12)
+    assert plan.rate_converged
 
 
 def test_plan_invariant_probs_equal_clip_map_bit_exact():
