@@ -14,8 +14,6 @@ from .core import (
     NumericalError,
     PipelineError,
     RunConfig,
-    StageTimings,
-    validate_config,
 )
 from .pareto import ParetoFront, hypervolume, infer_reference, nondominated, spread
 
@@ -30,11 +28,9 @@ __all__ = [
     "ParetoFront",
     "PipelineError",
     "RunConfig",
-    "StageTimings",
     "hypervolume",
     "infer_reference",
     "nondominated",
     "spread",
-    "validate_config",
     "__version__",
 ]

@@ -181,7 +181,9 @@ def tables_equal(a: JobTable, b: JobTable) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Optimizer and sampler budget knobs, overridable from config file and CLI."""
+    """Optimizer and sampler budget knobs, overridable from config file and
+    CLI. A bad field is a ConfigError naming the first one, raised when the
+    config is built."""
 
     mobo_iterations: int = 300
     random_seeds: int = 5
@@ -189,24 +191,21 @@ class RunConfig:
     p_min: float = 0.01
     seed: int = 0
 
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    """Return cfg unchanged if valid; raise ConfigError naming the first bad field."""
-    if cfg.mobo_iterations < 1:
-        raise ConfigError(f"mobo_iterations must be >= 1, got {cfg.mobo_iterations}")
-    if cfg.random_seeds < 1:
-        raise ConfigError(f"random_seeds must be >= 1, got {cfg.random_seeds}")
-    if cfg.sampling_fraction <= 0:
-        raise ConfigError(
-            f"sampling fraction must be positive (sampling_fraction={cfg.sampling_fraction})"
-        )
-    if cfg.sampling_fraction > 1:
-        raise ConfigError(
-            f"sampling_fraction must be <= 1, got {cfg.sampling_fraction}"
-        )
-    if not (0 < cfg.p_min <= 1):
-        raise ConfigError(f"p_min must be in (0, 1], got {cfg.p_min}")
-    return cfg
+    def __post_init__(self) -> None:
+        if self.mobo_iterations < 1:
+            raise ConfigError(f"mobo_iterations must be >= 1, got {self.mobo_iterations}")
+        if self.random_seeds < 1:
+            raise ConfigError(f"random_seeds must be >= 1, got {self.random_seeds}")
+        if self.sampling_fraction <= 0:
+            raise ConfigError(
+                f"sampling fraction must be positive (sampling_fraction={self.sampling_fraction})"
+            )
+        if self.sampling_fraction > 1:
+            raise ConfigError(
+                f"sampling_fraction must be <= 1, got {self.sampling_fraction}"
+            )
+        if not (0 < self.p_min <= 1):
+            raise ConfigError(f"p_min must be in (0, 1], got {self.p_min}")
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
@@ -309,28 +308,4 @@ def run_config_from_sections(sections: Mapping[str, Mapping[str, str]],
         if key not in _RUN_FIELDS:
             raise ConfigError(f"unknown run config field {key!r}")
         merged[key] = value
-    return validate_config(RunConfig(**merged))
-
-
-@dataclass(frozen=True)
-class StageTimings:
-    """Ordered stage -> wall-clock seconds map with a consistency-checked total."""
-
-    entries: tuple[tuple[str, float], ...]
-    total: float
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[tuple[str, float]]) -> "StageTimings":
-        total = float(sum(t for _, t in entries))
-        return cls(tuple((str(k), float(v)) for k, v in entries), total)
-
-    def __post_init__(self) -> None:
-        s = sum(t for _, t in self.entries)
-        scale = max(abs(s), abs(self.total), 1e-12)
-        if abs(s - self.total) > 1e-6 * scale:
-            raise NumericalError(
-                f"stage timing total {self.total} != sum of entries {s}"
-            )
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
+    return RunConfig(**merged)

@@ -124,7 +124,9 @@ def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
     clamped into this fit's bounds (a fixed noise_var still wins).
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise DataError(f"GP targets must be a 1-D array, got shape {y.shape}")
     if X.ndim != 2 or len(X) != len(y):
         raise DataError(
             f"GP training inputs must be an (n, d) array with one row per target; "

@@ -241,21 +241,6 @@ def derive_durations(table: JobTable, pairs: list[tuple[str, str, str]]) -> JobT
     return out
 
 
-def _mode(values: list) -> str:
-    counts: dict[str, int] = {}
-    order: list[str] = []
-    for v in values:
-        if v not in counts:
-            order.append(v)
-            counts[v] = 0
-        counts[v] += 1
-    best = max(counts.values())
-    for v in order:  # first-appearance tie break
-        if counts[v] == best:
-            return v
-    raise AssertionError("unreachable")
-
-
 def fit_apply_recipe(
     table: JobTable,
     duration_pairs: list[tuple[str, str, str]] | None = None,
@@ -292,7 +277,8 @@ def fit_apply_recipe(
             present = [v for v in col if v is not None]
             if not present:
                 raise DataError(f"column {spec.name!r} is entirely missing; cannot impute")
-            mode = _mode(present)
+            # the first of the most frequent values to appear
+            mode = Counter(present).most_common(1)[0][0]
             recipe.categorical_modes[spec.name] = mode
             filled = [mode if v is None else v for v in col]
             codes: dict[str, int] = {}

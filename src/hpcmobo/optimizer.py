@@ -1,35 +1,29 @@
 """Optimization engines over the discrete node-count domain.
 
-MOBO proposes one candidate per iteration by q=1 log expected hypervolume
-improvement under two independent GP posteriors, computed exactly for every
-candidate from the 2-D strip decomposition of the improvement (`ehvi`; no
-sampling in the loop); SOBO runs closed-form log expected improvement on a
-single objective; the random baseline spends a matched budget of uniform
-draws split across seeds. All methods start from the same 4-point
-space-filling initial design and evaluate objectives against frozen
-surrogates, which stand in for the machine.
+Every engine starts from the same 4-point space-filling initial design and
+evaluates objectives against frozen surrogates, which stand in for the
+machine. The domain is a finite set of node counts, so each candidate is
+predicted once, in one batched call per surrogate (`evaluate_objectives`),
+and the candidate set keeps that table for every engine run on it with the
+same surrogates (`CandidateSet.objectives`). An engine's observations are
+the table rows it picked, the initial design first; `_finalize_report`
+builds the report's observations, front, per-iteration HV and spread, and
+the budget's `unique_evaluations` from them once, at the end.
 
-The surrogates are frozen and the domain is a finite set of node counts, so
-every candidate is evaluated once, with one batched predict per surrogate
-(`evaluate_objectives`), and the candidate set keeps that table for every
-engine run on it with the same surrogates (`CandidateSet.objectives`). An
-engine's observations are then just the list of table rows it picked, the
-initial design first; GP fits and acquisitions read those rows of the
-table, and the loop records only each iteration's acquisition, whether it
-refitted and the fitted GP telemetry. The report's observations, front,
-`front_found_at` and per-iteration `hv_so_far`/`spread_so_far` are built
-once from the rows at the end (`_finalize_report`). For the same reason a
-GP, and the acquisition scored from it, change only when the set of
-distinct observed nodes does: MOBO and SOBO refit and rescore only after an
-iteration that observed a new node, and a repeated proposal costs no GP
-work. The first fit of each GP in an engine call is the cold multi-start
-search; every refit warm-starts from the previous fit, made at the previous
-set of distinct nodes. Each report's `budget` records its
-`unique_evaluations`, and the GP methods' their `gp_refits`; each history
-entry of a GP method records whether its iteration refitted and the
-hyperparameters, LML and jitter of the GP(s) that scored its pick. The
-Monte-Carlo estimator `log_ehvi`/`ehvi_samples` stays as a test oracle for
-`ehvi`.
+MOBO and SOBO are one GP search loop, `_gp_search`, to which each engine
+gives its label and rng stream, the objectives it fits a GP to (runtime
+first, in log space) and its acquisition: the exact q=1 expected
+hypervolume improvement from the 2-D strip decomposition for MOBO (`ehvi`;
+no sampling in the loop), closed-form expected improvement for SOBO. The
+loop refits and rescores only after an iteration that observed a new node
+(`_search`); the first fit of each GP is the cold multi-start search, and
+every refit warm-starts from the one before it. Each history entry records
+the best log acquisition, whether its iteration refitted, and the telemetry
+of the GP(s) that scored its pick; the budget records `gp_refits`.
+
+The random baseline spends a matched budget of uniform draws split across
+seeds; its history entries carry no acquisition. The Monte-Carlo estimator
+`log_ehvi`/`ehvi_samples` stays as a test oracle for `ehvi`.
 """
 
 from __future__ import annotations
@@ -39,13 +33,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 from scipy.stats import norm, qmc
 
-from .core import ConfigError, DataError, NumericalError, RunConfig, validate_config
+from .core import ConfigError, DataError, NumericalError, RunConfig
 from .gp import GaussianProcess, fit_gp, gp_posterior
 from .pareto import (
     ParetoFront,
@@ -345,9 +339,10 @@ class HistoryEntry:
     power: float
     hv_so_far: float
     spread_so_far: float
-    acquisition: float
-    # GP methods only: whether this iteration fitted the GP(s), and the
-    # ObjectiveGP.telemetry() of each GP that scored this pick, by objective
+    # GP methods only: the best log acquisition, whether this iteration
+    # fitted the GP(s), and the ObjectiveGP.telemetry() of each GP that
+    # scored this pick, by objective
+    acquisition: float | None
     refit: bool | None = None
     gp: dict[str, dict] | None = None
 
@@ -517,74 +512,38 @@ def _search(picks: list[int], n_rows: int, iterations: int, rng: np.random.Gener
     return steps
 
 
-def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-             candidates: CandidateSet, cfg: RunConfig) -> ParetoReport:
-    """q=1 logEHVI loop: after every iteration that observed a new node, refit
-    both GPs and score every candidate node count with the exact `ehvi`, so
-    no Monte-Carlo draw is made. The first fit of each GP is cold and every
-    later one warm-starts from the one before it. Runtime is modelled in log
-    space (`fit_objective_gp`), power in plain values. A repeated node reuses
-    the last scores (see `_search`); budget["gp_refits"] counts the
-    iterations that fitted."""
-    validate_config(cfg)
+# the column of each objective in the objective table, in fitting order
+_COLUMNS = {"runtime": 0, "power": 1}
+_SOBO_METHODS = {"runtime": METHOD_SOBO_RUNTIME, "power": METHOD_SOBO_POWER}
+
+
+def _gp_search(method: str, stream: int, surr_runtime: ObjectiveSurrogate,
+               surr_power: ObjectiveSurrogate, candidates: CandidateSet, cfg: RunConfig,
+               fitted: tuple[str, ...],
+               acquisition: Callable[..., np.ndarray]) -> ParetoReport:
+    """The GP search loop of MOBO and SOBO. After each iteration that observed
+    a new node, it fits a GP per `fitted` objective, warm from its last fit,
+    and scores every candidate by `acquisition(gps, Y, nodes)`: the fitted
+    ObjectiveGPs by objective, the observed objective rows and the candidate
+    nodes. `stream` keys the rng of the floor fallback (`_pick_candidate`)."""
     _require_searchable(candidates)
     objectives, picks = _start(surr_runtime, surr_power, candidates)
     n_initial = len(picks)
-    rng = np.random.default_rng([cfg.seed, 11])
+    rng = np.random.default_rng([cfg.seed, stream])
     nodes = candidates.node_counts
-    last = {"runtime": None, "power": None}
+    gps: dict[str, ObjectiveGP | None] = dict.fromkeys(fitted)
 
     def score(it: int) -> tuple[np.ndarray, dict[str, ObjectiveGP]]:
         Y = objectives[picks]
         try:
-            gp_r = fit_objective_gp(nodes[picks], Y[:, 0], log_space=True,
-                                    warm=last["runtime"])
-            gp_p = fit_objective_gp(nodes[picks], Y[:, 1], warm=last["power"])
+            for name in fitted:
+                gps[name] = fit_objective_gp(nodes[picks], Y[:, _COLUMNS[name]],
+                                             log_space=name == "runtime", warm=gps[name])
         except NumericalError as exc:
-            raise NumericalError(f"GP fit failed at MOBO iteration {it}: {exc}") from exc
-        last.update(runtime=gp_r, power=gp_p)
-        ref = np.asarray(infer_reference(Y), dtype=float)
-        return np.log(ehvi(gp_r, gp_p, nodes, nondominated(Y), ref) + ACQ_EPS), dict(last)
-
-    steps = _search(picks, len(nodes), cfg.mobo_iterations, rng, score)
-    refits = sum(refit for _, refit, _ in steps)
-    return _finalize_report(METHOD_MOBO, cfg, candidates, objectives, picks, n_initial,
-                            steps, budget={"gp_refits": refits})
-
-
-def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-             candidates: CandidateSet, objective: str, cfg: RunConfig) -> ParetoReport:
-    """Single-objective logEI loop; the untargeted objective is still recorded
-    so the resulting point set carries HV and spread. The GP models runtime
-    in log space and power in plain values, as in `mobo_run`; it is
-    refitted, warm from its previous fit after the first, and EI rescored
-    only after an iteration observed a new node."""
-    validate_config(cfg)
-    if objective not in ("runtime", "power"):
-        raise ConfigError(f"objective must be runtime or power, got {objective!r}")
-    _require_searchable(candidates)
-    objectives, picks = _start(surr_runtime, surr_power, candidates)
-    n_initial = len(picks)
-    rng = np.random.default_rng([cfg.seed, 13])
-    nodes = candidates.node_counts
-
-    col = 0 if objective == "runtime" else 1
-    method = METHOD_SOBO_RUNTIME if objective == "runtime" else METHOD_SOBO_POWER
-
-    last = {objective: None}
-
-    def score(it: int) -> tuple[np.ndarray, dict[str, ObjectiveGP]]:
-        values = objectives[picks, col]
-        try:
-            gp = fit_objective_gp(nodes[picks], values, log_space=objective == "runtime",
-                                  warm=last[objective])
-        except NumericalError as exc:
-            raise NumericalError(f"GP fit failed at SOBO iteration {it}: {exc}") from exc
-        last[objective] = gp
-        model_vals = np.log(values) if gp.log_space else values
-        incumbent = float(model_vals.min())
-        mean, var = gp.posterior(nodes)
-        return np.log(expected_improvement(mean, var, incumbent) + ACQ_EPS), dict(last)
+            # "MOBO", or "SOBO" of "SOBO (Runtime)"
+            raise NumericalError(
+                f"GP fit failed at {method.split()[0]} iteration {it}: {exc}") from exc
+        return np.log(acquisition(gps, Y, nodes) + ACQ_EPS), dict(gps)
 
     steps = _search(picks, len(nodes), cfg.mobo_iterations, rng, score)
     refits = sum(refit for _, refit, _ in steps)
@@ -592,11 +551,45 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
                             steps, budget={"gp_refits": refits})
 
 
+def _ehvi_at(gps: dict[str, ObjectiveGP], Y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Exact EHVI over the front and inferred reference of the rows Y."""
+    ref = np.asarray(infer_reference(Y), dtype=float)
+    return ehvi(gps["runtime"], gps["power"], nodes, nondominated(Y), ref)
+
+
+def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
+             candidates: CandidateSet, cfg: RunConfig) -> ParetoReport:
+    """q=1 logEHVI loop: fits a runtime and a power GP and scores every
+    candidate node count with the exact `ehvi`, so no Monte-Carlo draw is
+    made (`_gp_search`)."""
+    return _gp_search(METHOD_MOBO, 11, surr_runtime, surr_power, candidates, cfg,
+                      ("runtime", "power"), _ehvi_at)
+
+
+def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
+             candidates: CandidateSet, objective: str, cfg: RunConfig) -> ParetoReport:
+    """Single-objective logEI loop: fits one GP, of `objective`, and scores
+    closed-form EI below the best observed value in the GP's space
+    (`_gp_search`). The untargeted objective is still recorded so the
+    resulting point set carries HV and spread."""
+    if objective not in _SOBO_METHODS:
+        raise ConfigError(f"objective must be runtime or power, got {objective!r}")
+    col = _COLUMNS[objective]
+
+    def ei_at(gps: dict[str, ObjectiveGP], Y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        gp = gps[objective]
+        values = np.log(Y[:, col]) if gp.log_space else Y[:, col]
+        mean, var = gp.posterior(nodes)
+        return expected_improvement(mean, var, float(values.min()))
+
+    return _gp_search(_SOBO_METHODS[objective], 13, surr_runtime, surr_power, candidates,
+                      cfg, (objective,), ei_at)
+
+
 def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
                candidates: CandidateSet, cfg: RunConfig) -> ParetoReport:
     """Seed-split uniform search: floor(budget / seeds) draws per seed on top
     of the shared initial design, pooled into one report."""
-    validate_config(cfg)
     objectives, picks = _start(surr_runtime, surr_power, candidates)
     n_initial = len(picks)
     n_rows = len(candidates.node_counts)
@@ -617,7 +610,7 @@ def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         "pooled_evaluations": per_seed * cfg.random_seeds,
         "total_evaluations": len(picks),
     }
-    steps = [(math.nan, None, None)] * (len(picks) - n_initial)
+    steps = [(None, None, None)] * (len(picks) - n_initial)
     return _finalize_report(METHOD_RANDOM, cfg, candidates, objectives, picks, n_initial,
                             steps, budget=budget, per_seed=sub_reports)
 
@@ -663,9 +656,8 @@ def compare_methods(reports: dict[str, ParetoReport]) -> ComparisonTable:
     hv: dict[str, float] = {}
     spr: dict[str, float] = {}
     for name, rep in reports.items():
-        front = nondominated(rep.observed)
-        hv[name] = hypervolume(front, ref)
-        spr[name] = spread(front)
+        hv[name] = hypervolume(rep.front, ref)
+        spr[name] = spread(rep.front)
     best_hv = max(hv.values())
     best_spread = min(spr.values())
     return ComparisonTable(

@@ -33,9 +33,20 @@ class ParetoFront:
         return np.asarray(self.points, dtype=float)
 
 
+def _pairs(points, what: str) -> np.ndarray:
+    """`points` as an (n, 2) float array (an empty input is valid); any other
+    shape is a DataError naming it."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape == (0,):
+        return pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DataError(f"{what} needs an (n, 2) array of objective pairs, got shape {pts.shape}")
+    return pts
+
+
 def nondominated(points: Sequence[Sequence[float]]) -> ParetoFront:
     """Maximal nondominated subset; weakly dominated points and duplicates drop."""
-    pts = np.asarray(list(points), dtype=float).reshape(-1, 2)
+    pts = _pairs(points, "nondominated()")
     if pts.size and not np.isfinite(pts).all():
         raise DataError("nondominated() requires finite points")
     if len(pts) == 0:
@@ -96,7 +107,7 @@ def hypervolume_improvement(front: ParetoFront, ref: np.ndarray,
     front x-coordinates (`hvi_strips`); each candidate adds the rectangle
     parts of those strips it newly dominates.
     """
-    cand = np.asarray(candidates, dtype=float).reshape(-1, 2)
+    cand = _pairs(candidates, "hypervolume_improvement()")
     seg_hi, seg_y = hvi_strips(front, ref)
     seg_lo = np.concatenate(([-math.inf], seg_hi[:-1]))
     a = cand[:, :1]
@@ -119,13 +130,14 @@ def spread(front: ParetoFront) -> float:
 def infer_reference(observed: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Componentwise max of observed objectives, inflated by 10% of each range
     (or +1.0 where the range is zero). Recomputed every optimizer iteration."""
-    pts = np.asarray(list(observed), dtype=float).reshape(-1, 2)
+    pts = _pairs(observed, "infer_reference()")
     if len(pts) == 0:
         raise DataError("cannot infer a reference point from zero observations")
     hi = pts.max(axis=0)
     span = hi - pts.min(axis=0)
     pad = np.where(span > 0, 0.1 * span, 1.0)
-    out = hi + pad
+    # a pad below the spacing of floats at hi would round away
+    out = np.maximum(hi + pad, np.nextafter(hi, math.inf))
     return (float(out[0]), float(out[1]))
 
 

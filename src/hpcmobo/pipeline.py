@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -26,7 +26,6 @@ from .core import (
     DataError,
     JobTable,
     RunConfig,
-    StageTimings,
     cast_section,
     config_fields,
     load_config_file,
@@ -68,15 +67,17 @@ from .surrogate import (
 )
 from .synthgen import load_truth, objectives_at, true_front
 
-TIMING_ROWS = (
-    "Preprocessing",
-    "Runtime Model",
-    "Power Model",
-    "Preproc. MOBO",
-    "MOBO",
-    "SOBO Runtime",
-    "SOBO Power",
-)
+# each row of the timing table and the stages whose seconds it sums: the
+# sampler is part of Preprocessing and the random baseline is manifest-only
+TIMING_ROWS = {
+    "Preprocessing": ("preprocess", "sample"),
+    "Runtime Model": ("runtime_model",),
+    "Power Model": ("power_model",),
+    "Preproc. MOBO": ("preproc_mobo",),
+    "MOBO": ("mobo",),
+    "SOBO Runtime": ("sobo_runtime",),
+    "SOBO Power": ("sobo_power",),
+}
 
 
 # share of the subset held out to score each surrogate
@@ -221,7 +222,6 @@ class PipelineRun:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.artifacts: dict[str, str] = {}
         self.stage_records: list[dict] = []
-        self.stage_seconds: dict[str, float] = {}
 
     def rel(self, path: Path) -> str:
         return str(Path(path).relative_to(self.out_dir))
@@ -249,7 +249,6 @@ class PipelineRun:
         start = time.perf_counter()
         result, outputs = fn(*args)
         seconds = time.perf_counter() - start
-        self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
         self.register(*outputs)
         self.stage_records.append({
             "name": name,
@@ -273,25 +272,16 @@ def manifest_comparable(manifest: dict) -> dict:
     return out
 
 
-def timing_table(stage_seconds: dict[str, float]) -> StageTimings:
-    """Fold granular stage timings into the fixed 7-row report layout; the
-    sampler is part of Preprocessing and the random baseline is manifest-only."""
-    rows = {
-        "Preprocessing": stage_seconds.get("preprocess", 0.0) + stage_seconds.get("sample", 0.0),
-        "Runtime Model": stage_seconds.get("runtime_model", 0.0),
-        "Power Model": stage_seconds.get("power_model", 0.0),
-        "Preproc. MOBO": stage_seconds.get("preproc_mobo", 0.0),
-        "MOBO": stage_seconds.get("mobo", 0.0),
-        "SOBO Runtime": stage_seconds.get("sobo_runtime", 0.0),
-        "SOBO Power": stage_seconds.get("sobo_power", 0.0),
-    }
-    return StageTimings.from_entries([(name, rows[name]) for name in TIMING_ROWS])
+def timing_table(stage_records: list[dict]) -> dict[str, float]:
+    """Fold the seconds of the stage records into the `TIMING_ROWS` layout."""
+    return {row: sum((r["seconds"] for r in stage_records if r["name"] in stages), 0.0)
+            for row, stages in TIMING_ROWS.items()}
 
 
-def write_timing_csv(timings: StageTimings, path: Path) -> None:
+def write_timing_csv(timings: dict[str, float], path: Path) -> None:
     """Write the rows with 6 decimals and a TOTAL row that is the sum of the
     rows as written, so the file adds up whatever the rounding."""
-    rows = [(name, round(seconds, 6)) for name, seconds in timings.entries]
+    rows = [(name, round(seconds, 6)) for name, seconds in timings.items()]
     lines = ["Step,Seconds"] + [f"{name},{seconds:.6f}" for name, seconds in rows]
     lines.append(f"TOTAL,{sum(seconds for _, seconds in rows):.6f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -343,25 +333,6 @@ def train_single_surrogate(table: JobTable, settings: PipelineSettings, target: 
         entry["mse"] = float(np.mean((pred - y) ** 2))
         entry["mape"] = mape(y, pred)
     return model, entry
-
-
-def train_surrogate_pair(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
-                         use_embedding: bool | None = None,
-                         seed: int | None = None) -> tuple[SurrogateModel, SurrogateModel, dict]:
-    """Runtime and power predictors trained independently on the same split;
-    two calls, no shared state."""
-    seed = cfg.seed if seed is None else seed
-    surr_r, m_r = train_single_surrogate(table, settings, settings.runtime_target,
-                                         use_embedding, seed)
-    surr_p, m_p = train_single_surrogate(table, settings, settings.power_target,
-                                         use_embedding, seed)
-    metrics = {
-        "n_train": m_r["n_train"], "n_val": m_r["n_val"],
-        "targets": {settings.runtime_target: {"mse": m_r["mse"], "mape": m_r["mape"]},
-                    settings.power_target: {"mse": m_p["mse"], "mape": m_p["mape"]}},
-        "mape_units": "fraction",
-    }
-    return surr_r, surr_p, metrics
 
 
 def context_from_row(table: JobTable, row: int) -> JobContext:
@@ -550,7 +521,7 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
     run.stage("report", [], report_stage, reports, candidates, context_rows, truth,
               reports_dir)
 
-    timings = timing_table(run.stage_seconds)
+    timings = timing_table(run.stage_records)
     write_timing_csv(timings, out / "timing_table.csv")
     run.register(out / "timing_table.csv")
 
@@ -568,7 +539,7 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
         "aggregation": f"mean over {len(candidates)} sampled job contexts",
         "stages": run.stage_records,
         "artifacts": dict(sorted(run.artifacts.items())),
-        "timing_table": {name: s for name, s in timings.entries} | {"TOTAL": timings.total},
+        "timing_table": timings | {"TOTAL": sum(timings.values())},
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True),
@@ -616,13 +587,16 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
 
     for s in range(settings.h1_seeds):
         seed = cfg.seed + s
-        seed_cfg = RunConfig(**{**asdict(cfg), "seed": seed})
+        seed_cfg = replace(cfg, seed=seed)
         entry: dict = {"seed": seed}
         for variant in variants:
-            surr_r, surr_p, metrics = train_surrogate_pair(
-                table, settings, seed_cfg, use_embedding=(variant == "embedded"),
-                seed=seed)
-            entry[variant] = metrics["targets"]
+            surrogates, entry[variant] = {}, {}
+            for key, target in settings.targets().items():
+                surrogates[key], metrics = train_single_surrogate(
+                    table, settings, target, use_embedding=(variant == "embedded"),
+                    seed=seed)
+                entry[variant][target] = {"mse": metrics["mse"], "mape": metrics["mape"]}
+            surr_r, surr_p = surrogates["runtime"], surrogates["power"]
             scores: dict[str, dict[str, list[float]]] = {
                 m: {"hv": [], "spread": []} for m in methods
             }

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -9,39 +10,39 @@ from hpcmobo.core import (
     ConfigError,
     NumericalError,
     RunConfig,
-    StageTimings,
     build_table,
     cast_section,
     parse_config_text,
     run_config_from_sections,
     tables_equal,
-    validate_config,
 )
 
 
-def test_validate_config_defaults_are_valid():
+def test_run_config_defaults_are_valid():
     cfg = RunConfig()
-    assert validate_config(cfg) is cfg
     assert cfg.mobo_iterations == 300
     assert cfg.random_seeds == 5
     assert cfg.sampling_fraction == 1.0
     assert cfg.p_min == 0.01
 
 
-def test_validate_config_rejects_zero_fraction():
+def test_run_config_rejects_zero_fraction():
     with pytest.raises(ConfigError, match="sampling fraction must be positive"):
-        validate_config(RunConfig(sampling_fraction=0.0))
+        RunConfig(sampling_fraction=0.0)
 
 
-def test_validate_config_minimal_budget_ok():
-    assert validate_config(RunConfig(mobo_iterations=1)) is not None
+def test_run_config_minimal_budget_ok():
+    assert RunConfig(mobo_iterations=1).mobo_iterations == 1
 
 
-def test_validate_config_reports_first_violation_with_field_name():
+def test_run_config_reports_first_violation_with_field_name():
     with pytest.raises(ConfigError, match="mobo_iterations"):
-        validate_config(RunConfig(mobo_iterations=0, p_min=0.0))
+        RunConfig(mobo_iterations=0, p_min=0.0)
     with pytest.raises(ConfigError, match="p_min"):
-        validate_config(RunConfig(p_min=0.0))
+        RunConfig(p_min=0.0)
+    # a copy is checked as it is built, too
+    with pytest.raises(ConfigError, match="random_seeds must be >= 1, got 0"):
+        dataclasses.replace(RunConfig(), random_seeds=0)
 
 
 def test_config_file_parsing_with_sections_and_overrides(tmp_path):
@@ -125,13 +126,6 @@ def test_a_non_finite_surrogate_prediction_is_a_numerical_error(bad):
     candidates = CandidateSet.from_bounds(1, 8, JobContext(("nodes",), np.array([1.0]), "nodes"))
     with pytest.raises(NumericalError, match="must be finite.*at node count 5"):
         evaluate_objectives(OneBadNode(0), OneBadNode(1), candidates)
-
-
-def test_stage_timings_total_matches_sum():
-    t = StageTimings.from_entries([("a", 1.5), ("b", 2.5)])
-    assert t.total == 4.0
-    with pytest.raises(NumericalError):
-        StageTimings(entries=(("a", 1.0),), total=2.0)
 
 
 def test_table_requires_exactly_one_design_variable():

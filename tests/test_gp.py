@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,15 @@ def test_inputs_must_hold_one_row_per_target():
         fit_gp(np.arange(5.0)[None, :], np.arange(5.0))
     with pytest.raises(DataError, match="one row per target"):
         fit_gp(np.arange(5.0), np.arange(5.0))
+
+
+@pytest.mark.parametrize("y", [np.arange(5.0)[None, :], np.arange(5.0)[:, None],
+                               np.array(1.0)])
+def test_targets_must_be_one_dimensional(y):
+    # a (1, 5) target used to be raveled and trained as five targets
+    X = np.arange(5.0)[:, None]
+    with pytest.raises(DataError, match=re.escape(f"1-D array, got shape {y.shape}")):
+        fit_gp(X, y)
 
 
 def _reference_lml(gp) -> float:

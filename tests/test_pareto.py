@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hpcmobo.core import DataError
 from hpcmobo.pareto import (
     ParetoFront,
     hypervolume,
@@ -169,3 +174,89 @@ def test_hypervolume_improvement_matches_direct_recompute():
         for point, gain in zip(cands, batch):
             joined = hypervolume(nondominated(list(front.points) + [point]), ref)
             assert gain == pytest.approx(joined - base, abs=1e-10)
+
+
+# inputs that are not an (n, 2) array of objective pairs, with their shapes;
+# the first two used to be reshaped into the two-point front ((1, 2), (3, 0.5))
+_NOT_PAIRS = [
+    ([1.0, 2.0, 3.0, 0.5], (4,)),
+    ([[1.0, 2.0, 3.0, 0.5]], (1, 4)),
+    ([[1.0, 2.0, 3.0]], (1, 3)),
+    ([[[1.0, 2.0]]], (1, 1, 2)),
+    (1.0, ()),
+]
+
+
+def _names_shape(what, shape):
+    return re.escape(f"{what} needs an (n, 2) array of objective pairs, got shape {shape}")
+
+
+@pytest.mark.parametrize("points, shape", _NOT_PAIRS)
+def test_nondominated_requires_n_by_2_points(points, shape):
+    with pytest.raises(DataError, match=_names_shape("nondominated()", shape)):
+        nondominated(points)
+    assert nondominated([]).points == ()
+    assert nondominated(np.empty((0, 2))).points == ()
+
+
+@pytest.mark.parametrize("points, shape", _NOT_PAIRS)
+def test_infer_reference_requires_n_by_2_points(points, shape):
+    with pytest.raises(DataError, match=_names_shape("infer_reference()", shape)):
+        infer_reference(points)
+    with pytest.raises(DataError, match="zero observations"):
+        infer_reference(np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("points, shape", _NOT_PAIRS)
+def test_hypervolume_improvement_requires_n_by_2_candidates(points, shape):
+    front, ref = nondominated([(1.0, 2.0)]), np.array([3.0, 3.0])
+    with pytest.raises(DataError, match=_names_shape("hypervolume_improvement()", shape)):
+        hypervolume_improvement(front, ref, points)
+    assert hypervolume_improvement(front, ref, np.empty((0, 2))).shape == (0,)
+
+
+# coordinates from a small grid (ties and duplicates) mixed with arbitrary floats
+_coord = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+_points = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), pts=_points)
+def test_nondominated_is_idempotent_order_free_and_matches_brute_force(data, pts):
+    front = nondominated(pts)
+    assert nondominated(front.points) == front
+    assert nondominated(data.draw(st.permutations(pts))) == front
+    assert sorted(front.points) == brute_force_front(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=_points, extra=st.tuples(_coord, _coord))
+def test_hypervolume_improvement_is_the_hypervolume_gained(pts, extra):
+    # the reference ignores `extra`, which may therefore fall outside the box
+    front, ref = nondominated(pts), np.asarray(infer_reference(pts))
+    joined = hypervolume(nondominated(pts + [extra]), ref)
+    gain = hypervolume_improvement(front, ref, np.array([extra]))[0]
+    # 1e-300 absorbs areas that underflow below the normal floats
+    assert abs(gain - (joined - hypervolume(front, ref))) <= 1e-9 * joined + 1e-300
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=_points, extra=st.tuples(_coord, _coord))
+def test_hypervolume_never_falls_when_a_point_is_added(pts, extra):
+    ref = infer_reference(pts + [extra])
+    base = hypervolume(nondominated(pts), ref)
+    # the sweep may round the two sums differently, by far less than 1e-12
+    # (or 1e-300 for areas that underflow below the normal floats)
+    assert hypervolume(nondominated(pts + [extra]), ref) >= base * (1 - 1e-12) - 1e-300
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=_points)
+# ranges whose 10% pad is below the spacing of floats at their maximum
+@example(pts=[(0.0, 1.0), (5e-324, 1.0)])
+@example(pts=[(1000.0, 1.0), (1000.0 - 2**-43, 1.0)])
+def test_every_observed_point_strictly_dominates_the_inferred_reference(pts):
+    ref = infer_reference(pts)
+    for x, y in pts:
+        assert x < ref[0] and y < ref[1]

@@ -1,10 +1,12 @@
 import hashlib
+import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hpcmobo.core import RunConfig, StageTimings, load_config_file
+from hpcmobo.core import RunConfig, load_config_file
 from hpcmobo.ingest import preprocess_fit, write_table
 from hpcmobo.pipeline import (
     PipelineSettings,
@@ -14,7 +16,7 @@ from hpcmobo.pipeline import (
     report_h1,
     run_pipeline,
     timing_table,
-    train_surrogate_pair,
+    train_single_surrogate,
     write_timing_csv,
 )
 from hpcmobo.sampler import sample_table
@@ -84,12 +86,14 @@ def test_schema_section_parsing():
 def test_timing_table_has_exact_row_set_and_total():
     seconds = {"preprocess": 1.0, "sample": 0.5, "runtime_model": 2.0,
                "power_model": 2.0, "preproc_mobo": 0.1, "mobo": 3.0,
-               "sobo_runtime": 1.0, "sobo_power": 1.0, "random": 9.9}
-    timings = timing_table(seconds)
-    assert [name for name, _ in timings.entries] == TIMING_ROW_SET
-    assert dict(timings.entries)["Preprocessing"] == 1.5
-    # random baseline time is manifest-only, never a table row
-    assert timings.total == pytest.approx(sum(dict(timings.entries).values()))
+               "sobo_runtime": 1.0, "sobo_power": 1.0, "random": 9.9, "report": 0.25}
+    timings = timing_table([{"name": name, "seconds": s} for name, s in seconds.items()])
+    assert list(timings) == TIMING_ROW_SET
+    assert timings["Preprocessing"] == 1.5
+    # random baseline and report time are manifest-only, never a table row
+    assert sum(timings.values()) == pytest.approx(10.6)
+    # a stage that did not run counts as zero seconds
+    assert timing_table([])["MOBO"] == 0.0
 
 
 def test_run_pipeline_writes_expected_artifacts(tmp_path):
@@ -114,6 +118,25 @@ def test_run_pipeline_writes_expected_artifacts(tmp_path):
             assert str(path.relative_to(out)) in listed, path
 
 
+def test_every_json_file_of_a_run_is_strict_json(tmp_path):
+    # RFC 8259 has no NaN or Infinity; Random's history once held NaN
+    # acquisitions, which strict parsers reject
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    cfg_path, _ = _write_config(tmp_path)
+    run_pipeline(cfg_path)
+    out = tmp_path / "out"
+    paths = sorted(out.rglob("*.json"))
+    assert out / "reports" / "random_ctx0.json" in paths
+    for path in paths:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    history = json.loads((out / "reports" / "random_ctx0.json").read_text())["history"]
+    assert history and not any("acquisition" in entry for entry in history)
+    mobo = json.loads((out / "reports" / "mobo_ctx0.json").read_text())["history"]
+    assert all(math.isfinite(entry["acquisition"]) for entry in mobo)
+
+
 def test_timing_csv_matches_table9_layout(tmp_path):
     cfg_path, _ = _write_config(tmp_path)
     run_pipeline(cfg_path)
@@ -126,8 +149,7 @@ def test_timing_csv_matches_table9_layout(tmp_path):
 
 def test_timing_csv_total_is_the_sum_of_its_rows(tmp_path):
     # each row rounds down by 4e-7; the unrounded total would round up
-    timings = StageTimings.from_entries([(name, 1.0000004) for name in TIMING_ROW_SET])
-    write_timing_csv(timings, tmp_path / "timing_table.csv")
+    write_timing_csv(dict.fromkeys(TIMING_ROW_SET, 1.0000004), tmp_path / "timing_table.csv")
     lines = (tmp_path / "timing_table.csv").read_text().strip().splitlines()
     assert lines[1:] == [f"{name},1.000000" for name in TIMING_ROW_SET] + ["TOTAL,7.000000"]
 
@@ -166,7 +188,7 @@ def test_sampled_run_trains_on_fewer_rows(tmp_path):
     assert half["subset_rows"] < full["subset_rows"]
 
 
-def test_surrogate_pair_reports_validation_metrics(tmp_path):
+def test_single_surrogate_reports_validation_metrics(tmp_path):
     spec = SyntheticSpec(n_jobs=150, n_noise_features=2, noise_sigma=1.0, seed=2)
     table, _ = generate(spec)
     processed, _ = preprocess_fit(table, DURATION_PAIRS)
@@ -175,13 +197,12 @@ def test_surrogate_pair_reports_validation_metrics(tmp_path):
         power_target="node_power", specs=[], n_estimators=10, max_depth=4,
         mask_epochs=60,
     )
-    surr_r, surr_p, metrics = train_surrogate_pair(processed, settings, RunConfig(seed=0))
-    assert metrics["n_train"] + metrics["n_val"] == 150
     for target in ("runtime_seconds", "node_power"):
-        assert metrics["targets"][target]["mse"] > 0
-        assert metrics["targets"][target]["mape"] > 0
-    assert surr_r.target == "runtime_seconds"
-    assert surr_p.target == "node_power"
+        model, metrics = train_single_surrogate(processed, settings, target, seed=0)
+        assert model.target == target
+        assert metrics["n_train"] + metrics["n_val"] == 150
+        assert metrics["mse"] > 0
+        assert metrics["mape"] > 0
 
 
 def test_report_h1_direction_and_blocks(tmp_path):
