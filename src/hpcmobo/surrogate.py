@@ -14,6 +14,15 @@ features (weighted by the attention mask when one is given), so a tree does
 not depend on the others grown with it. Attention weights are validated and
 normalized once per fit. Trees are stored as flat breadth-first node
 arrays.
+
+An ensemble packs its trees once, when it is built (at fit or at load),
+into padded (trees x nodes) tables, and predicts by routing every row
+through every tree together: per depth, one gather of each row's split
+feature, one compare with the threshold and one step to a child, with
+leaves pointing to themselves (the table traversal of Hummingbird,
+Nakandala et al. 2020, and QuickScorer, Lucchese et al. 2015). Tree
+outputs are then added in tree order, so a prediction is bit for bit the
+sum a tree-at-a-time walk gives.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import json
 import logging
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +45,9 @@ log = logging.getLogger(__name__)
 # `_grow_trees` grows a larger forest in batches of trees, which bounds each
 # 8-byte work array of a pass to about 128 KiB
 _ENTRY_BLOCK = 1 << 14
+# trees times rows that one block of `TreeEnsemble.predict` routes, which
+# bounds each of its (trees x rows) work arrays to 512 KiB
+_PREDICT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -61,22 +73,93 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        stack = [(0, np.arange(len(X)))]
-        while stack:
-            node, rows = stack.pop()
-            if len(rows) == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[rows] = self.value[node]
-                continue
-            go_left = X[rows, f] < self.threshold[node]
-            stack.append((self.left[node], rows[go_left]))
-            stack.append((self.right[node], rows[~go_left]))
+
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+@dataclass(frozen=True)
+class _PackedForest:
+    """Trees padded to `width` nodes and flattened: tree t's node i is entry
+    t * width + i. `child[2 * e]` and `child[2 * e + 1]` are entry e's left
+    and right children; a leaf's (and a padding entry's) are itself and its
+    feature is 0, so every row can take `depth` steps, the deepest leaf's.
+    `n_features` is one more than the largest feature a tree splits on."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    width: int
+    depth: int
+    n_features: int
+
+    def leaf_sum(self, X: np.ndarray) -> np.ndarray:
+        """Each row's leaf values summed over the trees in tree order, from
+        (trees x rows) work arrays."""
+        X = np.ascontiguousarray(X)
+        cells = X.ravel()
+        row_start = np.arange(len(X)) * X.shape[1]
+        at = np.repeat(np.arange(0, len(self.value), self.width)[:, None], len(X), axis=1)
+        for _ in range(self.depth):
+            go_right = ~(cells[row_start + self.feature[at]] < self.threshold[at])
+            at = self.child[2 * at + go_right]
+        acc = np.zeros(len(X))
+        # tree by tree: values.sum(axis=0) adds a single column pairwise
+        for values in self.value[at]:
+            acc += values
+        return acc
+
+
+def _pack(trees: list[RegressionTree]) -> _PackedForest:
+    """Pack `trees` for `TreeEnsemble.predict`. A tree with no nodes, with
+    node arrays of different lengths, with a feature below -1, or with an
+    inner node whose children are not later nodes of the same tree is a
+    DataError; so every row reaches a leaf."""
+    for t, tree in enumerate(trees):
+        lengths = [len(getattr(tree, name)) for name in _TREE_FIELDS]
+        if min(lengths) != max(lengths) or not lengths[0]:
+            raise DataError(f"tree {t} has node arrays of lengths {lengths}")
+    sizes = np.array([len(tree.feature) for tree in trees], dtype=np.int64)
+    width = int(sizes.max(initial=1))
+    owner = np.repeat(np.arange(len(trees)), sizes)
+    node = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees] or [np.zeros(0)])
+        for name in _TREE_FIELDS)
+    inner = feature >= 0
+    end = sizes[owner]
+    bad = (feature < -1) | (inner & ((left <= node) | (left >= end)
+                                     | (right <= node) | (right >= end)))
+    if bad.any():
+        at = np.flatnonzero(bad)[0]
+        raise DataError(f"tree {owner[at]} node {node[at]} has feature {feature[at]} "
+                        f"and children {left[at]} and {right[at]}: a leaf has feature "
+                        "-1, and an inner node's children are later nodes of its tree")
+    entry = owner * width + node
+    split = entry[inner]
+
+    def padded(at, values, dtype=float):
+        out = np.zeros(len(trees) * width, dtype=dtype)
+        out[at] = values
         return out
+
+    is_inner = padded(split, True, bool)
+    first = split - node[inner]  # the entry of each inner node's root
+    child = np.repeat(np.arange(len(trees) * width), 2)
+    child[2 * split] = first + left[inner]
+    child[2 * split + 1] = first + right[inner]
+    # children are later nodes, so this ends within width steps
+    level = np.zeros_like(is_inner)
+    level[::width] = is_inner[::width]
+    depth = 0
+    while level.any():
+        reached = np.zeros_like(level)
+        reached[child.reshape(-1, 2)[level]] = True
+        level = reached & is_inner
+        depth += 1
+    return _PackedForest(padded(split, feature[inner], np.int64), padded(entry, threshold),
+                         child, padded(entry, value), width, depth,
+                         int(feature.max(initial=-1)) + 1)
 
 
 def _rank_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,15 +218,19 @@ def _grow_trees(ranks: np.ndarray, values: np.ndarray, y: np.ndarray,
     """
     k = min(n_sub, ranks.shape[1])
     batch = max(1, _ENTRY_BLOCK // (k * max(map(len, rows), default=1)))
+    # feature f's ranks are contiguous, so a node's candidates gather flat
+    ranks_t = np.ascontiguousarray(ranks.T)
     return [tree for i in range(0, len(rows), batch)
-            for tree in _grow_batch(ranks, values, y, rows[i:i + batch], rngs[i:i + batch],
+            for tree in _grow_batch(ranks_t, values, y, rows[i:i + batch], rngs[i:i + batch],
                                     max_depth, min_samples_split, k, log_weights)]
 
 
-def _grow_batch(ranks, values, y, rows, rngs, max_depth, min_samples_split, k,
+def _grow_batch(ranks_t, values, y, rows, rngs, max_depth, min_samples_split, k,
                 log_weights) -> list[RegressionTree]:
-    """`_grow_trees` for one batch of trees, with k candidates per node."""
-    d = ranks.shape[1]
+    """`_grow_trees` for one batch of trees, with k candidates per node;
+    `ranks_t` is the rank matrix transposed to one row per feature."""
+    d, n_rows = ranks_t.shape
+    flat_ranks = ranks_t.ravel()
     draw = log_weights is not None or k < d
     n_trees = len(rows)
     # one entry per (tree, training row), grouped by node in training-row order
@@ -171,8 +258,8 @@ def _grow_batch(ranks, values, y, rows, rngs, max_depth, min_samples_split, k,
                 feats = _draw_features(u, k, log_weights)
             else:
                 feats = np.broadcast_to(np.arange(d), (int(open_.sum()), d))
-            _split_nodes(ranks, values, row, node, c, count, sse, open_, feats,
-                         feature, cut, threshold)
+            _split_nodes(flat_ranks, n_rows, values, row, node, c, count, sse, open_,
+                         feats, feature, cut, threshold)
         inner = feature >= 0
         child = 2 * np.cumsum(inner) - 2  # the left child's index at the next depth
         levels.append((node_tree, feature, threshold, mean, np.where(inner, child, -1)))
@@ -180,61 +267,64 @@ def _grow_batch(ranks, values, y, rows, rngs, max_depth, min_samples_split, k,
             break
         keep = inner[node]
         row, node = row[keep], node[keep]
-        dest = child[node] + (ranks[row, feature[node]] > cut[node])
-        regroup = np.argsort(dest, kind="stable")
-        row, node = row[regroup], dest[regroup]
+        dest = child[node] + (flat_ranks[feature[node] * n_rows + row] > cut[node])
+        node, regroup = _sort_with_order(dest, 2 * int(inner.sum()))
+        row = row[regroup]
         node_tree = np.repeat(node_tree[inner], 2)
     return _assemble(levels, n_trees)
 
 
-def _split_nodes(ranks, values, row, node, c, count, sse, open_, feats,
+def _split_nodes(flat_ranks, n_rows, values, row, node, c, count, sse, open_, feats,
                  feature, cut, threshold) -> None:
     """Find each open node's best split among its candidates (row i of
     `feats` for the i-th open node; see `_grow_trees`) and write its
     feature, the rank of its last left value and its threshold into
-    `feature`, `cut` and `threshold`.
+    `feature`, `cut` and `threshold`. Training row r's rank in feature f is
+    flat_ranks[f * n_rows + r].
 
-    Every candidate slot of every open node is scored in one pass: an
-    argsort of the key node * width + rank, then segmented prefix sums.
-    Entries with equal keys hold equal values, so nothing depends on their
-    order. The prefix sums are integer: each node's targets, centered on its
-    mean, are scaled by a power of two and rounded so that any sum of them
-    fits 63 bits, which makes every node's sums exact and independent of the
-    other nodes. With n rows, a left sum L over a rows and the node total T,
-    the SSE a split removes is (n * L - a * T)^2 / (a * (n - a) * n).
+    Every candidate slot of every open node is scored in one pass: a sort
+    of the key node * width + rank, then segmented prefix sums. Entries
+    with equal keys hold equal values, so nothing depends on their order.
+    Entries are grouped by node, so per-node quantities spread to entries
+    by repeats. The prefix sums are integer: each node's targets, centered
+    on its mean, are scaled by a power of two and rounded so that any sum
+    of them fits 63 bits, which makes every node's sums exact and
+    independent of the other nodes. With n rows, a left sum L over a rows
+    and the node total T, the SSE a split removes is
+    (n * L - a * T)^2 / (a * (n - a) * n).
     """
     nodes = np.flatnonzero(open_)
     keep = open_[node]
     er, ec = row[keep], c[keep]
-    en = (np.cumsum(open_) - 1)[node[keep]]  # open nodes renumbered 0..len-1
-    size = len(en)
     n = count[nodes]
+    size = int(n.sum())
     starts = np.cumsum(n) - n
     width = values.shape[1]
     # |c| < 2**e and |q| <= 2**(62 - bit length of n)
     e = np.frexp(np.maximum.reduceat(np.abs(ec), starts))[1]
     shift = 62 - np.frexp(n.astype(float))[1] - e
-    q = np.rint(np.ldexp(ec, shift[en])).astype(np.int64)
+    q = np.rint(np.ldexp(ec, np.repeat(shift, n))).astype(np.int64)
     total = np.add.reduceat(q, starts).astype(float)
-    a = np.arange(1, size + 1) - starts[en]
-    aT = a * total[en]
-    ab = a * (n[en] - a).astype(float)
+    a = np.arange(1, size + 1) - np.repeat(starts, n)
+    aT = a * np.repeat(total, n)
+    n_e = np.repeat(n, n)  # each entry's node size
+    ab = a * (n_e - a).astype(float)
     ab[starts + n - 1] = np.inf  # no boundary after a node's last entry
 
-    key = en * width + ranks[er, feats[en].T]  # (slots, entries)
-    order = key.argsort(axis=1)
-    key = np.take_along_axis(key, order, axis=1)
+    key = np.repeat(feats.T * n_rows, n, axis=1)  # (slots, entries)
+    key += er
+    key = flat_ranks[key]
+    key += np.repeat(np.arange(len(nodes)) * width, n)
+    key, order = _sort_with_order(key, len(nodes) * width)
     left = np.cumsum(q[order], axis=1)  # wraps across nodes; exact within one
-    left -= np.where(starts > 0, left[:, starts - 1], 0)[:, en]
+    left -= np.repeat(np.where(starts > 0, left[:, starts - 1], 0), n, axis=1)
     score = left.astype(float)
-    score *= n[en]
+    score *= n_e
     score -= aT
     score *= score
     score /= ab
     score[:, :-1] *= key[:, 1:] != key[:, :-1]  # 0 where no boundary
     best = np.maximum.reduceat(score, starts, axis=1)
-    first = np.where(score == best[:, en], np.arange(size), size)
-    first = np.minimum.reduceat(first, starts, axis=1)
     gain = np.ldexp(best / n, -2 * shift)
 
     tol = 1e-12 * np.maximum(1.0, sse[nodes])
@@ -245,7 +335,12 @@ def _split_nodes(ranks, values, row, node, c, count, sse, open_, feats,
         best_gain[better] = gain[s][better]
         slot[better] = s
     won = np.flatnonzero(slot >= 0)
-    s, at = slot[won], first[slot[won], won]
+    # in each node's winning slot, the first entry that scores the slot's best
+    s = np.maximum(slot, 0)
+    hit = (score.ravel()[np.repeat(s * size, n) + np.arange(size)]
+           == np.repeat(best[s, np.arange(len(nodes))], n))
+    hits = np.flatnonzero(hit)
+    s, at = slot[won], hits[np.searchsorted(hits, starts[won])]
     f = feats[won, s]
     lo = key[s, at] - won * width
     hi = key[s, at + 1] - won * width
@@ -253,6 +348,22 @@ def _split_nodes(ranks, values, row, node, c, count, sse, open_, feats,
     feature[nodes[won]] = f
     cut[nodes[won]] = lo
     threshold[nodes[won]] = np.where(thr <= values[f, lo], values[f, hi], thr)
+
+
+def _sort_with_order(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative integer keys, each below `bound`, sorted along the last
+    axis, and the stable permutation that sorts them. When key << bits |
+    position fits 63 bits, one sort of those packed integers yields both."""
+    bits = (key.shape[-1] - 1).bit_length()
+    if bound << bits > 1 << 63:
+        order = key.argsort(axis=-1, kind="stable")
+        return np.take_along_axis(key, order, axis=-1), order
+    packed = key << bits
+    packed |= np.arange(key.shape[-1])
+    packed.sort(axis=-1)
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    return packed, order
 
 
 def _assemble(levels, n_trees: int) -> list[RegressionTree]:
@@ -284,25 +395,37 @@ def _assemble(levels, n_trees: int) -> list[RegressionTree]:
 @dataclass
 class TreeEnsemble:
     """The average of its trees; an ensemble of no trees predicts
-    base_value, the training mean."""
+    base_value, the training mean. The trees are packed for prediction once,
+    when the ensemble is built, so they must not change after that."""
 
     trees: list[RegressionTree]
     base_value: float
+    _packed: _PackedForest = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._packed = _pack(self.trees)
+
+    @property
+    def n_features(self) -> int:
+        """The columns an input needs: one more than the largest feature a
+        tree splits on."""
+        return self._packed.n_features
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise DataError("prediction input must be 2-D")
+        if X.shape[1] < self.n_features:
+            raise DataError(f"prediction input has {X.shape[1]} columns, but the trees "
+                            f"split on feature {self.n_features - 1}")
         if not self.trees:
             return np.full(len(X), self.base_value)
-        acc = np.zeros(len(X))
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / len(self.trees)
-
-    def train_mse_per_tree(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-tree training MSE, for the variance-reduction check."""
-        return np.array([float(np.mean((t.predict(X) - y) ** 2)) for t in self.trees])
+        n_trees = len(self.trees)
+        step = max(1, _PREDICT_BLOCK // n_trees)
+        acc = np.empty(len(X))
+        for lo in range(0, len(X), step):
+            acc[lo:lo + step] = self._packed.leaf_sum(X[lo:lo + step])
+        return acc / n_trees
 
 
 def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
@@ -549,22 +672,28 @@ def save_surrogate(model: SurrogateModel, path: str | Path) -> None:
 def load_surrogate(path: str | Path) -> SurrogateModel:
     """Read a model `save_surrogate` wrote. A file that cannot be read, is
     not valid JSON (malformed or truncated), lacks a field, holds an
-    ensemble that is not bagged or a per-feature vector whose length is not
-    the number of feature names is a DataError naming it."""
+    ensemble that is not bagged, a per-feature vector whose length is not
+    the number of feature names, or a damaged tree (see `_pack`, or a split
+    on a feature past the last name) is a DataError naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         mode = payload["ensemble"]["mode"]
-        if mode != "bagged":
-            raise DataError(f"surrogate model {path} holds a {mode!r} ensemble; "
-                            "only 'bagged' ensembles are supported")
-        model = _surrogate_from_payload(payload)
+        if mode == "bagged":
+            model = _surrogate_from_payload(payload)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"unreadable surrogate model {path}: {exc!r}") from exc
+    except DataError as exc:
+        raise DataError(f"surrogate model {path}: {exc}") from exc
+    if mode != "bagged":
+        raise DataError(f"surrogate model {path} holds a {mode!r} ensemble; "
+                        "only 'bagged' ensembles are supported")
     vectors = {"scaler_mean": model.scaler.mean, "scaler_std": model.scaler.std}
     if model.mask is not None:
         vectors.update(theta=model.mask.theta, readout_w=model.mask.readout_w)
     d = len(model.feature_names)
     wrong = [f"{name} has shape {v.shape}" for name, v in vectors.items() if v.shape != (d,)]
+    if model.ensemble.n_features > d:
+        wrong.append(f"a tree splits on feature {model.ensemble.n_features - 1}")
     if wrong:
         raise DataError(f"surrogate model {path} names {d} features, but "
                         + "; ".join(wrong))

@@ -274,6 +274,20 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
         assert main(flags) == 3
         err = capsys.readouterr().err
         assert "runtime_model.json names" in err and f"{field} has shape" in err
+    d = len(json.loads(good)["feature_names"])
+    n = len(json.loads(good)["ensemble"]["trees"][0]["feature"])
+    for field, at, value in (("left", 0, 0),  # a cycle, which hung
+                             ("left", 0, n),  # a child past the tree: IndexError
+                             ("right", 0, 10**6),
+                             ("feature", 0, d),  # a feature past the names: IndexError
+                             ("value", slice(-1, None), [])):  # one short: it ran
+        damaged = json.loads(good)
+        tree = damaged["ensemble"]["trees"][0]
+        assert tree["feature"][0] >= 0  # the root splits
+        tree[field][at] = value
+        model.write_text(json.dumps(damaged))
+        assert main(flags) == 3
+        assert "runtime_model.json" in capsys.readouterr().err
     model.write_text(good[:1000])
     assert main(flags) == 3
     assert "runtime_model.json" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hpcmobo.surrogate import (
     TreeParams,
     _rank_columns,
     _draw_features,
+    _sort_with_order,
     fit_tree_ensemble,
     load_surrogate,
     mape,
@@ -25,6 +27,42 @@ from hpcmobo.surrogate import (
     train_objective_surrogate,
     training_data,
 )
+
+
+def _reference_tree_predict(tree, X):
+    """One tree's predictions by a walk down the tree with a stack of
+    (node, rows reaching it): the oracle for the packed forest."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty(len(X))
+    stack = [(0, np.arange(len(X)))]
+    while stack:
+        node, rows = stack.pop()
+        if len(rows) == 0:
+            continue
+        f = tree.feature[node]
+        if f < 0:
+            out[rows] = tree.value[node]
+            continue
+        go_left = X[rows, f] < tree.threshold[node]
+        stack.append((tree.left[node], rows[go_left]))
+        stack.append((tree.right[node], rows[~go_left]))
+    return out
+
+
+def _reference_predict(ensemble, X):
+    """The ensemble's predictions summed tree by tree from the reference walk."""
+    if not ensemble.trees:
+        return np.full(len(X), ensemble.base_value)
+    acc = np.zeros(len(X))
+    for tree in ensemble.trees:
+        acc += _reference_tree_predict(tree, X)
+    return acc / len(ensemble.trees)
+
+
+def _train_mse_per_tree(ensemble, X, y):
+    """Per-tree training MSE, for the variance-reduction check."""
+    return np.array([float(np.mean((_reference_tree_predict(t, X) - y) ** 2))
+                     for t in ensemble.trees])
 
 
 def test_constant_target_predicts_exactly_in_both_modes():
@@ -92,7 +130,7 @@ def test_bagged_average_never_beats_worst_tree_on_train():
         X, y = _noisy_quadratic(seed, n=120)
         model = fit_tree_ensemble(X, y, TreeParams(n_estimators=12, seed=seed))
         ensemble_mse = float(np.mean((model.predict(X) - y) ** 2))
-        per_tree = model.train_mse_per_tree(X, y)
+        per_tree = _train_mse_per_tree(model, X, y)
         assert ensemble_mse <= per_tree.max() + 1e-12
 
 
@@ -442,11 +480,109 @@ def test_every_leaf_holds_a_training_row_and_a_finite_value(problem):
         assert set(_leaf_rows(tree, X[idx]).tolist()) == set(leaves.tolist())
 
 
+@st.composite
+def _forest_queries(draw):
+    """A forest fitted to a drawn tree problem (up to 20 trees, or none, of
+    different node counts), query rows built from its training values,
+    its thresholds, NaN, +-inf and arbitrary floats, and a predict block
+    size in trees times rows. numpy sums 8 or more values pairwise, so
+    only a forest of 8 or more trees can tell a pairwise sum from the
+    tree-order sum."""
+    X, y, params, weights = draw(_tree_problems())
+    params = replace(params, n_estimators=draw(st.integers(0, 20)))
+    model = fit_tree_ensemble(X, y, params, feature_weights=weights)
+    known = sorted({*X.ravel().tolist(), *(x for t in model.trees for x in t.threshold.tolist())})
+    cell = st.one_of(st.sampled_from(known), st.sampled_from([np.nan, np.inf, -np.inf]),
+                     st.floats())
+    d = X.shape[1]
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=30))
+    block = draw(st.sampled_from([1, 2, 3, 7, 64, 1 << 16]))
+    return model, np.array(rows, dtype=float).reshape(-1, d), block
+
+
+def _single_leaf_forest():
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    model = fit_tree_ensemble(X, np.full(3, 1.5), TreeParams(n_estimators=3, max_depth=4))
+    return model, np.array([[np.nan, np.inf]]), 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_forest_queries())
+@example(case=_single_leaf_forest()).via("single-leaf trees, one NaN/inf row")
+@example(case=(fit_tree_ensemble(np.eye(3), np.arange(3.0), TreeParams(n_estimators=0)),
+               np.array([[np.nan, -np.inf, 0.0]]), 1)).via("no trees")
+def test_packed_predict_equals_the_reference_walk_bit_for_bit(case):
+    model, Q, block = case
+    with mock.patch.object(surrogate, "_PREDICT_BLOCK", block):
+        got = model.predict(Q)
+    assert got.tobytes() == _reference_predict(model, Q).tobytes()
+    for q in Q[:3, None, :]:  # one row at a time
+        assert model.predict(q).tobytes() == _reference_predict(model, q).tobytes()
+
+
+def test_a_forest_of_40_trees_predicts_the_tree_order_sum_across_block_boundaries(monkeypatch):
+    X, y = _noisy_quadratic(3, n=80)
+    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=40, max_depth=6, seed=1))
+    Q = _noisy_quadratic(4, n=50)[0]
+    whole = model.predict(Q)
+    assert whole.tobytes() == _reference_predict(model, Q).tobytes()
+    monkeypatch.setattr(surrogate, "_PREDICT_BLOCK", 40 * 4)  # blocks of 4 rows, the last of 2
+    assert model.predict(Q).tobytes() == whole.tobytes()
+    # one row per block, as a one-row predict routes it
+    monkeypatch.setattr(surrogate, "_PREDICT_BLOCK", 1)
+    assert model.predict(Q).tobytes() == whole.tobytes()
+
+
+def test_predict_with_fewer_columns_than_the_trees_split_on_is_a_data_error():
+    X, y = _noisy_quadratic(0, n=60)
+    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=4, max_depth=3,
+                                               feature_sample="all"))
+    used = model.n_features
+    assert used == 1 + max(int(t.feature.max()) for t in model.trees)
+    with pytest.raises(DataError, match=f"has {used - 1} columns.*feature {used - 1}"):
+        model.predict(X[:, :used - 1])
+    # columns past the last one a tree splits on are never read
+    wide = np.column_stack([X, np.full(len(X), np.nan)])
+    assert model.predict(wide).tobytes() == model.predict(X).tobytes()
+
+
+@pytest.mark.parametrize("damage, match", [
+    ({"value": [1.0, 2.0]}, "lengths"),
+    ({"feature": np.zeros(0, dtype=np.int32), "threshold": np.zeros(0),
+      "left": np.zeros(0, dtype=np.int32), "right": np.zeros(0, dtype=np.int32),
+      "value": np.zeros(0)}, "lengths"),
+    ({"left": [0, -1, -1]}, "node 0 .*children 0 and 2"),  # a cycle
+    ({"right": [0, -1, -1]}, "node 0"),
+    ({"left": [3, -1, -1]}, "node 0"),
+    ({"feature": [0, -2, -1]}, "node 1 has feature -2"),
+])
+def test_a_damaged_tree_is_a_data_error(damage, match):
+    tree = surrogate.RegressionTree(
+        feature=np.array([0, -1, -1], dtype=np.int32), threshold=np.array([0.5, 0.0, 0.0]),
+        left=np.array([1, -1, -1], dtype=np.int32), right=np.array([2, -1, -1], dtype=np.int32),
+        value=np.array([1.5, 1.0, 2.0]))
+    assert surrogate.TreeEnsemble([tree], 0.0).predict(np.array([[0.0], [1.0]])).tolist() == [
+        1.0, 2.0]
+    for name, arr in damage.items():
+        setattr(tree, name, np.asarray(arr))
+    with pytest.raises(DataError, match=match):
+        surrogate.TreeEnsemble([tree], 0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=600))
 def test_node_mean_from_the_shared_sum_is_numpys_mean(values):
     a = np.array(values)
     assert np.float64(a.sum() / len(a)).tobytes() == a.mean().tobytes()
+
+
+def test_sort_with_order_is_a_stable_sort_when_packed_and_when_not():
+    key = np.random.default_rng(1).integers(0, 5, size=(3, 50))
+    expect = np.argsort(key, axis=1, kind="stable")
+    for bound in (5, 1 << 60):  # 50 positions take 6 bits: 5 << 6 fits 63 bits, 2**66 not
+        ordered, order = _sort_with_order(key, bound)
+        assert (order == expect).all()
+        assert (ordered == np.take_along_axis(key, expect, axis=1)).all()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
