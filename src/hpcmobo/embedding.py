@@ -2,9 +2,9 @@
 
 A learnable per-feature attention vector m = d * softmax(theta) reweights
 (standardized) features before a downstream regressor. The mask is trained by
-full-batch gradient descent on the squared error of a linear readout over the
-masked features; all gradients are analytic and checkable against finite
-differences.
+full-batch gradient descent, at the fixed learning rate 0.05, on the squared
+error of a linear readout over the masked features; all gradients are
+analytic and checkable against finite differences.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import DataError, NumericalError
+
+# the gradient-descent step size; the pipeline standardizes features and
+# target before training, so one rate suits every target
+_LR = 0.05
 
 
 def mask_weights(theta: np.ndarray) -> np.ndarray:
@@ -40,33 +44,19 @@ class AttentiveMask:
     def dim(self) -> int:
         return len(self.theta)
 
-    def save(self, path: str | Path, scaler_mean: np.ndarray | None = None,
-             scaler_std: np.ndarray | None = None) -> None:
+    def save(self, path: str | Path, scaler_mean: np.ndarray,
+             scaler_std: np.ndarray) -> None:
+        """Write the mask and the feature scaler it was trained behind as
+        JSON, for reading by people and other tools (`hpcmobo embed`)."""
         payload = {
             "d": self.dim,
             "theta": self.theta.tolist(),
             "readout_w": self.readout_w.tolist(),
             "readout_b": self.readout_b,
-            "scaler_mean": None if scaler_mean is None else list(map(float, scaler_mean)),
-            "scaler_std": None if scaler_std is None else list(map(float, scaler_std)),
+            "scaler_mean": list(map(float, scaler_mean)),
+            "scaler_std": list(map(float, scaler_std)),
         }
         Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> tuple["AttentiveMask", np.ndarray | None, np.ndarray | None]:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        mask = cls(
-            theta=np.asarray(payload["theta"], dtype=float),
-            readout_w=np.asarray(payload["readout_w"], dtype=float),
-            readout_b=float(payload["readout_b"]),
-        )
-        mean = payload.get("scaler_mean")
-        std = payload.get("scaler_std")
-        return (
-            mask,
-            None if mean is None else np.asarray(mean, dtype=float),
-            None if std is None else np.asarray(std, dtype=float),
-        )
 
 
 def embed(mask: AttentiveMask, X: np.ndarray) -> np.ndarray:
@@ -97,9 +87,10 @@ def _loss_and_grads(theta: np.ndarray, w: np.ndarray, b: float,
     return loss, grad_theta, grad_w, grad_b
 
 
-def train_mask(X: np.ndarray, y: np.ndarray, epochs: int = 500, lr: float = 0.05,
-               seed: int = 0, init_w: np.ndarray | None = None) -> AttentiveMask:
-    """Fit theta and the linear readout by full-batch gradient descent.
+def train_mask(X: np.ndarray, y: np.ndarray, epochs: int, seed: int = 0,
+               init_w: np.ndarray | None = None) -> AttentiveMask:
+    """Fit theta and the linear readout by full-batch gradient descent at
+    learning rate _LR for at most `epochs` epochs.
 
     Expects X standardized per column. theta starts at zero (uniform mask);
     the readout starts at small seeded values unless init_w is given. Training
@@ -118,13 +109,14 @@ def train_mask(X: np.ndarray, y: np.ndarray, epochs: int = 500, lr: float = 0.05
 
     window: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
+        for epoch in range(epochs):
             loss, g_theta, g_w, g_b = _loss_and_grads(theta, w, b, X, y)
             if not math.isfinite(loss):
-                raise NumericalError("mask training diverged (non-finite loss); lower lr")
-            theta = theta - lr * g_theta
-            w = w - lr * g_w
-            b = b - lr * g_b
+                raise NumericalError(f"mask training diverged: the readout's squared error "
+                                     f"is {loss} at epoch {epoch}")
+            theta = theta - _LR * g_theta
+            w = w - _LR * g_w
+            b = b - _LR * g_b
             window.append(loss)
             if len(window) > 10:
                 window.pop(0)

@@ -2,17 +2,19 @@
 
 Hyperparameters (per-dimension lengthscales, signal variance, noise variance)
 are fit by maximizing the log marginal likelihood with a gradient-free
-multi-start coordinate search in log space. A refit may instead be
-warm-started from an earlier fit (`warm`): one coordinate search from that
-fit's optimum, rescaled to the new data, replaces the cold restarts; a fit
-without `warm` is the cold multi-start search. Each LML evaluation is the
-Cholesky recipe of Rasmussen & Williams (2006), Algorithm 2.1. The kernel's
-exponential exp(-d^2 / 2) depends on the lengthscales only, so the search
-recomputes it on lengthscale steps and reuses it across signal and noise
-steps. The factor and solve call LAPACK's potrf/potrs directly; fit_gp checks
-its inputs for finite values once, at entry. The Cholesky factor of
-K + (noise + jitter) I is cached so posterior queries are O(n) after the
-one-time solve.
+coordinate search in log space. A cold fit searches from four starts: every
+lengthscale at 0.1, 0.3, 1 or 3 times the median pairwise distance of the
+standardized inputs, the signal variance at the target variance, and the
+noise variance at 1e-6 of it (or at a fixed noise_var). A refit may instead
+be warm-started from an earlier fit (`warm`): one coordinate search from
+that fit's optimum, rescaled to the new data, replaces the four cold starts.
+Each LML evaluation is the Cholesky recipe of Rasmussen & Williams (2006),
+Algorithm 2.1. The kernel's exponential exp(-d^2 / 2) depends on the
+lengthscales only, so the search recomputes it on lengthscale steps and
+reuses it across signal and noise steps. The factor and solve call LAPACK's
+potrf/potrs directly; fit_gp checks its inputs for finite values once, at
+entry. The Cholesky factor of K + (noise + jitter) I is cached so posterior
+queries are O(n) after the one-time solve.
 """
 
 from __future__ import annotations
@@ -65,14 +67,11 @@ class GaussianProcess:
     y_mean: float
     x_mean: np.ndarray
     x_std: np.ndarray
-    chol: tuple = field(repr=False, default=None)
+    chol: np.ndarray = field(repr=False, default=None)  # lower Cholesky factor
     alpha: np.ndarray = field(repr=False, default=None)
     jitter: float = 0.0
     lml: float = -math.inf
     lml_trace: list[float] = field(default_factory=list)
-
-    def posterior(self, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return gp_posterior(self, Xq)
 
 
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,14 +110,14 @@ def _lml(E: np.ndarray, yc: np.ndarray, sf2, sn2, base_jitter) -> float:
 
 
 def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
-           noise_var: float | None = None, restarts: int = 8,
+           noise_var: float | None = None,
            warm: GaussianProcess | None = None) -> GaussianProcess:
     """Fit GP hyperparameters by multi-start coordinate search on the LML.
 
     noise_var fixes the noise level when given (0.0 for a noise-free
     interpolator); otherwise it is searched alongside the kernel parameters.
     With `warm`, an earlier fit on inputs of the same dimension, one search
-    starts from its optimum instead of the `restarts` cold starts: its
+    starts from its optimum instead of the four cold starts: its
     lengthscales are rescaled from its input standardization to this one's
     and clamped to [1e-3, 1e3], and its signal and noise variances are
     clamped into this fit's bounds (a fixed noise_var still wins).
@@ -163,21 +162,13 @@ def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
         dists = np.sqrt(_sq_dists(Z, Z, np.ones(d)))
         pos = dists[dists > 0]
         ls_scale = float(np.median(pos)) if pos.size else 1.0
-        ls_factors = (0.1, 0.3, 1.0, 3.0)
-        noise_fracs = (1e-6, 1e-2)
-        starts = []
-        for i in range(restarts):
-            lf = ls_factors[i % len(ls_factors)]
-            nf = noise_fracs[(i // len(ls_factors)) % len(noise_fracs)]
-            starts.append((
-                np.full(d, max(lf * ls_scale, 1e-3)),
-                y_var,
-                nf * y_var if noise_var is None else noise_var,
-            ))
+        starts = [(np.full(d, max(lf * ls_scale, 1e-3)), y_var,
+                   1e-6 * y_var if noise_var is None else noise_var)
+                  for lf in (0.1, 0.3, 1.0, 3.0)]
 
     best = None
     best_lml = -math.inf
-    trace: list[float] = []  # accepted-step trajectory of the winning restart
+    trace: list[float] = []  # accepted-step trajectory of the winning start
     for ls0, sf0, sn0 in starts:
         ls = ls0.copy()
         sf2 = sf0
@@ -219,7 +210,7 @@ def fit_gp(X: np.ndarray, y: np.ndarray, jitter: float = 1e-10,
     return GaussianProcess(
         lengthscales=ls, signal_var=sf2, noise_var=sn2,
         X=Z, y=yc, y_mean=y_mean, x_mean=x_mean, x_std=x_std,
-        chol=(L, True), alpha=alpha, jitter=used_jitter,
+        chol=L, alpha=alpha, jitter=used_jitter,
         lml=best_lml, lml_trace=trace,
     )
 
@@ -239,8 +230,7 @@ def gp_posterior(gp: GaussianProcess, Xq: np.ndarray) -> tuple[np.ndarray, np.nd
     Zq = (Xq - gp.x_mean) / gp.x_std
     k_star = _kernel(gp.X, Zq, gp.lengthscales, gp.signal_var)
     mean = gp.y_mean + k_star.T @ gp.alpha
-    L = gp.chol[0]
-    v = solve_triangular(L, k_star, lower=True, check_finite=False)
+    v = solve_triangular(gp.chol, k_star, lower=True, check_finite=False)
     var = gp.signal_var - (v * v).sum(axis=0)
     var = np.maximum(var, 0.0)
     var[var < _VAR_SNAP * gp.signal_var] = 0.0

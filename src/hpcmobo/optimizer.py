@@ -151,8 +151,9 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
     Row i of the (n, 2) result belongs to candidates.node_counts[i]; each
     surrogate is called once, on all rows. The context must name each
     surrogate's features in the surrogate's order, or it is a DataError
-    naming the first column that differs; a non-finite prediction is a
-    NumericalError.
+    naming the first column that differs; each surrogate's design feature
+    must be the context's, or it is a DataError; a non-finite prediction is
+    a NumericalError.
     """
     context = candidates.context
     nodes = candidates.node_counts
@@ -170,6 +171,10 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
             want = repr(expected[i]) if i < len(expected) else "nothing"
             raise DataError(f"job context column {i} is {have} but the {objective} "
                             f"surrogate expects {want} there")
+        if surr.design_feature != context.design_feature:
+            raise DataError(f"the {objective} surrogate's design feature is "
+                            f"{surr.design_feature!r}, the job context's is "
+                            f"{context.design_feature!r}")
     rows = np.array([context.row_for(n) for n in nodes])
     table = np.column_stack([surr_runtime.predict(rows), surr_power.predict(rows)])
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
@@ -206,7 +211,7 @@ def fit_objective_gp(nodes: Sequence[int], values: Sequence[float],
     counts collapse to their first observation (evaluations are
     deterministic). The fit warm-starts from `warm`, the engine's previous fit
     of this objective, when that fit modelled the same space (log or not);
-    otherwise it is the cold 4-restart search."""
+    otherwise it is the cold four-start search (see `fit_gp`)."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     _, keep = np.unique(nodes, return_index=True)
@@ -215,7 +220,7 @@ def fit_objective_gp(nodes: Sequence[int], values: Sequence[float],
     use_log = log_space and bool((values > 0).all())
     y = np.log(values) if use_log else values
     same_space = warm is not None and warm.log_space == use_log
-    gp = fit_gp(nodes[:, None], y, restarts=4, warm=warm.gp if same_space else None)
+    gp = fit_gp(nodes[:, None], y, warm=warm.gp if same_space else None)
     return ObjectiveGP(gp=gp, log_space=use_log)
 
 

@@ -176,39 +176,27 @@ def _dominated_mask(front_pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return queries[:, 1] >= best_y
 
 
-def front_to_csv(front: ParetoFront, path: str | Path,
-                 node_counts: Sequence[int] | None = None,
-                 iterations: Sequence[int] | None = None) -> None:
-    """Write front rows as CSV: optional design column, objectives, and the
-    iteration each point was found at."""
+def front_to_csv(front: ParetoFront, path: str | Path, node_counts: Sequence[int],
+                 iterations: Sequence[int]) -> None:
+    """Write front rows as CSV: each point's node count, objectives, and the
+    iteration it was found at."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["runtime", "power"]
-        if node_counts is not None:
-            header = ["node_count"] + header
-        if iterations is not None:
-            header = header + ["iteration_found"]
-        writer.writerow(header)
-        for i, (a, b) in enumerate(front.points):
-            row: list = [repr(a), repr(b)]
-            if node_counts is not None:
-                row = [node_counts[i]] + row
-            if iterations is not None:
-                row = row + [iterations[i]]
-            writer.writerow(row)
+        writer.writerow(["node_count", "runtime", "power", "iteration_found"])
+        for (a, b), nodes, found in zip(front.points, node_counts, iterations, strict=True):
+            writer.writerow([nodes, repr(a), repr(b), found])
 
 
 _SVG_COLORS = ("#1f6fb2", "#d1495b", "#3f8f4e", "#8f6fb2", "#c98a1e", "#555555")
 
 
 def fronts_to_svg(named_fronts: dict[str, ParetoFront], path: str | Path,
-                  true_front: ParetoFront | None = None,
-                  title: str = "Pareto fronts",
-                  size: tuple[int, int] = (640, 480)) -> None:
-    """Render overlaid front scatters as a standalone SVG (no plotting deps)."""
-    w, h = size
+                  true_front: ParetoFront | None, title: str) -> None:
+    """Render overlaid front scatters as a standalone 640 x 480 SVG (no
+    plotting deps)."""
+    w, h = 640, 480
     margin = 56
     pts_all = [p for f in named_fronts.values() for p in f.points]
     if true_front is not None:

@@ -424,7 +424,7 @@ def preproc_mobo_stage(subset: JobTable, plan: SamplerPlan, n_contexts: int, see
     n_ctx = min(n_contexts, subset.n_rows)
     rows = np.sort(rng.choice(subset.n_rows, size=n_ctx, replace=False))
     # map subset rows back to original dataset rows for truth lookup
-    original = np.flatnonzero(plan.mask)[rows] if plan.mask is not None else rows
+    original = np.flatnonzero(plan.mask)[rows]
     candidates, outputs = [], []
     for i, row in enumerate(rows):
         context = context_from_row(subset, int(row))

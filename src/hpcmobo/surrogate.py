@@ -8,12 +8,13 @@ minimize the summed squared error of the two children; candidate thresholds
 are midpoints between consecutive distinct sorted values (the upper value
 when the midpoint of two adjacent floats rounds down to the lower one, so no
 child is empty), and fits are independent of row order within a node. Each
-tree draws its bootstrap rows and then, per depth, one row of uniforms per
-open node from its own generator, from which the node takes its candidate
-features (weighted by the attention mask when one is given), so a tree does
-not depend on the others grown with it. Attention weights are validated and
-normalized once per fit. Trees are stored as flat breadth-first node
-arrays.
+tree draws its bootstrap rows (n draws with replacement from the n training
+rows) and then, per depth, one row of uniforms per open node from its own
+generator, from which the node takes its ceil(sqrt(d)) candidate features
+(weighted by the attention mask when one is given), so a tree does not
+depend on the others grown with it. A node of 2 or more rows may split.
+Attention weights are validated and normalized once per fit. Trees are
+stored as flat breadth-first node arrays.
 
 An ensemble packs its trees once, when it is built (at fit or at load),
 into padded (trees x nodes) tables, and predicts by routing every row
@@ -48,17 +49,18 @@ _ENTRY_BLOCK = 1 << 14
 # trees times rows that one block of `TreeEnsemble.predict` routes, which
 # bounds each of its (trees x rows) work arrays to 512 KiB
 _PREDICT_BLOCK = 1 << 16
+# the fewest training rows a node needs to split
+_MIN_SPLIT_ROWS = 2
 
 
 @dataclass
 class TreeParams:
-    """Table defaults for a bagged ensemble: 100 trees of depth 10."""
+    """Table defaults for a bagged ensemble: 100 trees of depth 10. Every
+    tree is grown on bootstrap rows with ceil(sqrt(d)) candidate features
+    per split (see `fit_tree_ensemble`)."""
 
     n_estimators: int = 100
     max_depth: int = 10
-    min_samples_split: int = 2
-    bootstrap: bool = True
-    feature_sample: str = "sqrt"  # "sqrt" or "all"
     seed: int = 0
 
 
@@ -194,14 +196,13 @@ def _draw_features(u: np.ndarray, k: int, log_weights: np.ndarray | None) -> np.
 
 def _grow_trees(ranks: np.ndarray, values: np.ndarray, y: np.ndarray,
                 rows: list[np.ndarray], rngs: list[np.random.Generator], max_depth: int,
-                min_samples_split: int, n_sub: int,
-                log_weights: np.ndarray | None) -> list[RegressionTree]:
+                n_sub: int, log_weights: np.ndarray | None) -> list[RegressionTree]:
     """Grow one tree on each rows[t] (training rows, repeats allowed) with
     generator rngs[t], together, one depth at a time, in batches of trees
     that hold at most _ENTRY_BLOCK rows times candidates. `ranks` and
     `values` are the training matrix as `_rank_columns` returns it.
 
-    A node becomes a leaf at max_depth, below min_samples_split rows or
+    A node becomes a leaf at max_depth, below _MIN_SPLIT_ROWS rows or
     when pure (its SSE is at most 1e-12 * max(1, sum of y^2)); the others
     at a depth are open. A tree then draws rng.random((its open nodes at
     this depth, d)), one row per open node in breadth-first order, and each
@@ -222,11 +223,11 @@ def _grow_trees(ranks: np.ndarray, values: np.ndarray, y: np.ndarray,
     ranks_t = np.ascontiguousarray(ranks.T)
     return [tree for i in range(0, len(rows), batch)
             for tree in _grow_batch(ranks_t, values, y, rows[i:i + batch], rngs[i:i + batch],
-                                    max_depth, min_samples_split, k, log_weights)]
+                                    max_depth, k, log_weights)]
 
 
-def _grow_batch(ranks_t, values, y, rows, rngs, max_depth, min_samples_split, k,
-                log_weights) -> list[RegressionTree]:
+def _grow_batch(ranks_t, values, y, rows, rngs, max_depth, k, log_weights
+                ) -> list[RegressionTree]:
     """`_grow_trees` for one batch of trees, with k candidates per node;
     `ranks_t` is the rank matrix transposed to one row per feature."""
     d, n_rows = ranks_t.shape
@@ -249,7 +250,7 @@ def _grow_batch(ranks_t, values, y, rows, rngs, max_depth, min_samples_split, k,
         feature = np.full(m, -1, dtype=np.int64)
         cut = np.zeros(m, dtype=np.int64)  # rank of the last value that goes left
         threshold = np.zeros(m)
-        open_ = (count >= min_samples_split) & (sse > 1e-12 * np.maximum(1.0, total2))
+        open_ = (count >= _MIN_SPLIT_ROWS) & (sse > 1e-12 * np.maximum(1.0, total2))
         if depth < max_depth and open_.any():
             if draw:
                 per_tree = np.bincount(node_tree[open_], minlength=n_trees)
@@ -430,7 +431,9 @@ class TreeEnsemble:
 
 def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
                       feature_weights: np.ndarray | None = None) -> TreeEnsemble:
-    """Fit a bagged regression-tree ensemble.
+    """Fit a bagged regression-tree ensemble: each tree grows on n rows
+    drawn with replacement and draws ceil(sqrt(d)) candidate features per
+    split.
 
     feature_weights, when given, bias the per-split feature subsampling;
     this is how attention masks steer trees, which are otherwise invariant
@@ -461,12 +464,10 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = 
 
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_estimators)
     ranks, values = _rank_columns(X)
-    n_sub = d if params.feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
     rngs = [np.random.default_rng(ss) for ss in seeds]
-    rows = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-            for rng in rngs]
+    rows = [rng.integers(0, n, size=n) for rng in rngs]
     trees = _grow_trees(ranks, values, y, rows, rngs, params.max_depth,
-                        params.min_samples_split, n_sub, log_weights)
+                        math.ceil(math.sqrt(d)), log_weights)
     return TreeEnsemble(trees, float(y.mean()))
 
 
@@ -673,8 +674,10 @@ def load_surrogate(path: str | Path) -> SurrogateModel:
     """Read a model `save_surrogate` wrote. A file that cannot be read, is
     not valid JSON (malformed or truncated), lacks a field, holds an
     ensemble that is not bagged, a per-feature vector whose length is not
-    the number of feature names, or a damaged tree (see `_pack`, or a split
-    on a feature past the last name) is a DataError naming it."""
+    the number of feature names, a damaged tree (see `_pack`, or a split on
+    a feature past the last name), a design feature that is not one of the
+    feature names, or design bounds that are not two integers
+    1 <= lo <= hi is a DataError naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         mode = payload["ensemble"]["mode"]
@@ -697,6 +700,14 @@ def load_surrogate(path: str | Path) -> SurrogateModel:
     if wrong:
         raise DataError(f"surrogate model {path} names {d} features, but "
                         + "; ".join(wrong))
+    if model.design_feature not in model.feature_names:
+        raise DataError(f"surrogate model {path}: design feature "
+                        f"{model.design_feature!r} is not one of its feature names")
+    bounds = model.design_bounds
+    if not (len(bounds) == 2 and all(type(b) is int for b in bounds)
+            and 1 <= bounds[0] <= bounds[1]):
+        raise DataError(f"surrogate model {path}: design bounds {list(bounds)} are not "
+                        "two integers lo, hi with 1 <= lo <= hi")
     return model
 
 

@@ -288,6 +288,20 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
         model.write_text(json.dumps(damaged))
         assert main(flags) == 3
         assert "runtime_model.json" in capsys.readouterr().err
+    # [1], [1, 5, 9] and ["a", "b"] raised a traceback, [40, 2] was a config
+    # error, and [1.5, 9.5] failed on node count 1 without naming the file
+    for bounds in ([1], [1, 5, 9], ["a", "b"], [40, 2], [1.5, 9.5], [0, 5], [True, 5]):
+        damaged = json.loads(good)
+        damaged["design_bounds"] = bounds
+        model.write_text(json.dumps(damaged))
+        assert main(flags) == 3, bounds
+        err = capsys.readouterr().err
+        assert "runtime_model.json: design bounds" in err, bounds
+    damaged = json.loads(good)
+    damaged["design_feature"] = "no_such_column"
+    model.write_text(json.dumps(damaged))
+    assert main(flags) == 3
+    assert "runtime_model.json: design feature 'no_such_column'" in capsys.readouterr().err
     model.write_text(good[:1000])
     assert main(flags) == 3
     assert "runtime_model.json" in capsys.readouterr().err
@@ -335,6 +349,25 @@ def test_optimize_with_a_bad_job_context_is_a_data_error(run_dir, tmp_path, caps
                  "--surrogates", str(out), "--job-context", str(context),
                  "--out", str(tmp_path / "report.json")]) == 3
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["runtime_model.json", "power_model.json"])
+def test_optimize_with_surrogates_of_two_design_features_is_a_data_error(run_dir, tmp_path,
+                                                                        capsys, name):
+    # a runtime model tuning "queue" ran and wrote the node count over the
+    # context's queue column, while num_nodes_alloc kept the context's value
+    cfg, out = run_dir
+    for model in ("runtime_model.json", "power_model.json"):
+        payload = json.loads((out / model).read_text())
+        if model == name:
+            assert "queue" in payload["feature_names"]
+            payload["design_feature"] = "queue"
+        (tmp_path / model).write_text(json.dumps(payload))
+    assert main(["optimize", "--config", str(cfg), "--method", "random",
+                 "--surrogates", str(tmp_path), "--job-context", str(out / "context_0.csv"),
+                 "--out", str(tmp_path / "report.json")]) == 3
+    assert "design feature is" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -139,12 +139,11 @@ def _reference_lml(gp) -> float:
 @given(
     st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-1e3, 1e3)),
              min_size=2, max_size=40),
-    st.integers(1, 8),
 )
-def test_fitted_lml_equals_scipy_cholesky_oracle(points, restarts):
+def test_fitted_lml_equals_scipy_cholesky_oracle(points):
     X = np.array([[x] for x, _ in points])
     y = np.array([v for _, v in points])
-    gp = fit_gp(X, y, restarts=restarts)
+    gp = fit_gp(X, y)
     assert gp.lml == _reference_lml(gp)
 
 
@@ -155,9 +154,7 @@ def test_jitter_escalation_refactors_a_fresh_matrix():
     y = 1e5 * np.repeat([-0.9, -0.5, 0.2, -1.0], 3)
     gp = fit_gp(X, y, noise_var=0.0)
     assert gp.jitter > 1e-10
-    L, lower = gp.chol
-    assert lower
-    L = np.tril(L)
+    L = np.tril(gp.chol)
     K = _kernel(gp.X, gp.X, gp.lengthscales, gp.signal_var)
     K += (gp.noise_var + gp.jitter) * np.eye(len(y))
     assert np.max(np.abs(L @ L.T - K)) <= 1e-10 * np.max(np.abs(K))
@@ -176,8 +173,8 @@ _NODES = [1, 4, 9, 16, 25, 36, 49, 64]
      ([0.11619353495400976], 0.6929476326128605, 5.458767157952872e-09, -9.760187991912886)),
 ])
 def test_objective_gp_golden_hyperparameters(values, log_space, expected):
-    # exact values of the coordinate search, as the optimizer engines call it
-    # (restarts=4); any change to the search's arithmetic moves them
+    # exact values of the four-start coordinate search, as the optimizer
+    # engines call it; any change to the search's arithmetic moves them
     ogp = fit_objective_gp(_NODES, values, log_space=log_space)
     gp = ogp.gp
     assert ogp.log_space is log_space
@@ -209,8 +206,8 @@ def test_warm_fit_climbs_from_its_rescaled_start(seed, d, n_warm, n):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 10, size=(n, d))
     y = np.sin(X).sum(axis=1) + 0.1 * X[:, 0] + rng.normal(0, 0.05, size=n)
-    warm = fit_gp(X[:n_warm] * 3.0, y[:n_warm] * 2.0, restarts=4)
-    gp = fit_gp(X, y, restarts=4, warm=warm)
+    warm = fit_gp(X[:n_warm] * 3.0, y[:n_warm] * 2.0)
+    gp = fit_gp(X, y, warm=warm)
     start = _warm_start_lml(warm, X, y)
     assert gp.lml_trace[0] == pytest.approx(start, rel=1e-9, abs=1e-9)
     assert gp.lml >= start
@@ -223,8 +220,8 @@ def test_warm_refit_of_identical_data_does_not_lower_the_lml(noise_var):
     rng = np.random.default_rng(11)
     X = rng.uniform(1, 64, size=(10, 1))
     y = 100.0 / X[:, 0] + rng.normal(0, 0.5, size=10)
-    cold = fit_gp(X, y, restarts=4, noise_var=noise_var)
-    warm = fit_gp(X, y, restarts=4, noise_var=noise_var, warm=cold)
+    cold = fit_gp(X, y, noise_var=noise_var)
+    warm = fit_gp(X, y, noise_var=noise_var, warm=cold)
     assert warm.lml >= cold.lml
     assert warm.lml_trace[0] == cold.lml
 

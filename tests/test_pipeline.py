@@ -281,3 +281,29 @@ def test_recipe_and_plan_json_match_the_golden_digest(tau, digest, tmp_path):
         assert plan.winsorized == (tau == 0.8)
         plan.save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# sha256 of each optimizer's report and front CSV from one `_write_config`
+# run: they pin the GP search, the acquisitions and the report writers
+# end to end
+_REPORT_DIGESTS = {
+    "mobo_ctx0.json": "9a81e2d07f394b63a2374d9a7af390d208af370459690a3bc58ac5be6449b676",
+    "mobo_ctx0_front.csv": "4a5f9e03283266461f1757cb011714ebd0e28a70c78f095d5f24901f5795c695",
+    "sobo_runtime_ctx0.json": "1a60c673ac2fa476ea4355ee50408338ee919f03651d2768c5eec480fb587d78",
+    "sobo_runtime_ctx0_front.csv":
+        "76abc14cc4ce30d575c264164eb2424105d374f41e6364325df085cca424198f",
+    "sobo_power_ctx0.json": "6e09a54d6151744e94ca0fbcda3fd664f49a864a1e7e49c0cd721a277b1ba04f",
+    "sobo_power_ctx0_front.csv":
+        "e4314e4de60a67df5a720e369b04a244f6b1791075bb9b30724c580c8bba3308",
+    "random_ctx0.json": "793ce4fc47f77ef7ded9802ecc3e049afa814c4ceaa758f7fe695d296820e019",
+    "random_ctx0_front.csv": "1d3b75493f9b8c73d701008f781972e39f3212a6182f2c765581b64e95af08ea",
+}
+
+
+def test_optimizer_reports_and_fronts_match_the_golden_digests(tmp_path):
+    cfg_path, _ = _write_config(tmp_path)
+    run_pipeline(cfg_path)
+    reports = tmp_path / "out" / "reports"
+    digests = {name: hashlib.sha256((reports / name).read_bytes()).hexdigest()
+               for name in _REPORT_DIGESTS}
+    assert digests == _REPORT_DIGESTS

@@ -65,14 +65,21 @@ def _train_mse_per_tree(ensemble, X, y):
                      for t in ensemble.trees])
 
 
+def _grow_whole(X, y, n_trees, max_depth, seed=0, log_weights=None):
+    """A forest grown by the builder on every training row with every
+    feature a candidate at each split, and one generator per tree."""
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    trees = surrogate._grow_trees(*_rank_columns(X), y, [np.arange(len(X))] * n_trees, rngs,
+                                  max_depth, X.shape[1], log_weights)
+    return surrogate.TreeEnsemble(trees, float(y.mean()))
+
+
 def test_constant_target_predicts_exactly_in_both_modes():
     X = np.random.default_rng(0).random((20, 3))
     y = np.full(20, 7.0)
     # bootstrap rows with sampled features, and the whole sample with every feature
-    for params in (TreeParams(n_estimators=10, max_depth=4),
-                   TreeParams(n_estimators=10, max_depth=4, bootstrap=False,
-                              feature_sample="all")):
-        model = fit_tree_ensemble(X, y, params)
+    for model in (fit_tree_ensemble(X, y, TreeParams(n_estimators=10, max_depth=4)),
+                  _grow_whole(X, y, 10, 4)):
         assert np.all(model.predict(X) == 7.0)
 
 
@@ -87,8 +94,7 @@ def test_an_ensemble_of_no_trees_predicts_the_mean():
 def test_single_tree_depth_one_finds_the_obvious_split():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 10.0])
-    params = TreeParams(n_estimators=1, max_depth=1, bootstrap=False, feature_sample="all")
-    model = fit_tree_ensemble(X, y, params)
+    model = _grow_whole(X, y, 1, 1)
     t = model.trees[0].threshold[0]
     assert 0.0 < t < 1.0
     assert model.predict(np.array([[t - 1e-9]]))[0] == 0.0
@@ -250,10 +256,11 @@ def test_surrogate_serialization_round_trip(tmp_path):
 _TreeBuilder = surrogate._grow_trees
 
 
-def _fit_recording_states(grow, X, y, params, weights):
-    """fit_tree_ensemble with `grow` growing the trees. Also returns, per
-    tree, its targets and its generator's state when growth began (after the
-    bootstrap draw), and the training rows it was grown on."""
+def _fit_recording_states(grow, X, y, params, weights, whole):
+    """fit_tree_ensemble with `grow` growing the trees (with `whole`, the
+    builder called directly as `_grow_whole` calls it). Also returns, per
+    tree, its targets and its generator's state when growth began (after
+    the bootstrap draw), and the training rows it was grown on."""
     inputs = []
     rows = []
 
@@ -265,7 +272,12 @@ def _fit_recording_states(grow, X, y, params, weights):
     saved = surrogate._grow_trees
     surrogate._grow_trees = recording
     try:
-        model = fit_tree_ensemble(X, y, params, feature_weights=weights)
+        if whole:
+            log_w = None if weights is None else np.log(weights / weights.sum())
+            model = _grow_whole(X, y, params.n_estimators, params.max_depth, params.seed,
+                                log_w)
+        else:
+            model = fit_tree_ensemble(X, y, params, feature_weights=weights)
     finally:
         surrogate._grow_trees = saved
     return model, inputs, rows
@@ -291,15 +303,14 @@ def _tree_problems(draw):
     params = TreeParams(
         n_estimators=draw(st.integers(1, 4)),
         max_depth=draw(st.integers(1, 6)),
-        min_samples_split=draw(st.integers(2, 5)),
-        bootstrap=draw(st.booleans()),
-        feature_sample=draw(st.sampled_from(["sqrt", "all"])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     weights = None
     if draw(st.booleans()):
         weights = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
-    return X, y, params, weights
+    # fit_tree_ensemble's bootstrap rows and sampled features, or every row
+    # with every feature a candidate
+    return X, y, params, weights, draw(st.booleans())
 
 
 def _adjacent_floats_problem():
@@ -309,8 +320,8 @@ def _adjacent_floats_problem():
     X = np.full((23, 5), -2.0)
     X[:, 0] = [0.0] * 21 + [-1000.0, np.nextafter(-1000.0, 0.0)]
     y = np.array([-2.0] * 22 + [0.0])
-    params = TreeParams(n_estimators=1, max_depth=2, bootstrap=False, seed=0)
-    return X, y, params, None
+    params = TreeParams(n_estimators=1, max_depth=2, seed=0)
+    return X, y, params, None, True
 
 
 def _levels(tree):
@@ -323,33 +334,32 @@ def _levels(tree):
         levels.append(np.column_stack([tree.left[inner], tree.right[inner]]).ravel())
 
 
-def _draw_inputs(params, d, weights):
-    """The candidate count and log feature weights fit_tree_ensemble grows
-    its trees with."""
-    k = d if params.feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
+def _draw_inputs(whole, d, weights):
+    """The candidate count and log feature weights the trees are grown with."""
+    k = d if whole else math.ceil(math.sqrt(d))
     return k, None if weights is None else np.log(weights / weights.sum())
 
 
-def _is_open(t, min_samples_split):
+def _is_open(t):
     """The builder's stop rule for a node with targets t in training-row
-    order: enough rows and not pure, from the same sequential sums."""
-    if len(t) < min_samples_split:
+    order: 2 or more rows and not pure, from the same sequential sums."""
+    if len(t) < 2:
         return False
     c = t - np.cumsum(t)[-1] / len(t)
     return np.cumsum(c * c)[-1] > 1e-12 * max(1.0, np.cumsum(t * t)[-1])
 
 
-def _drawn_features(tree, state, params, d, weights, reached, t):
+def _drawn_features(tree, state, params, whole, d, weights, reached, t):
     """Each open node's candidate features, drawn again from the tree's
     generator: per depth below max_depth, one row of uniforms per open node,
     breadth-first. reached[node] indexes the targets t of the node's rows."""
-    k, log_w = _draw_inputs(params, d, weights)
+    k, log_w = _draw_inputs(whole, d, weights)
     rng = np.random.default_rng()
     rng.bit_generator.state = state
     drawn = {}
     for depth, level in enumerate(_levels(tree)[:params.max_depth]):
         open_nodes = [node for node in level.tolist()
-                      if _is_open(t[reached[node]], params.min_samples_split)]
+                      if _is_open(t[reached[node]])]
         if log_w is None and k == d:
             feats = [list(range(d))] * len(open_nodes)
         else:
@@ -386,12 +396,13 @@ def _node_rows(tree, X):
 @given(problem=_tree_problems())
 @example(problem=_adjacent_floats_problem())
 def test_each_split_has_the_least_sse_among_its_drawn_features(problem):
-    X, y, params, weights = problem
-    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights)
+    X, y, params, weights, whole = problem
+    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights, whole)
     for tree, (target, state), idx in zip(model.trees, inputs, rows):
         depth = {node: dep for dep, level in enumerate(_levels(tree)) for node in level.tolist()}
         reached = _node_rows(tree, X[idx])
-        drawn = _drawn_features(tree, state, params, X.shape[1], weights, reached, target[idx])
+        drawn = _drawn_features(tree, state, params, whole, X.shape[1], weights, reached,
+                                target[idx])
         for node, here in reached.items():
             v, t = X[idx[here]], target[idx[here]]
             # every leaf value is the mean of its rows
@@ -419,14 +430,14 @@ def test_each_split_has_the_least_sse_among_its_drawn_features(problem):
 @given(problem=_tree_problems())
 @example(problem=_adjacent_floats_problem())
 def test_a_tree_grown_in_its_forest_equals_the_tree_grown_alone(problem):
-    X, y, params, weights = problem
-    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights)
-    n_sub, log_w = _draw_inputs(params, X.shape[1], weights)
+    X, y, params, weights, whole = problem
+    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights, whole)
+    n_sub, log_w = _draw_inputs(whole, X.shape[1], weights)
     for tree, (target, state), idx in zip(model.trees, inputs, rows):
         rng = np.random.default_rng()
         rng.bit_generator.state = state
         alone, = _TreeBuilder(*_rank_columns(X), target, [idx], [rng], params.max_depth,
-                              params.min_samples_split, n_sub, log_w)
+                              n_sub, log_w)
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(alone, name), getattr(tree, name)), name
 
@@ -447,8 +458,7 @@ def test_a_split_between_adjacent_floats_leaves_no_child_empty():
     lo = -1000.0
     X = np.array([[lo]] * 3 + [[np.nextafter(lo, 0.0)]] * 3)
     y = np.array([0.0] * 3 + [1.0] * 3)
-    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=1, max_depth=2,
-                                               bootstrap=False))
+    model = _grow_whole(X, y, 1, 2)
     tree = model.trees[0]
     assert tree.value.tolist() == [0.5, 0.0, 1.0]
     assert model.predict(np.array([[-2000.0], [lo], [X[-1, 0]], [0.0]])).tolist() == [
@@ -472,8 +482,8 @@ def _leaf_rows(tree, X):
 @given(problem=_tree_problems())
 @example(problem=_adjacent_floats_problem())
 def test_every_leaf_holds_a_training_row_and_a_finite_value(problem):
-    X, y, params, weights = problem
-    model, _, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights)
+    X, y, params, weights, whole = problem
+    model, _, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights, whole)
     for tree, idx in zip(model.trees, rows):
         leaves = np.flatnonzero(tree.feature < 0)
         assert np.isfinite(tree.value[leaves]).all()
@@ -488,7 +498,7 @@ def _forest_queries(draw):
     size in trees times rows. numpy sums 8 or more values pairwise, so
     only a forest of 8 or more trees can tell a pairwise sum from the
     tree-order sum."""
-    X, y, params, weights = draw(_tree_problems())
+    X, y, params, weights, _ = draw(_tree_problems())
     params = replace(params, n_estimators=draw(st.integers(0, 20)))
     model = fit_tree_ensemble(X, y, params, feature_weights=weights)
     known = sorted({*X.ravel().tolist(), *(x for t in model.trees for x in t.threshold.tolist())})
@@ -535,8 +545,7 @@ def test_a_forest_of_40_trees_predicts_the_tree_order_sum_across_block_boundarie
 
 def test_predict_with_fewer_columns_than_the_trees_split_on_is_a_data_error():
     X, y = _noisy_quadratic(0, n=60)
-    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=4, max_depth=3,
-                                               feature_sample="all"))
+    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=4, max_depth=3))
     used = model.n_features
     assert used == 1 + max(int(t.feature.max()) for t in model.trees)
     with pytest.raises(DataError, match=f"has {used - 1} columns.*feature {used - 1}"):
