@@ -2,7 +2,7 @@
 
 Each row gets a difficulty score from lightweight per-target predictors;
 scores map to clipped selection probabilities p_i = clip(lambda * L_i, p_min, 1)
-with lambda auto-tuned by bisection so the expected rate matches the target
+with lambda solved exactly so that the expected rate mean(p) equals the target
 fraction tau, then rows are drawn by independent Bernoulli trials. The floor
 p_min keeps every row reachable.
 """
@@ -18,12 +18,9 @@ import numpy as np
 from .core import ConfigError, DataError, JobTable
 from .surrogate import TreeParams, fit_tree_ensemble
 
-RATE_TOL = 1e-3
-MAX_BISECT = 100
 # largest share of rows the tuned probabilities may saturate at 1 before the
 # losses are winsorized
 SAT_CAP = 0.10
-_LAMBDA_CAP = 1e18
 
 
 @dataclass(frozen=True)
@@ -121,38 +118,65 @@ def _clip_probs(lam: float, losses: np.ndarray, p_min: float) -> np.ndarray:
     return np.clip(lam * losses, p_min, 1.0)
 
 
-def _bisect(losses: np.ndarray, tau: float, p_min: float) -> tuple[float, np.ndarray, bool]:
-    def rate(lam: float) -> float:
-        return float(_clip_probs(lam, losses, p_min).mean())
+def _solve_rate(losses: np.ndarray, tau: float,
+                p_min: float) -> tuple[float, np.ndarray, bool]:
+    """The lambda at which mean(clip(lambda * L, p_min, 1)) = tau, its
+    probabilities, and whether tau is feasible at all.
 
-    lo = 0.0
-    hi = 1.0
-    while rate(hi) < tau and hi < _LAMBDA_CAP:
-        hi *= 2.0
-    lam = hi  # rate may stay below tau when the p_min floor dominates
-    if rate(hi) >= tau:
-        for _ in range(MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            if abs(rate(mid) - tau) <= RATE_TOL:
-                lam = mid
-                break
-            if rate(mid) < tau:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            lam = 0.5 * (lo + hi)
-    probs = _clip_probs(lam, losses, p_min)
-    converged = abs(float(probs.mean()) - tau) <= RATE_TOL
-    return lam, probs, converged
+    The rate is nondecreasing and piecewise linear in lambda, with kinks at
+    p_min / L_i (row i leaves the floor) and 1 / L_i (row i saturates). One
+    sort of the positive losses and their prefix sums give the rate at every
+    kink; lambda then solves the one linear piece that brackets tau, the
+    sort-and-threshold solve of the exact simplex projection (Duchi et al.,
+    ICML 2008). The largest rate, reached once every positive-loss row
+    saturates, is (p_min * #zero + #positive) / N; a tau at or above it gets
+    the least lambda that saturates every positive-loss row.
+    """
+    n = len(losses)
+    pos = np.sort(losses[losses > 0])
+    m = len(pos)
+    if m and pos[0] < np.finfo(float).tiny:
+        raise DataError(f"loss {pos[0]!r} is below the smallest normal float, so no "
+                        "finite lambda saturates its row")
+    # prefix sums from the smallest loss up: the rows below saturation all
+    # have lambda * L < 1, so a kink's rate rounds to within a few ulps
+    csum = np.concatenate(([0.0], np.cumsum(pos)))
+    lower = p_min / pos[::-1]  # ascending: where each row leaves the floor
+    upper = 1.0 / pos[::-1]  # ascending: where each row saturates
+    kinks = np.concatenate(([0.0], np.sort(np.concatenate((lower, upper)))))
+    # past kink lambda, the f largest losses are off the floor and the k
+    # largest saturated; the rows in between are linear in lambda
+    f = np.searchsorted(lower, kinks, side="right")
+    k = np.searchsorted(upper, kinks, side="right")
+    rates = (p_min * (n - f) + k + kinks * (csum[m - k] - csum[m - f])) / n
+    feasible = bool(tau <= rates[-1])
+    if tau >= rates[-1]:
+        lam = float(1.0 / pos[0]) if m else 0.0
+        if m and lam * pos[0] < 1.0:  # 1 / L rounded down
+            lam = float(np.nextafter(lam, np.inf))
+    elif tau <= rates[0]:
+        lam = 0.0
+    else:
+        j = int(np.argmax(rates >= tau))
+        lo, hi = float(kinks[j - 1]), float(kinks[j])
+        # summed afresh: a difference of prefix sums loses the digits of
+        # small linear rows
+        slope = float(pos[m - f[j - 1]:m - k[j - 1]].sum())
+        lam = lo  # a flat piece that only the kink rates' rounding brackets
+        if slope > 0:
+            # the solution lies in [lo, hi]; clipping only undoes rounding
+            lam = min(max(float(n * tau - p_min * (n - f[j - 1]) - k[j - 1]) / slope, lo), hi)
+    return lam, _clip_probs(lam, losses, p_min), feasible
 
 
 def build_plan(losses: np.ndarray, tau: float, p_min: float) -> SamplerPlan:
-    """Tune lambda by bisection until |mean(p) - tau| <= 1e-3 (or 100
-    iterations) and return the plan.
+    """Solve lambda exactly (see `_solve_rate`) and return the plan.
 
-    If the saturated fraction (p_i == 1) exceeds SAT_CAP, losses are
-    winsorized at their (1 - SAT_CAP) quantile and the search reruns once.
+    When tau is feasible, mean(p) equals tau up to rounding, and
+    `rate_converged` is true; otherwise every positive-loss row gets p = 1
+    and `rate_converged` is false. If the saturated fraction (p_i == 1)
+    exceeds SAT_CAP, losses are winsorized at their (1 - SAT_CAP) quantile
+    and lambda is solved once more.
     """
     losses = np.asarray(losses, dtype=float)
     if (losses < 0).any() or not np.isfinite(losses).all():
@@ -163,14 +187,14 @@ def build_plan(losses: np.ndarray, tau: float, p_min: float) -> SamplerPlan:
         raise ConfigError(
             f"infeasible target: tau={tau} < p_min={p_min} forces mean(p) >= p_min"
         )
-    lam, probs, converged = _bisect(losses, tau, p_min)
+    lam, probs, converged = _solve_rate(losses, tau, p_min)
     winsorized = False
     used = losses
     sat = float((probs == 1.0).mean())
     if sat > SAT_CAP:
         cut = float(np.quantile(losses, 1.0 - SAT_CAP))
         used = np.minimum(losses, cut)
-        lam, probs, converged = _bisect(used, tau, p_min)
+        lam, probs, converged = _solve_rate(used, tau, p_min)
         winsorized = True
         sat = float((probs == 1.0).mean())
     return SamplerPlan(

@@ -51,6 +51,11 @@ _ENTRY_BLOCK = 1 << 14
 _PREDICT_BLOCK = 1 << 16
 # the fewest training rows a node needs to split
 _MIN_SPLIT_ROWS = 2
+# the most node counts a design domain may span: the engines predict and
+# hold one objective-table row per node count, for every job context and
+# method, so the domain's size is memory. 2**18 = 262,144 is above the node
+# count of the largest machine built so far (Fugaku: 158,976 nodes).
+MAX_DESIGN_NODES = 1 << 18
 
 
 @dataclass
@@ -540,7 +545,10 @@ def surrogate_features(table: JobTable) -> list[str]:
 
 def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Feature names, feature matrix and target vector of a fully
-    preprocessed table."""
+    preprocessed table of at least 2 rows."""
+    if table.n_rows < 2:
+        raise DataError(f"surrogate training needs at least 2 rows, the table has "
+                        f"{table.n_rows}")
     features = surrogate_features(table)
     if target in features:
         raise DataError(f"target {target!r} cannot also be a feature")
@@ -549,6 +557,19 @@ def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, 
     if np.isnan(X).any() or np.isnan(y).any():
         raise DataError("surrogate training requires a fully preprocessed table")
     return features, X, y
+
+
+def check_design_bounds(bounds: tuple, where: str) -> None:
+    """A DataError naming `where` unless `bounds` is two integers lo, hi
+    with 1 <= lo <= hi that span at most MAX_DESIGN_NODES node counts."""
+    if not (len(bounds) == 2 and all(type(b) is int for b in bounds)
+            and 1 <= bounds[0] <= bounds[1]):
+        raise DataError(f"{where}: design bounds {list(bounds)} are not two integers "
+                        "lo, hi with 1 <= lo <= hi")
+    lo, hi = bounds
+    if hi - lo + 1 > MAX_DESIGN_NODES:
+        raise DataError(f"{where}: design bounds [{lo:.10g}, {hi:.10g}] span more than "
+                        f"{MAX_DESIGN_NODES} node counts")
 
 
 def fit_feature_mask(X: np.ndarray, y: np.ndarray, epochs: int = 400,
@@ -576,9 +597,16 @@ def train_objective_surrogate(
 
     With use_embedding, an attentive mask is trained first (see
     `fit_feature_mask`); the mask both reweights the inputs and biases the
-    tree feature subsampling toward high-attention columns.
+    tree feature subsampling toward high-attention columns. The design
+    bounds are the least and greatest node counts of the training rows (see
+    `check_design_bounds`).
     """
     features, X, y = training_data(table, target)
+    design = table.design_column().name
+    nodes = table.numeric_matrix([design])[:, 0]
+    # integral node counts become ints, so that 0.5 or 1e-320 fails the check
+    bounds = tuple(int(v) if v.is_integer() else float(v) for v in (nodes.min(), nodes.max()))
+    check_design_bounds(bounds, f"design column {design!r} of the training rows")
     if use_embedding:
         scaler, mask = fit_feature_mask(X, y, mask_epochs, seed)
         Z = embed(mask, scaler.transform(X))
@@ -588,8 +616,6 @@ def train_objective_surrogate(
         Z = scaler.transform(X)
     params = replace(params or TreeParams(), seed=seed)
     ensemble = fit_tree_ensemble(Z, y, params, feature_weights=weights)
-    design = table.design_column().name
-    nodes = table.numeric_matrix([design])[:, 0]
     return SurrogateModel(
         target=target,
         feature_names=features,
@@ -597,7 +623,7 @@ def train_objective_surrogate(
         ensemble=ensemble,
         mask=mask,
         design_feature=design,
-        design_bounds=(int(nodes.min()), int(nodes.max())),
+        design_bounds=bounds,
     )
 
 
@@ -676,8 +702,8 @@ def load_surrogate(path: str | Path) -> SurrogateModel:
     ensemble that is not bagged, a per-feature vector whose length is not
     the number of feature names, a damaged tree (see `_pack`, or a split on
     a feature past the last name), a design feature that is not one of the
-    feature names, or design bounds that are not two integers
-    1 <= lo <= hi is a DataError naming it."""
+    feature names, or design bounds `check_design_bounds` rejects is a
+    DataError naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         mode = payload["ensemble"]["mode"]
@@ -703,11 +729,7 @@ def load_surrogate(path: str | Path) -> SurrogateModel:
     if model.design_feature not in model.feature_names:
         raise DataError(f"surrogate model {path}: design feature "
                         f"{model.design_feature!r} is not one of its feature names")
-    bounds = model.design_bounds
-    if not (len(bounds) == 2 and all(type(b) is int for b in bounds)
-            and 1 <= bounds[0] <= bounds[1]):
-        raise DataError(f"surrogate model {path}: design bounds {list(bounds)} are not "
-                        "two integers lo, hi with 1 <= lo <= hi")
+    check_design_bounds(model.design_bounds, f"surrogate model {path}")
     return model
 
 

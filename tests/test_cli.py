@@ -9,7 +9,7 @@ from hpcmobo.cli import build_parser, main
 from hpcmobo.core import load_config_file, run_config_from_sections
 from hpcmobo.ingest import read_table
 from hpcmobo.pipeline import METHODS
-from hpcmobo.surrogate import train_objective_surrogate
+from hpcmobo.surrogate import MAX_DESIGN_NODES, train_objective_surrogate
 
 
 def _synth(tmp_path, jobs=200, seed=3):
@@ -58,7 +58,8 @@ def test_sample_subcommand_writes_plan(tmp_path):
     assert rc == 0
     plan = json.loads((tmp_path / "out" / "plan_half.json").read_text())
     assert {"lambda", "expected_rate", "saturated_fraction", "mask"} <= set(plan)
-    assert abs(plan["expected_rate"] - 0.5) <= 1e-3
+    assert plan["rate_converged"]
+    assert abs(plan["expected_rate"] - 0.5) <= 1e-12 * 0.5
 
 
 def test_embed_and_train_subcommands(tmp_path):
@@ -254,6 +255,35 @@ def test_data_error_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
+def test_run_whose_sample_is_too_small_to_train_is_a_data_error(tmp_path, capsys):
+    # at tau = 0.01 a 20-job log samples fewer than 2 rows; the mask then
+    # trained on no rows and ended in a ZeroDivisionError
+    assert main(["synthgen", "--jobs", "20", "--noise-features", "2", "--seed", "0",
+                 "--out", str(tmp_path / "data.csv"), "--truth", str(tmp_path / "truth.json"),
+                 "--emit-config", str(tmp_path / "config.ini")]) == 0
+    for seed in range(1, 6):
+        assert main(["run", "--config", str(tmp_path / "config.ini"), "--tau", "0.01",
+                     "--seed", str(seed)]) == 3, seed
+        assert "surrogate training needs at least 2 rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["1e308", "0.5", "0", "-1", "1e-320"])
+def test_run_on_node_counts_outside_the_design_domain_is_a_data_error(tmp_path, capsys, cell):
+    # 1e308 ended in a traceback when the candidate set was built; the
+    # others were a config error that printed every node count
+    cfg = _synth(tmp_path)
+    with (tmp_path / "data.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("num_nodes_alloc")
+    for row in rows[1::10]:  # every tenth job, so some land in the training rows
+        row[col] = cell
+    with (tmp_path / "data.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert ("design column 'num_nodes_alloc' of the training rows: design bounds"
+            in capsys.readouterr().err)
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -290,7 +320,9 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
         assert "runtime_model.json" in capsys.readouterr().err
     # [1], [1, 5, 9] and ["a", "b"] raised a traceback, [40, 2] was a config
     # error, and [1.5, 9.5] failed on node count 1 without naming the file
-    for bounds in ([1], [1, 5, 9], ["a", "b"], [40, 2], [1.5, 9.5], [0, 5], [True, 5]):
+    # [1, 10**9] passed and then allocated one candidate row per node count
+    for bounds in ([1], [1, 5, 9], ["a", "b"], [40, 2], [1.5, 9.5], [0, 5], [True, 5],
+                   [1, MAX_DESIGN_NODES + 1], [1, 10**9]):
         damaged = json.loads(good)
         damaged["design_bounds"] = bounds
         model.write_text(json.dumps(damaged))

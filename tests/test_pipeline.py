@@ -267,8 +267,8 @@ def test_stage_input_fingerprint_guard(tmp_path):
 # that plan is the winsorized one
 @pytest.mark.parametrize("tau, digest", [
     (None, "96e343c8d1406f8394c94ace7c6436df4b1526be378485e0a94c7e16bbeba166"),
-    (0.5, "ba561db1a3d63ecf32d1984327b48d831fa16eaa54230dbb102b109bb8893e32"),
-    (0.8, "7837207c5f63bb60c8f4c9e47dddaa4f20ce578b2358bc760a4f4f06490f18f9"),
+    (0.5, "450a070e347d6d8360f61dabb29ca89a99327636bfc603aa1a5fb1b789804b30"),
+    (0.8, "76529131b4cb785a65d062f431aca247e6f1b1248665e39d68bb0d56990682c2"),
 ], ids=["recipe", "plan", "plan_winsorized"])
 def test_recipe_and_plan_json_match_the_golden_digest(tau, digest, tmp_path):
     table, _ = generate(SyntheticSpec(n_jobs=200, n_noise_features=3, seed=11))

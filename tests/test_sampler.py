@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hpcmobo.core import ColumnSpec, ConfigError, build_table
+from hpcmobo.core import ColumnSpec, ConfigError, DataError, build_table
 from hpcmobo.sampler import (
+    SAT_CAP,
     SamplerPlan,
+    _solve_rate,
     build_plan,
     draw_subset,
     sample_table,
@@ -83,9 +87,9 @@ def test_build_plan_constant_losses_closed_form():
     c = 2.0
     losses = np.full(500, c)
     plan = build_plan(losses, tau=0.5, p_min=0.01)
-    assert plan.lam == pytest.approx(0.5 / c, rel=2e-2)
+    assert plan.lam == pytest.approx(0.5 / c, rel=1e-12)
     assert np.all(plan.probs == plan.probs[0])
-    assert abs(plan.expected_rate - 0.5) <= 1e-3
+    assert abs(plan.expected_rate - 0.5) <= 1e-12 * 0.5
     assert plan.rate_converged
 
 
@@ -105,6 +109,29 @@ def test_build_plan_all_zero_losses_reports_floor_with_flag():
     assert not plan.rate_converged
 
 
+def test_build_plan_at_tau_equal_to_p_min_keeps_every_row_at_the_floor():
+    plan = build_plan(np.linspace(0.0, 1.0, 100), tau=0.01, p_min=0.01)
+    assert plan.lam == 0.0
+    assert np.all(plan.probs == 0.01)
+    assert plan.rate_converged
+
+
+def test_solve_rate_takes_the_least_lambda_on_a_flat_piece():
+    # with p_min = 0.5 the rate of losses (1, 100) stays at 0.75 for every
+    # lambda in [0.01, 0.5]: the loss-100 row saturates at 0.01, and the
+    # loss-1 row leaves the floor at 0.5
+    lam, probs, feasible = _solve_rate(np.array([1.0, 100.0]), 0.75, 0.5)
+    assert lam == 0.01
+    assert probs.tolist() == [0.5, 1.0]
+    assert feasible
+
+
+def test_build_plan_rejects_a_subnormal_loss():
+    # 1 / 1e-310 overflows, so no finite lambda saturates that row
+    with pytest.raises(DataError, match="smallest normal float"):
+        build_plan(np.array([0.0, 1e-310, 1.0]), tau=0.5, p_min=0.01)
+
+
 def test_build_plan_infeasible_when_tau_below_p_min():
     with pytest.raises(ConfigError, match="infeasible"):
         build_plan(np.ones(10), tau=0.005, p_min=0.01)
@@ -115,9 +142,9 @@ def test_build_plan_winsorizes_heavy_tail():
     losses = rng.lognormal(0.0, 2.0, size=5000)
     plan = build_plan(losses, tau=0.5, p_min=0.01)
     # heavy tail saturates > 10% of rows, so the loss vector is winsorized at
-    # the 0.9 quantile and the search reruns once; the rate stays calibrated
+    # the 0.9 quantile and lambda is solved once more; the rate stays exact
     assert plan.winsorized
-    assert abs(plan.expected_rate - 0.5) <= 1e-3
+    assert abs(plan.expected_rate - 0.5) <= 1e-12 * 0.5
     assert np.all(plan.losses <= np.quantile(losses, 0.9) + 1e-12)
     assert plan.rate_converged
 
@@ -198,3 +225,81 @@ def test_sample_table_end_to_end_with_plan_file(tmp_path):
     assert payload["expected_rate"] == plan.expected_rate
     assert payload["saturated_fraction"] == plan.saturated_fraction
     assert payload["mask"] == [int(z) for z in plan.mask]
+
+
+# losses as score_difficulty makes them, and far beyond: zeros, ties and
+# positive values over 16 orders of magnitude
+_LOSSES = st.lists(st.one_of(st.just(0.0), st.floats(1e-8, 1e8)), min_size=1, max_size=300)
+_P_MIN = st.floats(1e-4, 1.0)
+_UNIT = st.floats(0.0, 1.0)
+
+
+def _tau(p_min: float, u: float) -> float:
+    return min(p_min + u * (1.0 - p_min), 1.0)
+
+
+def _top_rate(losses: np.ndarray, p_min: float) -> float:
+    """The largest reachable rate: every positive-loss row at p = 1."""
+    m = int((losses > 0).sum())
+    return (p_min * (len(losses) - m) + m) / len(losses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOSSES, _P_MIN, _UNIT)
+def test_plan_hits_every_feasible_tau_with_the_clip_map(losses, p_min, u):
+    losses = np.array(losses)
+    tau = _tau(p_min, u)
+    plan = build_plan(losses, tau, p_min)
+    assert plan.rate_converged == (tau <= _top_rate(losses, p_min))
+    if plan.rate_converged:
+        assert abs(plan.expected_rate - tau) <= 1e-12 * tau
+    assert np.all((plan.probs >= p_min) & (plan.probs <= 1.0))
+    assert np.array_equal(plan.probs, np.clip(plan.lam * plan.losses, p_min, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOSSES, _P_MIN, _UNIT, _UNIT)
+def test_lambda_does_not_decrease_as_tau_grows(losses, p_min, u1, u2):
+    losses = np.array(losses)
+    low, high = sorted((_tau(p_min, u1), _tau(p_min, u2)))
+    lam_low = build_plan(losses, low, p_min).lam
+    lam_high = build_plan(losses, high, p_min).lam
+    assert lam_high >= lam_low * (1.0 - 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOSSES, _P_MIN, _UNIT)
+def test_winsorizing_fires_exactly_when_the_first_solve_saturates_past_the_cap(
+        losses, p_min, u):
+    losses = np.array(losses)
+    tau = _tau(p_min, u)
+    _, first, _ = _solve_rate(losses, tau, p_min)
+    plan = build_plan(losses, tau, p_min)
+    assert plan.winsorized == (float((first == 1.0).mean()) > SAT_CAP)
+    if not plan.winsorized:
+        assert np.array_equal(plan.losses, losses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOSSES, _P_MIN, _UNIT, st.randoms(use_true_random=False))
+def test_permuting_the_losses_permutes_the_probabilities(losses, p_min, u, rnd):
+    losses = np.array(losses)
+    tau = _tau(p_min, u)
+    perm = np.array(rnd.sample(range(len(losses)), len(losses)))
+    plan = build_plan(losses, tau, p_min)
+    shuffled = build_plan(losses[perm], tau, p_min)
+    assert shuffled.lam == plan.lam
+    assert np.array_equal(shuffled.probs, plan.probs[perm])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOSSES, st.floats(1e-4, 0.999), _UNIT)
+def test_infeasible_tau_saturates_every_positive_loss_row(losses, p_min, u):
+    losses = np.array(losses + [0.0])  # a zero row keeps the top rate below 1
+    top = _top_rate(losses, p_min)
+    tau = min(top + max(u, 0.01) * (1.0 - top), 1.0)
+    assume(tau > top)
+    plan = build_plan(losses, tau, p_min)
+    assert not plan.rate_converged
+    assert np.all(plan.probs[losses > 0] == 1.0)
+    assert np.all(plan.probs[losses == 0] == p_min)

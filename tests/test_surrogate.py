@@ -14,12 +14,14 @@ from hpcmobo import surrogate
 from hpcmobo.core import ColumnSpec, DataError, NumericalError, build_table
 from hpcmobo.embedding import AttentiveMask
 from hpcmobo.surrogate import (
+    MAX_DESIGN_NODES,
     FeatureScaler,
     SurrogateModel,
     TreeParams,
     _rank_columns,
     _draw_features,
     _sort_with_order,
+    check_design_bounds,
     fit_tree_ensemble,
     load_surrogate,
     mape,
@@ -210,6 +212,36 @@ def test_surrogate_predict_takes_only_a_2d_matrix():
     for bad in (row, row[None, None, :], np.float64(3.0)):
         with pytest.raises(DataError, match="must be 2-D"):
             model.predict(bad)
+
+
+def test_training_data_needs_two_rows():
+    table = _toy_table()
+    for n in (0, 1):
+        with pytest.raises(DataError, match="at least 2 rows, the table has " + str(n)):
+            training_data(table.select_rows(np.arange(n)), "runtime")
+    assert len(training_data(table.select_rows(np.arange(2)), "runtime")[2]) == 2
+
+
+def test_design_bounds_are_integers_from_one_within_the_cap():
+    for good in ((1, 1), (1, MAX_DESIGN_NODES), (7, MAX_DESIGN_NODES + 6)):
+        check_design_bounds(good, "here")
+    for bad in ((0, 5), (5, 4), (1.0, 5), (True, 5), (1,), (1, 2, 3)):
+        with pytest.raises(DataError, match=r"here: design bounds .* are not two integers"):
+            check_design_bounds(bad, "here")
+    for bad in ((1, MAX_DESIGN_NODES + 1), (1, 10**308)):
+        with pytest.raises(DataError, match=f"span more than {MAX_DESIGN_NODES}"):
+            check_design_bounds(bad, "here")
+
+
+@pytest.mark.parametrize("cell", [0.5, 0.0, -1.0, 1e-320, 1e308])
+def test_training_rows_outside_the_design_domain_are_a_data_error(cell):
+    toy = _toy_table()
+    data = {name: list(toy.column(name)) for name in toy.names}
+    data["num_nodes_alloc"][3] = cell
+    table = build_table(toy.columns, data)
+    with pytest.raises(DataError, match="design column 'num_nodes_alloc' of the training rows"):
+        train_objective_surrogate(table, "runtime", use_embedding=False,
+                                  params=TreeParams(n_estimators=2, max_depth=2))
 
 
 def test_training_leaves_the_callers_params_unchanged():
