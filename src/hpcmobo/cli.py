@@ -20,7 +20,9 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DataError,
     PipelineError,
+    design_spec,
     load_config_file,
     run_config_from_sections,
 )
@@ -31,6 +33,7 @@ from .pipeline import (
     PipelineSettings,
     load_context,
     model_stage,
+    parse_schema_sections,
     parse_settings,
     preprocess_stage,
     report_h1,
@@ -183,10 +186,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _, cfg = _load(args, require_config=False)
+    sections, cfg = _load(args, require_config=False)
     surr_dir = Path(args.surrogates)
-    surr_r = load_surrogate(surr_dir / "runtime_model.json")
-    surr_p = load_surrogate(surr_dir / "power_model.json")
+    paths = (surr_dir / "runtime_model.json", surr_dir / "power_model.json")
+    surr_r, surr_p = (load_surrogate(path) for path in paths)
+    if args.config is not None:  # its [schema] is the one record of the design column
+        design = design_spec(parse_schema_sections(sections)[0]).name
+        if {surr_r.design_feature, surr_p.design_feature} != {design}:
+            raise DataError(f"{paths[0]} and {paths[1]} must both tune the config's design "
+                            f"variable {design!r}; their design feature is "
+                            f"{surr_r.design_feature!r} and {surr_p.design_feature!r}")
     context = load_context(Path(args.job_context), surr_r.design_feature)
     candidates = CandidateSet.for_surrogates(surr_r, surr_p, context)
     method = METHODS[args.method.replace("-", "_")]

@@ -55,6 +55,17 @@ class ColumnSpec:
             raise ConfigError(f"unknown column role {self.role!r} for column {self.name!r}")
 
 
+def design_spec(columns: Iterable[ColumnSpec]) -> ColumnSpec:
+    """The one column whose role is design_variable; none or several is a
+    ConfigError."""
+    designs = [c for c in columns if c.role == "design_variable"]
+    if len(designs) != 1:
+        raise ConfigError(
+            f"exactly one design_variable column required, found {len(designs)}"
+        )
+    return designs[0]
+
+
 @dataclass(frozen=True)
 class JobTable:
     """Rectangular job-log table, column major. Missing cells hold None, and
@@ -102,12 +113,7 @@ class JobTable:
         return [c for c in self.columns if c.role in roles]
 
     def design_column(self) -> ColumnSpec:
-        designs = self.columns_with_role("design_variable")
-        if len(designs) != 1:
-            raise ConfigError(
-                f"exactly one design_variable column required, found {len(designs)}"
-            )
-        return designs[0]
+        return design_spec(self.columns)
 
     def numeric_matrix(self, names: Sequence[str]) -> np.ndarray:
         """Stack named numeric columns into an (n, k) float matrix. Missing cells

@@ -1,12 +1,19 @@
 """CSV ingestion and the numeric-view preprocessing steps.
 
 Raw job logs arrive as RFC-4180 CSV with power arrays packed into single
-";"-separated fields. The reader sums each array as it parses its row, so a
-loaded table holds power columns as numeric totals and ingest memory grows
-with rows, not with rows times nodes. Preprocessing reduces any arrays left
-in an in-memory table to the same totals, converts datetimes to epoch
-seconds, derives configured durations, imputes, and label-encodes, leaving a
-fully numeric table with no missing (None) cell.
+";"-separated fields. One table, `_CONVERTERS`, says how a present cell of
+each raw column kind becomes a number: numeric and string_numeric cells go
+through float() (a NaN, however spelt, is missing), ISO-8601 datetimes
+become epoch seconds, and a power array becomes the total of its samples;
+categorical cells stay text until the recipe encodes them.
+
+`load_csv` sums each power array as it parses its row, so ingest memory grows
+with rows, not with rows times nodes, and converts every other column once
+after the last row: a loaded table is numeric except for its categorical
+columns. `preprocess_fit` applies the same table to any column of an
+in-memory table still of a raw kind, then derives configured durations,
+imputes, and label-encodes, leaving a fully numeric table with no missing
+(None) cell.
 """
 
 from __future__ import annotations
@@ -27,54 +34,82 @@ ARRAY_SEP = ";"
 _NA_TOKENS = {"", "NA", "na", "NaN", "nan", "null", "None"}
 
 
-def _parse_float(token: str, row: int, name: str) -> float:
+def _parse_float(cell, row: int, name: str) -> float | None:
+    """float(cell), or None (missing) for a NaN however it is spelt, as for
+    the NA tokens; a cell float() rejects is a DataError naming its row and
+    column."""
     try:
-        return float(token)
+        value = float(cell)
+    except (TypeError, ValueError) as exc:
+        raise DataError(
+            f"unparseable numeric cell at row {row}, column {name!r}: {cell!r}"
+        ) from exc
+    return None if math.isnan(value) else value
+
+
+def _parse_iso8601_utc(text: str, row: int, name: str) -> float:
+    token = text.strip()
+    if token.endswith(("Z", "z")):
+        token = token[:-1] + "+00:00"
+    try:
+        dt = datetime.fromisoformat(token)
     except ValueError as exc:
         raise DataError(
-            f"unparseable numeric cell at row {row}, column {name!r}: {token!r}"
+            f"unparseable timestamp at row {row}, column {name!r}: {text!r}"
         ) from exc
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
 
 
-def _power_total(parts) -> float | None:
+def _power_total(cell, row: int, name: str) -> float | None:
     """The total of one power-array cell, or None (missing) when it is empty
     or a sample is NaN, so preprocessing imputes it like any missing cell.
 
-    `parts` is the cell's array or its parsed tokens; numpy converts each str
-    through float(), so tokens and the floats they spell give the same bits.
-    The start value -0.0 changes no other total but keeps an all -0.0 array's
-    sign, which numpy's default start of +0.0 drops.
+    `cell` is the field's ";"-separated text or an in-memory array; numpy
+    converts each token through float(), so tokens and the floats they spell
+    give the same bits. The start value -0.0 changes no other total but keeps
+    an all -0.0 array's sign, which numpy's default start of +0.0 drops.
     """
+    parts = [p for p in cell.split(ARRAY_SEP) if p != ""] if isinstance(cell, str) else cell
     if len(parts) == 0:
         return None
-    total = float(np.sum(np.asarray(parts, dtype=float), initial=-0.0))
+    try:
+        total = float(np.sum(np.asarray(parts, dtype=float), initial=-0.0))
+    except ValueError:
+        for p in parts:  # name the first sample float() rejects
+            _parse_float(p, row, name)
+        raise
     return None if math.isnan(total) else total
 
 
-def _parse_cell(token: str, spec: ColumnSpec, row: int):
-    if token in _NA_TOKENS:
-        return None
-    if spec.kind == "numeric":
-        return _parse_float(token, row, spec.name)
-    if spec.kind == "power_array":
-        parts = [p for p in token.split(ARRAY_SEP) if p != ""]
-        try:
-            return _power_total(parts)
-        except ValueError:
-            for p in parts:
-                _parse_float(p, row, spec.name)
-            raise
-    # categorical / datetime / string_numeric stay as text until their pass
-    return token
+# How a present cell of each raw column kind becomes a number, called as
+# convert(cell, row, column name). Categorical cells stay text until the
+# recipe encodes them.
+_CONVERTERS = {
+    "numeric": _parse_float,
+    "string_numeric": _parse_float,
+    "datetime": _parse_iso8601_utc,
+    "power_array": _power_total,
+}
+
+
+def _convert_column(spec: ColumnSpec, values: list) -> list:
+    """The cells of one column converted by its kind's entry in
+    `_CONVERTERS`; a missing (None) cell stays missing."""
+    convert = _CONVERTERS[spec.kind]
+    return [None if v is None else convert(v, i, spec.name) for i, v in enumerate(values)]
 
 
 def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
     """Load a CSV whose header matches `specs` by name, in any column order.
 
-    Each power_array cell is summed as its row is read (`_power_total`), so
-    the returned table holds those columns as numeric totals, an empty array
-    is missing, and no array outlives its row. A leading UTF-8 byte-order
-    mark is skipped; a header that names a column twice is a DataError.
+    Each power_array cell is summed as its row is read, so no array outlives
+    its row, and every other non-categorical column is converted once after
+    the last row (`_CONVERTERS`). The returned table is numeric except for
+    its categorical columns; an NA token or an empty array is missing. A
+    leading UTF-8 byte-order mark is skipped; a header that names a column
+    twice is a DataError.
     """
     path = Path(path)
     if not path.exists():
@@ -104,97 +139,58 @@ def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
                     f"row {row_i} has {len(row)} cells, expected {len(header)}"
                 )
             for j, spec in enumerate(specs):
-                cells[j].append(_parse_cell(row[positions[j]], spec, row_i))
-    columns = tuple(ColumnSpec(s.name, "numeric", s.role) if s.kind == "power_array" else s
+                token = row[positions[j]]
+                if token in _NA_TOKENS:
+                    token = None
+                elif spec.kind == "power_array":
+                    token = _power_total(token, row_i, spec.name)
+                cells[j].append(token)
+    for j, spec in enumerate(specs):
+        if spec.kind not in ("categorical", "power_array"):
+            cells[j] = _convert_column(spec, cells[j])
+    columns = tuple(s if s.kind == "categorical" else ColumnSpec(s.name, "numeric", s.role)
                     for s in specs)
     return JobTable(columns, tuple(cells))
 
 
-def _format_cell(value, row: int, name: str) -> str:
-    """The CSV text of one cell. A present cell whose text `load_csv` would
-    read as missing (a NaN, or a string that is an NA token) is a DataError;
-    an empty power array is written empty and reads back as missing."""
-    if value is None:
-        return ""
-    if isinstance(value, np.ndarray):
-        if len(value) == 0:
-            return ""
-        text = ARRAY_SEP.join(repr(float(v)) for v in value)
-    elif isinstance(value, (float, np.floating)):
-        text = repr(float(value))
-    else:
-        text = str(value)
-    if text in _NA_TOKENS:
-        raise DataError(f"cell at row {row}, column {name!r} is not missing but would "
-                        f"be written as {text!r}, which reads back as missing")
-    return text
+def _format_column(values: list, name: str, first_row: int) -> list[str]:
+    """The CSV text of each cell of a column from row `first_row` on: floats
+    by repr, so a write/read cycle is bit-identical, a power array as its
+    samples joined by ";", and a missing cell or an empty array as an empty
+    field, which reads back as missing. A present cell that would read back
+    as missing (a NaN, or a string that is an NA token) is a DataError
+    naming its row and column."""
+    texts = ["" if v is None
+             else ARRAY_SEP.join(map(repr, np.asarray(v, dtype=float).tolist()))
+             if isinstance(v, np.ndarray)
+             else repr(float(v)) if isinstance(v, (float, np.floating))
+             else str(v)
+             for v in values]
+    for row, (value, text) in enumerate(zip(values, texts), first_row):
+        if (text in _NA_TOKENS and value is not None
+                and not (isinstance(value, np.ndarray) and value.size == 0)):
+            raise DataError(f"cell at row {row}, column {name!r} is not missing but "
+                            f"would be written as {text!r}, which reads back as missing")
+    return texts
+
+
+# rows formatted at a time: a wide log's power-array text stays a few
+# hundred kilobytes instead of the whole file's
+_WRITE_BLOCK_ROWS = 64
 
 
 def write_csv(table: JobTable, path: str | Path) -> None:
-    """Write a JobTable back to CSV; missing cells become empty fields.
-
-    Floats are written with repr so a write/read cycle is bit-identical; a
-    present cell that would read back as missing is a DataError
-    (`_format_cell`).
-    """
+    """Write a JobTable back to CSV, each block of rows column by column
+    (`_format_column`)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.names)
-        for i in range(table.n_rows):
-            writer.writerow([_format_cell(col[i], i, name)
-                             for name, col in zip(table.names, table.cells)])
-
-
-def reduce_power_arrays(table: JobTable) -> JobTable:
-    """Replace each power_array column of an in-memory table with per-row
-    `_power_total`s, the totals `load_csv` gives for the same arrays.
-
-    Empty arrays become missing; the column keeps its name and role but turns
-    numeric.
-    """
-    out = table
-    for spec in table.columns:
-        if spec.kind != "power_array":
-            continue
-        values = [None if v is None else _power_total(v) for v in out.column(spec.name)]
-        out = out.replace_column(
-            spec.name, ColumnSpec(spec.name, "numeric", spec.role), values
-        )
-    return out
-
-
-def _parse_iso8601_utc(text: str, row: int, name: str) -> float:
-    token = text.strip()
-    if token.endswith(("Z", "z")):
-        token = token[:-1] + "+00:00"
-    try:
-        dt = datetime.fromisoformat(token)
-    except ValueError as exc:
-        raise DataError(
-            f"unparseable timestamp at row {row}, column {name!r}: {text!r}"
-        ) from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
-
-
-def datetimes_to_epoch(table: JobTable) -> JobTable:
-    """Convert datetime columns (ISO-8601 UTC) to numeric epoch seconds."""
-    out = table
-    for spec in table.columns:
-        if spec.kind != "datetime":
-            continue
-        col = out.column(spec.name)
-        values = [
-            None if v is None else _parse_iso8601_utc(v, i, spec.name)
-            for i, v in enumerate(col)
-        ]
-        out = out.replace_column(
-            spec.name, ColumnSpec(spec.name, "numeric", spec.role), values
-        )
-    return out
+        for start in range(0, table.n_rows, _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            writer.writerows(zip(*(_format_column(col[start:stop], name, start)
+                                   for name, col in zip(table.names, table.cells))))
 
 
 @dataclass
@@ -241,42 +237,40 @@ def derive_durations(table: JobTable, pairs: list[tuple[str, str, str]]) -> JobT
     return out
 
 
-def fit_apply_recipe(
-    table: JobTable,
-    duration_pairs: list[tuple[str, str, str]] | None = None,
+def preprocess_fit(
+    table: JobTable, duration_pairs: list[tuple[str, str, str]] | None = None
 ) -> tuple[JobTable, PreprocessRecipe]:
-    """Fit imputation values and label encodings on `table` and apply them.
+    """Fit the numeric view of `table` and apply it.
 
-    Expects array reduction and datetime conversion to have run already.
-    Ignored-role columns are dropped here (explicitly, by role). The returned
-    table is fully numeric with no missing cell.
+    Columns still of a raw kind (an in-memory table's datetimes, power
+    arrays and string_numerics) go through `_CONVERTERS`, as `load_csv`'s
+    do; then the configured durations are derived, ignored-role columns
+    dropped (explicitly, by role), missing numeric cells filled with the
+    median and missing categorical cells with the mode, and categoricals
+    label-encoded. The returned table is fully numeric with no missing cell.
     """
-    recipe = PreprocessRecipe(derived_duration_columns=list(duration_pairs or []))
-    out = table.drop_columns([c.name for c in table.columns if c.role == "ignored"])
+    pairs = list(duration_pairs or [])
+    out = table
+    for spec in table.columns:
+        if spec.kind not in ("numeric", "categorical"):
+            out = out.replace_column(spec.name, ColumnSpec(spec.name, "numeric", spec.role),
+                                     _convert_column(spec, out.column(spec.name)))
+    out = derive_durations(out, pairs)
+    recipe = PreprocessRecipe(derived_duration_columns=pairs)
+    out = out.drop_columns([c.name for c in out.columns if c.role == "ignored"])
 
     for spec in list(out.columns):
         col = out.column(spec.name)
-        mask = out.mask(spec.name)
-        if spec.kind == "string_numeric":
-            col = [
-                None if v is None else _parse_float(str(v), i, spec.name)
-                for i, v in enumerate(col)
-            ]
-            spec = ColumnSpec(spec.name, "numeric", spec.role)
-            out = out.replace_column(spec.name, spec, col)
+        present = [v for v in col if v is not None]
+        if not present:
+            raise DataError(f"column {spec.name!r} is entirely missing; cannot impute")
         if spec.kind == "numeric":
-            present = [float(v) for v in col if v is not None]
-            if not present:
-                raise DataError(f"column {spec.name!r} is entirely missing; cannot impute")
-            median = float(np.median(present))
+            median = float(np.median([float(v) for v in present]))
             recipe.numeric_medians[spec.name] = median
-            if mask.any():
-                col = [median if v is None else float(v) for v in col]
-                out = out.replace_column(spec.name, spec, col)
-        elif spec.kind == "categorical":
-            present = [v for v in col if v is not None]
-            if not present:
-                raise DataError(f"column {spec.name!r} is entirely missing; cannot impute")
+            if len(present) < len(col):
+                out = out.replace_column(spec.name, spec,
+                                         [median if v is None else float(v) for v in col])
+        else:
             # the first of the most frequent values to appear
             mode = Counter(present).most_common(1)[0][0]
             recipe.categorical_modes[spec.name] = mode
@@ -286,27 +280,9 @@ def fit_apply_recipe(
                 if v not in codes:
                     codes[v] = len(codes)
             recipe.label_encodings[spec.name] = codes
-            encoded = [float(codes[v]) for v in filled]
-            out = out.replace_column(
-                spec.name, ColumnSpec(spec.name, "numeric", spec.role), encoded
-            )
-        elif spec.kind in ("datetime", "power_array"):
-            raise DataError(
-                f"column {spec.name!r} still has kind {spec.kind}; run array "
-                "reduction and datetime conversion first"
-            )
+            out = out.replace_column(spec.name, ColumnSpec(spec.name, "numeric", spec.role),
+                                     [float(codes[v]) for v in filled])
     return out, recipe
-
-
-def preprocess_fit(
-    table: JobTable, duration_pairs: list[tuple[str, str, str]] | None = None
-) -> tuple[JobTable, PreprocessRecipe]:
-    """Full numeric-view pass: arrays -> epochs -> durations -> impute/encode."""
-    pairs = duration_pairs or []
-    out = reduce_power_arrays(table)
-    out = datetimes_to_epoch(out)
-    out = derive_durations(out, pairs)
-    return fit_apply_recipe(out, duration_pairs=pairs)
 
 
 def save_specs(specs, path: str | Path) -> None:

@@ -545,7 +545,8 @@ def surrogate_features(table: JobTable) -> list[str]:
 
 def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Feature names, feature matrix and target vector of a fully
-    preprocessed table of at least 2 rows."""
+    preprocessed table of at least 2 rows whose target values are all
+    positive."""
     if table.n_rows < 2:
         raise DataError(f"surrogate training needs at least 2 rows, the table has "
                         f"{table.n_rows}")
@@ -556,6 +557,12 @@ def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, 
     y = table.numeric_matrix([target])[:, 0]
     if np.isnan(X).any() or np.isnan(y).any():
         raise DataError("surrogate training requires a fully preprocessed table")
+    # runtimes and powers are positive: the runtime GP models their logs
+    nonpositive = np.flatnonzero(y <= 0)
+    if nonpositive.size:
+        row = int(nonpositive[0])
+        raise DataError(f"regression target {target!r} must be positive, but row {row} "
+                        f"of the {table.n_rows}-row training table holds {float(y[row])!r}")
     return features, X, y
 
 

@@ -1,9 +1,12 @@
 import csv
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpcmobo.cli import build_parser, main
 from hpcmobo.core import load_config_file, run_config_from_sections
@@ -384,23 +387,81 @@ def test_optimize_with_a_bad_job_context_is_a_data_error(run_dir, tmp_path, caps
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("name", ["runtime_model.json", "power_model.json"])
+@pytest.mark.parametrize("name", ["runtime_model.json", "power_model.json", "both"])
 def test_optimize_with_surrogates_of_two_design_features_is_a_data_error(run_dir, tmp_path,
                                                                         capsys, name):
     # a runtime model tuning "queue" ran and wrote the node count over the
-    # context's queue column, while num_nodes_alloc kept the context's value
+    # context's queue column, while num_nodes_alloc kept the context's value;
+    # two models tuning "queue" passed every check and did the same
     cfg, out = run_dir
     for model in ("runtime_model.json", "power_model.json"):
         payload = json.loads((out / model).read_text())
-        if model == name:
+        if name in (model, "both"):
             assert "queue" in payload["feature_names"]
             payload["design_feature"] = "queue"
         (tmp_path / model).write_text(json.dumps(payload))
     assert main(["optimize", "--config", str(cfg), "--method", "random",
                  "--surrogates", str(tmp_path), "--job-context", str(out / "context_0.csv"),
                  "--out", str(tmp_path / "report.json")]) == 3
-    assert "design feature is" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "design feature is" in err
+    assert "runtime_model.json and " in err and "power_model.json must both tune" in err
+    assert "design variable 'num_nodes_alloc'" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def _edit_every_other_row(data, column, value):
+    with data.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index(column)
+    for row in rows[1::2]:
+        row[col] = value
+    with data.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+# each trained and optimized with exit 0, the runtime GP quietly modelling
+# plain values instead of logs
+@pytest.mark.parametrize("column, value", [
+    ("runtime_seconds", "0"), ("runtime_seconds", "-1"), ("node_power", "-5;-7"),
+])
+def test_run_on_a_nonpositive_target_is_a_data_error(tmp_path, capsys, column, value):
+    cfg = _synth(tmp_path)
+    _edit_every_other_row(tmp_path / "data.csv", column, value)
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert f"regression target {column!r} must be positive" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_log(tmp_path_factory):
+    """The config of a 300-job synthgen log, cut to 4 trees and 6
+    iterations."""
+    cfg = _synth(tmp_path_factory.mktemp("small_log"), jobs=300)
+    text = cfg.read_text().replace("mobo_iterations = 5", "mobo_iterations = 6")
+    cfg.write_text(text.replace("n_estimators = 10", "n_estimators = 4"))
+    return cfg
+
+
+_DAMAGE = ["", "NA", "nan", "None", "inf", "-inf", "nan;nan", "1e308", "0", "-1", "0.5",
+           ";", "garbage", "1;x", "2024-01-01T00:00:00Z"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_run_on_a_damaged_log_exits_with_a_pipeline_code(small_log, tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("damaged")
+    for name in (small_log.name, "truth.json"):
+        shutil.copy(small_log.parent / name, directory / name)
+    with (small_log.parent / "data.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    for _ in range(data.draw(st.integers(1, 3), label="cells")):
+        row = data.draw(st.integers(1, len(rows) - 1), label="row")
+        col = data.draw(st.sampled_from(rows[0]), label="column")
+        rows[row][rows[0].index(col)] = data.draw(st.sampled_from(_DAMAGE), label="value")
+    with (directory / "data.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["run", "--config", str(directory / small_log.name),
+                 "--log-level", "ERROR"]) in (0, 2, 3, 4)
 
 
 def test_a_nan_power_sample_is_imputed_like_a_missing_cell(tmp_path):

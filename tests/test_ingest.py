@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ from hypothesis import strategies as st
 
 from hpcmobo.core import ColumnSpec, DataError, build_table, tables_equal
 from hpcmobo.ingest import (
-    datetimes_to_epoch,
+    _CONVERTERS,
+    _NA_TOKENS,
     derive_durations,
-    fit_apply_recipe,
     load_csv,
     preprocess_fit,
     read_table,
-    reduce_power_arrays,
     write_csv,
     write_table,
 )
@@ -102,28 +102,64 @@ def test_load_csv_holds_no_power_array_past_its_row(tmp_path):
     assert table.column("power") == [250.5 * width] * n_rows
 
 
-_power_cells = st.one_of(
-    st.none(),
-    st.lists(st.floats(allow_nan=False, width=64), max_size=8).map(np.array),
-)
+# a present cell of each raw kind, as an in-memory table holds it: every value
+# write_csv can write without it reading back as missing
+_RAW_CELLS = {
+    "numeric": st.floats(allow_nan=False),
+    "string_numeric": st.one_of(
+        st.floats(allow_nan=False).map(repr),
+        st.integers().map(str),
+        st.floats(allow_nan=False).map(lambda x: f" {x!r} "),
+    ),
+    "datetime": st.builds(
+        lambda dt, zone: dt.isoformat() + zone,
+        st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)),
+        st.sampled_from(["", "Z", "+05:30", "-08:00"]),
+    ),
+    "power_array": st.lists(st.floats(width=64), max_size=8)
+    .filter(lambda xs: not (len(xs) == 1 and math.isnan(xs[0])))
+    .map(np.array),
+    "categorical": st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+        max_size=8,
+    ).filter(lambda text: text not in _NA_TOKENS),
+}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_power_cells, min_size=1, max_size=12))
-def test_reader_totals_equal_reduced_totals_bit_for_bit(tmp_path_factory, cells):
-    specs = [ColumnSpec("power", "power_array", "regression_target")]
-    table = build_table(specs, {"power": cells})
-    path = tmp_path_factory.mktemp("totals") / "power.csv"
+@st.composite
+def _raw_tables(draw):
+    n_rows = draw(st.integers(1, 10))
+    specs = [ColumnSpec(f"c_{kind}", kind, "feature") for kind in _RAW_CELLS]
+    data = {spec.name: draw(st.lists(st.none() | _RAW_CELLS[spec.kind],
+                                     min_size=n_rows, max_size=n_rows))
+            for spec in specs}
+    return specs, build_table(specs, data)
+
+
+def _bits(values):
+    return [v if v is None or isinstance(v, str) else np.float64(v).tobytes()
+            for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_raw_tables())
+def test_a_written_table_reads_back_as_its_per_kind_conversion_bit_for_bit(
+        tmp_path_factory, drawn):
+    specs, table = drawn
+    path = tmp_path_factory.mktemp("kinds") / "kinds.csv"
     write_csv(table, path)
     read = load_csv(path, specs)
-    reduced = reduce_power_arrays(table)
-    assert read.columns == reduced.columns
-    assert np.array_equal(read.mask("power"), reduced.mask("power"))
-
-    def bits(column):
-        return [None if v is None else np.float64(v).tobytes() for v in column]
-
-    assert bits(read.column("power")) == bits(reduced.column("power"))
+    for spec in specs:
+        assert read.spec(spec.name).kind == (
+            "categorical" if spec.kind == "categorical" else "numeric")
+        cells = table.column(spec.name)
+        if spec.kind == "categorical":
+            expected = cells
+        else:
+            convert = _CONVERTERS[spec.kind]
+            expected = [None if v is None else convert(v, i, spec.name)
+                        for i, v in enumerate(cells)]
+        assert _bits(read.column(spec.name)) == _bits(expected), spec.kind
 
 
 @settings(max_examples=5, deadline=None)
@@ -138,19 +174,29 @@ def test_a_written_log_preprocesses_like_the_generated_table(tmp_path_factory, s
     assert tables_equal(preprocess_fit(read_table(written))[0], preprocess_fit(table)[0])
 
 
+def test_a_nan_however_spelt_reads_as_missing(tmp_path):
+    # "+nan" and "NAN" are no NA tokens: they read as a present NaN, which
+    # the median took in, and failed only when the preprocessed table was written
+    specs = [ColumnSpec("x", "numeric", "feature"), ColumnSpec("s", "string_numeric", "feature")]
+    table = load_csv(_write(tmp_path, "x,s\n+nan,NAN\n-nan,nAn\n1,2\n"), specs)
+    assert table.column("x") == [None, None, 1.0]
+    assert table.column("s") == [None, None, 2.0]
+
+
 def test_load_csv_reports_bad_cell_position(tmp_path):
     path = _write(tmp_path, "runtime,nodes,power\nabc,1,2\n")
     with pytest.raises(DataError, match="row 0.*runtime"):
         load_csv(path, BASIC_SPECS)
 
 
-def test_csv_round_trip_is_cell_identical(tmp_path):
+def test_csv_round_trip_reads_each_kind_as_its_number(tmp_path):
     specs = [
         ColumnSpec("runtime", "numeric", "regression_target"),
         ColumnSpec("nodes", "numeric", "design_variable"),
         ColumnSpec("power", "power_array", "regression_target"),
         ColumnSpec("queue", "categorical", "feature"),
         ColumnSpec("when", "datetime", "feature"),
+        ColumnSpec("size", "string_numeric", "feature"),
     ]
     table = build_table(specs, {
         "runtime": [0.1 + 0.2, None, 1e-17, 12345.6789],
@@ -158,14 +204,18 @@ def test_csv_round_trip_is_cell_identical(tmp_path):
         "power": [np.array([1.5, 2.5]), None, np.array([0.0]), np.array([7.0])],
         "queue": ["batch", None, "debug", "batch"],
         "when": ["1970-01-01T00:00:10Z", "2024-05-01T12:00:00Z", None, "1999-12-31T23:59:59Z"],
+        "size": ["42.5", "1", None, " 7 "],
     })
     path = tmp_path / "round.csv"
     write_csv(table, path)
     again = load_csv(path, specs)
-    # the power column reads back as its totals, every other cell as written
-    assert again.spec("power") == ColumnSpec("power", "numeric", "regression_target")
+    # categorical cells read back as written, every other kind as its number
+    assert [s.kind for s in again.columns] == ["numeric"] * 3 + ["categorical"] + ["numeric"] * 2
+    assert again.column("runtime") == [0.1 + 0.2, None, 1e-17, 12345.6789]
     assert again.column("power") == [4.0, None, 0.0, 7.0]
-    assert tables_equal(reduce_power_arrays(table), again)
+    assert again.column("queue") == ["batch", None, "debug", "batch"]
+    assert again.column("when") == [10.0, 1714564800.0, None, 946684799.0]
+    assert again.column("size") == [42.5, 1.0, None, 7.0]
 
 
 def _write_one_bad_cell(tmp_path, spec, cells):
@@ -191,33 +241,44 @@ def test_write_csv_rejects_a_string_that_is_an_na_token(tmp_path):
                         ["batch", "NA"])
 
 
-def test_reduce_power_arrays_sums_and_flags_empty():
+def test_write_csv_names_the_row_of_a_bad_cell_past_the_first_block(tmp_path):
+    cells = [1.0] * 200
+    cells[150] = math.nan
+    table = build_table([ColumnSpec("x", "numeric", "feature")], {"x": cells})
+    with pytest.raises(DataError, match="row 150, column 'x'"):
+        write_csv(table, tmp_path / "bad.csv")
+
+
+def test_preprocess_sums_in_memory_power_arrays_and_imputes_an_empty_one():
     table = build_table(
         [ColumnSpec("p", "power_array", "regression_target"),
          ColumnSpec("n", "numeric", "design_variable")],
         {"p": [np.array([100.0, 200.0, 300.0]), np.array([]), np.array([0.0])],
          "n": [1.0, 2.0, 3.0]},
     )
-    out = reduce_power_arrays(table)
+    out, recipe = preprocess_fit(table)
     assert out.spec("p").kind == "numeric"
-    assert out.column("p") == [600.0, None, 0.0]
-    assert out.mask("p").tolist() == [False, True, False]
+    # the empty array is missing, so it takes the median of {600, 0}
+    assert recipe.numeric_medians["p"] == 300.0
+    assert out.column("p") == [600.0, 300.0, 0.0]
 
 
-def test_datetimes_to_epoch_known_values():
-    table = build_table(
-        [ColumnSpec("t", "datetime", "feature")],
-        {"t": ["1970-01-01T00:00:10Z", "1970-01-02T00:00:00Z"]},
-    )
-    out = datetimes_to_epoch(table)
-    assert out.column("t") == [10.0, 86400.0]
-    assert out.spec("t").kind == "numeric"
+def test_datetimes_read_and_preprocess_as_epoch_seconds(tmp_path):
+    specs = [ColumnSpec("t", "datetime", "feature")]
+    stamps = ["1970-01-01T00:00:10Z", "1970-01-02T00:00:00Z"]
+    loaded = load_csv(_write(tmp_path, "t\n" + "\n".join(stamps) + "\n"), specs)
+    in_memory, _ = preprocess_fit(build_table(specs, {"t": stamps}))
+    for out in (loaded, in_memory):
+        assert out.column("t") == [10.0, 86400.0]
+        assert out.spec("t").kind == "numeric"
 
 
-def test_datetimes_to_epoch_bad_value_reports_position():
-    table = build_table([ColumnSpec("t", "datetime", "feature")], {"t": ["not-a-date"]})
-    with pytest.raises(DataError, match="row 0"):
-        datetimes_to_epoch(table)
+def test_a_bad_timestamp_names_its_row_and_column(tmp_path):
+    specs = [ColumnSpec("t", "datetime", "feature")]
+    with pytest.raises(DataError, match="row 1, column 't'"):
+        load_csv(_write(tmp_path, "t\n1970-01-01T00:00:10Z\nnot-a-date\n"), specs)
+    with pytest.raises(DataError, match="row 1, column 't'"):
+        preprocess_fit(build_table(specs, {"t": ["1970-01-01T00:00:10Z", "not-a-date"]}))
 
 
 def test_derive_durations_subtracts_and_flags_negative():
@@ -247,7 +308,7 @@ def test_recipe_imputes_median_and_encodes_first_appearance():
          "sn": ["42.5", "1", "2"],
          "n": [1.0, 2.0, 3.0]},
     )
-    out, recipe = fit_apply_recipe(table)
+    out, recipe = preprocess_fit(table)
     assert out.column("x") == [1.0, 2.0, 3.0]  # median of {1, 3}
     assert out.column("kind") == [0.0, 1.0, 0.0]
     assert out.column("sn")[0] == 42.5
@@ -262,7 +323,7 @@ def test_recipe_mode_imputation_for_categoricals():
          ColumnSpec("n", "numeric", "design_variable")],
         {"kind": ["a", None, "b", "a"], "n": [1.0, 2.0, 3.0, 4.0]},
     )
-    out, recipe = fit_apply_recipe(table)
+    out, recipe = preprocess_fit(table)
     assert recipe.categorical_modes["kind"] == "a"
     assert out.column("kind") == [0.0, 0.0, 1.0, 0.0]
 
@@ -274,16 +335,19 @@ def test_recipe_entirely_missing_column_errors():
         {"x": [None, None], "n": [1.0, 2.0]},
     )
     with pytest.raises(DataError, match="entirely missing"):
-        fit_apply_recipe(table)
+        preprocess_fit(table)
 
 
 def test_recipe_serialization_round_trip(tmp_path):
     table = build_table(
         [ColumnSpec("kind", "categorical", "feature"),
-         ColumnSpec("n", "numeric", "design_variable")],
-        {"kind": ["a", "b", None], "n": [1.0, None, 3.0]},
+         ColumnSpec("n", "numeric", "design_variable"),
+         ColumnSpec("s", "numeric", "ignored"),
+         ColumnSpec("e", "numeric", "ignored")],
+        {"kind": ["a", "b", None], "n": [1.0, None, 3.0], "s": [0.0, 1.0, 2.0],
+         "e": [5.0, 5.0, 5.0]},
     )
-    _, recipe = fit_apply_recipe(table, duration_pairs=[("s", "e", "d")])
+    _, recipe = preprocess_fit(table, duration_pairs=[("s", "e", "d")])
     path = tmp_path / "recipe.json"
     recipe.save(path)
     saved = json.loads(path.read_text())
