@@ -14,12 +14,15 @@ MOBO and SOBO are one GP search loop, `_gp_search`, to which each engine
 gives its label and rng stream, the objectives it fits a GP to (runtime
 first, in log space) and its acquisition: the exact q=1 expected
 hypervolume improvement from the 2-D strip decomposition for MOBO (`ehvi`;
-no sampling in the loop), closed-form expected improvement for SOBO. The
-loop refits and rescores only after an iteration that observed a new node
-(`_search`); the first fit of each GP is the cold multi-start search, and
-every refit warm-starts from the one before it. Each history entry records
-the best log acquisition, whether its iteration refitted, and the telemetry
-of the GP(s) that scored its pick; the budget records `gp_refits`.
+no sampling in the loop), closed-form expected improvement for SOBO. Each
+iteration fits the GP(s) to the observations and scores every candidate;
+the first fit of each GP is the cold multi-start search, and every later
+fit warm-starts from the one before it. The loop ends at its first
+proposal of a node it has already observed: evaluations are deterministic,
+so the GPs, and with them every later proposal, would stay as they are. A
+GP report with fewer than n_initial + mobo_iterations evaluations stopped
+there. Each history entry records the best log acquisition and the
+telemetry of the GP(s) that scored its pick.
 
 The random baseline spends a matched budget of uniform draws split across
 seeds; its history entries carry no acquisition. The Monte-Carlo estimator
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,7 +55,11 @@ from .pareto import (
     spread,
 )
 
+log = logging.getLogger(__name__)
+
 ACQ_EPS = 1e-12
+# a best log acquisition at or below this ties at the eps floor everywhere
+_FLOOR = math.log(ACQ_EPS) + 1e-9
 _SQRT_2PI = np.sqrt(2 * np.pi)
 METHOD_MOBO = "MOBO"
 METHOD_SOBO_RUNTIME = "SOBO (Runtime)"
@@ -207,16 +215,12 @@ def fit_objective_gp(nodes: Sequence[int], values: Sequence[float],
                      log_space: bool = False,
                      warm: ObjectiveGP | None = None) -> ObjectiveGP:
     """Fit the GP of one objective over node count, as the MOBO and SOBO
-    engines do after each iteration that observed a new node. Duplicate node
-    counts collapse to their first observation (evaluations are
-    deterministic). The fit warm-starts from `warm`, the engine's previous fit
-    of this objective, when that fit modelled the same space (log or not);
-    otherwise it is the cold four-start search (see `fit_gp`)."""
+    engines do in each iteration. The node counts must be distinct. The fit
+    warm-starts from `warm`, the engine's previous fit of this objective,
+    when that fit modelled the same space (log or not); otherwise it is the
+    cold four-start search (see `fit_gp`)."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
-    _, keep = np.unique(nodes, return_index=True)
-    nodes = nodes[np.sort(keep)]
-    values = values[np.sort(keep)]
     use_log = log_space and bool((values > 0).all())
     y = np.log(values) if use_log else values
     same_space = warm is not None and warm.log_space == use_log
@@ -344,11 +348,9 @@ class HistoryEntry:
     power: float
     hv_so_far: float
     spread_so_far: float
-    # GP methods only: the best log acquisition, whether this iteration
-    # fitted the GP(s), and the ObjectiveGP.telemetry() of each GP that
-    # scored this pick, by objective
+    # GP methods only: the best log acquisition and the
+    # ObjectiveGP.telemetry() of each GP that scored this pick, by objective
     acquisition: float | None
-    refit: bool | None = None
     gp: dict[str, dict] | None = None
 
     def as_dict(self) -> dict:
@@ -403,13 +405,13 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
                      per_seed: list[ParetoReport] | None = None) -> ParetoReport:
     """Build a report from the picked rows of the objective table. The first
     n_initial picks are the initial design; each later pick has one
-    (acquisition, refit, gp telemetry) step, and its history entry carries
+    (acquisition, gp telemetry) step, and its history entry carries
     the HV and spread of the observations up to and including it, under
     their own inferred reference."""
     observed = objectives[picks]
     observed_nodes = candidates.node_counts[picks]
     history = []
-    for it, (acq, refit, gp) in enumerate(steps):
+    for it, (acq, gp) in enumerate(steps):
         row = n_initial + it
         so_far = nondominated(observed[:row + 1])
         history.append(HistoryEntry(
@@ -420,7 +422,6 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
             hv_so_far=hypervolume(so_far, infer_reference(observed[:row + 1])),
             spread_so_far=spread(so_far),
             acquisition=acq,
-            refit=refit,
             gp=gp,
         ))
     ref = infer_reference(observed)
@@ -469,52 +470,13 @@ def _pick_candidate(acq: np.ndarray, seen: np.ndarray,
                     rng: np.random.Generator) -> tuple[int, float]:
     """The first row of the acquisition's maximum, which is its smallest
     node; when the acquisition ties at the log-eps floor everywhere, fall
-    back to a random row not yet `seen` (row 0 once every row is)."""
-    floor = math.log(ACQ_EPS)
+    back to a random row not yet `seen`, if one is left."""
     best = float(acq.max())
-    if best <= floor + 1e-9:
+    if best <= _FLOOR:
         unseen = np.flatnonzero(~seen)
         if len(unseen):
             return int(rng.choice(unseen)), best
-        return 0, best
     return int(np.argmax(acq)), best
-
-
-def _search(picks: list[int], n_rows: int, iterations: int, rng: np.random.Generator,
-            score) -> list[tuple]:
-    """Propose one row per iteration and append it to `picks`; returns each
-    iteration's (acquisition, refit, gp telemetry) step. `score(it)` fits
-    the GP(s) to the picked rows and returns the acquisition of every row
-    and the fitted ObjectiveGPs by objective name.
-
-    The acquisition is a function of the distinct observed nodes and of the
-    fits the GPs warm-start from (the GP fit collapses duplicates; reference
-    point, front and incumbent ignore them), and those fits were made at the
-    previous set of distinct nodes, so it is rescored only after an
-    iteration observed a new node. A repeated pick is either a deterministic
-    argmax or the floor fallback with no unobserved node left, which draws
-    nothing from rng, so the proposals equal those of a refit every
-    iteration warm-started from the fit at the previous distinct node set.
-    Nothing changes after a repeat, so every later pick repeats it too: the
-    refits are the iterations up to and including the first one that
-    repeats a node.
-    """
-    seen = np.zeros(n_rows, dtype=bool)
-    seen[picks] = True
-    acq = None
-    steps = []
-    for it in range(iterations):
-        refit = acq is None
-        if refit:
-            acq, gps = score(it)
-            telemetry = {name: ogp.telemetry() for name, ogp in gps.items()}
-        row, best_acq = _pick_candidate(acq, seen, rng)
-        if not seen[row]:
-            seen[row] = True
-            acq = None
-        picks.append(row)
-        steps.append((best_acq, refit, telemetry))
-    return steps
 
 
 # the column of each objective in the objective table, in fitting order
@@ -526,19 +488,25 @@ def _gp_search(method: str, stream: int, surr_runtime: ObjectiveSurrogate,
                surr_power: ObjectiveSurrogate, candidates: CandidateSet, cfg: RunConfig,
                fitted: tuple[str, ...],
                acquisition: Callable[..., np.ndarray]) -> ParetoReport:
-    """The GP search loop of MOBO and SOBO. After each iteration that observed
-    a new node, it fits a GP per `fitted` objective, warm from its last fit,
-    and scores every candidate by `acquisition(gps, Y, nodes)`: the fitted
-    ObjectiveGPs by objective, the observed objective rows and the candidate
-    nodes. `stream` keys the rng of the floor fallback (`_pick_candidate`)."""
+    """The GP search loop of MOBO and SOBO. Each iteration fits a GP per
+    `fitted` objective to the observations, warm from its last fit, scores
+    every candidate by `acquisition(gps, Y, nodes)` (the fitted ObjectiveGPs
+    by objective, the observed objective rows and the candidate nodes) and
+    observes the pick (`_pick_candidate`). It ends after cfg.mobo_iterations
+    picks, or at the first pick of a node already observed, which it does
+    not append: nothing the fits see would change, so it would be picked
+    for the rest of the budget. `stream` keys the rng of the floor
+    fallback."""
     _require_searchable(candidates)
     objectives, picks = _start(surr_runtime, surr_power, candidates)
     n_initial = len(picks)
     rng = np.random.default_rng([cfg.seed, stream])
     nodes = candidates.node_counts
+    seen = np.zeros(len(nodes), dtype=bool)
+    seen[picks] = True
     gps: dict[str, ObjectiveGP | None] = dict.fromkeys(fitted)
-
-    def score(it: int) -> tuple[np.ndarray, dict[str, ObjectiveGP]]:
+    steps = []
+    for it in range(cfg.mobo_iterations):
         Y = objectives[picks]
         try:
             for name in fitted:
@@ -548,12 +516,18 @@ def _gp_search(method: str, stream: int, surr_runtime: ObjectiveSurrogate,
             # "MOBO", or "SOBO" of "SOBO (Runtime)"
             raise NumericalError(
                 f"GP fit failed at {method.split()[0]} iteration {it}: {exc}") from exc
-        return np.log(acquisition(gps, Y, nodes) + ACQ_EPS), dict(gps)
-
-    steps = _search(picks, len(nodes), cfg.mobo_iterations, rng, score)
-    refits = sum(refit for _, refit, _ in steps)
-    return _finalize_report(method, cfg, candidates, objectives, picks, n_initial,
-                            steps, budget={"gp_refits": refits})
+        row, best_acq = _pick_candidate(np.log(acquisition(gps, Y, nodes) + ACQ_EPS),
+                                        seen, rng)
+        if seen[row]:
+            log.debug("%s stopped after %d evaluations: it proposed node %d again",
+                      method, len(picks), nodes[row])
+            break
+        log.debug("%s iteration %d: node %d, best log acquisition %.6g, floor fallback %s",
+                  method, it, nodes[row], best_acq, best_acq <= _FLOOR)
+        seen[row] = True
+        picks.append(row)
+        steps.append((best_acq, {name: gp.telemetry() for name, gp in gps.items()}))
+    return _finalize_report(method, cfg, candidates, objectives, picks, n_initial, steps)
 
 
 def _ehvi_at(gps: dict[str, ObjectiveGP], Y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -615,7 +589,7 @@ def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         "pooled_evaluations": per_seed * cfg.random_seeds,
         "total_evaluations": len(picks),
     }
-    steps = [(None, None, None)] * (len(picks) - n_initial)
+    steps = [(None, None)] * (len(picks) - n_initial)
     return _finalize_report(METHOD_RANDOM, cfg, candidates, objectives, picks, n_initial,
                             steps, budget=budget, per_seed=sub_reports)
 

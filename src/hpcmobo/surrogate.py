@@ -546,7 +546,9 @@ def surrogate_features(table: JobTable) -> list[str]:
 def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Feature names, feature matrix and target vector of a fully
     preprocessed table of at least 2 rows whose target values are all
-    positive."""
+    positive normal floats, whose node counts span a design domain (see
+    `design_bounds`) and whose columns each have a finite standard
+    deviation."""
     if table.n_rows < 2:
         raise DataError(f"surrogate training needs at least 2 rows, the table has "
                         f"{table.n_rows}")
@@ -557,13 +559,37 @@ def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, 
     y = table.numeric_matrix([target])[:, 0]
     if np.isnan(X).any() or np.isnan(y).any():
         raise DataError("surrogate training requires a fully preprocessed table")
-    # runtimes and powers are positive: the runtime GP models their logs
-    nonpositive = np.flatnonzero(y <= 0)
-    if nonpositive.size:
-        row = int(nonpositive[0])
-        raise DataError(f"regression target {target!r} must be positive, but row {row} "
+    # runtimes and powers are positive: the runtime GP models their logs, and
+    # relative errors divide by them, so a subnormal one is refused like the
+    # sampler refuses a subnormal loss
+    tiny = float(np.finfo(float).tiny)
+    too_small = np.flatnonzero(y < tiny)
+    if too_small.size:
+        row = int(too_small[0])
+        kind = "positive" if y[row] <= 0 else f"at least the smallest normal float {tiny!r}"
+        raise DataError(f"regression target {target!r} must be {kind}, but row {row} "
                         f"of the {table.n_rows}-row training table holds {float(y[row])!r}")
+    design_bounds(table)
+    # an overflowing spread would reach the scaler and the metrics as inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        stds = np.append(X.std(axis=0), y.std())
+    bad = np.flatnonzero(~np.isfinite(stds))
+    if bad.size:
+        column = [*features, target][int(bad[0])]
+        raise DataError(f"column {column!r} has no finite standard deviation: its "
+                        "spread overflows a float")
     return features, X, y
+
+
+def design_bounds(table: JobTable) -> tuple[int, int]:
+    """The least and greatest node counts of the training rows, which
+    `check_design_bounds` must accept."""
+    design = table.design_column().name
+    nodes = table.numeric_matrix([design])[:, 0]
+    # integral node counts become ints, so that 0.5 or 1e-320 fails the check
+    bounds = tuple(int(v) if v.is_integer() else float(v) for v in (nodes.min(), nodes.max()))
+    check_design_bounds(bounds, f"design column {design!r} of the training rows")
+    return bounds
 
 
 def check_design_bounds(bounds: tuple, where: str) -> None:
@@ -609,11 +635,6 @@ def train_objective_surrogate(
     `check_design_bounds`).
     """
     features, X, y = training_data(table, target)
-    design = table.design_column().name
-    nodes = table.numeric_matrix([design])[:, 0]
-    # integral node counts become ints, so that 0.5 or 1e-320 fails the check
-    bounds = tuple(int(v) if v.is_integer() else float(v) for v in (nodes.min(), nodes.max()))
-    check_design_bounds(bounds, f"design column {design!r} of the training rows")
     if use_embedding:
         scaler, mask = fit_feature_mask(X, y, mask_epochs, seed)
         Z = embed(mask, scaler.transform(X))
@@ -629,8 +650,8 @@ def train_objective_surrogate(
         scaler=scaler,
         ensemble=ensemble,
         mask=mask,
-        design_feature=design,
-        design_bounds=bounds,
+        design_feature=table.design_column().name,
+        design_bounds=design_bounds(table),
     )
 
 
@@ -705,18 +726,18 @@ def save_surrogate(model: SurrogateModel, path: str | Path) -> None:
 
 def load_surrogate(path: str | Path) -> SurrogateModel:
     """Read a model `save_surrogate` wrote. A file that cannot be read, is
-    not valid JSON (malformed or truncated), lacks a field, holds an
-    ensemble that is not bagged, a per-feature vector whose length is not
-    the number of feature names, a damaged tree (see `_pack`, or a split on
-    a feature past the last name), a design feature that is not one of the
-    feature names, or design bounds `check_design_bounds` rejects is a
-    DataError naming it."""
+    not valid JSON (malformed or truncated), lacks a field, holds a tree
+    index too large for its integer type, an ensemble that is not bagged, a
+    per-feature vector whose length is not the number of feature names, a
+    damaged tree (see `_pack`, or a split on a feature past the last name),
+    a design feature that is not one of the feature names, or design bounds
+    `check_design_bounds` rejects is a DataError naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         mode = payload["ensemble"]["mode"]
         if mode == "bagged":
             model = _surrogate_from_payload(payload)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"unreadable surrogate model {path}: {exc!r}") from exc
     except DataError as exc:
         raise DataError(f"surrogate model {path}: {exc}") from exc

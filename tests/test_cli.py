@@ -410,14 +410,16 @@ def test_optimize_with_surrogates_of_two_design_features_is_a_data_error(run_dir
     assert not (tmp_path / "report.json").exists()
 
 
-def _edit_every_other_row(data, column, value):
+def _edit_rows(data, column, value, rows=slice(1, None, 2)):
+    """Set `column` to `value` in the data rows `rows` selects (by default
+    every other one)."""
     with data.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    col = rows[0].index(column)
-    for row in rows[1::2]:
+        table = list(csv.reader(fh))
+    col = table[0].index(column)
+    for row in table[rows]:
         row[col] = value
     with data.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        csv.writer(fh).writerows(table)
 
 
 # each trained and optimized with exit 0, the runtime GP quietly modelling
@@ -427,9 +429,27 @@ def _edit_every_other_row(data, column, value):
 ])
 def test_run_on_a_nonpositive_target_is_a_data_error(tmp_path, capsys, column, value):
     cfg = _synth(tmp_path)
-    _edit_every_other_row(tmp_path / "data.csv", column, value)
+    _edit_rows(tmp_path / "data.csv", column, value)
     assert main(["run", "--config", str(cfg)]) == 3
     assert f"regression target {column!r} must be positive" in capsys.readouterr().err
+
+
+# each wrote Infinity, which is not JSON, into a model file's scaler_std or
+# into surrogate_metrics.json: a 1e308 overflows its column's standard
+# deviation, and relative errors overflow dividing by a subnormal runtime
+@pytest.mark.parametrize("column, value, rows, message", [
+    ("base", "1e308", slice(1, 2), "column 'base' has no finite standard deviation"),
+    ("runtime_seconds", "1e308", slice(1, 2),
+     "column 'runtime_seconds' has no finite standard deviation"),
+    ("runtime_seconds", "1e-320", slice(1, None, 2),
+     "regression target 'runtime_seconds' must be at least the smallest normal float"),
+], ids=["huge_feature", "huge_target", "subnormal_target"])
+def test_run_on_an_overflowing_or_subnormal_column_is_a_data_error(tmp_path, capsys, column,
+                                                                   value, rows, message):
+    cfg = _synth(tmp_path, jobs=300, seed=1)
+    _edit_rows(tmp_path / "data.csv", column, value, rows)
+    assert main(["run", "--config", str(cfg), "--log-level", "ERROR"]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -460,8 +480,66 @@ def test_run_on_a_damaged_log_exits_with_a_pipeline_code(small_log, tmp_path_fac
         rows[row][rows[0].index(col)] = data.draw(st.sampled_from(_DAMAGE), label="value")
     with (directory / "data.csv").open("w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    assert main(["run", "--config", str(directory / small_log.name),
-                 "--log-level", "ERROR"]) in (0, 2, 3, 4)
+    code = main(["run", "--config", str(directory / small_log.name), "--log-level", "ERROR"])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        # what CI's JSON step checks: RFC 8259 JSON, so no NaN or Infinity
+        for path in (directory / "out").rglob("*.json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# values a damaged model field may hold: wrong types, empty and huge ones,
+# and the non-finite floats Python's json reads
+_FIELD_DAMAGE = [None, True, 0, -1, 1, 2 ** 70, 0.5, -1e308, 1e308, 5e-324,
+                 float("nan"), float("inf"), "", "x", "bagged", [], [0], {}]
+
+
+def _damage_one_field(payload, data):
+    """Replace one value of the JSON tree `payload`: from the root, step to
+    a drawn key or index until a leaf, or stop early at a container with
+    probability 1/4."""
+    parent, key = None, None
+    node = payload
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and data.draw(st.integers(0, 3), label="stop") == 0:
+            break
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys), label="key")
+        node = parent[key]
+    value = data.draw(st.sampled_from(_FIELD_DAMAGE), label="value")
+    if parent is None:
+        return value
+    parent[key] = value
+    return payload
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_optimize_with_a_damaged_model_field_exits_with_a_pipeline_code(run_dir,
+                                                                        tmp_path_factory,
+                                                                        data):
+    cfg, out = run_dir
+    directory = tmp_path_factory.mktemp("damaged_model")
+    damaged = data.draw(st.sampled_from(["runtime_model.json", "power_model.json"]),
+                        label="model")
+    for name in ("runtime_model.json", "power_model.json"):
+        payload = json.loads((out / name).read_text())
+        if name == damaged:
+            payload = _damage_one_field(payload, data)
+        (directory / name).write_text(json.dumps(payload))
+    method = data.draw(st.sampled_from([stem.replace("_", "-") for stem in METHODS]),
+                       label="method")
+    report = directory / "report.json"
+    code = main(["optimize", "--config", str(cfg), "--method", method,
+                 "--surrogates", str(directory), "--job-context", str(out / "context_0.csv"),
+                 "--out", str(report), "--log-level", "ERROR"])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 def test_a_nan_power_sample_is_imputed_like_a_missing_cell(tmp_path):

@@ -183,7 +183,9 @@ class CountingSurrogate(LawSurrogate):
 @pytest.mark.parametrize("stem", list(METHODS))
 def test_each_engine_call_predicts_once_per_surrogate(stem):
     surr_r = CountingSurrogate(AMDAHL["runtime"])
-    surr_p = CountingSurrogate(AMDAHL["power"])
+    # power least at an interior node, so that SOBO (Power) does not propose
+    # an initial-design node (and stop) at its first iteration
+    surr_p = CountingSurrogate(lambda n: 5.0 * n + 400.0 / n)
     report = METHODS[stem].run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=6))
     assert report.n_evaluations > 4
     assert (surr_r.calls, surr_p.calls) == (1, 1)
@@ -424,7 +426,7 @@ def test_report_rows_front_and_history_agree_for_any_table_and_picks(data):
     candidates = CandidateSet.from_bounds(lo, lo + len(table) - 1, _context())
     picks = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=25))
     n_initial = data.draw(st.integers(1, len(picks)))
-    steps = [(float(it), None, None) for it in range(len(picks) - n_initial)]
+    steps = [(float(it), None) for it in range(len(picks) - n_initial)]
     report = opt._finalize_report("T", _fast_cfg(), candidates, table, list(picks),
                                   n_initial, steps)
 
@@ -570,12 +572,17 @@ def test_editing_the_payload_budget_leaves_the_report_as_it_was():
     assert report.budget == before
 
 
+def _distinct(picks):
+    """The picked rows without repeats, in first-pick order."""
+    return list(dict.fromkeys(picks))
+
 
 def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg):
-    """The MOBO loop before the refit rule: both GPs refitted and every
-    candidate rescored in every iteration, repeats included. Each fit
-    warm-starts from the fit made at the previous distinct node set (the
-    first is cold), so a repeat refits from the same warm GP."""
+    """The MOBO loop over its whole budget: both GPs refitted and every
+    candidate rescored in every iteration, repeats included. Each fit is to
+    the distinct observed nodes and warm-starts from the fit made at the
+    previous distinct node set (the first is cold), so after a repeat every
+    fit, and so every pick, is the same as before it."""
     from hpcmobo import optimizer as opt
 
     objectives, picks = opt._start(surr_runtime, surr_power, candidates)
@@ -584,28 +591,28 @@ def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg):
     rng = np.random.default_rng([cfg.seed, 11])
     fitted_at, warm_r, warm_p, gp_r, gp_p = None, None, None, None, None
     steps = []
-    for it in range(cfg.mobo_iterations):
+    for _ in range(cfg.mobo_iterations):
         seen = np.isin(np.arange(len(nodes)), picks)
-        new_set = set(picks) != fitted_at
-        if new_set:
-            fitted_at, warm_r, warm_p = set(picks), gp_r, gp_p
-        Y = objectives[picks]
-        gp_r = fit_objective_gp(nodes[picks], Y[:, 0], log_space=True, warm=warm_r)
-        gp_p = fit_objective_gp(nodes[picks], Y[:, 1], warm=warm_p)
+        distinct = _distinct(picks)
+        if distinct != fitted_at:
+            fitted_at, warm_r, warm_p = distinct, gp_r, gp_p
+        Y = objectives[distinct]
+        gp_r = fit_objective_gp(nodes[distinct], Y[:, 0], log_space=True, warm=warm_r)
+        gp_p = fit_objective_gp(nodes[distinct], Y[:, 1], warm=warm_p)
         ref = np.asarray(infer_reference(Y), dtype=float)
         acq = np.log(opt.ehvi(gp_r, gp_p, nodes, nondominated(Y), ref) + opt.ACQ_EPS)
         row, best_acq = opt._pick_candidate(acq, seen, rng)
         picks.append(row)
-        steps.append((best_acq, new_set,
-                      {"runtime": gp_r.telemetry(), "power": gp_p.telemetry()}))
+        steps.append((best_acq, {"runtime": gp_r.telemetry(), "power": gp_p.telemetry()}))
     return opt._finalize_report(opt.METHOD_MOBO, cfg, candidates, objectives, picks,
                                 n_initial, steps)
 
 
 def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg):
-    """The SOBO loop before the refit rule: the GP refitted and EI rescored in
-    every iteration, repeats included, each fit warm-started from the fit made
-    at the previous distinct node set (the first is cold)."""
+    """The SOBO loop over its whole budget: the GP refitted and EI rescored
+    in every iteration, repeats included, each fit to the distinct observed
+    nodes and warm-started from the fit made at the previous distinct node
+    set (the first is cold)."""
     from hpcmobo import optimizer as opt
 
     objectives, picks = opt._start(surr_runtime, surr_power, candidates)
@@ -616,13 +623,13 @@ def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg):
     method = opt.METHOD_SOBO_RUNTIME if objective == "runtime" else opt.METHOD_SOBO_POWER
     fitted_at, warm, gp = None, None, None
     steps = []
-    for it in range(cfg.mobo_iterations):
+    for _ in range(cfg.mobo_iterations):
         seen = np.isin(np.arange(len(nodes)), picks)
-        new_set = set(picks) != fitted_at
-        if new_set:
-            fitted_at, warm = set(picks), gp
-        values = objectives[picks, col]
-        gp = fit_objective_gp(nodes[picks], values, log_space=objective == "runtime",
+        distinct = _distinct(picks)
+        if distinct != fitted_at:
+            fitted_at, warm = distinct, gp
+        values = objectives[distinct, col]
+        gp = fit_objective_gp(nodes[distinct], values, log_space=objective == "runtime",
                               warm=warm)
         model_vals = np.log(values) if gp.log_space else values
         incumbent = float(model_vals.min())
@@ -630,36 +637,34 @@ def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg):
         acq = np.log(opt.expected_improvement(mean, var, incumbent) + opt.ACQ_EPS)
         row, best_acq = opt._pick_candidate(acq, seen, rng)
         picks.append(row)
-        steps.append((best_acq, new_set, {objective: gp.telemetry()}))
+        steps.append((best_acq, {objective: gp.telemetry()}))
     return opt._finalize_report(method, cfg, candidates, objectives, picks, n_initial,
                                 steps)
 
 
-def _without_new_budget_keys(report):
-    payload = report_to_dict(report)
-    payload["budget"] = {k: v for k, v in payload["budget"].items()
-                         if k not in ("unique_evaluations", "gp_refits")}
-    return payload
-
-
-def _fits_expected(report):
-    """Iterations whose previous pick was a node not observed before it; the
-    first iteration follows the initial design, which is all new."""
-    seen = set(report.observed_nodes[:report.n_initial])
-    expected = 0
-    previous_new = True
-    for entry in report.history:
-        expected += previous_new
-        previous_new = entry.node_count not in seen
-        seen.add(entry.node_count)
-    return expected
+def _assert_cut_at_the_first_repeat(got, full):
+    """`got` is the full-budget report `full` cut before its first repeated
+    node, which every later pick of `full` repeats too. Repeats change no
+    front, reference or metric, so those agree."""
+    nodes = list(full.observed_nodes)
+    cut = next((i for i in range(full.n_initial, len(nodes)) if nodes[i] in nodes[:i]),
+               len(nodes))
+    assert len(set(nodes[cut:])) <= 1
+    a, b = report_to_dict(got), report_to_dict(full)
+    assert a["observations"] == b["observations"][:cut]
+    assert a["history"] == b["history"][:cut - full.n_initial]
+    assert a["budget"] == {"unique_evaluations": cut}
+    for key in ("observations", "history", "budget", "n_evaluations"):
+        del a[key], b[key]
+    assert a == b
 
 
 # (surrogates, domain, iterations, seed), each budget at least 3x its domain so
-# that the loops repeat nodes. The fitted GP noise keeps EHVI and EI above the
-# floor on real data, so "floor_fallback" zeroes both acquisitions: every pick
-# is then a random unobserved node until the domain is spent, then nodes.min()
-_REFIT_CASES = {
+# that the full-budget loops repeat nodes. The fitted GP noise keeps EHVI and
+# EI above the floor on real data, so "floor_fallback" zeroes both
+# acquisitions: every pick is then a random unobserved node until the domain
+# is spent
+_SEARCH_CASES = {
     "amdahl": (_amdahl_surrogates((1, 12)), (1, 12), 40, 3),
     "amdahl_other_seed": (_amdahl_surrogates((1, 12)), (1, 12), 40, 17),
     "wavy": ((LawSurrogate(lambda n: 30.0 + 10.0 * math.sin(n) + 40.0 / n, (1, 10)),
@@ -669,18 +674,24 @@ _REFIT_CASES = {
 }
 
 
+def _zero_acquisitions(monkeypatch):
+    from hpcmobo import optimizer
+
+    monkeypatch.setattr(optimizer, "ehvi",
+                        lambda gp_r, gp_p, nodes, front, ref: np.zeros(len(nodes)))
+    monkeypatch.setattr(optimizer, "expected_improvement",
+                        lambda mean, var, incumbent: np.zeros(len(mean)))
+
+
 @pytest.fixture
-def refit_case(request, monkeypatch):
-    """One _REFIT_CASES entry, plus a list that records each optimizer.fit_gp
+def search_case(request, monkeypatch):
+    """One _SEARCH_CASES entry, plus a list that records each optimizer.fit_gp
     call made after the reference run."""
     from hpcmobo import optimizer
 
-    case = _REFIT_CASES[request.param]
+    case = _SEARCH_CASES[request.param]
     if request.param == "floor_fallback":
-        monkeypatch.setattr(optimizer, "ehvi",
-                            lambda gp_r, gp_p, nodes, front, ref: np.zeros(len(nodes)))
-        monkeypatch.setattr(optimizer, "expected_improvement",
-                            lambda mean, var, incumbent: np.zeros(len(mean)))
+        _zero_acquisitions(monkeypatch)
     calls = []
     original = optimizer.fit_gp
 
@@ -702,59 +713,86 @@ def _runtime_law(surr_r, bounds, log_runtime_gp):
 
 
 @pytest.mark.parametrize("log_runtime_gp", [True, False])
-@pytest.mark.parametrize("refit_case", sorted(_REFIT_CASES), indirect=True)
-def test_mobo_refits_only_after_a_new_node_and_matches_the_refit_every_loop(
-        refit_case, log_runtime_gp):
-    ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = refit_case
+@pytest.mark.parametrize("search_case", sorted(_SEARCH_CASES), indirect=True)
+def test_mobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(
+        search_case, log_runtime_gp):
+    ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = search_case
     surr_r = _runtime_law(surr_r, bounds, log_runtime_gp)
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
-    ref = _reference_mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
+    full = _reference_mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
     count_fits()
     got = mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
-    assert _without_new_budget_keys(got) == _without_new_budget_keys(ref)
-    nodes = list(got.observed_nodes)
-    assert len(set(nodes)) < len(nodes)  # the budget repeats nodes
-    assert got.budget["unique_evaluations"] == len(set(nodes))
-    assert got.budget["gp_refits"] == _fits_expected(got) < iterations
-    assert len(calls) == 2 * got.budget["gp_refits"]
+    _assert_cut_at_the_first_repeat(got, full)
+    assert got.n_evaluations < full.n_evaluations  # the full budget repeats nodes
+    # every iteration fits both GPs, the one that proposed the repeat too
+    assert len(calls) == 2 * (len(got.history) + 1)
     # the runtime GP models log values exactly when every observation is positive
     assert bool((got.observed[:, 0] > 0).all()) == log_runtime_gp
 
 
 @pytest.mark.parametrize("log_runtime_gp", [True, False])
 @pytest.mark.parametrize("objective", ["runtime", "power"])
-@pytest.mark.parametrize("refit_case", sorted(_REFIT_CASES), indirect=True)
-def test_sobo_refits_only_after_a_new_node_and_matches_the_refit_every_loop(
-        refit_case, objective, log_runtime_gp):
-    ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = refit_case
+@pytest.mark.parametrize("search_case", sorted(_SEARCH_CASES), indirect=True)
+def test_sobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(
+        search_case, objective, log_runtime_gp):
+    ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = search_case
     surr_r = _runtime_law(surr_r, bounds, log_runtime_gp)
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
-    ref = _reference_sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg)
+    full = _reference_sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg)
     count_fits()
     got = sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg)
-    assert _without_new_budget_keys(got) == _without_new_budget_keys(ref)
-    nodes = list(got.observed_nodes)
-    assert len(set(nodes)) < len(nodes)
-    assert got.budget["unique_evaluations"] == len(set(nodes))
-    assert got.budget["gp_refits"] == _fits_expected(got) == len(calls) < iterations
+    _assert_cut_at_the_first_repeat(got, full)
+    assert got.n_evaluations < full.n_evaluations
+    assert len(calls) == len(got.history) + 1
     assert bool((got.observed[:, 0] > 0).all()) == log_runtime_gp
 
 
-@pytest.mark.parametrize("refit_case", ["floor_fallback"], indirect=True)
-def test_floor_fallback_spends_the_domain_at_random_then_repeats_the_minimum(refit_case):
+@pytest.mark.parametrize("search_case", ["floor_fallback"], indirect=True)
+def test_floor_fallback_spends_the_domain_at_random_then_stops(search_case):
     from hpcmobo.optimizer import ACQ_EPS
 
-    ((surr_r, surr_p), (lo, hi), iterations, seed), _, _ = refit_case
+    ((surr_r, surr_p), (lo, hi), iterations, seed), _, _ = search_case
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
     unobserved = set(range(lo, hi + 1)) - set(initial_design(lo, hi))
     for report in (mobo_run(surr_r, surr_p, _candidates(lo, hi), cfg),
                    sobo_run(surr_r, surr_p, _candidates(lo, hi), "power", cfg)):
         assert all(h.acquisition == math.log(ACQ_EPS) for h in report.history)
         picks = [h.node_count for h in report.history]
-        n_new = len(unobserved)
-        assert set(picks[:n_new]) == unobserved
-        assert picks[n_new:] == [lo] * (iterations - n_new)
-        assert report.budget["gp_refits"] == n_new + 1
+        assert len(picks) == len(unobserved)
+        assert set(picks) == unobserved
+
+
+# closed-form laws over node count n: falling, wavy, U-shaped, flat, and
+# (for runtime) ones that reach zero or below, which the GP models in
+# plain space
+_RUNTIME_LAWS = [AMDAHL["runtime"], lambda n: 30.0 + 10.0 * math.sin(n) + 40.0 / n,
+                 lambda n: 0.2 * (n - 9.0) ** 2 + 4.0, lambda n: 7.0, lambda n: 10.0 - n]
+_POWER_LAWS = [AMDAHL["power"], lambda n: 4.0 * n + 3.0 * math.cos(2.0 * n),
+               lambda n: 5.0 * n + 400.0 / n, lambda n: 9.0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_gp_reports_hold_distinct_nodes_and_cut_the_full_budget_loop(data):
+    lo = data.draw(st.integers(1, 30), label="lo")
+    hi = lo + data.draw(st.integers(1, 12), label="domain size")
+    runtime = data.draw(st.sampled_from(_RUNTIME_LAWS), label="runtime law")
+    power = data.draw(st.sampled_from(_POWER_LAWS), label="power law")
+    iterations = data.draw(st.integers(1, 3 * (hi - lo + 1)), label="iterations")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    method = data.draw(st.sampled_from(["mobo", "runtime", "power"]), label="method")
+    surr_r, surr_p = LawSurrogate(runtime, (lo, hi)), LawSurrogate(power, (lo, hi))
+    cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
+    if method == "mobo":
+        got = mobo_run(surr_r, surr_p, _candidates(lo, hi), cfg)
+        full = _reference_mobo_run(surr_r, surr_p, _candidates(lo, hi), cfg)
+    else:
+        got = sobo_run(surr_r, surr_p, _candidates(lo, hi), method, cfg)
+        full = _reference_sobo_run(surr_r, surr_p, _candidates(lo, hi), method, cfg)
+    nodes = list(got.observed_nodes)
+    assert len(set(nodes)) == len(nodes)
+    assert len(nodes) <= min(hi - lo + 1, got.n_initial + iterations)
+    _assert_cut_at_the_first_repeat(got, full)
 
 
 def test_every_report_counts_its_unique_evaluations():
@@ -763,16 +801,14 @@ def test_every_report_counts_its_unique_evaluations():
     assert report.budget["unique_evaluations"] == len(set(report.observed_nodes))
     for sub in report.per_seed:
         assert sub.budget["unique_evaluations"] == len(set(sub.observed_nodes))
-    assert "gp_refits" not in report.budget
-
 
 
 @pytest.mark.parametrize("method", ["MOBO", "SOBO"])
-def test_a_failed_refit_names_the_iteration_it_ran_in(method, monkeypatch):
+def test_a_failed_gp_fit_names_the_iteration_it_ran_in(method, monkeypatch):
     from hpcmobo import optimizer
     from hpcmobo.core import NumericalError
 
-    (surr_r, surr_p), bounds, iterations, seed = _REFIT_CASES["wavy"]
+    (surr_r, surr_p), bounds, iterations, seed = _SEARCH_CASES["wavy"]
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
 
     def run():
@@ -780,17 +816,16 @@ def test_a_failed_refit_names_the_iteration_it_ran_in(method, monkeypatch):
             return mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
         return sobo_run(surr_r, surr_p, _candidates(*bounds), "runtime", cfg)
 
-    # refits run on consecutive iterations from the first: after a repeat the
-    # acquisition is unchanged, so every later pick repeats too
-    last = run().budget["gp_refits"] - 1
+    # every iteration fits, the last one, which proposed a repeat, included
+    last = len(run().history)
     assert last > 0
-    fits_per_refit = 2 if method == "MOBO" else 1
+    fits_per_iteration = 2 if method == "MOBO" else 1
     original = optimizer.fit_gp
     calls = []
 
     def failing_last(*args, **kwargs):
         calls.append(1)
-        if len(calls) > last * fits_per_refit:
+        if len(calls) > last * fits_per_iteration:
             raise NumericalError("no valid configuration")
         return original(*args, **kwargs)
 
@@ -813,29 +848,48 @@ def test_history_records_the_gp_that_scored_each_pick(tmp_path, monkeypatch):
         return potrf(K, **kwargs)
 
     monkeypatch.setattr(gp_module, "_POTRF", first_attempt_fails)
-    (surr_r, surr_p), bounds, iterations, seed = _REFIT_CASES["wavy"]
+    (surr_r, surr_p), bounds, iterations, seed = _SEARCH_CASES["wavy"]
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
     reports = {"runtime power": mobo_run(surr_r, surr_p, _candidates(*bounds), cfg),
-               "power": sobo_run(surr_r, surr_p, _candidates(*bounds), "power", cfg)}
+               "runtime": sobo_run(surr_r, surr_p, _candidates(*bounds), "runtime", cfg)}
     for objectives, report in reports.items():
         save_report(report, tmp_path / "report.json")
-        history = json.loads((tmp_path / "report.json").read_text())["history"]
-        seen = set(report.observed_nodes[:report.n_initial])
-        previous_new, previous_gp = True, None
-        for entry in history:
-            assert entry["refit"] is previous_new
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["history"]
+        for entry in payload["history"]:
+            assert sorted(entry) == ["acquisition", "gp", "hv_so_far", "iteration",
+                                     "node_count", "power", "runtime", "spread_so_far"]
             assert sorted(entry["gp"]) == sorted(objectives.split())
             for fit in entry["gp"].values():
                 assert fit["jitter"] == 1e-8
                 assert sorted(fit) == ["jitter", "lengthscale", "lml", "noise_var",
                                        "signal_var"]
-            if not entry["refit"]:
-                assert entry["gp"] == previous_gp
-            previous_new = entry["node_count"] not in seen
-            previous_gp = entry["gp"]
-            seen.add(entry["node_count"])
-        assert sum(e["refit"] for e in history) == report.budget["gp_refits"]
+        assert payload["budget"] == {"unique_evaluations": report.n_evaluations}
 
     random_history = report_to_dict(random_run(surr_r, surr_p, _candidates(*bounds),
                                                cfg))["history"]
-    assert all("refit" not in e and "gp" not in e for e in random_history)
+    assert all("gp" not in e for e in random_history)
+
+
+@pytest.mark.parametrize("zeroed", [False, True], ids=["argmax", "floor_fallback"])
+def test_debug_log_has_a_line_per_pick_and_one_for_the_stop(zeroed, caplog, monkeypatch):
+    import logging
+
+    if zeroed:
+        _zero_acquisitions(monkeypatch)
+    (surr_r, surr_p), bounds, iterations, seed = _SEARCH_CASES["amdahl"]
+    cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
+    with caplog.at_level(logging.DEBUG, logger="hpcmobo.optimizer"):
+        report = mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "hpcmobo.optimizer"]
+    assert lines[:-1] == [
+        f"MOBO iteration {it}: node {h.node_count}, best log acquisition "
+        f"{h.acquisition:.6g}, floor fallback {zeroed}"
+        for it, h in enumerate(report.history)]
+    stop = re.fullmatch(rf"MOBO stopped after {report.n_evaluations} evaluations: "
+                        r"it proposed node (\d+) again", lines[-1])
+    assert stop and int(stop[1]) in report.observed_nodes
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="hpcmobo.optimizer"):
+        mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
+    assert not caplog.records

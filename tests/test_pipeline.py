@@ -287,12 +287,12 @@ def test_recipe_and_plan_json_match_the_golden_digest(tau, digest, tmp_path):
 # run: they pin the GP search, the acquisitions and the report writers
 # end to end
 _REPORT_DIGESTS = {
-    "mobo_ctx0.json": "9a81e2d07f394b63a2374d9a7af390d208af370459690a3bc58ac5be6449b676",
+    "mobo_ctx0.json": "afa3a96af89ad6e18a4b861ddc936835f286296a40d40b09311c520ef0eddcde",
     "mobo_ctx0_front.csv": "4a5f9e03283266461f1757cb011714ebd0e28a70c78f095d5f24901f5795c695",
-    "sobo_runtime_ctx0.json": "1a60c673ac2fa476ea4355ee50408338ee919f03651d2768c5eec480fb587d78",
+    "sobo_runtime_ctx0.json": "7a2f57b8c3ced73188c9a2b00598ca1b73126e4eb9c0276113afe97069066f9d",
     "sobo_runtime_ctx0_front.csv":
         "76abc14cc4ce30d575c264164eb2424105d374f41e6364325df085cca424198f",
-    "sobo_power_ctx0.json": "6e09a54d6151744e94ca0fbcda3fd664f49a864a1e7e49c0cd721a277b1ba04f",
+    "sobo_power_ctx0.json": "4ff6125ca4c92e4cf0975d956e82afa69a095da614bebe5534e68d295a491589",
     "sobo_power_ctx0_front.csv":
         "e4314e4de60a67df5a720e369b04a244f6b1791075bb9b30724c580c8bba3308",
     "random_ctx0.json": "793ce4fc47f77ef7ded9802ecc3e049afa814c4ceaa758f7fe695d296820e019",

@@ -749,6 +749,21 @@ def test_a_model_file_whose_ensemble_is_not_bagged_is_a_data_error(tmp_path):
         load_surrogate(path)
 
 
+@pytest.mark.parametrize("field", ["feature", "left", "right"])
+def test_a_model_file_with_a_tree_index_past_its_integer_type_is_a_data_error(tmp_path,
+                                                                              field):
+    # raised OverflowError, which no caller caught
+    model = train_objective_surrogate(_toy_table(), "runtime",
+                                      params=TreeParams(n_estimators=2, max_depth=2), seed=0)
+    path = tmp_path / "runtime_model.json"
+    save_surrogate(model, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["ensemble"]["trees"][0][field][0] = 2 ** 70
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=r"unreadable surrogate model .*runtime_model\.json"):
+        load_surrogate(path)
+
+
 def test_saving_a_forest_holds_about_one_trees_text(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(1000, 4))
