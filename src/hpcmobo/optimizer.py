@@ -2,22 +2,25 @@
 
 Every engine starts from the same 4-point space-filling initial design and
 evaluates objectives against frozen surrogates, which stand in for the
-machine. The domain is a finite set of node counts, so each candidate is
-predicted once, in one batched call per surrogate (`evaluate_objectives`),
-and the candidate set keeps that table for every engine run on it with the
-same surrogates (`CandidateSet.objectives`). An engine's observations are
-the table rows it picked, the initial design first; `_finalize_report`
-builds the report's observations, front, per-iteration HV and spread, and
-the budget's `unique_evaluations` from them once, at the end.
+machine. The domain is one integer axis: every node count from lo to hi
+(`CandidateSet`). So each candidate is predicted once, in one batched call
+per surrogate (`evaluate_objectives`), and the candidate set keeps that
+table for every engine run on it with the same surrogates
+(`CandidateSet.objectives`). Runtimes and powers are positive; a surrogate
+that predicts otherwise is a DataError. An engine's observations are the
+table rows it picked, the initial design first; `_finalize_report` builds
+the report's observations, front, per-iteration HV and spread, and the
+budget's `unique_evaluations` from them once, at the end.
 
 MOBO and SOBO are one GP search loop, `_gp_search`, to which each engine
-gives its label and rng stream, the objectives it fits a GP to (runtime
-first, in log space) and its acquisition: the exact q=1 expected
-hypervolume improvement from the 2-D strip decomposition for MOBO (`ehvi`;
-no sampling in the loop), closed-form expected improvement for SOBO. Each
-iteration fits the GP(s) to the observations and scores every candidate;
-the first fit of each GP is the cold multi-start search, and every later
-fit warm-starts from the one before it. The loop ends at its first
+gives its label and rng stream, the objectives it fits a GP over node count
+to (runtime first, in log space; power in plain space) and its acquisition:
+the exact q=1 expected hypervolume improvement from the 2-D strip
+decomposition for MOBO (`ehvi`; no sampling in the loop), closed-form
+expected improvement for SOBO. Each iteration fits the GP(s) to the
+observations and scores every candidate; the first fit of each GP is the
+cold multi-start search, and every later fit warm-starts from the one
+before it. The loop ends at its first
 proposal of a node it has already observed: evaluations are deterministic,
 so the GPs, and with them every later proposal, would stay as they are. A
 GP report with fewer than n_initial + mobo_iterations evaluations stopped
@@ -65,6 +68,8 @@ METHOD_MOBO = "MOBO"
 METHOD_SOBO_RUNTIME = "SOBO (Runtime)"
 METHOD_SOBO_POWER = "SOBO (Power)"
 METHOD_RANDOM = "Random"
+# the column of each objective in the objective table, in fitting order
+_COLUMNS = {"runtime": 0, "power": 1}
 
 
 class ObjectiveSurrogate(Protocol):
@@ -93,32 +98,33 @@ class JobContext:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Positive, strictly increasing node counts plus the fixed job context.
+    """Every node count from lo to hi plus the fixed job context.
 
-    Engines refer to a candidate by its row; the order makes the first row
-    of a tie the smallest node count."""
+    Engines refer to a candidate by its row, node count minus lo, so the
+    first row of a tie is the smallest node count."""
 
-    node_counts: np.ndarray
+    lo: int
+    hi: int
     context: JobContext
     # [runtime surrogate, power surrogate, their objective table] once computed
     _table: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.node_counts) == 0:
-            raise ConfigError("candidate set must be non-empty")
-        if self.node_counts[0] < 1 or (np.diff(self.node_counts) <= 0).any():
-            raise ConfigError("candidate node counts must be positive and strictly "
-                              f"increasing, got {self.node_counts}")
+        if not 1 <= self.lo <= self.hi:
+            raise ConfigError(f"candidate node range [{self.lo}, {self.hi}] must satisfy "
+                              "1 <= lo <= hi")
+
+    @property
+    def node_counts(self) -> np.ndarray:
+        return np.arange(self.lo, self.hi + 1)
 
     @property
     def bounds(self) -> tuple[int, int]:
-        return (int(self.node_counts.min()), int(self.node_counts.max()))
+        return (self.lo, self.hi)
 
     @classmethod
     def from_bounds(cls, lo: int, hi: int, context: JobContext) -> "CandidateSet":
-        if hi < lo:
-            raise ConfigError(f"empty node range [{lo}, {hi}]")
-        return cls(np.arange(lo, hi + 1, dtype=int), context)
+        return cls(lo, hi, context)
 
     @classmethod
     def for_surrogates(cls, surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
@@ -161,14 +167,15 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
     surrogate's features in the surrogate's order, or it is a DataError
     naming the first column that differs; each surrogate's design feature
     must be the context's, or it is a DataError; a non-finite prediction is
-    a NumericalError.
+    a NumericalError, and a nonpositive one a DataError: runtimes and powers
+    are positive, and the runtime GP models their logs.
     """
     context = candidates.context
     nodes = candidates.node_counts
     lo, hi = _shared_bounds(surr_runtime, surr_power)
-    outside = nodes[(nodes < lo) | (nodes > hi)]
-    if len(outside):
-        raise DataError(f"node count {outside[0]} outside design bounds [{lo}, {hi}]")
+    if candidates.lo < lo or candidates.hi > hi:
+        raise DataError(f"candidate node counts {list(candidates.bounds)} outside design "
+                        f"bounds [{lo}, {hi}]")
     names = tuple(context.feature_names)
     for objective, surr in (("runtime", surr_runtime), ("power", surr_power)):
         expected = tuple(surr.feature_names)
@@ -189,6 +196,11 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
     if len(bad):
         raise NumericalError(f"objective values must be finite, got {table[bad[0]].tolist()} "
                              f"at node count {nodes[bad[0]]}")
+    for objective, col in _COLUMNS.items():
+        bad = np.flatnonzero(table[:, col] <= 0)
+        if len(bad):
+            raise DataError(f"the {objective} surrogate predicts {float(table[bad[0], col])!r} "
+                            f"at node count {nodes[bad[0]]}, but objectives must be positive")
     return table
 
 
@@ -200,13 +212,12 @@ class ObjectiveGP:
     log_space: bool
 
     def posterior(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        X = np.asarray(nodes, dtype=float)[:, None]
-        return gp_posterior(self.gp, X)
+        return gp_posterior(self.gp, nodes)
 
     def telemetry(self) -> dict:
         """The fitted hyperparameters, LML and jitter, as a report records them."""
         gp = self.gp
-        return {"lengthscale": float(gp.lengthscales[0]), "signal_var": float(gp.signal_var),
+        return {"lengthscale": float(gp.lengthscale), "signal_var": float(gp.signal_var),
                 "noise_var": float(gp.noise_var), "lml": float(gp.lml),
                 "jitter": float(gp.jitter)}
 
@@ -215,17 +226,15 @@ def fit_objective_gp(nodes: Sequence[int], values: Sequence[float],
                      log_space: bool = False,
                      warm: ObjectiveGP | None = None) -> ObjectiveGP:
     """Fit the GP of one objective over node count, as the MOBO and SOBO
-    engines do in each iteration. The node counts must be distinct. The fit
-    warm-starts from `warm`, the engine's previous fit of this objective,
-    when that fit modelled the same space (log or not); otherwise it is the
-    cold four-start search (see `fit_gp`)."""
-    nodes = np.asarray(nodes, dtype=float)
+    engines do in each iteration: runtime with log_space, power without.
+    The node counts must be distinct, and with log_space the values
+    positive. The fit warm-starts from `warm`, the engine's previous fit of
+    this objective; without it, it is the cold four-start search (see
+    `fit_gp`)."""
     values = np.asarray(values, dtype=float)
-    use_log = log_space and bool((values > 0).all())
-    y = np.log(values) if use_log else values
-    same_space = warm is not None and warm.log_space == use_log
-    gp = fit_gp(nodes[:, None], y, warm=warm.gp if same_space else None)
-    return ObjectiveGP(gp=gp, log_space=use_log)
+    y = np.log(values) if log_space else values
+    gp = fit_gp(nodes, y, warm=None if warm is None else warm.gp)
+    return ObjectiveGP(gp=gp, log_space=log_space)
 
 
 def _base_normals(mc_samples: int, seed) -> np.ndarray:
@@ -391,7 +400,7 @@ def initial_design(lo: int, hi: int) -> list[int]:
 
 def _require_searchable(candidates: CandidateSet) -> None:
     # the GP fit needs at least two distinct design points
-    if len(candidates.node_counts) < 2:
+    if candidates.lo == candidates.hi:
         raise ConfigError(
             "GP-based optimizers need at least 2 distinct candidate node counts; "
             "use the random baseline for a single-point domain"
@@ -448,21 +457,12 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
     )
 
 
-def _candidate_index(candidates: CandidateSet, node: int) -> int:
-    """The row of `node` in the candidate set."""
-    hits = np.flatnonzero(candidates.node_counts == node)
-    if len(hits) == 0:
-        raise DataError(f"node count {node} is not a candidate in {candidates.bounds}")
-    return int(hits[0])
-
-
 def _start(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
            candidates: CandidateSet) -> tuple[np.ndarray, list[int]]:
     """Look up the candidates' objective table; returns it and the rows of
     the shared initial design, the first picks of every engine."""
     objectives = candidates.objectives(surr_runtime, surr_power)
-    picks = [_candidate_index(candidates, node)
-             for node in initial_design(*candidates.bounds)]
+    picks = [node - candidates.lo for node in initial_design(*candidates.bounds)]
     return objectives, picks
 
 
@@ -479,8 +479,6 @@ def _pick_candidate(acq: np.ndarray, seen: np.ndarray,
     return int(np.argmax(acq)), best
 
 
-# the column of each objective in the objective table, in fitting order
-_COLUMNS = {"runtime": 0, "power": 1}
 _SOBO_METHODS = {"runtime": METHOD_SOBO_RUNTIME, "power": METHOD_SOBO_POWER}
 
 

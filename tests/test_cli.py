@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 import shutil
 
 import numpy as np
@@ -287,6 +288,28 @@ def test_run_on_node_counts_outside_the_design_domain_is_a_data_error(tmp_path, 
             in capsys.readouterr().err)
 
 
+def test_optimize_with_a_model_that_predicts_a_nonpositive_objective_is_a_data_error(
+        tmp_path, capsys):
+    # the runtime GP modelled such runtimes as plain values, and power ran as
+    # it was, each with exit 0
+    cfg = _synth(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    for objective in ("runtime", "power"):
+        model = out / f"{objective}_model.json"
+        good = model.read_text()
+        zeroed = json.loads(good)
+        for tree in zeroed["ensemble"]["trees"]:
+            tree["value"] = [0.0] * len(tree["value"])
+        model.write_text(json.dumps(zeroed))
+        assert main(["optimize", "--config", str(cfg), "--method", "mobo",
+                     "--surrogates", str(out), "--job-context", str(out / "context_0.csv"),
+                     "--out", str(out / "opt_report.json")]) == 3
+        assert (f"the {objective} surrogate predicts 0.0 at node count 1, but objectives "
+                "must be positive") in capsys.readouterr().err
+        model.write_text(good)
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -307,6 +330,26 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
         assert main(flags) == 3
         err = capsys.readouterr().err
         assert "runtime_model.json names" in err and f"{field} has shape" in err
+    # each ran with exit 0, or 4 where a prediction came out NaN
+    for field, keys, value, fault in (
+            ("scaler_std", ("scaler_std", 0), math.inf, "finite"),
+            ("scaler_std", ("scaler_std", 0), 0.0, "positive"),
+            ("scaler_mean", ("scaler_mean", 0), math.inf, "finite"),
+            ("theta", ("mask", "theta", 0), math.inf, "finite"),
+            ("readout_w", ("mask", "readout_w", 0), math.nan, "finite"),
+            ("readout_b", ("mask", "readout_b"), math.nan, "finite"),
+            ("base_value", ("ensemble", "base_value"), -math.inf, "finite"),
+            ("tree 0 threshold", ("ensemble", "trees", 0, "threshold", 0), math.inf, "finite"),
+            ("tree 0 value", ("ensemble", "trees", 0, "value", 0), math.nan, "finite")):
+        damaged = json.loads(good)
+        owner = damaged
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = value
+        model.write_text(json.dumps(damaged))
+        assert main(flags) == 3, (field, value)
+        assert (f"runtime_model.json: {field} holds a value that is not {fault}"
+                in capsys.readouterr().err), (field, value)
     d = len(json.loads(good)["feature_names"])
     n = len(json.loads(good)["ensemble"]["trees"][0]["feature"])
     for field, at, value in (("left", 0, 0),  # a cycle, which hung

@@ -210,20 +210,24 @@ def test_engines_on_one_candidate_set_share_one_objective_table():
     assert (other.calls, surr_p.calls) == (1, 6)
 
 
+@pytest.mark.parametrize("objective", ["runtime", "power"])
 @pytest.mark.parametrize("stem", list(METHODS))
-def test_an_initial_design_node_outside_the_candidates_raises(stem):
-    # initial_design(1, 64) includes 22 and 43, which this set leaves out
-    candidates = CandidateSet(np.array([1, 2, 64]), _context())
-    with pytest.raises(DataError, match="node count 22 is not a candidate"):
-        METHODS[stem].run(*_amdahl_surrogates(), candidates, _fast_cfg(mobo_iterations=2))
+def test_a_nonpositive_prediction_is_a_data_error(stem, objective):
+    # 10 - n reaches zero at node count 10; the runtime GP models logs
+    laws = {**AMDAHL, objective: lambda n: 10.0 - n}
+    surr_r, surr_p = LawSurrogate(laws["runtime"], (1, 16)), LawSurrogate(laws["power"], (1, 16))
+    with pytest.raises(DataError, match=re.escape(
+            f"the {objective} surrogate predicts 0.0 at node count 10, but objectives "
+            "must be positive")):
+        METHODS[stem].run(surr_r, surr_p, _candidates(1, 16), _fast_cfg())
 
 
-@pytest.mark.parametrize("nodes", [[1, 3, 2], [1, 2, 2, 3], [0, 1, 2], [-2, 5]])
-def test_candidate_sets_need_positive_strictly_increasing_node_counts(nodes):
+@pytest.mark.parametrize("lo, hi", [(0, 2), (-2, 5), (3, 2)])
+def test_candidate_ranges_need_1_le_lo_le_hi(lo, hi):
     from hpcmobo.core import ConfigError
 
-    with pytest.raises(ConfigError, match="positive and strictly increasing"):
-        CandidateSet(np.array(nodes), _context())
+    with pytest.raises(ConfigError, match=re.escape(f"[{lo}, {hi}] must satisfy 1 <= lo <= hi")):
+        CandidateSet.from_bounds(lo, hi, _context())
 
 
 def test_candidates_for_surrogates_intersects_design_bounds():
@@ -263,8 +267,8 @@ def test_log_ehvi_zero_variance_exact_independent_of_samples():
     nodes = np.array([1.0, 16.0, 32.0, 64.0])
     runtimes = [10.0, 8.0, 6.0, 4.0]
     powers = [5.0, 20.0, 40.0, 80.0]
-    gp_r = ObjectiveGP(fit_gp(nodes[:, None], runtimes, noise_var=0.0), log_space=False)
-    gp_p = ObjectiveGP(fit_gp(nodes[:, None], powers, noise_var=0.0), log_space=False)
+    gp_r = ObjectiveGP(fit_gp(nodes, runtimes, noise_var=0.0), log_space=False)
+    gp_p = ObjectiveGP(fit_gp(nodes, powers, noise_var=0.0), log_space=False)
     front = nondominated([(9.0, 90.0)])
     ref = (100.0, 100.0)
     # training input 16 has zero posterior variance; HVI is deterministic
@@ -340,9 +344,9 @@ def test_exact_ehvi_zero_variance_equals_hvi_at_posterior_mean(log_space):
     from hpcmobo.pareto import hypervolume_improvement
     nodes = np.array([1.0, 16.0, 32.0, 64.0])
     runtimes = np.array([50.0, 20.0, 8.0, 4.0])
-    gp_r = ObjectiveGP(fit_gp(nodes[:, None], np.log(runtimes) if log_space else runtimes,
+    gp_r = ObjectiveGP(fit_gp(nodes, np.log(runtimes) if log_space else runtimes,
                               noise_var=0.0), log_space=log_space)
-    gp_p = ObjectiveGP(fit_gp(nodes[:, None], [5.0, 20.0, 40.0, 80.0], noise_var=0.0),
+    gp_p = ObjectiveGP(fit_gp(nodes, [5.0, 20.0, 40.0, 80.0], noise_var=0.0),
                        log_space=False)
     ref = np.array([100.0, 100.0])
     mean_r, var_r = gp_r.posterior(nodes)
@@ -702,22 +706,9 @@ def search_case(request, monkeypatch):
     return case, lambda: monkeypatch.setattr(optimizer, "fit_gp", counting), calls
 
 
-def _runtime_law(surr_r, bounds, log_runtime_gp):
-    """The case's runtime surrogate, or, for log_runtime_gp=False, the same law
-    shifted down to be nonpositive everywhere, so every runtime GP fit falls
-    back to plain values."""
-    if log_runtime_gp:
-        return surr_r
-    top = max(surr_r.fn(n) for n in range(bounds[0], bounds[1] + 1))
-    return LawSurrogate(lambda n: surr_r.fn(n) - top, surr_r.design_bounds)
-
-
-@pytest.mark.parametrize("log_runtime_gp", [True, False])
 @pytest.mark.parametrize("search_case", sorted(_SEARCH_CASES), indirect=True)
-def test_mobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(
-        search_case, log_runtime_gp):
+def test_mobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(search_case):
     ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = search_case
-    surr_r = _runtime_law(surr_r, bounds, log_runtime_gp)
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
     full = _reference_mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
     count_fits()
@@ -726,17 +717,13 @@ def test_mobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(
     assert got.n_evaluations < full.n_evaluations  # the full budget repeats nodes
     # every iteration fits both GPs, the one that proposed the repeat too
     assert len(calls) == 2 * (len(got.history) + 1)
-    # the runtime GP models log values exactly when every observation is positive
-    assert bool((got.observed[:, 0] > 0).all()) == log_runtime_gp
 
 
-@pytest.mark.parametrize("log_runtime_gp", [True, False])
 @pytest.mark.parametrize("objective", ["runtime", "power"])
 @pytest.mark.parametrize("search_case", sorted(_SEARCH_CASES), indirect=True)
-def test_sobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(
-        search_case, objective, log_runtime_gp):
+def test_sobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(search_case,
+                                                                         objective):
     ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = search_case
-    surr_r = _runtime_law(surr_r, bounds, log_runtime_gp)
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
     full = _reference_sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg)
     count_fits()
@@ -744,7 +731,6 @@ def test_sobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(
     _assert_cut_at_the_first_repeat(got, full)
     assert got.n_evaluations < full.n_evaluations
     assert len(calls) == len(got.history) + 1
-    assert bool((got.observed[:, 0] > 0).all()) == log_runtime_gp
 
 
 @pytest.mark.parametrize("search_case", ["floor_fallback"], indirect=True)
@@ -762,11 +748,9 @@ def test_floor_fallback_spends_the_domain_at_random_then_stops(search_case):
         assert set(picks) == unobserved
 
 
-# closed-form laws over node count n: falling, wavy, U-shaped, flat, and
-# (for runtime) ones that reach zero or below, which the GP models in
-# plain space
+# closed-form positive laws over node count n: falling, wavy, U-shaped and flat
 _RUNTIME_LAWS = [AMDAHL["runtime"], lambda n: 30.0 + 10.0 * math.sin(n) + 40.0 / n,
-                 lambda n: 0.2 * (n - 9.0) ** 2 + 4.0, lambda n: 7.0, lambda n: 10.0 - n]
+                 lambda n: 0.2 * (n - 9.0) ** 2 + 4.0, lambda n: 7.0]
 _POWER_LAWS = [AMDAHL["power"], lambda n: 4.0 * n + 3.0 * math.cos(2.0 * n),
                lambda n: 5.0 * n + 400.0 / n, lambda n: 9.0]
 
