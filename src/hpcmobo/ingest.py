@@ -69,13 +69,16 @@ def _power_total(cell, row: int, name: str) -> float | None:
     `cell` is the field's ";"-separated text or an in-memory array; numpy
     converts each token through float(), so tokens and the floats they spell
     give the same bits. The start value -0.0 changes no other total but keeps
-    an all -0.0 array's sign, which numpy's default start of +0.0 drops.
+    an all -0.0 array's sign, which numpy's default start of +0.0 drops. A
+    sum that overflows is an infinite total, like an infinite sample, and
+    one that meets both infinities is NaN, so the cell is missing.
     """
     parts = [p for p in cell.split(ARRAY_SEP) if p != ""] if isinstance(cell, str) else cell
     if len(parts) == 0:
         return None
     try:
-        total = float(np.sum(np.asarray(parts, dtype=float), initial=-0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(np.asarray(parts, dtype=float), initial=-0.0))
     except ValueError:
         for p in parts:  # name the first sample float() rejects
             _parse_float(p, row, name)

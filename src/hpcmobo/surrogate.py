@@ -529,9 +529,18 @@ class SurrogateModel:
                 f"surrogate {self.target!r} expects {len(self.feature_names)} "
                 f"features, got {X.shape[1]}"
             )
-        z = self.scaler.transform(X)
-        if self.mask is not None:
-            z = embed(self.mask, z)
+        # a damaged model file (a subnormal scaler_std, a mean near the
+        # float limit) can carry a finite feature past a float
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self.scaler.transform(X)
+            if self.mask is not None:
+                z = embed(self.mask, z)
+        bad = np.argwhere(np.isfinite(X) & ~np.isfinite(z))
+        if len(bad):
+            row, col = (int(i) for i in bad[0])
+            raise DataError(f"surrogate {self.target!r} scales feature "
+                            f"{self.feature_names[col]!r} of row {row} from {float(X[row, col])!r} "
+                            f"to {float(z[row, col])!r}, which is not finite")
         return self.ensemble.predict(z)
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+import re
 import shutil
 
 import numpy as np
@@ -539,6 +540,25 @@ def _reject_constant(constant):
 # and the non-finite floats Python's json reads
 _FIELD_DAMAGE = [None, True, 0, -1, 1, 2 ** 70, 0.5, -1e308, 1e308, 5e-324,
                  float("nan"), float("inf"), "", "x", "bagged", [], [0], {}]
+
+
+@pytest.mark.parametrize("name", ["runtime_model.json", "power_model.json"])
+def test_optimize_with_a_subnormal_scaler_std_is_a_data_error(run_dir, tmp_path, capsys,
+                                                             name):
+    # found by the damaged-field property below: predicting raised numpy's
+    # overflow RuntimeWarning, dividing a context feature by 5e-324
+    cfg, out = run_dir
+    for model in ("runtime_model.json", "power_model.json"):
+        payload = json.loads((out / model).read_text())
+        if model == name:
+            payload["scaler_std"] = [5e-324] * len(payload["scaler_std"])
+        (tmp_path / model).write_text(json.dumps(payload))
+    assert main(["optimize", "--config", str(cfg), "--method", "mobo",
+                 "--surrogates", str(tmp_path), "--job-context", str(out / "context_0.csv"),
+                 "--out", str(tmp_path / "report.json")]) == 3
+    assert re.search(r"surrogate '\w+' scales feature '\w+' of row \d+ from .* to -?inf, "
+                     "which is not finite", capsys.readouterr().err)
+    assert not (tmp_path / "report.json").exists()
 
 
 def _damage_one_field(payload, data):

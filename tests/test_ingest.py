@@ -249,6 +249,36 @@ def test_write_csv_names_the_row_of_a_bad_cell_past_the_first_block(tmp_path):
         write_csv(table, tmp_path / "bad.csv")
 
 
+@pytest.mark.parametrize("in_memory", [False, True], ids=["csv", "in_memory"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_a_power_array_whose_sum_overflows_totals_an_infinity(tmp_path, sign, in_memory):
+    # the sum raised numpy's overflow RuntimeWarning instead
+    samples = [sign * 1e308, sign * 1e308, 1.0]
+    if in_memory:
+        table, _ = preprocess_fit(build_table(
+            BASIC_SPECS, {"runtime": [10.0], "nodes": [1.0], "power": [np.array(samples)]}))
+    else:
+        cell = ";".join(map(repr, samples))
+        table = load_csv(_write(tmp_path, f"runtime,nodes,power\n10,1,{cell}\n"), BASIC_SPECS)
+    assert table.column("power") == [sign * math.inf]
+
+
+@pytest.mark.parametrize("in_memory", [False, True], ids=["csv", "in_memory"])
+def test_a_power_array_whose_sum_meets_both_infinities_is_missing(tmp_path, in_memory):
+    # inf + -inf raised numpy's invalid-value RuntimeWarning instead
+    samples = [1e308, 1e308, -math.inf]
+    if in_memory:
+        table, _ = preprocess_fit(build_table(
+            BASIC_SPECS, {"runtime": [10.0, 20.0], "nodes": [1.0, 2.0],
+                          "power": [np.array(samples), np.array([5.0, 1.0])]}))
+        assert table.column("power") == [6.0, 6.0]  # imputed by the median
+    else:
+        cell = ";".join(map(repr, samples))
+        table = load_csv(_write(tmp_path, f"runtime,nodes,power\n10,1,{cell}\n20,2,5;1\n"),
+                         BASIC_SPECS)
+        assert table.column("power") == [None, 6.0]
+
+
 def test_preprocess_sums_in_memory_power_arrays_and_imputes_an_empty_one():
     table = build_table(
         [ColumnSpec("p", "power_array", "regression_target"),

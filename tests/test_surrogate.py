@@ -764,6 +764,35 @@ def test_a_model_file_with_a_tree_index_past_its_integer_type_is_a_data_error(tm
         load_surrogate(path)
 
 
+@pytest.mark.parametrize("edit", [
+    {"scaler_std": 5e-324},
+    {"scaler_std": 1e-308},
+    {"scaler_mean": 1.7e308, "scaler_std": 0.5},
+    {"scaler_mean": -1e308, "scaler_std": 1.0, "theta": [10.0, -10.0]},
+], ids=["subnormal_std", "tiny_normal_std", "mean_at_the_limit", "mask_past_a_float"])
+def test_a_model_file_that_scales_a_finite_feature_past_a_float_is_a_data_error(tmp_path,
+                                                                                edit):
+    # each passed load_surrogate's checks, and predicting raised numpy's
+    # overflow RuntimeWarning; the last one overflows only in the mask's
+    # reweighting, 1e308 * 2
+    table = _toy_table()
+    model = train_objective_surrogate(table, "runtime", use_embedding=True,
+                                      params=TreeParams(n_estimators=2, max_depth=2), seed=0)
+    path = tmp_path / "runtime_model.json"
+    save_surrogate(model, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for field, value in edit.items():
+        if field == "theta":
+            payload["mask"]["theta"] = value
+        else:
+            payload[field] = [value] * len(payload[field])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded = load_surrogate(path)
+    with pytest.raises(DataError, match=r"surrogate 'runtime' scales feature '(x|num_nodes_alloc)' "
+                                        r"of row \d+ from .* to -?(inf|nan), which is not finite"):
+        loaded.predict(table.numeric_matrix(model.feature_names))
+
+
 def test_saving_a_forest_holds_about_one_trees_text(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(1000, 4))
