@@ -69,6 +69,12 @@ class GaussianProcess:
     lml: float = -math.inf
     lml_trace: list[float] = field(default_factory=list)
 
+    def telemetry(self) -> dict:
+        """The fitted hyperparameters, LML and jitter, as a report records them."""
+        return {"lengthscale": float(self.lengthscale), "signal_var": float(self.signal_var),
+                "noise_var": float(self.noise_var), "lml": float(self.lml),
+                "jitter": float(self.jitter)}
+
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, float, float]:
     mean = float(x.mean())

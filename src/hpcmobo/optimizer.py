@@ -40,7 +40,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 from scipy.special import ndtr
@@ -57,6 +57,7 @@ from .pareto import (
     nondominated,
     spread,
 )
+from .surrogate import check_finite_spread
 
 log = logging.getLogger(__name__)
 
@@ -168,7 +169,9 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
     naming the first column that differs; each surrogate's design feature
     must be the context's, or it is a DataError; a non-finite prediction is
     a NumericalError, and a nonpositive one a DataError: runtimes and powers
-    are positive, and the runtime GP models their logs.
+    are positive, and the runtime GP models their logs. Predictions whose
+    standard deviation overflows a float are a DataError too: the power GP
+    and the hypervolumes would square them.
     """
     context = candidates.context
     nodes = candidates.node_counts
@@ -201,40 +204,14 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
         if len(bad):
             raise DataError(f"the {objective} surrogate predicts {float(table[bad[0], col])!r} "
                             f"at node count {nodes[bad[0]]}, but objectives must be positive")
+    check_finite_spread(["predicted runtime", "predicted power"], table)
     return table
 
 
-@dataclass(frozen=True)
-class ObjectiveGP:
-    """GP over node count for one objective, optionally modeling log targets."""
-
-    gp: GaussianProcess
-    log_space: bool
-
-    def posterior(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return gp_posterior(self.gp, nodes)
-
-    def telemetry(self) -> dict:
-        """The fitted hyperparameters, LML and jitter, as a report records them."""
-        gp = self.gp
-        return {"lengthscale": float(gp.lengthscale), "signal_var": float(gp.signal_var),
-                "noise_var": float(gp.noise_var), "lml": float(gp.lml),
-                "jitter": float(gp.jitter)}
-
-
-def fit_objective_gp(nodes: Sequence[int], values: Sequence[float],
-                     log_space: bool = False,
-                     warm: ObjectiveGP | None = None) -> ObjectiveGP:
-    """Fit the GP of one objective over node count, as the MOBO and SOBO
-    engines do in each iteration: runtime with log_space, power without.
-    The node counts must be distinct, and with log_space the values
-    positive. The fit warm-starts from `warm`, the engine's previous fit of
-    this objective; without it, it is the cold four-start search (see
-    `fit_gp`)."""
-    values = np.asarray(values, dtype=float)
-    y = np.log(values) if log_space else values
-    gp = fit_gp(nodes, y, warm=None if warm is None else warm.gp)
-    return ObjectiveGP(gp=gp, log_space=log_space)
+def _gp_targets(objective: str, values: np.ndarray) -> np.ndarray:
+    """The values the GP of `objective` models: the logs of the runtimes,
+    which are positive (`evaluate_objectives`), and the powers as they are."""
+    return np.log(values) if objective == "runtime" else values
 
 
 def _base_normals(mc_samples: int, seed) -> np.ndarray:
@@ -249,43 +226,33 @@ def _base_normals(mc_samples: int, seed) -> np.ndarray:
     return norm.ppf(u)
 
 
-def _deterministic_hvi(mu_r: float, mu_p: float, gp_runtime: ObjectiveGP,
-                       gp_power: ObjectiveGP, front: ParetoFront, ref) -> float:
-    y_r = math.exp(mu_r) if gp_runtime.log_space else mu_r
-    y_p = math.exp(mu_p) if gp_power.log_space else mu_p
-    return float(hypervolume_improvement(front, np.asarray(ref, dtype=float),
-                                         np.array([[y_r, y_p]]))[0])
-
-
-def ehvi_samples(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, node_count: int,
+def ehvi_samples(gp_runtime: GaussianProcess, gp_power: GaussianProcess, node_count: int,
                  front: ParetoFront, ref, mc_samples: int, seed) -> np.ndarray:
     """Per-sample hypervolume improvements backing log_ehvi, the Monte-Carlo
-    oracle for `ehvi`; exposed so tests can form standard errors."""
+    oracle for `ehvi`; exposed so tests can form standard errors. The
+    runtime GP models log runtime, the power GP plain power."""
     z = _base_normals(mc_samples, seed)
     nodes = np.array([node_count])
-    mu_r, var_r = gp_runtime.posterior(nodes)
-    mu_p, var_p = gp_power.posterior(nodes)
-    y_r = mu_r[0] + math.sqrt(var_r[0]) * z[:, 0]
+    mu_r, var_r = gp_posterior(gp_runtime, nodes)
+    mu_p, var_p = gp_posterior(gp_power, nodes)
+    y_r = np.exp(mu_r[0] + math.sqrt(var_r[0]) * z[:, 0])
     y_p = mu_p[0] + math.sqrt(var_p[0]) * z[:, 1]
-    if gp_runtime.log_space:
-        y_r = np.exp(y_r)
-    if gp_power.log_space:
-        y_p = np.exp(y_p)
     return hypervolume_improvement(front, np.asarray(ref, dtype=float),
                                    np.column_stack([y_r, y_p]))
 
 
-def log_ehvi(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, node_count: int,
+def log_ehvi(gp_runtime: GaussianProcess, gp_power: GaussianProcess, node_count: int,
              front: ParetoFront, ref, mc_samples: int, seed) -> float:
     """Monte-Carlo log(mean HVI + eps) at one candidate. A zero-variance
     candidate is a deterministic sample: it reduces to log(HVI(posterior
     mean) + eps) exactly, independent of mc_samples."""
     nodes = np.array([node_count])
-    mu_r, var_r = gp_runtime.posterior(nodes)
-    mu_p, var_p = gp_power.posterior(nodes)
+    mu_r, var_r = gp_posterior(gp_runtime, nodes)
+    mu_p, var_p = gp_posterior(gp_power, nodes)
     if var_r[0] == 0.0 and var_p[0] == 0.0:
-        hvi = _deterministic_hvi(mu_r[0], mu_p[0], gp_runtime, gp_power, front, ref)
-        return math.log(hvi + ACQ_EPS)
+        hvi = hypervolume_improvement(front, np.asarray(ref, dtype=float),
+                                      np.array([[math.exp(mu_r[0]), mu_p[0]]]))[0]
+        return math.log(float(hvi) + ACQ_EPS)
     samples = ehvi_samples(gp_runtime, gp_power, node_count, front, ref,
                            mc_samples, seed)
     return math.log(float(samples.mean()) + ACQ_EPS)
@@ -310,9 +277,10 @@ def _partial_expectation(c: np.ndarray, mean: np.ndarray, sd: np.ndarray,
     return np.where(pos, pe, np.maximum(c - y, 0.0))
 
 
-def ehvi(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, nodes: np.ndarray,
+def ehvi(gp_runtime: GaussianProcess, gp_power: GaussianProcess, nodes: np.ndarray,
          front: ParetoFront, ref) -> np.ndarray:
-    """Exact q=1 expected hypervolume improvement at every node, never negative.
+    """Exact q=1 expected hypervolume improvement at every node, never
+    negative, under a runtime GP of log runtime and a power GP of plain power.
 
     In 2-D, HVI(a, b) = sum_s w_s(a) h_s(b) over the strips of `hvi_strips`,
     with w_s(a) = (hi_s - a)+ - (lo_s - a)+ and h_s(b) = (top_s - b)+. The two
@@ -323,19 +291,17 @@ def ehvi(gp_runtime: ObjectiveGP, gp_power: ObjectiveGP, nodes: np.ndarray,
     """
     ref = np.asarray(ref, dtype=float)
     edges, tops = hvi_strips(front, ref)
-    mu_r, var_r = gp_runtime.posterior(nodes)
-    mu_p, var_p = gp_power.posterior(nodes)
+    mu_r, var_r = gp_posterior(gp_runtime, nodes)
+    mu_p, var_p = gp_posterior(gp_power, nodes)
     p_r = _partial_expectation(edges[None, :], mu_r[:, None], np.sqrt(var_r)[:, None],
-                               gp_runtime.log_space)
+                               log_space=True)
     # lo_s is the previous edge, and E[(-inf - Y)+] = 0
     widths = np.diff(p_r, axis=1, prepend=0.0)
-    heights = _partial_expectation(tops[None, :], mu_p[:, None], np.sqrt(var_p)[:, None],
-                                   gp_power.log_space)
+    heights = _partial_expectation(tops[None, :], mu_p[:, None], np.sqrt(var_p)[:, None])
     out = np.maximum((widths * heights).sum(axis=1), 0.0)
     det = (var_r == 0.0) & (var_p == 0.0)
     if det.any():
-        means = np.column_stack([np.exp(mu_r) if gp_runtime.log_space else mu_r,
-                                 np.exp(mu_p) if gp_power.log_space else mu_p])
+        means = np.column_stack([np.exp(mu_r), mu_p])
         out[det] = hypervolume_improvement(front, ref, means[det])
     return out
 
@@ -358,7 +324,7 @@ class HistoryEntry:
     hv_so_far: float
     spread_so_far: float
     # GP methods only: the best log acquisition and the
-    # ObjectiveGP.telemetry() of each GP that scored this pick, by objective
+    # GaussianProcess.telemetry() of each GP that scored this pick, by objective
     acquisition: float | None
     gp: dict[str, dict] | None = None
 
@@ -488,8 +454,8 @@ def _gp_search(method: str, stream: int, surr_runtime: ObjectiveSurrogate,
                acquisition: Callable[..., np.ndarray]) -> ParetoReport:
     """The GP search loop of MOBO and SOBO. Each iteration fits a GP per
     `fitted` objective to the observations, warm from its last fit, scores
-    every candidate by `acquisition(gps, Y, nodes)` (the fitted ObjectiveGPs
-    by objective, the observed objective rows and the candidate nodes) and
+    every candidate by `acquisition(gps, Y, nodes)` (the fitted GPs by
+    objective, the observed objective rows and the candidate nodes) and
     observes the pick (`_pick_candidate`). It ends after cfg.mobo_iterations
     picks, or at the first pick of a node already observed, which it does
     not append: nothing the fits see would change, so it would be picked
@@ -502,14 +468,14 @@ def _gp_search(method: str, stream: int, surr_runtime: ObjectiveSurrogate,
     nodes = candidates.node_counts
     seen = np.zeros(len(nodes), dtype=bool)
     seen[picks] = True
-    gps: dict[str, ObjectiveGP | None] = dict.fromkeys(fitted)
+    gps: dict[str, GaussianProcess | None] = dict.fromkeys(fitted)
     steps = []
     for it in range(cfg.mobo_iterations):
         Y = objectives[picks]
         try:
             for name in fitted:
-                gps[name] = fit_objective_gp(nodes[picks], Y[:, _COLUMNS[name]],
-                                             log_space=name == "runtime", warm=gps[name])
+                gps[name] = fit_gp(nodes[picks], _gp_targets(name, Y[:, _COLUMNS[name]]),
+                                   warm=gps[name])
         except NumericalError as exc:
             # "MOBO", or "SOBO" of "SOBO (Runtime)"
             raise NumericalError(
@@ -528,7 +494,7 @@ def _gp_search(method: str, stream: int, surr_runtime: ObjectiveSurrogate,
     return _finalize_report(method, cfg, candidates, objectives, picks, n_initial, steps)
 
 
-def _ehvi_at(gps: dict[str, ObjectiveGP], Y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _ehvi_at(gps: dict[str, GaussianProcess], Y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Exact EHVI over the front and inferred reference of the rows Y."""
     ref = np.asarray(infer_reference(Y), dtype=float)
     return ehvi(gps["runtime"], gps["power"], nodes, nondominated(Y), ref)
@@ -553,11 +519,10 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         raise ConfigError(f"objective must be runtime or power, got {objective!r}")
     col = _COLUMNS[objective]
 
-    def ei_at(gps: dict[str, ObjectiveGP], Y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        gp = gps[objective]
-        values = np.log(Y[:, col]) if gp.log_space else Y[:, col]
-        mean, var = gp.posterior(nodes)
-        return expected_improvement(mean, var, float(values.min()))
+    def ei_at(gps: dict[str, GaussianProcess], Y: np.ndarray,
+              nodes: np.ndarray) -> np.ndarray:
+        mean, var = gp_posterior(gps[objective], nodes)
+        return expected_improvement(mean, var, float(_gp_targets(objective, Y[:, col]).min()))
 
     return _gp_search(_SOBO_METHODS[objective], 13, surr_runtime, surr_power, candidates,
                       cfg, (objective,), ei_at)

@@ -20,7 +20,6 @@ from hpcmobo.ingest import preprocess_fit, write_table
 from hpcmobo.optimizer import (
     CandidateSet,
     JobContext,
-    ObjectiveGP,
     compare_methods,
     ehvi_samples,
     log_ehvi,
@@ -138,8 +137,9 @@ def test_criterion_05_gp_sanity():
         y = np.sin(x) + 0.3 * x ** 2
         gp = fit_gp(x, y, noise_var=0.0)
         mean, var = gp_posterior(gp, x)
-        # K (K + jitter I)^-1 y = y - jitter * alpha: each target is missed by
-        # its jitter term alone
+        # the base jitter misses each target by jitter * alpha (4.3e-6 at
+        # most here), since K (K + jitter I)^-1 y = y - jitter * alpha
+        assert np.max(np.abs(mean - y)) < 1e-5
         assert np.max(np.abs(mean - (y - gp.jitter * gp.alpha))) < 1e-9
         assert np.max(var) < 1e-8
         xs = np.linspace(0, 2 * np.pi, 25)
@@ -153,17 +153,17 @@ def test_criterion_06_acquisition_consistency():
     with criterion(6, "logEHVI: zero-variance exactness and MC self-consistency", 60):
         # exactness at a zero-variance (noise-free training) candidate
         nodes = np.array([1.0, 16.0, 32.0, 64.0])
-        gp_r = ObjectiveGP(fit_gp(nodes, [10.0, 8.0, 6.0, 4.0], noise_var=0.0),
-                           log_space=False)
-        gp_p = ObjectiveGP(fit_gp(nodes, [5.0, 20.0, 40.0, 80.0], noise_var=0.0),
-                           log_space=False)
+        # runtimes spread enough that the log GP's variance at its training
+        # inputs snaps to 0
+        gp_r = fit_gp(nodes, np.log([50.0, 20.0, 8.0, 4.0]), noise_var=0.0)
+        gp_p = fit_gp(nodes, [5.0, 20.0, 40.0, 80.0], noise_var=0.0)
         front = nondominated([(9.0, 90.0)])
         ref = (100.0, 100.0)
-        mu_r, var_r = gp_r.posterior(np.array([32]))
-        mu_p, var_p = gp_p.posterior(np.array([32]))
+        mu_r, var_r = gp_posterior(gp_r, np.array([32]))
+        mu_p, var_p = gp_posterior(gp_p, np.array([32]))
         assert var_r[0] == 0.0 and var_p[0] == 0.0
         det = float(hypervolume_improvement(front, np.asarray(ref),
-                                            np.array([[mu_r[0], mu_p[0]]]))[0])
+                                            np.array([[math.exp(mu_r[0]), mu_p[0]]]))[0])
         for mc in (128, 2 ** 14):
             assert log_ehvi(gp_r, gp_p, 32, front, ref, mc, seed=3) == math.log(det + 1e-12)
 
@@ -174,9 +174,8 @@ def test_criterion_06_acquisition_consistency():
             obs_nodes = np.sort(rng.choice(np.arange(1, 65), size=k, replace=False))
             runtimes = rng.uniform(5, 60, size=k)
             powers = rng.uniform(20, 400, size=k)
-            from hpcmobo.optimizer import fit_objective_gp
-            g_r = fit_objective_gp(obs_nodes, runtimes)
-            g_p = fit_objective_gp(obs_nodes, powers)
+            g_r = fit_gp(obs_nodes, np.log(runtimes))
+            g_p = fit_gp(obs_nodes, powers)
             Y = np.column_stack([runtimes, powers])
             fr = nondominated(Y)
             rf = infer_reference(Y)

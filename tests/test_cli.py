@@ -351,6 +351,15 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
         assert main(flags) == 3, (field, value)
         assert (f"runtime_model.json: {field} holds a value that is not {fault}"
                 in capsys.readouterr().err), (field, value)
+    # finite leaves 1e300 apart: it ran with exit 0, reporting runtimes near
+    # 1e301 and a hypervolume of 3e303
+    damaged = json.loads(good)
+    for tree in damaged["ensemble"]["trees"]:
+        tree["value"] = [1e300 * i for i in range(len(tree["value"]))]
+    model.write_text(json.dumps(damaged))
+    assert main(flags) == 3
+    assert ("column 'predicted runtime' has no finite standard deviation"
+            in capsys.readouterr().err)
     d = len(json.loads(good)["feature_names"])
     n = len(json.loads(good)["ensemble"]["trees"][0]["feature"])
     for field, at, value in (("left", 0, 0),  # a cycle, which hung

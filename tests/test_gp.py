@@ -9,7 +9,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from hpcmobo.core import DataError
 from hpcmobo.gp import _kernel, fit_gp, gp_posterior
-from hpcmobo.optimizer import fit_objective_gp
 
 
 def test_noise_free_gp_interpolates_training_targets():
@@ -18,8 +17,9 @@ def test_noise_free_gp_interpolates_training_targets():
     y = np.sin(x) + 0.5 * x
     gp = fit_gp(x, y, noise_var=0.0)
     mean, var = gp_posterior(gp, x)
-    # K (K + jitter I)^-1 y = y - jitter * alpha: each target is missed by
-    # its jitter term alone
+    # the base jitter misses each target by jitter * alpha (2.0e-6 at most
+    # here), since K (K + jitter I)^-1 y = y - jitter * alpha
+    assert np.max(np.abs(mean - y)) < 1e-5
     assert np.max(np.abs(mean - (y - gp.jitter * gp.alpha))) < 1e-9
     assert np.max(var) < 1e-8
 
@@ -158,20 +158,22 @@ def test_jitter_escalation_refactors_a_fresh_matrix():
 _NODES = [1, 4, 9, 16, 25, 36, 49, 64]
 
 
-@pytest.mark.parametrize("values, log_space, expected", [
-    # power-like targets, modelled as they are
-    ([0.9, 3.7, 8.2, 14.9, 23.1, 33.8, 45.2, 59.6], False,
+# the engines' power GP models powers as they are, their runtime GP the logs
+# of runtimes (`optimizer._gp_targets`)
+_POWERS = [0.9, 3.7, 8.2, 14.9, 23.1, 33.8, 45.2, 59.6]
+_LOG_RUNTIMES = np.log([812.0, 240.5, 118.25, 77.0, 61.5, 58.0, 60.75, 66.0])
+
+
+@pytest.mark.parametrize("targets, expected", [
+    (_POWERS,
      (3.5148544323587956, 3187.547343750001, 0.06800101000000003, -16.804018545933197)),
-    # runtime-like targets, modelled in log space
-    ([812.0, 240.5, 118.25, 77.0, 61.5, 58.0, 60.75, 66.0], True,
+    (_LOG_RUNTIMES,
      (0.11619353495400976, 0.6929476326128605, 5.458767157952872e-09, -9.760187991912886)),
-])
-def test_objective_gp_golden_hyperparameters(values, log_space, expected):
+], ids=["power", "log_runtime"])
+def test_objective_gp_golden_hyperparameters(targets, expected):
     # exact values of the four-start coordinate search, as the optimizer
     # engines call it; any change to the search's arithmetic moves them
-    ogp = fit_objective_gp(_NODES, values, log_space=log_space)
-    gp = ogp.gp
-    assert ogp.log_space is log_space
+    gp = fit_gp(_NODES, targets)
     assert (gp.lengthscale, gp.signal_var, gp.noise_var, gp.lml) == expected
 
 
@@ -226,16 +228,15 @@ def test_warm_fit_keeps_a_fixed_noise_var():
     assert gp.noise_var == 0.0
 
 
-@pytest.mark.parametrize("values, log_space, expected", [
-    ([0.9, 3.7, 8.2, 14.9, 23.1, 33.8, 45.2, 59.6], False,
+@pytest.mark.parametrize("targets, expected", [
+    (_POWERS,
      (4.437947515604539, 3967.4891666666667, 0.07630933333333331, -16.385705078177853)),
-    ([812.0, 240.5, 118.25, 77.0, 61.5, 58.0, 60.75, 66.0], True,
+    (_LOG_RUNTIMES,
      (0.11716181441195984, 0.7245879219275203, 1.1228118624909922e-10, -9.763371796506192)),
-])
-def test_objective_gp_golden_warm_refit(values, log_space, expected):
+], ids=["power", "log_runtime"])
+def test_objective_gp_golden_warm_refit(targets, expected):
     # exact values of one warm refit, as the optimizer engines make it: the
     # fit on the first six nodes warm-starts the fit on all eight
-    warm = fit_objective_gp(_NODES[:6], values[:6], log_space=log_space)
-    ogp = fit_objective_gp(_NODES, values, log_space=log_space, warm=warm)
-    gp = ogp.gp
+    warm = fit_gp(_NODES[:6], targets[:6])
+    gp = fit_gp(_NODES, targets, warm=warm)
     assert (gp.lengthscale, gp.signal_var, gp.noise_var, gp.lml) == expected

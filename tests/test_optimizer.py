@@ -10,16 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpcmobo.core import DataError, RunConfig
+from hpcmobo.gp import fit_gp, gp_posterior
 from hpcmobo.optimizer import (
     CandidateSet,
     JobContext,
-    ObjectiveGP,
     compare_methods,
     ehvi,
     ehvi_samples,
     evaluate_objectives,
     expected_improvement,
-    fit_objective_gp,
     hv_history_under_ref,
     initial_design,
     log_ehvi,
@@ -212,13 +211,22 @@ def test_engines_on_one_candidate_set_share_one_objective_table():
 
 @pytest.mark.parametrize("objective", ["runtime", "power"])
 @pytest.mark.parametrize("stem", list(METHODS))
-def test_a_nonpositive_prediction_is_a_data_error(stem, objective):
-    # 10 - n reaches zero at node count 10; the runtime GP models logs
-    laws = {**AMDAHL, objective: lambda n: 10.0 - n}
+@pytest.mark.parametrize("node, value, message", [
+    # the runtime GP models logs
+    (10, 0.0, "the {objective} surrogate predicts 0.0 at node count 10, but objectives "
+              "must be positive"),
+    # finite and positive, but past the square root of the largest float amid
+    # values near 100; every engine observes node 6, an initial-design node,
+    # and MOBO overflowed in its EHVI, the power GP found no valid fit, and
+    # the other engines reported hypervolumes near 1e202
+    (6, 1e200, "column 'predicted {objective}' has no finite standard deviation"),
+], ids=["nonpositive", "spread_overflows"])
+def test_a_nonpositive_or_overflowing_prediction_is_a_data_error(node, value, message, stem,
+                                                                  objective):
+    law = AMDAHL[objective]
+    laws = {**AMDAHL, objective: lambda n: value if n == node else law(n)}
     surr_r, surr_p = LawSurrogate(laws["runtime"], (1, 16)), LawSurrogate(laws["power"], (1, 16))
-    with pytest.raises(DataError, match=re.escape(
-            f"the {objective} surrogate predicts 0.0 at node count 10, but objectives "
-            "must be positive")):
+    with pytest.raises(DataError, match=re.escape(message.format(objective=objective))):
         METHODS[stem].run(surr_r, surr_p, _candidates(1, 16), _fast_cfg())
 
 
@@ -247,10 +255,10 @@ def test_initial_design_is_four_space_filling_points():
     assert initial_design(5, 5) == [5]
 
 
-def _toy_gps(noise_free_nodes, runtimes, powers, log_space=False):
-    gp_r = fit_objective_gp(noise_free_nodes, runtimes, log_space=log_space)
-    gp_p = fit_objective_gp(noise_free_nodes, powers)
-    return gp_r, gp_p
+def _toy_gps(nodes, runtimes, powers):
+    """The runtime and power GPs as the engines fit them: log runtimes,
+    plain powers."""
+    return fit_gp(nodes, np.log(runtimes)), fit_gp(nodes, powers)
 
 
 def test_log_ehvi_zero_variance_dominated_returns_log_eps():
@@ -263,20 +271,22 @@ def test_log_ehvi_zero_variance_dominated_returns_log_eps():
 
 
 def test_log_ehvi_zero_variance_exact_independent_of_samples():
-    from hpcmobo.gp import fit_gp
     nodes = np.array([1.0, 16.0, 32.0, 64.0])
-    runtimes = [10.0, 8.0, 6.0, 4.0]
+    # runtimes spread enough that the log GP's variance at its training
+    # inputs snaps to 0, as at [10, 8, 6, 4] in plain space
+    runtimes = [50.0, 20.0, 8.0, 4.0]
     powers = [5.0, 20.0, 40.0, 80.0]
-    gp_r = ObjectiveGP(fit_gp(nodes, runtimes, noise_var=0.0), log_space=False)
-    gp_p = ObjectiveGP(fit_gp(nodes, powers, noise_var=0.0), log_space=False)
+    gp_r = fit_gp(nodes, np.log(runtimes), noise_var=0.0)
+    gp_p = fit_gp(nodes, powers, noise_var=0.0)
     front = nondominated([(9.0, 90.0)])
     ref = (100.0, 100.0)
     # training input 16 has zero posterior variance; HVI is deterministic
-    mean_r, var_r = gp_r.posterior(np.array([16]))
+    mean_r, var_r = gp_posterior(gp_r, np.array([16]))
     assert var_r[0] == 0.0
     from hpcmobo.pareto import hypervolume_improvement
     det = float(hypervolume_improvement(
-        front, np.array(ref), np.array([[mean_r[0], gp_p.posterior(np.array([16]))[0][0]]])
+        front, np.array(ref),
+        np.array([[math.exp(mean_r[0]), gp_posterior(gp_p, np.array([16]))[0][0]]])
     )[0])
     for mc in (16, 128, 1024):
         val = log_ehvi(gp_r, gp_p, 16, front, ref, mc_samples=mc, seed=1)
@@ -290,8 +300,7 @@ def test_log_ehvi_mc_self_consistency_128_vs_16384():
         nodes = sorted(rng.choice(np.arange(1, 65), size=6, replace=False))
         runtimes = rng.uniform(5, 50, size=6)
         powers = rng.uniform(10, 300, size=6)
-        gp_r = fit_objective_gp(nodes, runtimes)
-        gp_p = fit_objective_gp(nodes, powers)
+        gp_r, gp_p = _toy_gps(nodes, runtimes, powers)
         Y = np.column_stack([runtimes, powers])
         front = nondominated(Y)
         ref = infer_reference(Y)
@@ -308,8 +317,7 @@ def test_acquisition_nonnegative_over_candidate_sweep():
     # exp(log_ehvi) - eps is a mean of hypervolume improvements, so >= 0
     rng = np.random.default_rng(31)
     nodes = [1, 8, 24, 48, 64]
-    gp_r = fit_objective_gp(nodes, rng.uniform(5, 50, size=5))
-    gp_p = fit_objective_gp(nodes, rng.uniform(10, 300, size=5))
+    gp_r, gp_p = _toy_gps(nodes, rng.uniform(5, 50, size=5), rng.uniform(10, 300, size=5))
     Y = np.column_stack([rng.uniform(5, 50, size=5), rng.uniform(10, 300, size=5)])
     front = nondominated(Y)
     ref = infer_reference(Y)
@@ -318,15 +326,14 @@ def test_acquisition_nonnegative_over_candidate_sweep():
         assert math.exp(val) - 1e-12 >= -1e-15
 
 
-@pytest.mark.parametrize("log_space", [False, True])
-def test_exact_ehvi_matches_mc_oracle(log_space):
-    rng = np.random.default_rng(505 + log_space)
+def test_exact_ehvi_matches_mc_oracle():
+    rng = np.random.default_rng(506)
     for trial in range(50):
         k = int(rng.integers(4, 9))
         nodes = np.sort(rng.choice(np.arange(1, 65), size=k, replace=False))
         runtimes = rng.uniform(5, 60, size=k)
         powers = rng.uniform(20, 400, size=k)
-        gp_r, gp_p = _toy_gps(nodes, runtimes, powers, log_space=log_space)
+        gp_r, gp_p = _toy_gps(nodes, runtimes, powers)
         Y = np.column_stack([runtimes, powers])
         front = nondominated(Y)
         ref = infer_reference(Y)
@@ -338,21 +345,17 @@ def test_exact_ehvi_matches_mc_oracle(log_space):
         assert abs(sweep[x - 1] - float(samples.mean())) <= 3 * se + 1e-12, f"trial {trial}"
 
 
-@pytest.mark.parametrize("log_space", [False, True])
-def test_exact_ehvi_zero_variance_equals_hvi_at_posterior_mean(log_space):
-    from hpcmobo.gp import fit_gp
+def test_exact_ehvi_zero_variance_equals_hvi_at_posterior_mean():
     from hpcmobo.pareto import hypervolume_improvement
     nodes = np.array([1.0, 16.0, 32.0, 64.0])
     runtimes = np.array([50.0, 20.0, 8.0, 4.0])
-    gp_r = ObjectiveGP(fit_gp(nodes, np.log(runtimes) if log_space else runtimes,
-                              noise_var=0.0), log_space=log_space)
-    gp_p = ObjectiveGP(fit_gp(nodes, [5.0, 20.0, 40.0, 80.0], noise_var=0.0),
-                       log_space=False)
+    gp_r = fit_gp(nodes, np.log(runtimes), noise_var=0.0)
+    gp_p = fit_gp(nodes, [5.0, 20.0, 40.0, 80.0], noise_var=0.0)
     ref = np.array([100.0, 100.0])
-    mean_r, var_r = gp_r.posterior(nodes)
-    mean_p, var_p = gp_p.posterior(nodes)
+    mean_r, var_r = gp_posterior(gp_r, nodes)
+    mean_p, var_p = gp_posterior(gp_p, nodes)
     assert (var_r == 0.0).all() and (var_p == 0.0).all()
-    means = np.column_stack([np.exp(mean_r) if log_space else mean_r, mean_p])
+    means = np.column_stack([np.exp(mean_r), mean_p])
     # random fronts include some where (hi - a)+ - (lo - a)+ rounds differently
     # from the HVI's (hi - max(lo, a))+
     rng = np.random.default_rng(3)
@@ -601,8 +604,8 @@ def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg):
         if distinct != fitted_at:
             fitted_at, warm_r, warm_p = distinct, gp_r, gp_p
         Y = objectives[distinct]
-        gp_r = fit_objective_gp(nodes[distinct], Y[:, 0], log_space=True, warm=warm_r)
-        gp_p = fit_objective_gp(nodes[distinct], Y[:, 1], warm=warm_p)
+        gp_r = fit_gp(nodes[distinct], np.log(Y[:, 0]), warm=warm_r)
+        gp_p = fit_gp(nodes[distinct], Y[:, 1], warm=warm_p)
         ref = np.asarray(infer_reference(Y), dtype=float)
         acq = np.log(opt.ehvi(gp_r, gp_p, nodes, nondominated(Y), ref) + opt.ACQ_EPS)
         row, best_acq = opt._pick_candidate(acq, seen, rng)
@@ -633,11 +636,10 @@ def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg):
         if distinct != fitted_at:
             fitted_at, warm = distinct, gp
         values = objectives[distinct, col]
-        gp = fit_objective_gp(nodes[distinct], values, log_space=objective == "runtime",
-                              warm=warm)
-        model_vals = np.log(values) if gp.log_space else values
+        model_vals = np.log(values) if objective == "runtime" else values
+        gp = fit_gp(nodes[distinct], model_vals, warm=warm)
         incumbent = float(model_vals.min())
-        mean, var = gp.posterior(nodes)
+        mean, var = gp_posterior(gp, nodes)
         acq = np.log(opt.expected_improvement(mean, var, incumbent) + opt.ACQ_EPS)
         row, best_acq = opt._pick_candidate(acq, seen, rng)
         picks.append(row)
