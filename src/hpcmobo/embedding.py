@@ -1,10 +1,11 @@
 """Attentive feature-mask embedding.
 
-A learnable per-feature attention vector m = d * softmax(theta) reweights
-(standardized) features before a downstream regressor. The mask is trained by
-full-batch gradient descent, at the fixed learning rate 0.05, on the squared
-error of a linear readout over the masked features; all gradients are
-analytic and checkable against finite differences.
+A learnable per-feature attention vector m = d * softmax(theta) weights the
+features for a downstream regressor: the surrogates' trees draw each split's
+candidate features by m. The mask is trained by full-batch gradient descent,
+at the fixed learning rate 0.05, on the squared error of a linear readout
+over the masked standardized features; all gradients are analytic and
+checkable against finite differences.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, NumericalError
+from .core import NumericalError
 
 # the gradient-descent step size; the pipeline standardizes features and
 # target before training, so one rate suits every target
@@ -57,18 +58,6 @@ class AttentiveMask:
             "scaler_std": list(map(float, scaler_std)),
         }
         Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def embed(mask: AttentiveMask, X: np.ndarray) -> np.ndarray:
-    """Elementwise reweighting e = m * x, row-wise. Not idempotent unless the
-    mask is uniform."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != mask.dim:
-        raise DataError(
-            f"embedding dimension mismatch: mask has d={mask.dim}, "
-            f"input has {X.shape[1] if X.ndim == 2 else X.ndim} columns"
-        )
-    return X * mask.m
 
 
 def _loss_and_grads(theta: np.ndarray, w: np.ndarray, b: float,

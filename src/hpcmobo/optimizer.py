@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm, qmc
 
 from .core import ConfigError, DataError, NumericalError, RunConfig
@@ -269,7 +269,8 @@ def _partial_expectation(c: np.ndarray, mean: np.ndarray, sd: np.ndarray,
         y = np.exp(mean)
         with np.errstate(divide="ignore", invalid="ignore"):
             d = (np.log(c) - mean) / s
-        pe = np.where(c > 0, c * ndtr(d) - np.exp(mean + s * s / 2.0) * ndtr(d - s), 0.0)
+        # E[Y; Y < c] formed in logs: its two factors can be inf and 0
+        pe = np.where(c > 0, c * ndtr(d) - np.exp(mean + s * s / 2.0 + log_ndtr(d - s)), 0.0)
     else:
         y = mean
         u = (c - mean) / s

@@ -19,11 +19,11 @@ stored as flat breadth-first node arrays.
 An ensemble packs its trees once, when it is built (at fit or at load),
 into padded (trees x nodes) tables, and predicts by routing every row
 through every tree together: per depth, one gather of each row's split
-feature, one compare with the threshold and one step to a child, with
-leaves pointing to themselves (the table traversal of Hummingbird,
-Nakandala et al. 2020, and QuickScorer, Lucchese et al. 2015). Tree
-outputs are then added in tree order, so a prediction is bit for bit the
-sum a tree-at-a-time walk gives.
+feature, one compare with the threshold (a value equal to it goes right)
+and one step to a child, with leaves pointing to themselves (the table
+traversal of Hummingbird, Nakandala et al. 2020, and QuickScorer, Lucchese
+et al. 2015). Tree outputs are then added in tree order, so a prediction
+is bit for bit the sum a tree-at-a-time walk gives.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DataError, JobTable, NumericalError
-from .embedding import AttentiveMask, embed, train_mask
+from .embedding import AttentiveMask, train_mask
 
 log = logging.getLogger(__name__)
 
@@ -350,10 +350,14 @@ def _split_nodes(flat_ranks, n_rows, values, row, node, c, count, sse, open_, fe
     f = feats[won, s]
     lo = key[s, at] - won * width
     hi = key[s, at + 1] - won * width
-    thr = (values[f, lo] + values[f, hi]) / 2.0
+    lo_v, hi_v = values[f, lo], values[f, hi]
+    with np.errstate(over="ignore"):
+        thr = (lo_v + hi_v) / 2.0
+    # two values past half the largest float are halved before they are added
+    thr = np.where(np.isfinite(thr), thr, lo_v / 2.0 + hi_v / 2.0)
     feature[nodes[won]] = f
     cut[nodes[won]] = lo
-    threshold[nodes[won]] = np.where(thr <= values[f, lo], values[f, hi], thr)
+    threshold[nodes[won]] = np.where(thr <= lo_v, hi_v, thr)
 
 
 def _sort_with_order(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -508,14 +512,16 @@ class FeatureScaler:
 
 @dataclass
 class SurrogateModel:
-    """Frozen per-objective predictor: scaler -> optional attentive mask ->
-    tree ensemble. Records the design-variable bounds observed in training."""
+    """Frozen per-objective predictor: a tree ensemble over the raw feature
+    rows. `mask_theta` records the attention logits whose weights
+    d * softmax(theta) drew each split's candidate features (None for
+    unweighted draws); prediction does not read it. Records the
+    design-variable bounds observed in training."""
 
     target: str
     feature_names: list[str]
-    scaler: FeatureScaler
     ensemble: TreeEnsemble
-    mask: AttentiveMask | None = None
+    mask_theta: np.ndarray | None = None
     design_feature: str = "num_nodes_alloc"
     design_bounds: tuple[int, int] = (1, 1)
 
@@ -529,19 +535,7 @@ class SurrogateModel:
                 f"surrogate {self.target!r} expects {len(self.feature_names)} "
                 f"features, got {X.shape[1]}"
             )
-        # a damaged model file (a subnormal scaler_std, a mean near the
-        # float limit) can carry a finite feature past a float
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = self.scaler.transform(X)
-            if self.mask is not None:
-                z = embed(self.mask, z)
-        bad = np.argwhere(np.isfinite(X) & ~np.isfinite(z))
-        if len(bad):
-            row, col = (int(i) for i in bad[0])
-            raise DataError(f"surrogate {self.target!r} scales feature "
-                            f"{self.feature_names[col]!r} of row {row} from {float(X[row, col])!r} "
-                            f"to {float(z[row, col])!r}, which is not finite")
-        return self.ensemble.predict(z)
+        return self.ensemble.predict(X)
 
 
 def surrogate_features(table: JobTable) -> list[str]:
@@ -642,28 +636,23 @@ def train_objective_surrogate(
 ) -> SurrogateModel:
     """Train one objective predictor from a fully preprocessed table.
 
-    With use_embedding, an attentive mask is trained first (see
-    `fit_feature_mask`); the mask both reweights the inputs and biases the
-    tree feature subsampling toward high-attention columns. The design
-    bounds are the least and greatest node counts of the training rows (see
-    `check_design_bounds`).
+    The trees split the raw features. With use_embedding, an attentive mask
+    is trained first (see `fit_feature_mask`), and its weights bias each
+    split's feature draw toward high-attention columns: a positive
+    per-column rescaling never changes which split wins, so the draw is the
+    only place the mask acts. The design bounds are the least and greatest
+    node counts of the training rows (see `check_design_bounds`).
     """
     features, X, y = training_data(table, target)
-    if use_embedding:
-        scaler, mask = fit_feature_mask(X, y, mask_epochs, seed)
-        Z = embed(mask, scaler.transform(X))
-        weights = mask.m
-    else:
-        scaler, mask, weights = FeatureScaler.fit(X), None, None
-        Z = scaler.transform(X)
+    mask = fit_feature_mask(X, y, mask_epochs, seed)[1] if use_embedding else None
     params = replace(params or TreeParams(), seed=seed)
-    ensemble = fit_tree_ensemble(Z, y, params, feature_weights=weights)
+    ensemble = fit_tree_ensemble(X, y, params,
+                                 feature_weights=None if mask is None else mask.m)
     return SurrogateModel(
         target=target,
         feature_names=features,
-        scaler=scaler,
         ensemble=ensemble,
-        mask=mask,
+        mask_theta=None if mask is None else mask.theta,
         design_feature=table.design_column().name,
         design_bounds=design_bounds(table),
     )
@@ -716,21 +705,11 @@ def save_surrogate(model: SurrogateModel, path: str | Path) -> None:
     payload = {
         "target": model.target,
         "feature_names": model.feature_names,
-        "scaler_mean": model.scaler.mean.tolist(),
-        "scaler_std": model.scaler.std.tolist(),
         "design_feature": model.design_feature,
         "design_bounds": list(model.design_bounds),
-        "mask": None if model.mask is None else {
-            "theta": model.mask.theta.tolist(),
-            "readout_w": model.mask.readout_w.tolist(),
-            "readout_b": model.mask.readout_b,
-        },
-        # "mode" and "learning_rate" keep the values every model file has
-        # held, so a file's bytes do not depend on the version that wrote it
+        "mask": None if model.mask_theta is None else {"theta": model.mask_theta.tolist()},
         "ensemble": {
-            "mode": "bagged",
             "base_value": model.ensemble.base_value,
-            "learning_rate": 0.0,
             "trees": map(_tree_to_dict, model.ensemble.trees),
         },
     }
@@ -740,46 +719,52 @@ def save_surrogate(model: SurrogateModel, path: str | Path) -> None:
 
 def load_surrogate(path: str | Path) -> SurrogateModel:
     """Read a model `save_surrogate` wrote. A file that cannot be read, is
-    not valid JSON (malformed or truncated), lacks a field, holds a tree
-    index too large for its integer type, an ensemble that is not bagged, a
-    per-feature vector whose length is not the number of feature names, a
-    damaged tree (see `_pack`, or a split on a feature past the last name),
-    a number that is not finite, a scaler_std entry that is not positive, a
-    design feature that is not one of the feature names, or design bounds
-    `check_design_bounds` rejects is a DataError naming it."""
+    not valid JSON (malformed or truncated), was written in the earlier
+    format whose trees split standardized features, lacks a field, holds a
+    tree index too large for its integer type, a mask theta whose length is
+    not the number of feature names, a damaged tree (see `_pack`, or a split
+    on a feature past the last name), a number that is not finite, leaves
+    whose sum over the trees could overflow, a design feature that is not
+    one of the feature names, or design bounds `check_design_bounds` rejects
+    is a DataError naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        mode = payload["ensemble"]["mode"]
-        if mode == "bagged":
-            model = _surrogate_from_payload(payload)
+        # every file written while trees split standardized features holds it
+        if "scaler_mean" in payload:
+            raise DataError("holds 'scaler_mean': the model-file format changed, and its "
+                            "trees split standardized features; train the model again")
+        model = _surrogate_from_payload(payload)
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"unreadable surrogate model {path}: {exc!r}") from exc
     except DataError as exc:
         raise DataError(f"surrogate model {path}: {exc}") from exc
-    if mode != "bagged":
-        raise DataError(f"surrogate model {path} holds a {mode!r} ensemble; "
-                        "only 'bagged' ensembles are supported")
-    vectors = {"scaler_mean": model.scaler.mean, "scaler_std": model.scaler.std}
-    if model.mask is not None:
-        vectors.update(theta=model.mask.theta, readout_w=model.mask.readout_w)
     d = len(model.feature_names)
-    wrong = [f"{name} has shape {v.shape}" for name, v in vectors.items() if v.shape != (d,)]
+    wrong = []
+    if model.mask_theta is not None and model.mask_theta.shape != (d,):
+        wrong.append(f"theta has shape {model.mask_theta.shape}")
     if model.ensemble.n_features > d:
         wrong.append(f"a tree splits on feature {model.ensemble.n_features - 1}")
     if wrong:
         raise DataError(f"surrogate model {path} names {d} features, but "
                         + "; ".join(wrong))
-    numbers = [*vectors.items(), ("base_value", model.ensemble.base_value)]
-    if model.mask is not None:
-        numbers.append(("readout_b", model.mask.readout_b))
+    trees = model.ensemble.trees
+    numbers = [] if model.mask_theta is None else [("theta", model.mask_theta)]
+    numbers += [("base_value", model.ensemble.base_value)]
     numbers += [(f"tree {t} {name}", getattr(tree, name))
-                for t, tree in enumerate(model.ensemble.trees) for name in ("threshold", "value")]
+                for t, tree in enumerate(trees) for name in ("threshold", "value")]
     nonfinite = next((name for name, v in numbers if not np.isfinite(v).all()), None)
     if nonfinite is not None:
         raise DataError(f"surrogate model {path}: {nonfinite} holds a value that is not finite")
-    if not (model.scaler.std > 0).all():
-        raise DataError(f"surrogate model {path}: scaler_std holds a value that is not "
-                        "positive")
+    # a prediction adds one leaf of each tree in tree order; rounding is
+    # monotone, so no such sum overflows when the trees' largest leaf
+    # magnitudes, added in that order, stay finite
+    bound = 0.0
+    for tree in trees:
+        bound += float(np.abs(tree.value[tree.feature < 0]).max(initial=0.0))
+    if math.isinf(bound):
+        raise DataError(f"surrogate model {path}: the largest leaf magnitudes of its "
+                        f"{len(trees)} trees sum past the largest float, so a prediction "
+                        "could overflow")
     if model.design_feature not in model.feature_names:
         raise DataError(f"surrogate model {path}: design feature "
                         f"{model.design_feature!r} is not one of its feature names")
@@ -788,13 +773,7 @@ def load_surrogate(path: str | Path) -> SurrogateModel:
 
 
 def _surrogate_from_payload(payload: dict) -> SurrogateModel:
-    mask = None
-    if payload["mask"] is not None:
-        mask = AttentiveMask(
-            theta=np.asarray(payload["mask"]["theta"], dtype=float),
-            readout_w=np.asarray(payload["mask"]["readout_w"], dtype=float),
-            readout_b=float(payload["mask"]["readout_b"]),
-        )
+    mask = payload["mask"]
     ens = payload["ensemble"]
     ensemble = TreeEnsemble(
         trees=[_tree_from_dict(t) for t in ens["trees"]],
@@ -803,12 +782,8 @@ def _surrogate_from_payload(payload: dict) -> SurrogateModel:
     return SurrogateModel(
         target=payload["target"],
         feature_names=list(payload["feature_names"]),
-        scaler=FeatureScaler(
-            mean=np.asarray(payload["scaler_mean"], dtype=float),
-            std=np.asarray(payload["scaler_std"], dtype=float),
-        ),
         ensemble=ensemble,
-        mask=mask,
+        mask_theta=None if mask is None else np.asarray(mask["theta"], dtype=float),
         design_feature=payload["design_feature"],
         design_bounds=tuple(payload["design_bounds"]),
     )

@@ -2,12 +2,11 @@ import csv
 import json
 import logging
 import math
-import re
 import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpcmobo.cli import build_parser, main
@@ -109,7 +108,7 @@ def test_embed_with_default_settings_fits_the_mask_train_fits(tmp_path):
     saved = np.asarray(json.loads((tmp_path / "mask.json").read_text())["theta"])
     seed = run_config_from_sections(load_config_file(cfg)).seed
     model = train_objective_surrogate(read_table(table_path), "runtime_seconds", seed=seed)
-    assert np.array_equal(saved, model.mask.theta)
+    assert np.array_equal(saved, model.mask_theta)
 
 
 def _set_pipeline_line(cfg, line):
@@ -324,21 +323,15 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
              "--surrogates", str(out), "--job-context", str(out / "context_0.csv"),
              "--out", str(out / "opt_report.json")]
     good = model.read_text()
-    for field in ("scaler_mean", "scaler_std", "theta", "readout_w"):
-        short = json.loads(good)
-        (short if field in short else short["mask"])[field].pop()  # one entry short
-        model.write_text(json.dumps(short))
-        assert main(flags) == 3
-        err = capsys.readouterr().err
-        assert "runtime_model.json names" in err and f"{field} has shape" in err
+    short = json.loads(good)
+    short["mask"]["theta"].pop()  # one entry short
+    model.write_text(json.dumps(short))
+    assert main(flags) == 3
+    err = capsys.readouterr().err
+    assert "runtime_model.json names" in err and "theta has shape" in err
     # each ran with exit 0, or 4 where a prediction came out NaN
     for field, keys, value, fault in (
-            ("scaler_std", ("scaler_std", 0), math.inf, "finite"),
-            ("scaler_std", ("scaler_std", 0), 0.0, "positive"),
-            ("scaler_mean", ("scaler_mean", 0), math.inf, "finite"),
             ("theta", ("mask", "theta", 0), math.inf, "finite"),
-            ("readout_w", ("mask", "readout_w", 0), math.nan, "finite"),
-            ("readout_b", ("mask", "readout_b"), math.nan, "finite"),
             ("base_value", ("ensemble", "base_value"), -math.inf, "finite"),
             ("tree 0 threshold", ("ensemble", "trees", 0, "threshold", 0), math.inf, "finite"),
             ("tree 0 value", ("ensemble", "trees", 0, "value", 0), math.nan, "finite")):
@@ -360,6 +353,15 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
     assert main(flags) == 3
     assert ("column 'predicted runtime' has no finite standard deviation"
             in capsys.readouterr().err)
+    # every leaf 1e308: a prediction's sum over the trees overflowed numpy's
+    # add, a RuntimeWarning, or exit 4 without the warning filter
+    damaged = json.loads(good)
+    for tree in damaged["ensemble"]["trees"]:
+        tree["value"] = [1e308] * len(tree["value"])
+    model.write_text(json.dumps(damaged))
+    assert main(flags) == 3
+    assert ("runtime_model.json: the largest leaf magnitudes of its 10 trees sum past the "
+            "largest float" in capsys.readouterr().err)
     d = len(json.loads(good)["feature_names"])
     n = len(json.loads(good)["ensemble"]["trees"][0]["feature"])
     for field, at, value in (("left", 0, 0),  # a cycle, which hung
@@ -407,6 +409,76 @@ def run_dir(tmp_path_factory):
     cfg = _synth(tmp_path_factory.mktemp("run"))
     assert main(["run", "--config", str(cfg)]) == 0
     return cfg, cfg.parent / "out"
+
+
+def _optimize(cfg, surrogates, context, method, report):
+    return main(["optimize", "--config", str(cfg), "--method", method,
+                 "--surrogates", str(surrogates), "--job-context", str(context),
+                 "--out", str(report), "--log-level", "ERROR"])
+
+
+def test_optimize_with_a_model_file_of_the_earlier_format_is_a_data_error(run_dir, tmp_path,
+                                                                         capsys):
+    # a file whose trees split standardized features holds every field the
+    # program reads, so it loaded and routed raw rows through its thresholds
+    cfg, out = run_dir
+    for name in ("runtime_model.json", "power_model.json"):
+        shutil.copy(out / name, tmp_path / name)
+    payload = json.loads((out / "runtime_model.json").read_text())
+    d = len(payload["feature_names"])
+    payload.update(scaler_mean=[0.0] * d, scaler_std=[1.0] * d)
+    payload["mask"].update(readout_w=[0.0] * d, readout_b=0.0)
+    payload["ensemble"].update(mode="bagged", learning_rate=0.0)
+    (tmp_path / "runtime_model.json").write_text(json.dumps(payload, sort_keys=True))
+    report = tmp_path / "report.json"
+    assert _optimize(cfg, tmp_path, out / "context_0.csv", "mobo", report) == 3
+    assert ("runtime_model.json: holds 'scaler_mean': the model-file format changed"
+            in capsys.readouterr().err)
+    assert not report.exists()
+
+
+def test_optimize_with_runtime_leaves_of_1e154_runs_mobo(run_dir, tmp_path):
+    # candidates that reach one of these leaves predict a runtime near 1e153,
+    # which MOBO's lognormal partial expectation overflowed as inf * 0, a
+    # RuntimeWarning in exp
+    cfg, out = run_dir
+    shutil.copy(out / "power_model.json", tmp_path / "power_model.json")
+    payload = json.loads((out / "runtime_model.json").read_text())
+    tree = payload["ensemble"]["trees"][0]
+    leaves = [node for node, feature in enumerate(tree["feature"]) if feature < 0]
+    for node in leaves[::2]:
+        tree["value"][node] = 1e154
+    (tmp_path / "runtime_model.json").write_text(json.dumps(payload))
+    report = tmp_path / "report.json"
+    assert _optimize(cfg, tmp_path, out / "context_0.csv", "mobo", report) == 0
+    observed = json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    assert max(o["runtime"] for o in observed["observations"]) > 1e152
+
+
+_METHOD_FLAGS = [stem.replace("_", "-") for stem in METHODS]
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor=st.floats(allow_nan=False, allow_infinity=False),
+       method=st.sampled_from(_METHOD_FLAGS))
+@example(factor=4e305, method="random").via("ten leaves of 1e306 to 1.7e308 sum past a float")
+def test_optimize_with_every_runtime_leaf_scaled_exits_0_or_3(run_dir, tmp_path_factory,
+                                                              factor, method):
+    # the damaged-field property changes one value, so it never drew a sum
+    # of leaves past a float
+    cfg, out = run_dir
+    directory = tmp_path_factory.mktemp("scaled_model")
+    shutil.copy(out / "power_model.json", directory / "power_model.json")
+    payload = json.loads((out / "runtime_model.json").read_text())
+    for tree in payload["ensemble"]["trees"]:
+        tree["value"] = [v * factor if f < 0 else v
+                         for f, v in zip(tree["feature"], tree["value"])]
+    (directory / "runtime_model.json").write_text(json.dumps(payload))
+    report = directory / "report.json"
+    code = _optimize(cfg, directory, out / "context_0.csv", method, report)
+    assert code in (0, 3)
+    if code == 0:
+        json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 def _swap_first_two(header, row):
@@ -551,25 +623,6 @@ _FIELD_DAMAGE = [None, True, 0, -1, 1, 2 ** 70, 0.5, -1e308, 1e308, 5e-324,
                  float("nan"), float("inf"), "", "x", "bagged", [], [0], {}]
 
 
-@pytest.mark.parametrize("name", ["runtime_model.json", "power_model.json"])
-def test_optimize_with_a_subnormal_scaler_std_is_a_data_error(run_dir, tmp_path, capsys,
-                                                             name):
-    # found by the damaged-field property below: predicting raised numpy's
-    # overflow RuntimeWarning, dividing a context feature by 5e-324
-    cfg, out = run_dir
-    for model in ("runtime_model.json", "power_model.json"):
-        payload = json.loads((out / model).read_text())
-        if model == name:
-            payload["scaler_std"] = [5e-324] * len(payload["scaler_std"])
-        (tmp_path / model).write_text(json.dumps(payload))
-    assert main(["optimize", "--config", str(cfg), "--method", "mobo",
-                 "--surrogates", str(tmp_path), "--job-context", str(out / "context_0.csv"),
-                 "--out", str(tmp_path / "report.json")]) == 3
-    assert re.search(r"surrogate '\w+' scales feature '\w+' of row \d+ from .* to -?inf, "
-                     "which is not finite", capsys.readouterr().err)
-    assert not (tmp_path / "report.json").exists()
-
-
 def _damage_one_field(payload, data):
     """Replace one value of the JSON tree `payload`: from the root, step to
     a drawn key or index until a leaf, or stop early at a container with
@@ -603,8 +656,7 @@ def test_optimize_with_a_damaged_model_field_exits_with_a_pipeline_code(run_dir,
         if name == damaged:
             payload = _damage_one_field(payload, data)
         (directory / name).write_text(json.dumps(payload))
-    method = data.draw(st.sampled_from([stem.replace("_", "-") for stem in METHODS]),
-                       label="method")
+    method = data.draw(st.sampled_from(_METHOD_FLAGS), label="method")
     report = directory / "report.json"
     code = main(["optimize", "--config", str(cfg), "--method", method,
                  "--surrogates", str(directory), "--job-context", str(out / "context_0.csv"),

@@ -3,10 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hpcmobo.core import DataError
 from hpcmobo.embedding import (
     AttentiveMask,
-    embed,
     gradient_check,
     mask_weights,
     train_mask,
@@ -48,34 +46,16 @@ def test_training_attends_to_the_informative_feature():
     assert np.mean(mask.m) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_embed_identity_with_uniform_mask():
-    X = np.random.default_rng(3).normal(size=(10, 4))
+def test_uniform_mask_weights_are_all_one():
     mask = AttentiveMask(theta=np.zeros(4), readout_w=np.zeros(4), readout_b=0.0)
-    assert np.allclose(embed(mask, X), X)
+    assert np.array_equal(mask.m, np.ones(4))
 
 
-def test_embed_saturated_mask_limit():
+def test_saturated_mask_puts_all_weight_on_one_feature():
     theta = np.array([40.0, 0.0, 0.0, 0.0])
     mask = AttentiveMask(theta=theta, readout_w=np.zeros(4), readout_b=0.0)
-    e = embed(mask, np.ones((1, 4)))
-    assert e[0, 0] == pytest.approx(4.0, rel=1e-10)
-    assert np.all(e[0, 1:] < 1e-10)
-
-
-def test_embed_dimension_mismatch():
-    mask = AttentiveMask(theta=np.zeros(3), readout_w=np.zeros(3), readout_b=0.0)
-    with pytest.raises(DataError):
-        embed(mask, np.ones((2, 4)))
-
-
-def test_embedding_twice_differs_unless_uniform():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(5, 3))
-    mask = AttentiveMask(theta=np.array([1.0, 0.0, -1.0]),
-                         readout_w=np.zeros(3), readout_b=0.0)
-    once = embed(mask, X)
-    twice = embed(mask, once)
-    assert not np.allclose(once, twice)
+    assert mask.m[0] == pytest.approx(4.0, rel=1e-10)
+    assert np.all(mask.m[1:] < 1e-10)
 
 
 def test_gradient_check_random_points_below_1e4():

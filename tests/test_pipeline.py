@@ -287,8 +287,8 @@ def test_recipe_and_plan_json_match_the_golden_digest(tau, digest, tmp_path):
 # run: they pin the GP search, the acquisitions and the report writers
 # end to end
 _REPORT_DIGESTS = {
-    "mobo_ctx0.json": "afa3a96af89ad6e18a4b861ddc936835f286296a40d40b09311c520ef0eddcde",
-    "mobo_ctx0_front.csv": "4a5f9e03283266461f1757cb011714ebd0e28a70c78f095d5f24901f5795c695",
+    "mobo_ctx0.json": "ff1cc8083d853e86f4de4bb008d5be19adf249f21e8d4ca2cf8789345359ff5d",
+    "mobo_ctx0_front.csv": "3a0e9322157f9624c5c1f1a503d75945cb05a087d15c8c58196e72e8ba8a4249",
     "sobo_runtime_ctx0.json": "7a2f57b8c3ced73188c9a2b00598ca1b73126e4eb9c0276113afe97069066f9d",
     "sobo_runtime_ctx0_front.csv":
         "76abc14cc4ce30d575c264164eb2424105d374f41e6364325df085cca424198f",

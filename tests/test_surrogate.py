@@ -7,15 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hpcmobo import surrogate
 from hpcmobo.core import ColumnSpec, DataError, NumericalError, build_table
-from hpcmobo.embedding import AttentiveMask
+from hpcmobo.embedding import mask_weights
 from hpcmobo.surrogate import (
     MAX_DESIGN_NODES,
-    FeatureScaler,
     SurrogateModel,
     TreeParams,
     _rank_columns,
@@ -192,16 +191,21 @@ def _toy_table(n=60, seed=0):
     )
 
 
-def test_train_objective_surrogate_bundles_scaler_mask_and_bounds():
+def test_train_objective_surrogate_bundles_mask_and_bounds():
     table = _toy_table()
-    model = train_objective_surrogate(table, "runtime", use_embedding=True,
-                                      params=TreeParams(n_estimators=20, max_depth=6),
+    params = TreeParams(n_estimators=20, max_depth=6)
+    model = train_objective_surrogate(table, "runtime", use_embedding=True, params=params,
                                       seed=1)
     assert model.feature_names == ["x", "num_nodes_alloc"]
     assert model.design_bounds[0] >= 1
-    assert model.mask is not None
-    pred = model.predict(table.numeric_matrix(model.feature_names))
+    # the trees split the raw rows, and the mask weights only their feature draw
+    _, X, y = training_data(table, "runtime")
+    weights = surrogate.fit_feature_mask(X, y, seed=1)[1].m
+    assert np.array_equal(weights, mask_weights(model.mask_theta))
+    pred = model.predict(X)
     assert pred.shape == (table.n_rows,)
+    refit = fit_tree_ensemble(X, y, replace(params, seed=1), feature_weights=weights)
+    assert np.array_equal(pred, refit.predict(X))
 
 
 def test_surrogate_predict_takes_only_a_2d_matrix():
@@ -251,11 +255,9 @@ def test_training_leaves_the_callers_params_unchanged():
     assert params.seed == 5
     # the forest is the one the training seed grows, not the caller's seed
     _, X, y = training_data(_toy_table(), "runtime")
-    Z = model.scaler.transform(X)
-    assert np.array_equal(model.ensemble.predict(Z),
-                          fit_tree_ensemble(Z, y, replace(params, seed=0)).predict(Z))
-    assert not np.array_equal(model.ensemble.predict(Z),
-                              fit_tree_ensemble(Z, y, params).predict(Z))
+    assert np.array_equal(model.predict(X),
+                          fit_tree_ensemble(X, y, replace(params, seed=0)).predict(X))
+    assert not np.array_equal(model.predict(X), fit_tree_ensemble(X, y, params).predict(X))
 
 
 def test_surrogate_pairing_is_independent():
@@ -497,6 +499,74 @@ def test_a_split_between_adjacent_floats_leaves_no_child_empty():
         0.0, 0.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("target", ["runtime_seconds", "node_power"])
+def test_a_node_count_on_an_integer_split_midpoint_goes_right(target):
+    from hpcmobo.ingest import preprocess_fit
+    from hpcmobo.synthgen import DURATION_PAIRS, SyntheticSpec, generate
+
+    # bootstrap node counts 4 and 6 split at 5, itself a candidate node count
+    model = _grow_whole(np.array([[4.0], [6.0]]), np.array([1.0, 2.0]), 1, 1)
+    assert model.trees[0].threshold[0] == 5.0
+    assert model.predict(np.array([[5.0]])).tolist() == [2.0]
+    # every node-count threshold is then an integer or half-integer, so k and
+    # k + 0.25 take the same side of each; standardized and masked
+    # thresholds sent 48 and 60 of these rows and node counts left by rounding
+    table, _ = generate(SyntheticSpec(n_jobs=200, n_noise_features=3, seed=11))
+    processed, _ = preprocess_fit(table, DURATION_PAIRS)
+    surr = train_objective_surrogate(processed, target, params=TreeParams(12, 8),
+                                     mask_epochs=60, seed=3)
+    rows = processed.numeric_matrix(surr.feature_names)[:20]
+    design = surr.feature_names.index(surr.design_feature)
+    lo, hi = surr.design_bounds
+    for k in range(lo, hi + 1):
+        at, past = rows.copy(), rows.copy()
+        at[:, design], past[:, design] = k, k + 0.25
+        assert np.array_equal(surr.predict(at), surr.predict(past)), k
+
+
+@st.composite
+def _affine_problems(draw):
+    """A tree problem with positive feature weights, and per column a
+    positive affine map x -> scale * x + shift whose scale reaches 2**1013,
+    so that mapped values come near the largest float."""
+    X, y, params, _, _ = draw(_tree_problems())
+    d = X.shape[1]
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    scale = np.array([draw(st.floats(1.0, 2.0)) * 2.0 ** draw(st.integers(-600, 1012))
+                      for _ in range(d)])
+    offsets = st.one_of(st.just(0.0), st.integers(-1000, 1000).map(float),
+                        st.floats(-1e3, 1e3))
+    shift = scale * np.array(draw(st.lists(offsets, min_size=d, max_size=d)))
+    return X, y, params, weights, scale, shift
+
+
+def _halves_past_a_float():
+    """Mapped values 2**1023 and 1.5 * 2**1023, whose sum overflows."""
+    X = np.array([[1.0], [1.5], [1.0], [1.5]])
+    return (X, np.array([0.0, 1.0, 0.0, 1.0]), TreeParams(n_estimators=2, max_depth=2),
+            np.ones(1), np.array([2.0 ** 1023]), np.zeros(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_affine_problems())
+@example(problem=_halves_past_a_float())
+def test_a_positive_affine_map_of_the_features_grows_the_same_trees(problem):
+    X, y, params, weights, scale, shift = problem
+    with np.errstate(over="ignore"):
+        mapped = X * scale + shift
+    # a map that rounds two values together, or one past a float, changes the input
+    assume(np.isfinite(mapped).all())
+    assume(all(np.array_equal(np.unique(a, return_inverse=True)[1],
+                              np.unique(b, return_inverse=True)[1])
+               for a, b in zip(X.T, mapped.T)))
+    raw = fit_tree_ensemble(X, y, params, feature_weights=weights)
+    moved = fit_tree_ensemble(mapped, y, params, feature_weights=weights)
+    for a, b in zip(raw.trees, moved.trees, strict=True):
+        for name in ("feature", "left", "right", "value"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.isfinite(b.threshold).all()
+
+
 def _leaf_rows(tree, X):
     """The index of the leaf each row of X reaches."""
     node = np.zeros(len(X), dtype=int)
@@ -649,9 +719,9 @@ def test_first_weighted_pick_is_proportional_to_the_weights():
     assert (np.abs(counts - n * p) <= 4 * np.sqrt(n * p * (1 - p))).all(), counts
 
 
-# sha256 of save_surrogate's JSON, recorded from the level-wise builder
+# sha256 of save_surrogate's JSON, recorded from trees fit on raw features
 _GOLDEN_DIGESTS = {
-    "bagged_embedding": "7a9902ae829bd357cd0cfc1ea1b6e747ef958496748b9ac6cccaba0aa7bc401b",
+    "bagged_embedding": "05a7c49406bb8a30e64c4fec126f05c0e0d7133501ac89f7f1c1de2dfbe8c268",
 }
 
 
@@ -675,19 +745,11 @@ def _reference_json(model) -> str:
     return json.dumps({
         "target": model.target,
         "feature_names": model.feature_names,
-        "scaler_mean": model.scaler.mean.tolist(),
-        "scaler_std": model.scaler.std.tolist(),
         "design_feature": model.design_feature,
         "design_bounds": list(model.design_bounds),
-        "mask": None if model.mask is None else {
-            "theta": model.mask.theta.tolist(),
-            "readout_w": model.mask.readout_w.tolist(),
-            "readout_b": model.mask.readout_b,
-        },
+        "mask": None if model.mask_theta is None else {"theta": model.mask_theta.tolist()},
         "ensemble": {
-            "mode": "bagged",
             "base_value": model.ensemble.base_value,
-            "learning_rate": 0.0,
             "trees": [surrogate._tree_to_dict(t) for t in model.ensemble.trees],
         },
     }, sort_keys=True)
@@ -709,16 +771,11 @@ def _models(draw):
     y = np.full(n, 2.5) if draw(st.booleans()) else rng.normal(size=n)
     params = draw(st.sampled_from([TreeParams(n_estimators=3, max_depth=3),
                                    TreeParams(n_estimators=0)]))
-    mask = None
-    if draw(st.booleans()):
-        mask = AttentiveMask(theta=rng.normal(size=d), readout_w=rng.normal(size=d),
-                             readout_b=float(rng.normal()))
     return SurrogateModel(
         target=draw(_names),
         feature_names=draw(st.lists(_names, min_size=d, max_size=d)),
-        scaler=FeatureScaler(mean=rng.normal(size=d), std=rng.uniform(0.5, 2, size=d)),
         ensemble=fit_tree_ensemble(X, y, params),
-        mask=mask,
+        mask_theta=rng.normal(size=d) if draw(st.booleans()) else None,
         design_feature=draw(_names),
         design_bounds=(1, draw(st.integers(1, 1024))),
     )
@@ -728,25 +785,12 @@ def _models(draw):
 @given(_models())
 @example(SurrogateModel(
     target='"trees": [', feature_names=['"trees": [{"x": 1}], "y": ['],
-    scaler=FeatureScaler(mean=np.zeros(1), std=np.ones(1)),
     ensemble=fit_tree_ensemble(np.zeros((3, 1)), np.ones(3), TreeParams(n_estimators=0)),
     design_feature="é\\\"")).via("a zero-tree model with hostile names")
 def test_streamed_model_bytes_equal_the_one_shot_json(tmp_path_factory, model):
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_surrogate(model, path)
     assert path.read_bytes() == _reference_json(model).encode("utf-8")
-
-
-def test_a_model_file_whose_ensemble_is_not_bagged_is_a_data_error(tmp_path):
-    model = train_objective_surrogate(_toy_table(), "runtime",
-                                      params=TreeParams(n_estimators=2, max_depth=2), seed=0)
-    path = tmp_path / "runtime_model.json"
-    save_surrogate(model, path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["ensemble"]["mode"] = "boosted"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(DataError, match=r"runtime_model\.json holds a 'boosted' ensemble"):
-        load_surrogate(path)
 
 
 @pytest.mark.parametrize("field", ["feature", "left", "right"])
@@ -764,43 +808,12 @@ def test_a_model_file_with_a_tree_index_past_its_integer_type_is_a_data_error(tm
         load_surrogate(path)
 
 
-@pytest.mark.parametrize("edit", [
-    {"scaler_std": 5e-324},
-    {"scaler_std": 1e-308},
-    {"scaler_mean": 1.7e308, "scaler_std": 0.5},
-    {"scaler_mean": -1e308, "scaler_std": 1.0, "theta": [10.0, -10.0]},
-], ids=["subnormal_std", "tiny_normal_std", "mean_at_the_limit", "mask_past_a_float"])
-def test_a_model_file_that_scales_a_finite_feature_past_a_float_is_a_data_error(tmp_path,
-                                                                                edit):
-    # each passed load_surrogate's checks, and predicting raised numpy's
-    # overflow RuntimeWarning; the last one overflows only in the mask's
-    # reweighting, 1e308 * 2
-    table = _toy_table()
-    model = train_objective_surrogate(table, "runtime", use_embedding=True,
-                                      params=TreeParams(n_estimators=2, max_depth=2), seed=0)
-    path = tmp_path / "runtime_model.json"
-    save_surrogate(model, path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    for field, value in edit.items():
-        if field == "theta":
-            payload["mask"]["theta"] = value
-        else:
-            payload[field] = [value] * len(payload[field])
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    loaded = load_surrogate(path)
-    with pytest.raises(DataError, match=r"surrogate 'runtime' scales feature '(x|num_nodes_alloc)' "
-                                        r"of row \d+ from .* to -?(inf|nan), which is not finite"):
-        loaded.predict(table.numeric_matrix(model.feature_names))
-
-
 def test_saving_a_forest_holds_about_one_trees_text(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(1000, 4))
     ensemble = fit_tree_ensemble(X, rng.normal(size=1000), TreeParams(n_estimators=100,
                                                                        max_depth=10))
-    model = SurrogateModel(target="y", feature_names=["a", "b", "c", "d"],
-                           scaler=FeatureScaler(mean=np.zeros(4), std=np.ones(4)),
-                           ensemble=ensemble)
+    model = SurrogateModel(target="y", feature_names=["a", "b", "c", "d"], ensemble=ensemble)
     path = tmp_path / "model.json"
     tracemalloc.start()
     try:
