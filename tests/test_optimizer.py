@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.stats import norm
 
 from hpcmobo.core import DataError, RunConfig
 from hpcmobo.gp import fit_gp, gp_posterior
 from hpcmobo.optimizer import (
     CandidateSet,
     JobContext,
+    _partial_expectation,
     compare_methods,
     ehvi,
     ehvi_samples,
@@ -375,6 +378,25 @@ def test_expected_improvement_closed_form_cases():
     # positive variance at the incumbent mean: sigma * phi(0)
     ei = expected_improvement(np.array([4.0]), np.array([1.0]), 4.0)[0]
     assert ei == pytest.approx(1.0 / math.sqrt(2 * math.pi))
+
+
+# the first three overflowed exp(mean + sd^2 / 2), a product of inf and 0
+@pytest.mark.parametrize("c, mean, sd", [
+    (100.0, math.log(1e153), 30.0),
+    (100.0, 352.0, 27.0),
+    (1000.0, 5.0, 40.0),
+    (50.0, 3.0, 1.0),
+    (5.0, 1.0, 0.3),
+], ids=["runtime_near_1e153", "mean_352_sd_27", "mean_5_sd_40", "mean_3_sd_1", "mean_1_sd_0.3"])
+def test_lognormal_partial_expectation_matches_quadrature(c, mean, sd):
+    # E[(c - Y)+] for Y = exp(Z), Z ~ N(mean, sd^2), integrated over z < log c
+    ref = integrate.quad(lambda z: (c - math.exp(z)) * norm.pdf(z, mean, sd),
+                         min(math.log(c), mean) - 40.0 * sd, math.log(c),
+                         limit=500, epsabs=0.0, epsrel=1e-12)[0]
+    pe = _partial_expectation(np.array([c]), np.array([mean]), np.array([sd]),
+                              log_space=True)
+    assert np.isfinite(pe).all()
+    assert pe[0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_mobo_degenerate_landscape_single_front_point():

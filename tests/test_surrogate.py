@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -806,6 +808,36 @@ def test_a_model_file_with_a_tree_index_past_its_integer_type_is_a_data_error(tm
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(DataError, match=r"unreadable surrogate model .*runtime_model\.json"):
         load_surrogate(path)
+
+
+def _stump_model(leaf, n_trees):
+    """n_trees stumps on the one feature whose left leaf holds `leaf`."""
+    trees = [surrogate.RegressionTree(
+        feature=np.array([0, -1, -1], dtype=np.int32), threshold=np.array([0.5, 0.0, 0.0]),
+        left=np.array([1, -1, -1], dtype=np.int32), right=np.array([2, -1, -1], dtype=np.int32),
+        value=np.array([0.0, leaf, leaf / 2.0])) for _ in range(n_trees)]
+    return SurrogateModel(target="y", feature_names=["num_nodes_alloc"],
+                          ensemble=surrogate.TreeEnsemble(trees, 0.0))
+
+
+def test_leaves_are_refused_exactly_when_their_tree_order_sum_can_overflow(tmp_path):
+    path = tmp_path / "model.json"
+    big = sys.float_info.max / 11
+    # 11 * big does not exceed the largest float, yet big added eleven
+    # times in tree order rounds past it, whichever sign the leaves have
+    assert Fraction(big) * 11 <= Fraction(sys.float_info.max)
+    for leaf in (big, -big):
+        save_surrogate(_stump_model(leaf, 11), path)
+        with pytest.raises(DataError, match="largest leaf magnitudes of its 11 trees sum past"):
+            load_surrogate(path)
+    # one float less sums to a finite value, which every row can reach
+    fits = float(np.nextafter(big, 0.0))
+    save_surrogate(_stump_model(fits, 11), path)
+    model = load_surrogate(path)
+    Q = np.array([[0.0], [1.0]])
+    pred = model.predict(Q)
+    assert np.isfinite(pred).all()
+    assert pred.tobytes() == _reference_predict(model.ensemble, Q).tobytes()
 
 
 def test_saving_a_forest_holds_about_one_trees_text(tmp_path):
