@@ -121,7 +121,8 @@ def _pack(trees: list[RegressionTree]) -> _PackedForest:
     """Pack `trees` for `TreeEnsemble.predict`. A tree with no nodes, with
     node arrays of different lengths, with a feature below -1, or with an
     inner node whose children are not later nodes of the same tree is a
-    DataError; so every row reaches a leaf."""
+    DataError; so every row reaches a leaf. So are trees one leaf of each
+    of which could sum past the largest float."""
     for t, tree in enumerate(trees):
         lengths = [len(getattr(tree, name)) for name in _TREE_FIELDS]
         if min(lengths) != max(lengths) or not lengths[0]:
@@ -142,6 +143,14 @@ def _pack(trees: list[RegressionTree]) -> _PackedForest:
         raise DataError(f"tree {owner[at]} node {node[at]} has feature {feature[at]} "
                         f"and children {left[at]} and {right[at]}: a leaf has feature "
                         "-1, and an inner node's children are later nodes of its tree")
+    # a prediction adds one leaf of each tree in tree order; rounding is
+    # monotone, so no such sum overflows when the trees' largest leaf
+    # magnitudes, added in that order, stay finite
+    largest = np.zeros(len(trees))
+    np.maximum.at(largest, owner[~inner], np.abs(value[~inner]))
+    if math.isinf(sum(largest.tolist())):
+        raise DataError(f"the largest leaf magnitudes of its {len(trees)} trees sum past "
+                        "the largest float, so a prediction could overflow")
     entry = owner * width + node
     split = entry[inner]
 
@@ -351,10 +360,9 @@ def _split_nodes(flat_ranks, n_rows, values, row, node, c, count, sse, open_, fe
     lo = key[s, at] - won * width
     hi = key[s, at + 1] - won * width
     lo_v, hi_v = values[f, lo], values[f, hi]
-    with np.errstate(over="ignore"):
-        thr = (lo_v + hi_v) / 2.0
-    # two values past half the largest float are halved before they are added
-    thr = np.where(np.isfinite(thr), thr, lo_v / 2.0 + hi_v / 2.0)
+    # halving first keeps two values past half the largest float from
+    # overflowing; for normal values it rounds as (lo_v + hi_v) / 2 does
+    thr = lo_v / 2.0 + hi_v / 2.0
     feature[nodes[won]] = f
     cut[nodes[won]] = lo
     threshold[nodes[won]] = np.where(thr <= lo_v, hi_v, thr)
@@ -459,6 +467,13 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = 
         raise DataError(f"need at least 2 rows to fit, got {n}")
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise DataError("training data must be finite")
+    # a node holds at most n rows; fitting sums their squares and their
+    # squared distances to the node's mean, each distance at most twice the
+    # largest magnitude
+    largest = float(np.abs(y).max(initial=0.0))
+    if math.isinf(4.0 * n * largest * largest):
+        raise DataError(f"a target of magnitude {largest!r} is too large to fit: the "
+                        f"squares of {n} such targets could overflow a float")
     weights = log_weights = None
     if feature_weights is not None:
         # checked once here, not at every split; a sum that overflows leaves
@@ -722,11 +737,10 @@ def load_surrogate(path: str | Path) -> SurrogateModel:
     not valid JSON (malformed or truncated), was written in the earlier
     format whose trees split standardized features, lacks a field, holds a
     tree index too large for its integer type, a mask theta whose length is
-    not the number of feature names, a damaged tree (see `_pack`, or a split
-    on a feature past the last name), a number that is not finite, leaves
-    whose sum over the trees could overflow, a design feature that is not
-    one of the feature names, or design bounds `check_design_bounds` rejects
-    is a DataError naming it."""
+    not the number of feature names, damaged trees (see `_pack`, or a split
+    on a feature past the last name), a number that is not finite, a design
+    feature that is not one of the feature names, or design bounds
+    `check_design_bounds` rejects is a DataError naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         # every file written while trees split standardized features holds it
@@ -755,16 +769,6 @@ def load_surrogate(path: str | Path) -> SurrogateModel:
     nonfinite = next((name for name, v in numbers if not np.isfinite(v).all()), None)
     if nonfinite is not None:
         raise DataError(f"surrogate model {path}: {nonfinite} holds a value that is not finite")
-    # a prediction adds one leaf of each tree in tree order; rounding is
-    # monotone, so no such sum overflows when the trees' largest leaf
-    # magnitudes, added in that order, stay finite
-    bound = 0.0
-    for tree in trees:
-        bound += float(np.abs(tree.value[tree.feature < 0]).max(initial=0.0))
-    if math.isinf(bound):
-        raise DataError(f"surrogate model {path}: the largest leaf magnitudes of its "
-                        f"{len(trees)} trees sum past the largest float, so a prediction "
-                        "could overflow")
     if model.design_feature not in model.feature_names:
         raise DataError(f"surrogate model {path}: design feature "
                         f"{model.design_feature!r} is not one of its feature names")

@@ -150,6 +150,17 @@ def test_fit_rejects_tiny_or_bad_input():
         fit_tree_ensemble(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]))
 
 
+def test_fit_refuses_targets_whose_squares_could_overflow():
+    X = np.arange(4.0)[:, None]
+    # a constant target has a finite spread; fitting it overflowed squaring
+    # it, and its 100 leaves of 1e307 overflowed every prediction's sum
+    with pytest.raises(DataError, match="magnitude 1e\\+307 is too large to fit"):
+        fit_tree_ensemble(X, np.full(4, 1e307))
+    y = np.array([3e153, -3e153, 3e153, -3e153])
+    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=10))
+    assert np.isfinite(model.predict(X)).all()
+
+
 @pytest.mark.parametrize("weights", [
     [1.0, np.nan, 1.0],
     [1.0, np.inf, 1.0],
@@ -821,18 +832,24 @@ def _stump_model(leaf, n_trees):
 
 
 def test_leaves_are_refused_exactly_when_their_tree_order_sum_can_overflow(tmp_path):
-    path = tmp_path / "model.json"
     big = sys.float_info.max / 11
     # 11 * big does not exceed the largest float, yet big added eleven
     # times in tree order rounds past it, whichever sign the leaves have
     assert Fraction(big) * 11 <= Fraction(sys.float_info.max)
     for leaf in (big, -big):
-        save_surrogate(_stump_model(leaf, 11), path)
         with pytest.raises(DataError, match="largest leaf magnitudes of its 11 trees sum past"):
-            load_surrogate(path)
+            _stump_model(leaf, 11)
     # one float less sums to a finite value, which every row can reach
     fits = float(np.nextafter(big, 0.0))
+    path = tmp_path / "model.json"
     save_surrogate(_stump_model(fits, 11), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for tree in payload["ensemble"]["trees"]:
+        tree["value"][1] = big
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=r"damaged\.json: the largest leaf magnitudes"):
+        load_surrogate(damaged)
     model = load_surrogate(path)
     Q = np.array([[0.0], [1.0]])
     pred = model.predict(Q)
