@@ -27,7 +27,7 @@ from .core import (
     run_config_from_sections,
 )
 from .ingest import read_table, write_table
-from .optimizer import CandidateSet, report_to_dict
+from .optimizer import CandidateSet, evaluate_objectives, report_to_dict
 from .pipeline import (
     METHODS,
     PipelineSettings,
@@ -200,7 +200,7 @@ def _cmd_optimize(args) -> int:
     candidates = CandidateSet.for_surrogates(surr_r, surr_p, context)
     method = METHODS[args.method.replace("-", "_")]
     start = time.perf_counter()
-    report = method.run(surr_r, surr_p, candidates, cfg)
+    report = method.run(candidates, evaluate_objectives(surr_r, surr_p, candidates), cfg)
     elapsed = time.perf_counter() - start
     payload = report_to_dict(report)
     payload["wall_clock_seconds"] = {"optimize": elapsed}
@@ -216,6 +216,8 @@ def _cmd_report(args) -> int:
     sections, cfg = _load(args)
     settings = _settings(args, sections)
     if args.h1:
+        if args.input is None:
+            raise ConfigError("report --h1 needs --in, the preprocessed table to train on")
         table = read_table(Path(args.input))
         truth = None
         if settings.truth_path is not None:

@@ -1,15 +1,16 @@
 """Optimization engines over the discrete node-count domain.
 
 Every engine starts from the same 4-point space-filling initial design and
-evaluates objectives against frozen surrogates, which stand in for the
-machine. The domain is one integer axis: every node count from lo to hi
-(`CandidateSet`). So each candidate is predicted once, in one batched call
-per surrogate (`evaluate_objectives`), and the candidate set keeps that
-table for every engine run on it with the same surrogates
-(`CandidateSet.objectives`). Runtimes and powers are positive; a surrogate
-that predicts otherwise is a DataError. An engine's observations are the
-table rows it picked, the initial design first; `_finalize_report` builds
-the report's observations, front, per-iteration HV and spread, and the
+searches a frozen objective table, which stands in for the machine. The
+domain is one integer axis: every node count from lo to hi (`CandidateSet`).
+The frozen surrogates predict each candidate once, in one batched call per
+surrogate (`evaluate_objectives`), and every engine run on that context reads
+the one read-only table: an engine takes the candidates and their table,
+never a surrogate, and checks only that the table holds one (runtime, power)
+row per candidate. Runtimes and powers are positive normal floats; a
+surrogate that predicts otherwise is a DataError. An engine's observations
+are the table rows it picked, the initial design first; `_finalize_report`
+builds the report's observations, front, per-iteration HV and spread, and the
 budget's `unique_evaluations` from them once, at the end.
 
 MOBO and SOBO are one GP search loop, `_gp_search`, to which each engine
@@ -107,8 +108,6 @@ class CandidateSet:
     lo: int
     hi: int
     context: JobContext
-    # [runtime surrogate, power surrogate, their objective table] once computed
-    _table: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.lo <= self.hi:
@@ -139,19 +138,6 @@ class CandidateSet:
             )
         return cls.from_bounds(lo, hi, context)
 
-    def objectives(self, surr_runtime: ObjectiveSurrogate,
-                   surr_power: ObjectiveSurrogate) -> np.ndarray:
-        """The read-only `evaluate_objectives` table of these candidates
-        under this surrogate pair. The surrogates are frozen, so it is
-        computed on the first request and every later request with the same
-        two surrogate objects reads it; another pair replaces it."""
-        if self._table and self._table[0] is surr_runtime and self._table[1] is surr_power:
-            return self._table[2]
-        table = evaluate_objectives(surr_runtime, surr_power, self)
-        table.flags.writeable = False
-        self._table[:] = [surr_runtime, surr_power, table]
-        return table
-
 
 def _shared_bounds(surr_runtime: ObjectiveSurrogate,
                    surr_power: ObjectiveSurrogate) -> tuple[int, int]:
@@ -168,10 +154,12 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
     surrogate's features in the surrogate's order, or it is a DataError
     naming the first column that differs; each surrogate's design feature
     must be the context's, or it is a DataError; a non-finite prediction is
-    a NumericalError, and a nonpositive one a DataError: runtimes and powers
-    are positive, and the runtime GP models their logs. Predictions whose
-    standard deviation overflows a float are a DataError too: the power GP
-    and the hypervolumes would square them.
+    a NumericalError, and one below the smallest normal float a DataError:
+    runtimes and powers are positive, the runtime GP models their logs, and
+    training refuses such targets. Predictions whose standard deviation
+    overflows a float are a DataError too: the power GP and the
+    hypervolumes would square them. The table is read-only: every engine
+    run on these candidates reads it.
     """
     context = candidates.context
     nodes = candidates.node_counts
@@ -199,12 +187,16 @@ def evaluate_objectives(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveS
     if len(bad):
         raise NumericalError(f"objective values must be finite, got {table[bad[0]].tolist()} "
                              f"at node count {nodes[bad[0]]}")
+    tiny = float(np.finfo(float).tiny)
     for objective, col in _COLUMNS.items():
-        bad = np.flatnonzero(table[:, col] <= 0)
+        bad = np.flatnonzero(table[:, col] < tiny)
         if len(bad):
-            raise DataError(f"the {objective} surrogate predicts {float(table[bad[0], col])!r} "
-                            f"at node count {nodes[bad[0]]}, but objectives must be positive")
+            value = float(table[bad[0], col])
+            kind = "positive" if value <= 0 else f"at least the smallest normal float {tiny!r}"
+            raise DataError(f"the {objective} surrogate predicts {value!r} at node count "
+                            f"{nodes[bad[0]]}, but objectives must be {kind}")
     check_finite_spread(["predicted runtime", "predicted power"], table)
+    table.flags.writeable = False
     return table
 
 
@@ -424,13 +416,16 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
     )
 
 
-def _start(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-           candidates: CandidateSet) -> tuple[np.ndarray, list[int]]:
-    """Look up the candidates' objective table; returns it and the rows of
-    the shared initial design, the first picks of every engine."""
-    objectives = candidates.objectives(surr_runtime, surr_power)
-    picks = [node - candidates.lo for node in initial_design(*candidates.bounds)]
-    return objectives, picks
+def _start(candidates: CandidateSet, objectives: np.ndarray) -> list[int]:
+    """Check that the objective table holds one (runtime, power) row per
+    candidate; returns the rows of the shared initial design, the first
+    picks of every engine."""
+    want = (len(candidates.node_counts), 2)
+    if np.shape(objectives) != want:
+        raise DataError(f"the objective table has shape {np.shape(objectives)}, but node "
+                        f"counts {candidates.lo} to {candidates.hi} need {want}: one "
+                        "(runtime, power) row per candidate")
+    return [node - candidates.lo for node in initial_design(*candidates.bounds)]
 
 
 def _pick_candidate(acq: np.ndarray, seen: np.ndarray,
@@ -449,9 +444,8 @@ def _pick_candidate(acq: np.ndarray, seen: np.ndarray,
 _SOBO_METHODS = {"runtime": METHOD_SOBO_RUNTIME, "power": METHOD_SOBO_POWER}
 
 
-def _gp_search(method: str, stream: int, surr_runtime: ObjectiveSurrogate,
-               surr_power: ObjectiveSurrogate, candidates: CandidateSet, cfg: RunConfig,
-               fitted: tuple[str, ...],
+def _gp_search(method: str, stream: int, candidates: CandidateSet, objectives: np.ndarray,
+               cfg: RunConfig, fitted: tuple[str, ...],
                acquisition: Callable[..., np.ndarray]) -> ParetoReport:
     """The GP search loop of MOBO and SOBO. Each iteration fits a GP per
     `fitted` objective to the observations, warm from its last fit, scores
@@ -463,7 +457,7 @@ def _gp_search(method: str, stream: int, surr_runtime: ObjectiveSurrogate,
     for the rest of the budget. `stream` keys the rng of the floor
     fallback."""
     _require_searchable(candidates)
-    objectives, picks = _start(surr_runtime, surr_power, candidates)
+    picks = _start(candidates, objectives)
     n_initial = len(picks)
     rng = np.random.default_rng([cfg.seed, stream])
     nodes = candidates.node_counts
@@ -501,17 +495,17 @@ def _ehvi_at(gps: dict[str, GaussianProcess], Y: np.ndarray, nodes: np.ndarray) 
     return ehvi(gps["runtime"], gps["power"], nodes, nondominated(Y), ref)
 
 
-def mobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-             candidates: CandidateSet, cfg: RunConfig) -> ParetoReport:
-    """q=1 logEHVI loop: fits a runtime and a power GP and scores every
-    candidate node count with the exact `ehvi`, so no Monte-Carlo draw is
-    made (`_gp_search`)."""
-    return _gp_search(METHOD_MOBO, 11, surr_runtime, surr_power, candidates, cfg,
-                      ("runtime", "power"), _ehvi_at)
+def mobo_run(candidates: CandidateSet, objectives: np.ndarray,
+             cfg: RunConfig) -> ParetoReport:
+    """q=1 logEHVI loop over the candidates' objective table: fits a runtime
+    and a power GP and scores every candidate node count with the exact
+    `ehvi`, so no Monte-Carlo draw is made (`_gp_search`)."""
+    return _gp_search(METHOD_MOBO, 11, candidates, objectives, cfg, ("runtime", "power"),
+                      _ehvi_at)
 
 
-def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-             candidates: CandidateSet, objective: str, cfg: RunConfig) -> ParetoReport:
+def sobo_run(candidates: CandidateSet, objectives: np.ndarray, cfg: RunConfig,
+             objective: str) -> ParetoReport:
     """Single-objective logEI loop: fits one GP, of `objective`, and scores
     closed-form EI below the best observed value in the GP's space
     (`_gp_search`). The untargeted objective is still recorded so the
@@ -525,15 +519,16 @@ def sobo_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
         mean, var = gp_posterior(gps[objective], nodes)
         return expected_improvement(mean, var, float(_gp_targets(objective, Y[:, col]).min()))
 
-    return _gp_search(_SOBO_METHODS[objective], 13, surr_runtime, surr_power, candidates,
-                      cfg, (objective,), ei_at)
+    return _gp_search(_SOBO_METHODS[objective], 13, candidates, objectives, cfg,
+                      (objective,), ei_at)
 
 
-def random_run(surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
-               candidates: CandidateSet, cfg: RunConfig) -> ParetoReport:
-    """Seed-split uniform search: floor(budget / seeds) draws per seed on top
-    of the shared initial design, pooled into one report."""
-    objectives, picks = _start(surr_runtime, surr_power, candidates)
+def random_run(candidates: CandidateSet, objectives: np.ndarray,
+               cfg: RunConfig) -> ParetoReport:
+    """Seed-split uniform search over the candidates' objective table:
+    floor(budget / seeds) draws per seed on top of the shared initial
+    design, pooled into one report."""
+    picks = _start(candidates, objectives)
     n_initial = len(picks)
     n_rows = len(candidates.node_counts)
 

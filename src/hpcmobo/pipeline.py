@@ -11,6 +11,7 @@ stage runs.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import time
@@ -20,6 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import optimizer
 from .core import (
     ColumnSpec,
     ConfigError,
@@ -86,7 +88,8 @@ VALIDATION_FRACTION = 0.2
 
 class Method(NamedTuple):
     """One optimizer of the comparison: its report label and how to run it
-    as `run(surr_runtime, surr_power, candidates, cfg)`."""
+    on one context's candidates and their `evaluate_objectives` table, as
+    `run(candidates, objectives, cfg)`."""
 
     label: str
     run: Callable[..., ParetoReport]
@@ -95,12 +98,11 @@ class Method(NamedTuple):
 # Keyed by the stem of each method's stage and report files, in run order.
 # The lambdas look the engines up when called, not when this module loads.
 METHODS: dict[str, Method] = {
-    "mobo": Method(METHOD_MOBO, lambda r, p, c, cfg: mobo_run(r, p, c, cfg)),
-    "sobo_runtime": Method(METHOD_SOBO_RUNTIME, lambda r, p, c, cfg: sobo_run(
-        r, p, c, "runtime", cfg)),
-    "sobo_power": Method(METHOD_SOBO_POWER, lambda r, p, c, cfg: sobo_run(
-        r, p, c, "power", cfg)),
-    "random": Method(METHOD_RANDOM, lambda r, p, c, cfg: random_run(r, p, c, cfg)),
+    "mobo": Method(METHOD_MOBO, lambda c, y, cfg: mobo_run(c, y, cfg)),
+    "sobo_runtime": Method(METHOD_SOBO_RUNTIME,
+                           lambda c, y, cfg: sobo_run(c, y, cfg, "runtime")),
+    "sobo_power": Method(METHOD_SOBO_POWER, lambda c, y, cfg: sobo_run(c, y, cfg, "power")),
+    "random": Method(METHOD_RANDOM, lambda c, y, cfg: random_run(c, y, cfg)),
 }
 ALL_METHODS = tuple(method.label for method in METHODS.values())
 
@@ -313,14 +315,12 @@ def _train_val_split(table: JobTable, seed: int):
 
 
 def train_single_surrogate(table: JobTable, settings: PipelineSettings, target: str,
-                           use_embedding: bool | None = None,
-                           seed: int = 0) -> tuple[SurrogateModel, dict]:
+                           use_embedding: bool, seed: int = 0) -> tuple[SurrogateModel, dict]:
     """Train one objective predictor on a train split; report validation
     MSE/MAPE on the held-out rows."""
-    embedding = settings.use_embedding if use_embedding is None else use_embedding
     train, val = _train_val_split(table, seed)
     model = train_objective_surrogate(
-        train, target, use_embedding=embedding, params=tree_params(settings, seed),
+        train, target, use_embedding=use_embedding, params=tree_params(settings, seed),
         mask_epochs=settings.mask_epochs, seed=seed,
     )
     entry: dict = {"mse": None, "mape": None,
@@ -343,21 +343,25 @@ def context_from_row(table: JobTable, row: int) -> JobContext:
 
 
 def save_context(context: JobContext, path: Path) -> None:
-    lines = [",".join(context.feature_names),
-             ",".join(repr(float(v)) for v in context.values)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the context as a header of feature names and one row of values;
+    the csv module quotes a name that holds a comma or a quote."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(context.feature_names)
+        writer.writerow(repr(float(v)) for v in context.values)
 
 
 def load_context(path: Path, design_feature: str) -> JobContext:
     """Read the one-row context CSV `save_context` writes. A missing or a
     second row, a row whose value count differs from the header's, or a
     value that is not a finite number is a DataError naming the file."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if len(lines) != 2:
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if len(rows) != 2:
         raise DataError(f"job context file {path} needs a header and one row, "
-                        f"has {len(lines)} lines")
-    names = tuple(n.strip() for n in lines[0].split(","))
-    cells = lines[1].split(",")
+                        f"has {len(rows)} lines")
+    names = tuple(n.strip() for n in rows[0])
+    cells = rows[1]
     if len(cells) != len(names):
         raise DataError(f"job context file {path} has {len(names)} columns "
                         f"but {len(cells)} values")
@@ -401,7 +405,8 @@ def model_stage(table: JobTable, settings: PipelineSettings, key: str, target: s
     """Train one objective's surrogate and save it as
     settings.out_dir/`{key}_model.json`. Returns (model, validation entry)
     and the written path."""
-    model, entry = train_single_surrogate(table, settings, target, seed=seed)
+    model, entry = train_single_surrogate(table, settings, target, settings.use_embedding,
+                                          seed)
     path = settings.out_dir / f"{key}_model.json"
     save_surrogate(model, path)
     return (model, entry), [path]
@@ -416,33 +421,39 @@ def write_surrogate_metrics(metrics: dict, out_dir: Path) -> Path:
 
 def preproc_mobo_stage(subset: JobTable, plan: SamplerPlan, n_contexts: int, seed: int,
                        surr_r: SurrogateModel, surr_p: SurrogateModel, out_dir: Path
-                       ) -> tuple[tuple[list[int], list[CandidateSet]], list[Path]]:
-    """Draw the job contexts to optimize, write each as `context_{i}.csv` and
-    build its candidate set. Returns (the contexts' rows in the full table,
-    the candidate sets) and the written paths."""
+                       ) -> tuple[tuple[list[int], list[CandidateSet], list[np.ndarray]],
+                                  list[Path]]:
+    """Draw the job contexts to optimize, write each as `context_{i}.csv`,
+    build its candidate set and predict its objective table, the one every
+    method searches. Returns (the contexts' rows in the full table, the
+    candidate sets, their tables) and the written paths."""
     rng = np.random.default_rng([seed, 42])
     n_ctx = min(n_contexts, subset.n_rows)
     rows = np.sort(rng.choice(subset.n_rows, size=n_ctx, replace=False))
     # map subset rows back to original dataset rows for truth lookup
     original = np.flatnonzero(plan.mask)[rows]
-    candidates, outputs = [], []
+    candidates, tables, outputs = [], [], []
     for i, row in enumerate(rows):
         context = context_from_row(subset, int(row))
         path = out_dir / f"context_{i}.csv"
         save_context(context, path)
         candidates.append(CandidateSet.for_surrogates(surr_r, surr_p, context))
+        # looked up on its module when called, as METHODS looks up the
+        # engines, so that a wrapper of optimizer.evaluate_objectives sees it
+        tables.append(optimizer.evaluate_objectives(surr_r, surr_p, candidates[-1]))
         outputs.append(path)
-    return ([int(i) for i in original], candidates), outputs
+    return ([int(i) for i in original], candidates, tables), outputs
 
 
-def method_stage(stem: str, method: Method, surr_r: SurrogateModel, surr_p: SurrogateModel,
-                 candidates: list[CandidateSet], cfg: RunConfig,
+def method_stage(stem: str, method: Method, candidates: list[CandidateSet],
+                 tables: list[np.ndarray], cfg: RunConfig,
                  reports_dir: Path) -> tuple[list[ParetoReport], list[Path]]:
-    """Run one method on every context's candidates and write each report
-    and its front. Returns the reports and the written paths."""
+    """Run one method on every context's candidates and objective table, and
+    write each report and its front. Returns the reports and the written
+    paths."""
     reports, outputs = [], []
-    for i, context_candidates in enumerate(candidates):
-        rep = method.run(surr_r, surr_p, context_candidates, cfg)
+    for i, (context_candidates, table) in enumerate(zip(candidates, tables)):
+        rep = method.run(context_candidates, table, cfg)
         path = reports_dir / f"{stem}_ctx{i}.json"
         front_path = reports_dir / f"{stem}_ctx{i}_front.csv"
         save_report(rep, path)
@@ -505,16 +516,15 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
             f"{key}_model", [out / "subset.csv"], model_stage, subset, settings, key, target,
             cfg.seed)
     run.register(write_surrogate_metrics(metrics, out))
-    surr_r, surr_p = surrogates["runtime"], surrogates["power"]
-    context_rows, candidates = run.stage(
+    context_rows, candidates, tables = run.stage(
         "preproc_mobo", [out / "subset.csv"], preproc_mobo_stage, subset, plan,
-        settings.n_job_contexts, cfg.seed, surr_r, surr_p, out)
+        settings.n_job_contexts, cfg.seed, surrogates["runtime"], surrogates["power"], out)
 
     truth = load_truth(settings.truth_path) if settings.truth_path else None
     reports_dir = out / "reports"
     reports = {
         method.label: run.stage(stem, [out / "runtime_model.json", out / "power_model.json"],
-                                method_stage, stem, method, surr_r, surr_p, candidates, cfg,
+                                method_stage, stem, method, candidates, tables, cfg,
                                 reports_dir)
         for stem, method in METHODS.items()
     }
@@ -568,85 +578,70 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
     """Embedded-vs-raw surrogate comparison: validation MSE/MAPE per seed plus
     downstream optimizer metrics per method, in a two-block layout.
 
-    With ground-truth laws available, each run's recommended front is
-    re-scored on the exact laws and reported as the captured fraction of the
-    true-front hypervolume, averaged over the sampled job contexts; otherwise
-    each variant reports the hypervolume of its own predicted objective space.
+    One sweep: for each seed and variant it trains both surrogates, predicts
+    each context's objective table once, runs every method on it and
+    appends the method's means over the contexts to the (variant, method)
+    record, from which the medians are read. With ground-truth laws
+    available, each run's recommended front is re-scored on the exact laws
+    and reported as the captured fraction of the true-front hypervolume;
+    otherwise each variant reports the hypervolume of its own predicted
+    objective space.
     """
-    variants = ("raw", "embedded")
-    context_rows = list(context_rows) if context_rows else [0]
-    per_seed: list[dict] = []
-    downstream: dict[str, dict[str, dict[str, list[float]]]] = {
-        v: {m: {"hv": [], "spread": []} for m in methods} for v in variants
-    }
-
     runs = {method.label: method.run for method in METHODS.values()}
     unknown = [m for m in methods if m not in runs]
     if unknown:
         raise ConfigError(f"unknown method(s) {unknown}; expected some of {list(runs)}")
+    variants = ("raw", "embedded")
+    context_rows = list(context_rows) if context_rows else [0]
+    contexts = [context_from_row(table, row) for row in context_rows]
+    per_seed: list[dict] = []
+    # (variant, method) -> metric -> the mean over the contexts, one per seed
+    records = {(v, m): {"hv": [], "spread": []} for v in variants for m in methods}
 
     for s in range(settings.h1_seeds):
-        seed = cfg.seed + s
-        seed_cfg = replace(cfg, seed=seed)
-        entry: dict = {"seed": seed}
+        seed_cfg = replace(cfg, seed=cfg.seed + s)
+        entry: dict = {"seed": seed_cfg.seed}
         for variant in variants:
             surrogates, entry[variant] = {}, {}
             for key, target in settings.targets().items():
                 surrogates[key], metrics = train_single_surrogate(
-                    table, settings, target, use_embedding=(variant == "embedded"),
-                    seed=seed)
+                    table, settings, target, variant == "embedded", seed_cfg.seed)
                 entry[variant][target] = {"mse": metrics["mse"], "mape": metrics["mape"]}
             surr_r, surr_p = surrogates["runtime"], surrogates["power"]
-            scores: dict[str, dict[str, list[float]]] = {
-                m: {"hv": [], "spread": []} for m in methods
-            }
-            for row in context_rows:
-                candidates = CandidateSet.for_surrogates(
-                    surr_r, surr_p, context_from_row(table, row))
-                for method in methods:
-                    rep = runs[method](surr_r, surr_p, candidates, seed_cfg)
-                    if truth is not None:
-                        scored = truth_capture(rep, truth["jobs"][row], candidates.bounds)
-                        scores[method]["hv"].append(scored["hv"])
-                        scores[method]["spread"].append(scored["spread"])
-                    else:
-                        scores[method]["hv"].append(rep.hv)
-                        scores[method]["spread"].append(rep.spread)
+            searches = []
+            for row, context in zip(context_rows, contexts):
+                candidates = CandidateSet.for_surrogates(surr_r, surr_p, context)
+                searches.append((row, candidates,
+                                 optimizer.evaluate_objectives(surr_r, surr_p, candidates)))
             for method in methods:
-                downstream[variant][method]["hv"].append(
-                    float(np.mean(scores[method]["hv"])))
-                downstream[variant][method]["spread"].append(
-                    float(np.mean(scores[method]["spread"])))
+                scores = []
+                for row, candidates, objectives in searches:
+                    rep = runs[method](candidates, objectives, seed_cfg)
+                    scores.append(
+                        truth_capture(rep, truth["jobs"][row], candidates.bounds)
+                        if truth is not None else {"hv": rep.hv, "spread": rep.spread})
+                for key, values in records[variant, method].items():
+                    values.append(float(np.mean([score[key] for score in scores])))
         per_seed.append(entry)
 
-    def median_metric(variant: str, target: str, key: str) -> float:
-        return float(np.median([e[variant][target][key] for e in per_seed]))
+    def median(values: list[float]) -> float:
+        return float(np.median(values))
 
     result = {
         "seeds": [e["seed"] for e in per_seed],
         "context_rows": context_rows,
         "per_seed": per_seed,
         "median_validation": {
-            v: {
-                t: {
-                    "mse": median_metric(v, t, "mse"),
-                    "mape": median_metric(v, t, "mape"),
-                }
-                for t in (settings.runtime_target, settings.power_target)
-            }
+            v: {t: {key: median([e[v][t][key] for e in per_seed]) for key in ("mse", "mape")}
+                for t in settings.targets().values()}
             for v in variants
         },
         "downstream_per_seed": {
-            v: {m: downstream[v][m]["hv"] for m in methods} for v in variants
+            v: {m: records[v, m]["hv"] for m in methods} for v in variants
         },
         "downstream_median": {
-            v: {
-                m: {
-                    "hv": float(np.median(downstream[v][m]["hv"])),
-                    "spread": float(np.median(downstream[v][m]["spread"])),
-                }
-                for m in methods
-            }
+            v: {m: {key: median(values) for key, values in records[v, m].items()}
+                for m in methods}
             for v in variants
         },
         "downstream_space": (

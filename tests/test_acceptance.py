@@ -22,6 +22,7 @@ from hpcmobo.optimizer import (
     JobContext,
     compare_methods,
     ehvi_samples,
+    evaluate_objectives,
     log_ehvi,
     mobo_run,
     random_run,
@@ -205,6 +206,7 @@ def test_criterion_07_h2_directional():
         surr_p = _Law(lambda n: 5.0 * n)
         ctx = JobContext(("num_nodes_alloc",), np.array([1.0]), "num_nodes_alloc")
         candidates = CandidateSet.from_bounds(1, 64, ctx)
+        objectives = evaluate_objectives(surr_r, surr_p, candidates)
         truth = [(100.0 / n + 2.0, 5.0 * n) for n in range(1, 65)]
         ref = infer_reference(truth)
         true_hv = hypervolume(nondominated(truth), ref)
@@ -212,9 +214,9 @@ def test_criterion_07_h2_directional():
         mobo_hv, sobo_r_hv, sobo_p_hv = [], [], []
         for seed in range(5):
             cfg = RunConfig(mobo_iterations=50, seed=seed)
-            m = mobo_run(surr_r, surr_p, candidates, cfg)
-            sr = sobo_run(surr_r, surr_p, candidates, "runtime", cfg)
-            sp = sobo_run(surr_r, surr_p, candidates, "power", cfg)
+            m = mobo_run(candidates, objectives, cfg)
+            sr = sobo_run(candidates, objectives, cfg, "runtime")
+            sp = sobo_run(candidates, objectives, cfg, "power")
             table = compare_methods(
                 {"MOBO": m, "SOBO (Runtime)": sr, "SOBO (Power)": sp})
             mobo_hv.append(table.hv["MOBO"])
@@ -313,7 +315,7 @@ def test_criterion_10_random_budget_accounting():
         ctx = JobContext(("num_nodes_alloc",), np.array([1.0]), "num_nodes_alloc")
         candidates = CandidateSet.from_bounds(1, 64, ctx)
         cfg = RunConfig(mobo_iterations=300, random_seeds=5, seed=0)
-        report = random_run(surr_r, surr_p, candidates, cfg)
+        report = random_run(candidates, evaluate_objectives(surr_r, surr_p, candidates), cfg)
         assert report.budget["evaluations_per_seed"] == 60
         assert report.budget["pooled_evaluations"] == 300
         assert len(report.per_seed) == 5

@@ -223,6 +223,13 @@ def test_report_h1_subcommand(tmp_path):
     assert (tmp_path / "out" / "reports" / "h1_blocks.csv").exists()
 
 
+def test_report_h1_without_an_input_table_is_a_config_error(tmp_path, capsys):
+    # it ended in a TypeError from Path(None), exit 1
+    cfg = _synth(tmp_path)
+    assert main(["report", "--config", str(cfg), "--h1"]) == 2
+    assert "report --h1 needs --in" in capsys.readouterr().err
+
+
 def test_report_subcommand_checks_method_files(tmp_path):
     cfg = _synth(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
@@ -458,6 +465,28 @@ def test_optimize_with_runtime_leaves_of_1e154_runs_mobo(run_dir, tmp_path):
 _METHOD_FLAGS = [stem.replace("_", "-") for stem in METHODS]
 
 
+@pytest.mark.parametrize("method", _METHOD_FLAGS)
+def test_optimize_with_a_model_that_predicts_subnormal_runtimes_is_a_data_error(
+        run_dir, tmp_path, capsys, method):
+    # every method ran with exit 0; MOBO reported runtimes near 1e-318 and a
+    # hypervolume near 1e-316
+    cfg, out = run_dir
+    shutil.copy(out / "power_model.json", tmp_path / "power_model.json")
+    payload = json.loads((out / "runtime_model.json").read_text())
+    ensemble = payload["ensemble"]
+    ensemble["base_value"] *= 1e-320
+    for tree in ensemble["trees"]:
+        tree["value"] = [v * 1e-320 if f < 0 else v
+                         for f, v in zip(tree["feature"], tree["value"])]
+    (tmp_path / "runtime_model.json").write_text(json.dumps(payload))
+    report = tmp_path / "report.json"
+    assert _optimize(cfg, tmp_path, out / "context_0.csv", method, report) == 3
+    err = capsys.readouterr().err
+    assert "the runtime surrogate predicts " in err
+    assert "but objectives must be at least the smallest normal float" in err
+    assert not report.exists()
+
+
 @settings(max_examples=30, deadline=None)
 @given(factor=st.floats(allow_nan=False, allow_infinity=False),
        method=st.sampled_from(_METHOD_FLAGS))
@@ -533,6 +562,30 @@ def test_optimize_with_surrogates_of_two_design_features_is_a_data_error(run_dir
     assert "runtime_model.json and " in err and "power_model.json must both tune" in err
     assert "design variable 'num_nodes_alloc'" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_run_and_optimize_on_a_log_whose_feature_name_holds_a_comma(tmp_path):
+    # run wrote the context header unquoted, and optimize then read the name
+    # as two columns: "has 9 columns but 8 values", exit 3
+    cfg = _synth(tmp_path)
+    name = 'noise,"0"'
+    with (tmp_path / "data.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[0][rows[0].index("noise_0")] = name
+    with (tmp_path / "data.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg.write_text(cfg.read_text().replace("noise_0 = ", f"{name} = "))
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    with (out / "context_0.csv").open(newline="") as fh:
+        assert name in next(csv.reader(fh))
+    report = tmp_path / "report.json"
+    assert _optimize(cfg, out, out / "context_0.csv", "mobo", report) == 0
+    # the report names the column as the log does, and optimize reproduces run
+    payload = json.loads(report.read_text())
+    assert name in payload["context"]["feature_names"]
+    assert (payload["observations"]
+            == json.loads((out / "reports" / "mobo_ctx0.json").read_text())["observations"])
 
 
 def _edit_rows(data, column, value, rows=slice(1, None, 2)):

@@ -70,6 +70,13 @@ def _candidates(lo=1, hi=64):
     return CandidateSet.from_bounds(lo, hi, _context())
 
 
+def _searched(surr_r, surr_p, lo=1, hi=64):
+    """The candidates lo..hi and their objective table under the surrogates:
+    an engine's first two arguments."""
+    candidates = _candidates(lo, hi)
+    return candidates, evaluate_objectives(surr_r, surr_p, candidates)
+
+
 AMDAHL = {
     "runtime": lambda n: 100.0 / n + 2.0,
     "power": lambda n: 5.0 * n,
@@ -170,67 +177,45 @@ def test_batched_evaluation_equals_row_by_row_predicts(data):
     assert table.tobytes() == np.array(rows).tobytes()
 
 
-class CountingSurrogate(LawSurrogate):
-    """Law surrogate that counts its predict calls."""
-
-    def __init__(self, fn, bounds=(1, 64)):
-        super().__init__(fn, bounds)
-        self.calls = 0
-
-    def predict(self, X):
-        self.calls += 1
-        return super().predict(X)
-
-
-@pytest.mark.parametrize("stem", list(METHODS))
-def test_each_engine_call_predicts_once_per_surrogate(stem):
-    surr_r = CountingSurrogate(AMDAHL["runtime"])
-    # power least at an interior node, so that SOBO (Power) does not propose
-    # an initial-design node (and stop) at its first iteration
-    surr_p = CountingSurrogate(lambda n: 5.0 * n + 400.0 / n)
-    report = METHODS[stem].run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=6))
-    assert report.n_evaluations > 4
-    assert (surr_r.calls, surr_p.calls) == (1, 1)
-
-
-def test_engines_on_one_candidate_set_share_one_objective_table():
-    surr_r = CountingSurrogate(AMDAHL["runtime"])
-    surr_p = CountingSurrogate(AMDAHL["power"])
-    candidates = _candidates(1, 64)
-    reports = [method.run(surr_r, surr_p, candidates, _fast_cfg(mobo_iterations=6))
-               for method in METHODS.values()]
-    assert (surr_r.calls, surr_p.calls) == (1, 1)
-    alone = [method.run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=6))
-             for method in METHODS.values()]
-    for shared, own in zip(reports, alone):
-        assert report_to_dict(shared) == report_to_dict(own)
-    table = candidates.objectives(surr_r, surr_p)
-    assert not table.flags.writeable
-    # another surrogate pair gets its own table
-    other = CountingSurrogate(AMDAHL["runtime"])
-    candidates.objectives(other, surr_p)
-    assert (other.calls, surr_p.calls) == (1, 6)
-
-
 @pytest.mark.parametrize("objective", ["runtime", "power"])
 @pytest.mark.parametrize("stem", list(METHODS))
 @pytest.mark.parametrize("node, value, message", [
     # the runtime GP models logs
     (10, 0.0, "the {objective} surrogate predicts 0.0 at node count 10, but objectives "
               "must be positive"),
+    # positive, but subnormal, which training refuses as a target: MOBO
+    # reported a runtime of 1.8e-318 and a hypervolume of 1.5e-316
+    (3, 1e-320, "the {objective} surrogate predicts 1e-320 at node count 3, but objectives "
+                "must be at least the smallest normal float 2.2250738585072014e-308"),
     # finite and positive, but past the square root of the largest float amid
     # values near 100; every engine observes node 6, an initial-design node,
     # and MOBO overflowed in its EHVI, the power GP found no valid fit, and
     # the other engines reported hypervolumes near 1e202
     (6, 1e200, "column 'predicted {objective}' has no finite standard deviation"),
-], ids=["nonpositive", "spread_overflows"])
+], ids=["nonpositive", "subnormal", "spread_overflows"])
 def test_a_nonpositive_or_overflowing_prediction_is_a_data_error(node, value, message, stem,
                                                                   objective):
     law = AMDAHL[objective]
     laws = {**AMDAHL, objective: lambda n: value if n == node else law(n)}
     surr_r, surr_p = LawSurrogate(laws["runtime"], (1, 16)), LawSurrogate(laws["power"], (1, 16))
     with pytest.raises(DataError, match=re.escape(message.format(objective=objective))):
-        METHODS[stem].run(surr_r, surr_p, _candidates(1, 16), _fast_cfg())
+        METHODS[stem].run(*_searched(surr_r, surr_p, 1, 16), _fast_cfg())
+
+
+def test_the_objective_table_is_read_only():
+    table = evaluate_objectives(*_amdahl_surrogates(), _candidates(1, 8))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(63, 2), (64, 3), (64,)])
+@pytest.mark.parametrize("stem", list(METHODS))
+def test_every_engine_refuses_a_table_of_the_wrong_shape(stem, shape):
+    table = np.ones(shape)
+    with pytest.raises(DataError, match=re.escape(
+            f"the objective table has shape {shape}, but node counts 1 to 64 need (64, 2)")):
+        METHODS[stem].run(_candidates(1, 64), table, _fast_cfg())
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 2), (-2, 5), (3, 2)])
@@ -401,7 +386,7 @@ def test_lognormal_partial_expectation_matches_quadrature(c, mean, sd):
 
 def test_mobo_degenerate_landscape_single_front_point():
     cfg = _fast_cfg(mobo_iterations=5)
-    report = mobo_run(ConstantSurrogate(7.0), ConstantSurrogate(9.0), _candidates(1, 16), cfg)
+    report = mobo_run(*_searched(ConstantSurrogate(7.0), ConstantSurrogate(9.0), 1, 16), cfg)
     assert len(report.front) == 1
     assert report.front.points[0] == (7.0, 9.0)
     hvs = [h.hv_so_far for h in report.history]
@@ -411,7 +396,7 @@ def test_mobo_degenerate_landscape_single_front_point():
 def test_mobo_reaches_95_percent_of_true_front_hv():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=50, seed=1)
-    report = mobo_run(surr_r, surr_p, _candidates(1, 64), cfg)
+    report = mobo_run(*_searched(surr_r, surr_p, 1, 64), cfg)
     truth = [(AMDAHL["runtime"](n), AMDAHL["power"](n)) for n in range(1, 65)]
     ref = infer_reference(truth)
     true_hv = hypervolume(nondominated(truth), ref)
@@ -422,8 +407,8 @@ def test_mobo_reaches_95_percent_of_true_front_hv():
 def test_mobo_fixed_seed_identical_history():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=6, seed=3)
-    a = mobo_run(surr_r, surr_p, _candidates(1, 32), cfg)
-    b = mobo_run(surr_r, surr_p, _candidates(1, 32), cfg)
+    a = mobo_run(*_searched(surr_r, surr_p, 1, 32), cfg)
+    b = mobo_run(*_searched(surr_r, surr_p, 1, 32), cfg)
     assert [h.as_dict() for h in a.history] == [h.as_dict() for h in b.history]
     assert a.front.points == b.front.points
 
@@ -431,14 +416,14 @@ def test_mobo_fixed_seed_identical_history():
 def test_mobo_budget_accounting():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=7, seed=2)
-    report = mobo_run(surr_r, surr_p, _candidates(1, 64), cfg)
+    report = mobo_run(*_searched(surr_r, surr_p, 1, 64), cfg)
     assert report.n_evaluations == report.n_initial + 7
 
 
 def test_hv_so_far_monotone_under_fixed_final_ref():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=12, seed=5)
-    report = mobo_run(surr_r, surr_p, _candidates(1, 64), cfg)
+    report = mobo_run(*_searched(surr_r, surr_p, 1, 64), cfg)
     fixed = hv_history_under_ref(report, report.ref)
     assert all(b >= a - 1e-12 for a, b in zip(fixed, fixed[1:]))
 
@@ -479,11 +464,11 @@ def test_report_rows_front_and_history_agree_for_any_table_and_picks(data):
 def test_sobo_runtime_converges_to_runtime_corner():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=25, seed=4)
-    report = sobo_run(surr_r, surr_p, _candidates(1, 64), "runtime", cfg)
+    report = sobo_run(*_searched(surr_r, surr_p, 1, 64), cfg, "runtime")
     best = report.observed_nodes[np.argmin(report.observed[:, 0])]
     assert best == 64  # runtime-minimizing corner
     # directional H2: its HV cannot beat MOBO's on the same truth
-    mobo = mobo_run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=25, seed=4))
+    mobo = mobo_run(*_searched(surr_r, surr_p, 1, 64), _fast_cfg(mobo_iterations=25, seed=4))
     table = compare_methods({"MOBO": mobo, "SOBO (Runtime)": report})
     assert table.hv["MOBO"] >= table.hv["SOBO (Runtime)"]
 
@@ -491,7 +476,7 @@ def test_sobo_runtime_converges_to_runtime_corner():
 def test_sobo_records_both_objectives():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=3)
-    report = sobo_run(surr_r, surr_p, _candidates(1, 16), "power", cfg)
+    report = sobo_run(*_searched(surr_r, surr_p, 1, 16), cfg, "power")
     assert report.method == "SOBO (Power)"
     assert (report.observed > 0).all()
     assert report.hv >= 0
@@ -500,7 +485,7 @@ def test_sobo_records_both_objectives():
 def test_random_budget_split_matches_table():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = RunConfig(mobo_iterations=300, random_seeds=5, seed=0)
-    report = random_run(surr_r, surr_p, _candidates(1, 64), cfg)
+    report = random_run(*_searched(surr_r, surr_p, 1, 64), cfg)
     assert report.budget["evaluations_per_seed"] == 60
     assert report.budget["pooled_evaluations"] == 300
     assert len(report.per_seed) == 5
@@ -511,7 +496,7 @@ def test_random_budget_split_matches_table():
 def test_random_single_seed_plain_search():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=20, random_seeds=1)
-    report = random_run(surr_r, surr_p, _candidates(1, 64), cfg)
+    report = random_run(*_searched(surr_r, surr_p, 1, 64), cfg)
     assert report.budget["evaluations_per_seed"] == 20
     assert len(report.per_seed) == 1
 
@@ -519,7 +504,7 @@ def test_random_single_seed_plain_search():
 def test_random_candidate_set_of_one():
     surr_r, surr_p = _amdahl_surrogates(bounds=(4, 4))
     cfg = _fast_cfg(mobo_iterations=10)
-    report = random_run(surr_r, surr_p, _candidates(4, 4), cfg)
+    report = random_run(*_searched(surr_r, surr_p, 4, 4), cfg)
     assert len(report.front) == 1
     assert report.front_nodes == [4]
 
@@ -529,15 +514,15 @@ def test_gp_based_methods_reject_single_candidate_domain():
     surr_r, surr_p = _amdahl_surrogates(bounds=(4, 4))
     cfg = _fast_cfg(mobo_iterations=2)
     with pytest.raises(ConfigError, match="random baseline"):
-        mobo_run(surr_r, surr_p, _candidates(4, 4), cfg)
+        mobo_run(*_searched(surr_r, surr_p, 4, 4), cfg)
     with pytest.raises(ConfigError, match="random baseline"):
-        sobo_run(surr_r, surr_p, _candidates(4, 4), "runtime", cfg)
+        sobo_run(*_searched(surr_r, surr_p, 4, 4), cfg, "runtime")
 
 
 def test_compare_methods_ties_and_empty():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=4, seed=9)
-    rep = mobo_run(surr_r, surr_p, _candidates(1, 16), cfg)
+    rep = mobo_run(*_searched(surr_r, surr_p, 1, 16), cfg)
     table = compare_methods({"A": rep, "B": rep})
     assert table.hv["A"] == table.hv["B"]
     assert set(table.winner_hv) == {"A", "B"}
@@ -546,8 +531,8 @@ def test_compare_methods_ties_and_empty():
 
 def test_compare_methods_uses_shared_reference():
     surr_r, surr_p = _amdahl_surrogates()
-    a = mobo_run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=8, seed=1))
-    b = random_run(surr_r, surr_p, _candidates(1, 64), _fast_cfg(mobo_iterations=8, seed=1))
+    a = mobo_run(*_searched(surr_r, surr_p, 1, 64), _fast_cfg(mobo_iterations=8, seed=1))
+    b = random_run(*_searched(surr_r, surr_p, 1, 64), _fast_cfg(mobo_iterations=8, seed=1))
     table = compare_methods({"MOBO": a, "Random": b})
     assert table.ref == infer_reference(list(a.observed) + list(b.observed))
 
@@ -557,10 +542,10 @@ def test_all_methods_share_the_same_initial_design():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=5, random_seeds=5, seed=0)
     reports = {
-        "MOBO": mobo_run(surr_r, surr_p, _candidates(1, 64), cfg),
-        "SOBO (Runtime)": sobo_run(surr_r, surr_p, _candidates(1, 64), "runtime", cfg),
-        "SOBO (Power)": sobo_run(surr_r, surr_p, _candidates(1, 64), "power", cfg),
-        "Random": random_run(surr_r, surr_p, _candidates(1, 64),
+        "MOBO": mobo_run(*_searched(surr_r, surr_p, 1, 64), cfg),
+        "SOBO (Runtime)": sobo_run(*_searched(surr_r, surr_p, 1, 64), cfg, "runtime"),
+        "SOBO (Power)": sobo_run(*_searched(surr_r, surr_p, 1, 64), cfg, "power"),
+        "Random": random_run(*_searched(surr_r, surr_p, 1, 64),
                              _fast_cfg(mobo_iterations=5, random_seeds=6, seed=0)),
     }
     init = initial_design(1, 64)
@@ -577,7 +562,7 @@ def test_all_methods_share_the_same_initial_design():
 def test_mobo_large_candidate_set_scores_every_node():
     surr_r, surr_p = _amdahl_surrogates(bounds=(1, 6000))
     cfg = _fast_cfg(mobo_iterations=4, seed=7)
-    report = mobo_run(surr_r, surr_p, CandidateSet.from_bounds(1, 6000, _context()), cfg)
+    report = mobo_run(*_searched(surr_r, surr_p, 1, 6000), cfg)
     assert report.n_evaluations == report.n_initial + 4
     assert all(1 <= n <= 6000 for n in report.observed_nodes)
 
@@ -585,7 +570,7 @@ def test_mobo_large_candidate_set_scores_every_node():
 def test_report_serialization_round_trips_key_fields(tmp_path):
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=3, seed=8)
-    report = random_run(surr_r, surr_p, _candidates(1, 16), cfg)
+    report = random_run(*_searched(surr_r, surr_p, 1, 16), cfg)
     payload = report_to_dict(report)
     assert payload["method"] == "Random"
     assert payload["n_evaluations"] == report.n_evaluations
@@ -595,7 +580,7 @@ def test_report_serialization_round_trips_key_fields(tmp_path):
 
 def test_editing_the_payload_budget_leaves_the_report_as_it_was():
     surr_r, surr_p = _amdahl_surrogates()
-    report = mobo_run(surr_r, surr_p, _candidates(1, 16), _fast_cfg(mobo_iterations=3))
+    report = mobo_run(*_searched(surr_r, surr_p, 1, 16), _fast_cfg(mobo_iterations=3))
     before = dict(report.budget)
     report_to_dict(report)["budget"].pop("unique_evaluations")
     assert report.budget == before
@@ -606,7 +591,7 @@ def _distinct(picks):
     return list(dict.fromkeys(picks))
 
 
-def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg):
+def _reference_mobo_run(candidates, objectives, cfg):
     """The MOBO loop over its whole budget: both GPs refitted and every
     candidate rescored in every iteration, repeats included. Each fit is to
     the distinct observed nodes and warm-starts from the fit made at the
@@ -614,7 +599,7 @@ def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg):
     fit, and so every pick, is the same as before it."""
     from hpcmobo import optimizer as opt
 
-    objectives, picks = opt._start(surr_runtime, surr_power, candidates)
+    picks = [node - candidates.lo for node in initial_design(*candidates.bounds)]
     n_initial = len(picks)
     nodes = candidates.node_counts
     rng = np.random.default_rng([cfg.seed, 11])
@@ -637,14 +622,14 @@ def _reference_mobo_run(surr_runtime, surr_power, candidates, cfg):
                                 n_initial, steps)
 
 
-def _reference_sobo_run(surr_runtime, surr_power, candidates, objective, cfg):
+def _reference_sobo_run(candidates, objectives, cfg, objective):
     """The SOBO loop over its whole budget: the GP refitted and EI rescored
     in every iteration, repeats included, each fit to the distinct observed
     nodes and warm-started from the fit made at the previous distinct node
     set (the first is cold)."""
     from hpcmobo import optimizer as opt
 
-    objectives, picks = opt._start(surr_runtime, surr_power, candidates)
+    picks = [node - candidates.lo for node in initial_design(*candidates.bounds)]
     n_initial = len(picks)
     nodes = candidates.node_counts
     rng = np.random.default_rng([cfg.seed, 13])
@@ -734,9 +719,9 @@ def search_case(request, monkeypatch):
 def test_mobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(search_case):
     ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = search_case
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
-    full = _reference_mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
+    full = _reference_mobo_run(*_searched(surr_r, surr_p, *bounds), cfg)
     count_fits()
-    got = mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
+    got = mobo_run(*_searched(surr_r, surr_p, *bounds), cfg)
     _assert_cut_at_the_first_repeat(got, full)
     assert got.n_evaluations < full.n_evaluations  # the full budget repeats nodes
     # every iteration fits both GPs, the one that proposed the repeat too
@@ -749,9 +734,9 @@ def test_sobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(search_
                                                                          objective):
     ((surr_r, surr_p), bounds, iterations, seed), count_fits, calls = search_case
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
-    full = _reference_sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg)
+    full = _reference_sobo_run(*_searched(surr_r, surr_p, *bounds), cfg, objective)
     count_fits()
-    got = sobo_run(surr_r, surr_p, _candidates(*bounds), objective, cfg)
+    got = sobo_run(*_searched(surr_r, surr_p, *bounds), cfg, objective)
     _assert_cut_at_the_first_repeat(got, full)
     assert got.n_evaluations < full.n_evaluations
     assert len(calls) == len(got.history) + 1
@@ -764,8 +749,8 @@ def test_floor_fallback_spends_the_domain_at_random_then_stops(search_case):
     ((surr_r, surr_p), (lo, hi), iterations, seed), _, _ = search_case
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
     unobserved = set(range(lo, hi + 1)) - set(initial_design(lo, hi))
-    for report in (mobo_run(surr_r, surr_p, _candidates(lo, hi), cfg),
-                   sobo_run(surr_r, surr_p, _candidates(lo, hi), "power", cfg)):
+    for report in (mobo_run(*_searched(surr_r, surr_p, lo, hi), cfg),
+                   sobo_run(*_searched(surr_r, surr_p, lo, hi), cfg, "power")):
         assert all(h.acquisition == math.log(ACQ_EPS) for h in report.history)
         picks = [h.node_count for h in report.history]
         assert len(picks) == len(unobserved)
@@ -792,11 +777,11 @@ def test_gp_reports_hold_distinct_nodes_and_cut_the_full_budget_loop(data):
     surr_r, surr_p = LawSurrogate(runtime, (lo, hi)), LawSurrogate(power, (lo, hi))
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
     if method == "mobo":
-        got = mobo_run(surr_r, surr_p, _candidates(lo, hi), cfg)
-        full = _reference_mobo_run(surr_r, surr_p, _candidates(lo, hi), cfg)
+        got = mobo_run(*_searched(surr_r, surr_p, lo, hi), cfg)
+        full = _reference_mobo_run(*_searched(surr_r, surr_p, lo, hi), cfg)
     else:
-        got = sobo_run(surr_r, surr_p, _candidates(lo, hi), method, cfg)
-        full = _reference_sobo_run(surr_r, surr_p, _candidates(lo, hi), method, cfg)
+        got = sobo_run(*_searched(surr_r, surr_p, lo, hi), cfg, method)
+        full = _reference_sobo_run(*_searched(surr_r, surr_p, lo, hi), cfg, method)
     nodes = list(got.observed_nodes)
     assert len(set(nodes)) == len(nodes)
     assert len(nodes) <= min(hi - lo + 1, got.n_initial + iterations)
@@ -805,7 +790,7 @@ def test_gp_reports_hold_distinct_nodes_and_cut_the_full_budget_loop(data):
 
 def test_every_report_counts_its_unique_evaluations():
     surr_r, surr_p = _amdahl_surrogates((1, 8))
-    report = random_run(surr_r, surr_p, _candidates(1, 8), _fast_cfg(mobo_iterations=30))
+    report = random_run(*_searched(surr_r, surr_p, 1, 8), _fast_cfg(mobo_iterations=30))
     assert report.budget["unique_evaluations"] == len(set(report.observed_nodes))
     for sub in report.per_seed:
         assert sub.budget["unique_evaluations"] == len(set(sub.observed_nodes))
@@ -821,8 +806,8 @@ def test_a_failed_gp_fit_names_the_iteration_it_ran_in(method, monkeypatch):
 
     def run():
         if method == "MOBO":
-            return mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
-        return sobo_run(surr_r, surr_p, _candidates(*bounds), "runtime", cfg)
+            return mobo_run(*_searched(surr_r, surr_p, *bounds), cfg)
+        return sobo_run(*_searched(surr_r, surr_p, *bounds), cfg, "runtime")
 
     # every iteration fits, the last one, which proposed a repeat, included
     last = len(run().history)
@@ -858,8 +843,8 @@ def test_history_records_the_gp_that_scored_each_pick(tmp_path, monkeypatch):
     monkeypatch.setattr(gp_module, "_POTRF", first_attempt_fails)
     (surr_r, surr_p), bounds, iterations, seed = _SEARCH_CASES["wavy"]
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
-    reports = {"runtime power": mobo_run(surr_r, surr_p, _candidates(*bounds), cfg),
-               "runtime": sobo_run(surr_r, surr_p, _candidates(*bounds), "runtime", cfg)}
+    reports = {"runtime power": mobo_run(*_searched(surr_r, surr_p, *bounds), cfg),
+               "runtime": sobo_run(*_searched(surr_r, surr_p, *bounds), cfg, "runtime")}
     for objectives, report in reports.items():
         save_report(report, tmp_path / "report.json")
         payload = json.loads((tmp_path / "report.json").read_text())
@@ -874,7 +859,7 @@ def test_history_records_the_gp_that_scored_each_pick(tmp_path, monkeypatch):
                                        "signal_var"]
         assert payload["budget"] == {"unique_evaluations": report.n_evaluations}
 
-    random_history = report_to_dict(random_run(surr_r, surr_p, _candidates(*bounds),
+    random_history = report_to_dict(random_run(*_searched(surr_r, surr_p, *bounds),
                                                cfg))["history"]
     assert all("gp" not in e for e in random_history)
 
@@ -888,7 +873,7 @@ def test_debug_log_has_a_line_per_pick_and_one_for_the_stop(zeroed, caplog, monk
     (surr_r, surr_p), bounds, iterations, seed = _SEARCH_CASES["amdahl"]
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
     with caplog.at_level(logging.DEBUG, logger="hpcmobo.optimizer"):
-        report = mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
+        report = mobo_run(*_searched(surr_r, surr_p, *bounds), cfg)
     lines = [r.getMessage() for r in caplog.records if r.name == "hpcmobo.optimizer"]
     assert lines[:-1] == [
         f"MOBO iteration {it}: node {h.node_count}, best log acquisition "
@@ -899,5 +884,5 @@ def test_debug_log_has_a_line_per_pick_and_one_for_the_stop(zeroed, caplog, monk
     assert stop and int(stop[1]) in report.observed_nodes
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="hpcmobo.optimizer"):
-        mobo_run(surr_r, surr_p, _candidates(*bounds), cfg)
+        mobo_run(*_searched(surr_r, surr_p, *bounds), cfg)
     assert not caplog.records

@@ -8,13 +8,16 @@ import pytest
 
 from hpcmobo.core import RunConfig, load_config_file
 from hpcmobo.ingest import preprocess_fit, write_table
+from hpcmobo.optimizer import JobContext
 from hpcmobo.pipeline import (
     PipelineSettings,
+    load_context,
     manifest_comparable,
     parse_schema_sections,
     parse_settings,
     report_h1,
     run_pipeline,
+    save_context,
     timing_table,
     train_single_surrogate,
     write_timing_csv,
@@ -137,6 +140,40 @@ def test_every_json_file_of_a_run_is_strict_json(tmp_path):
     assert all(math.isfinite(entry["acquisition"]) for entry in mobo)
 
 
+def test_each_context_is_predicted_once_for_every_method(tmp_path, monkeypatch):
+    from hpcmobo import optimizer
+
+    cfg_path, _ = _write_config(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace("n_job_contexts = 1",
+                                                     "n_job_contexts = 2"))
+    original, calls = optimizer.evaluate_objectives, []
+
+    def counting(surr_r, surr_p, candidates):
+        calls.append(candidates.context)
+        return original(surr_r, surr_p, candidates)
+
+    monkeypatch.setattr(optimizer, "evaluate_objectives", counting)
+    manifest = run_pipeline(cfg_path)
+    assert len(manifest["context_rows"]) == 2
+    assert len(calls) == 2
+    assert calls[0].values.tolist() != calls[1].values.tolist()
+
+
+def test_a_context_file_round_trips_names_that_hold_a_comma_or_a_quote(tmp_path):
+    # the names were joined with "," and split on it again: "has 4 columns
+    # but 3 values"
+    names = ("queue", "a,b", 'say "hi"', "num_nodes_alloc")
+    context = JobContext(names, np.array([1.0, -2.5, 1e300, 8.0]), "num_nodes_alloc")
+    save_context(context, tmp_path / "context.csv")
+    back = load_context(tmp_path / "context.csv", "num_nodes_alloc")
+    assert back.feature_names == names
+    assert back.values.tobytes() == context.values.tobytes()
+    # names without a comma or a quote keep the bytes of a plain join
+    plain = JobContext(("queue", "num_nodes_alloc"), np.array([0.5, 3.0]), "num_nodes_alloc")
+    save_context(plain, tmp_path / "plain.csv")
+    assert (tmp_path / "plain.csv").read_bytes() == b"queue,num_nodes_alloc\n0.5,3.0\n"
+
+
 def test_timing_csv_matches_table9_layout(tmp_path):
     cfg_path, _ = _write_config(tmp_path)
     run_pipeline(cfg_path)
@@ -198,7 +235,7 @@ def test_single_surrogate_reports_validation_metrics(tmp_path):
         mask_epochs=60,
     )
     for target in ("runtime_seconds", "node_power"):
-        model, metrics = train_single_surrogate(processed, settings, target, seed=0)
+        model, metrics = train_single_surrogate(processed, settings, target, True, seed=0)
         assert model.target == target
         assert metrics["n_train"] + metrics["n_val"] == 150
         assert metrics["mse"] > 0
