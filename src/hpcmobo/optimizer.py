@@ -14,19 +14,20 @@ builds the report's observations, front, per-iteration HV and spread, and the
 budget's `unique_evaluations` from them once, at the end.
 
 MOBO and SOBO are one GP search loop, `_gp_search`, to which each engine
-gives its label and rng stream, the objectives it fits a GP over node count
-to (runtime first, in log space; power in plain space) and its acquisition:
-the exact q=1 expected hypervolume improvement from the 2-D strip
-decomposition for MOBO (`ehvi`; no sampling in the loop), closed-form
-expected improvement for SOBO. Each iteration fits the GP(s) to the
-observations and scores every candidate; the first fit of each GP is the
-cold multi-start search, and every later fit warm-starts from the one
-before it. The loop ends at its first
-proposal of a node it has already observed: evaluations are deterministic,
-so the GPs, and with them every later proposal, would stay as they are. A
-GP report with fewer than n_initial + mobo_iterations evaluations stopped
-there. Each history entry records the best log acquisition and the
-telemetry of the GP(s) that scored its pick.
+gives its label, the objectives it fits a GP over node count to (runtime
+first, in log space; power in plain space) and its acquisition: the exact
+q=1 expected hypervolume improvement from the 2-D strip decomposition for
+MOBO (`ehvi`; no sampling in the loop), closed-form expected improvement
+for SOBO. Each iteration fits the GP(s) to the observations, scores every
+candidate and proposes the first row of the log acquisition's maximum; the
+first fit of each GP is the cold multi-start search, and every later fit
+warm-starts from the one before it. The loop ends at its first proposal of
+a node it has already observed: evaluations are deterministic, so the GPs,
+and with them every later proposal, would stay as they are. An acquisition
+flat at its floor proposes the smallest node, which the initial design
+observed, so it ends the loop too. A GP report with fewer than n_initial +
+mobo_iterations evaluations stopped there. Each history entry records the
+best log acquisition and the telemetry of the GP(s) that scored its pick.
 
 The random baseline spends a matched budget of uniform draws split across
 seeds; its history entries carry no acquisition. The Monte-Carlo estimator
@@ -63,8 +64,6 @@ from .surrogate import check_finite_spread
 log = logging.getLogger(__name__)
 
 ACQ_EPS = 1e-12
-# a best log acquisition at or below this ties at the eps floor everywhere
-_FLOOR = math.log(ACQ_EPS) + 1e-9
 _SQRT_2PI = np.sqrt(2 * np.pi)
 METHOD_MOBO = "MOBO"
 METHOD_SOBO_RUNTIME = "SOBO (Runtime)"
@@ -428,41 +427,26 @@ def _start(candidates: CandidateSet, objectives: np.ndarray) -> list[int]:
     return [node - candidates.lo for node in initial_design(*candidates.bounds)]
 
 
-def _pick_candidate(acq: np.ndarray, seen: np.ndarray,
-                    rng: np.random.Generator) -> tuple[int, float]:
-    """The first row of the acquisition's maximum, which is its smallest
-    node; when the acquisition ties at the log-eps floor everywhere, fall
-    back to a random row not yet `seen`, if one is left."""
-    best = float(acq.max())
-    if best <= _FLOOR:
-        unseen = np.flatnonzero(~seen)
-        if len(unseen):
-            return int(rng.choice(unseen)), best
-    return int(np.argmax(acq)), best
-
-
 _SOBO_METHODS = {"runtime": METHOD_SOBO_RUNTIME, "power": METHOD_SOBO_POWER}
 
 
-def _gp_search(method: str, stream: int, candidates: CandidateSet, objectives: np.ndarray,
+def _gp_search(method: str, candidates: CandidateSet, objectives: np.ndarray,
                cfg: RunConfig, fitted: tuple[str, ...],
                acquisition: Callable[..., np.ndarray]) -> ParetoReport:
     """The GP search loop of MOBO and SOBO. Each iteration fits a GP per
     `fitted` objective to the observations, warm from its last fit, scores
     every candidate by `acquisition(gps, Y, nodes)` (the fitted GPs by
     objective, the observed objective rows and the candidate nodes) and
-    observes the pick (`_pick_candidate`). It ends after cfg.mobo_iterations
-    picks, or at the first pick of a node already observed, which it does
-    not append: nothing the fits see would change, so it would be picked
-    for the rest of the budget. `stream` keys the rng of the floor
-    fallback."""
+    observes the first row of the log acquisition's maximum, its smallest
+    node. It ends after cfg.mobo_iterations picks, or at the first pick of a
+    node already observed, which it does not append: nothing the fits see
+    would change, so it would be picked for the rest of the budget. An
+    acquisition equal everywhere picks the domain's smallest node, which
+    the initial design observes, so it stops the search."""
     _require_searchable(candidates)
     picks = _start(candidates, objectives)
     n_initial = len(picks)
-    rng = np.random.default_rng([cfg.seed, stream])
     nodes = candidates.node_counts
-    seen = np.zeros(len(nodes), dtype=bool)
-    seen[picks] = True
     gps: dict[str, GaussianProcess | None] = dict.fromkeys(fitted)
     steps = []
     for it in range(cfg.mobo_iterations):
@@ -475,17 +459,16 @@ def _gp_search(method: str, stream: int, candidates: CandidateSet, objectives: n
             # "MOBO", or "SOBO" of "SOBO (Runtime)"
             raise NumericalError(
                 f"GP fit failed at {method.split()[0]} iteration {it}: {exc}") from exc
-        row, best_acq = _pick_candidate(np.log(acquisition(gps, Y, nodes) + ACQ_EPS),
-                                        seen, rng)
-        if seen[row]:
+        acq = np.log(acquisition(gps, Y, nodes) + ACQ_EPS)
+        row = int(np.argmax(acq))
+        if row in picks:
             log.debug("%s stopped after %d evaluations: it proposed node %d again",
                       method, len(picks), nodes[row])
             break
-        log.debug("%s iteration %d: node %d, best log acquisition %.6g, floor fallback %s",
-                  method, it, nodes[row], best_acq, best_acq <= _FLOOR)
-        seen[row] = True
+        log.debug("%s iteration %d: node %d, best log acquisition %.6g",
+                  method, it, nodes[row], acq[row])
         picks.append(row)
-        steps.append((best_acq, {name: gp.telemetry() for name, gp in gps.items()}))
+        steps.append((float(acq[row]), {name: gp.telemetry() for name, gp in gps.items()}))
     return _finalize_report(method, cfg, candidates, objectives, picks, n_initial, steps)
 
 
@@ -500,7 +483,7 @@ def mobo_run(candidates: CandidateSet, objectives: np.ndarray,
     """q=1 logEHVI loop over the candidates' objective table: fits a runtime
     and a power GP and scores every candidate node count with the exact
     `ehvi`, so no Monte-Carlo draw is made (`_gp_search`)."""
-    return _gp_search(METHOD_MOBO, 11, candidates, objectives, cfg, ("runtime", "power"),
+    return _gp_search(METHOD_MOBO, candidates, objectives, cfg, ("runtime", "power"),
                       _ehvi_at)
 
 
@@ -519,7 +502,7 @@ def sobo_run(candidates: CandidateSet, objectives: np.ndarray, cfg: RunConfig,
         mean, var = gp_posterior(gps[objective], nodes)
         return expected_improvement(mean, var, float(_gp_targets(objective, Y[:, col]).min()))
 
-    return _gp_search(_SOBO_METHODS[objective], 13, candidates, objectives, cfg,
+    return _gp_search(_SOBO_METHODS[objective], candidates, objectives, cfg,
                       (objective,), ei_at)
 
 

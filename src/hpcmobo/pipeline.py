@@ -66,6 +66,7 @@ from .surrogate import (
     save_surrogate,
     surrogate_features,
     train_objective_surrogate,
+    training_data,
 )
 from .synthgen import load_truth, objectives_at, true_front
 
@@ -317,7 +318,10 @@ def _train_val_split(table: JobTable, seed: int):
 def train_single_surrogate(table: JobTable, settings: PipelineSettings, target: str,
                            use_embedding: bool, seed: int = 0) -> tuple[SurrogateModel, dict]:
     """Train one objective predictor on a train split; report validation
-    MSE/MAPE on the held-out rows."""
+    MSE/MAPE on the held-out rows. Every row of `table`, held out or not,
+    must pass `training_data`'s checks, so that a validation target is
+    positive too."""
+    training_data(table, target)
     train, val = _train_val_split(table, seed)
     model = train_objective_surrogate(
         train, target, use_embedding=use_embedding, params=tree_params(settings, seed),
@@ -624,8 +628,9 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
                     values.append(float(np.mean([score[key] for score in scores])))
         per_seed.append(entry)
 
-    def median(values: list[float]) -> float:
-        return float(np.median(values))
+    def median(values: list[float | None]) -> float | None:
+        # a table of 4 rows or fewer holds out no validation row in any seed
+        return None if None in values else float(np.median(values))
 
     result = {
         "seeds": [e["seed"] for e in per_seed],

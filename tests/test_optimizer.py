@@ -602,11 +602,9 @@ def _reference_mobo_run(candidates, objectives, cfg):
     picks = [node - candidates.lo for node in initial_design(*candidates.bounds)]
     n_initial = len(picks)
     nodes = candidates.node_counts
-    rng = np.random.default_rng([cfg.seed, 11])
     fitted_at, warm_r, warm_p, gp_r, gp_p = None, None, None, None, None
     steps = []
     for _ in range(cfg.mobo_iterations):
-        seen = np.isin(np.arange(len(nodes)), picks)
         distinct = _distinct(picks)
         if distinct != fitted_at:
             fitted_at, warm_r, warm_p = distinct, gp_r, gp_p
@@ -615,9 +613,9 @@ def _reference_mobo_run(candidates, objectives, cfg):
         gp_p = fit_gp(nodes[distinct], Y[:, 1], warm=warm_p)
         ref = np.asarray(infer_reference(Y), dtype=float)
         acq = np.log(opt.ehvi(gp_r, gp_p, nodes, nondominated(Y), ref) + opt.ACQ_EPS)
-        row, best_acq = opt._pick_candidate(acq, seen, rng)
-        picks.append(row)
-        steps.append((best_acq, {"runtime": gp_r.telemetry(), "power": gp_p.telemetry()}))
+        picks.append(int(np.argmax(acq)))
+        steps.append((float(acq.max()),
+                      {"runtime": gp_r.telemetry(), "power": gp_p.telemetry()}))
     return opt._finalize_report(opt.METHOD_MOBO, cfg, candidates, objectives, picks,
                                 n_initial, steps)
 
@@ -632,13 +630,11 @@ def _reference_sobo_run(candidates, objectives, cfg, objective):
     picks = [node - candidates.lo for node in initial_design(*candidates.bounds)]
     n_initial = len(picks)
     nodes = candidates.node_counts
-    rng = np.random.default_rng([cfg.seed, 13])
     col = 0 if objective == "runtime" else 1
     method = opt.METHOD_SOBO_RUNTIME if objective == "runtime" else opt.METHOD_SOBO_POWER
     fitted_at, warm, gp = None, None, None
     steps = []
     for _ in range(cfg.mobo_iterations):
-        seen = np.isin(np.arange(len(nodes)), picks)
         distinct = _distinct(picks)
         if distinct != fitted_at:
             fitted_at, warm = distinct, gp
@@ -648,9 +644,8 @@ def _reference_sobo_run(candidates, objectives, cfg, objective):
         incumbent = float(model_vals.min())
         mean, var = gp_posterior(gp, nodes)
         acq = np.log(opt.expected_improvement(mean, var, incumbent) + opt.ACQ_EPS)
-        row, best_acq = opt._pick_candidate(acq, seen, rng)
-        picks.append(row)
-        steps.append((best_acq, {objective: gp.telemetry()}))
+        picks.append(int(np.argmax(acq)))
+        steps.append((float(acq.max()), {objective: gp.telemetry()}))
     return opt._finalize_report(method, cfg, candidates, objectives, picks, n_initial,
                                 steps)
 
@@ -673,17 +668,16 @@ def _assert_cut_at_the_first_repeat(got, full):
 
 
 # (surrogates, domain, iterations, seed), each budget at least 3x its domain so
-# that the full-budget loops repeat nodes. The fitted GP noise keeps EHVI and
-# EI above the floor on real data, so "floor_fallback" zeroes both
-# acquisitions: every pick is then a random unobserved node until the domain
-# is spent
+# that the full-budget loops repeat nodes. "flat_acquisition" zeroes both
+# acquisitions: every pick is then the smallest node, which the initial
+# design observed
 _SEARCH_CASES = {
     "amdahl": (_amdahl_surrogates((1, 12)), (1, 12), 40, 3),
     "amdahl_other_seed": (_amdahl_surrogates((1, 12)), (1, 12), 40, 17),
     "wavy": ((LawSurrogate(lambda n: 30.0 + 10.0 * math.sin(n) + 40.0 / n, (1, 10)),
               LawSurrogate(lambda n: 4.0 * n + 3.0 * math.cos(2.0 * n), (1, 10))),
              (1, 10), 35, 5),
-    "floor_fallback": (_amdahl_surrogates((1, 8)), (1, 8), 30, 2),
+    "flat_acquisition": (_amdahl_surrogates((1, 8)), (1, 8), 30, 2),
 }
 
 
@@ -703,7 +697,7 @@ def search_case(request, monkeypatch):
     from hpcmobo import optimizer
 
     case = _SEARCH_CASES[request.param]
-    if request.param == "floor_fallback":
+    if request.param == "flat_acquisition":
         _zero_acquisitions(monkeypatch)
     calls = []
     original = optimizer.fit_gp
@@ -742,19 +736,15 @@ def test_sobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(search_
     assert len(calls) == len(got.history) + 1
 
 
-@pytest.mark.parametrize("search_case", ["floor_fallback"], indirect=True)
-def test_floor_fallback_spends_the_domain_at_random_then_stops(search_case):
-    from hpcmobo.optimizer import ACQ_EPS
-
+@pytest.mark.parametrize("search_case", ["flat_acquisition"], indirect=True)
+def test_a_flat_acquisition_stops_the_search_after_the_initial_design(search_case):
     ((surr_r, surr_p), (lo, hi), iterations, seed), _, _ = search_case
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
-    unobserved = set(range(lo, hi + 1)) - set(initial_design(lo, hi))
     for report in (mobo_run(*_searched(surr_r, surr_p, lo, hi), cfg),
+                   sobo_run(*_searched(surr_r, surr_p, lo, hi), cfg, "runtime"),
                    sobo_run(*_searched(surr_r, surr_p, lo, hi), cfg, "power")):
-        assert all(h.acquisition == math.log(ACQ_EPS) for h in report.history)
-        picks = [h.node_count for h in report.history]
-        assert len(picks) == len(unobserved)
-        assert set(picks) == unobserved
+        assert report.history == []
+        assert list(report.observed_nodes) == initial_design(lo, hi)
 
 
 # closed-form positive laws over node count n: falling, wavy, U-shaped and flat
@@ -864,7 +854,7 @@ def test_history_records_the_gp_that_scored_each_pick(tmp_path, monkeypatch):
     assert all("gp" not in e for e in random_history)
 
 
-@pytest.mark.parametrize("zeroed", [False, True], ids=["argmax", "floor_fallback"])
+@pytest.mark.parametrize("zeroed", [False, True], ids=["argmax", "flat_acquisition"])
 def test_debug_log_has_a_line_per_pick_and_one_for_the_stop(zeroed, caplog, monkeypatch):
     import logging
 
@@ -877,11 +867,12 @@ def test_debug_log_has_a_line_per_pick_and_one_for_the_stop(zeroed, caplog, monk
     lines = [r.getMessage() for r in caplog.records if r.name == "hpcmobo.optimizer"]
     assert lines[:-1] == [
         f"MOBO iteration {it}: node {h.node_count}, best log acquisition "
-        f"{h.acquisition:.6g}, floor fallback {zeroed}"
-        for it, h in enumerate(report.history)]
+        f"{h.acquisition:.6g}" for it, h in enumerate(report.history)]
     stop = re.fullmatch(rf"MOBO stopped after {report.n_evaluations} evaluations: "
                         r"it proposed node (\d+) again", lines[-1])
     assert stop and int(stop[1]) in report.observed_nodes
+    if zeroed:  # a flat acquisition proposes the smallest node at once
+        assert len(lines) == 1 and int(stop[1]) == bounds[0]
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="hpcmobo.optimizer"):
         mobo_run(*_searched(surr_r, surr_p, *bounds), cfg)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpcmobo.core import RunConfig, load_config_file
+from hpcmobo.core import DataError, RunConfig, load_config_file
 from hpcmobo.ingest import preprocess_fit, write_table
 from hpcmobo.optimizer import JobContext
 from hpcmobo.pipeline import (
@@ -240,6 +240,49 @@ def test_single_surrogate_reports_validation_metrics(tmp_path):
         assert metrics["n_train"] + metrics["n_val"] == 150
         assert metrics["mse"] > 0
         assert metrics["mape"] > 0
+
+
+def test_a_nonpositive_target_in_a_validation_row_is_a_data_error(tmp_path):
+    # the held-out row escaped the check, which saw only the training split
+    from hpcmobo.pipeline import _train_val_split
+
+    spec = SyntheticSpec(n_jobs=60, n_noise_features=1, noise_sigma=1.0, seed=2)
+    processed, _ = preprocess_fit(generate(spec)[0], DURATION_PAIRS)
+    settings = PipelineSettings(
+        input_path=Path("x"), out_dir=tmp_path, runtime_target="runtime_seconds",
+        power_target="node_power", specs=[], n_estimators=4, max_depth=3,
+        mask_epochs=20,
+    )
+    runtimes = list(processed.column("runtime_seconds"))
+    held_out = _train_val_split(processed, 0)[1].column("runtime_seconds")[0]
+    assert runtimes.count(held_out) == 1
+    val_row = runtimes.index(held_out)
+    runtimes[val_row] = -1.0
+    bad = processed.replace_column("runtime_seconds", processed.spec("runtime_seconds"),
+                                   runtimes)
+    with pytest.raises(DataError, match=rf"regression target 'runtime_seconds' must be "
+                                        rf"positive, but row {val_row} of the 60-row"):
+        train_single_surrogate(bad, settings, "runtime_seconds", False, seed=0)
+
+
+def test_report_h1_on_a_table_with_no_validation_rows_writes_null_medians(tmp_path):
+    # np.median of the None metrics of seeds that held out no row was a TypeError
+    spec = SyntheticSpec(n_jobs=4, n_noise_features=1, noise_sigma=1.0, seed=1)
+    processed, _ = preprocess_fit(generate(spec)[0], DURATION_PAIRS)
+    settings = PipelineSettings(
+        input_path=Path("x"), out_dir=tmp_path, runtime_target="runtime_seconds",
+        power_target="node_power", specs=[], n_estimators=4, max_depth=3,
+        mask_epochs=20, h1_seeds=2,
+    )
+    result = report_h1(processed, settings, RunConfig(mobo_iterations=2, random_seeds=2),
+                       out_dir=tmp_path / "r", methods=("MOBO", "Random"))
+    payload = json.loads((tmp_path / "r" / "h1_report.json").read_text())
+    for variant in ("raw", "embedded"):
+        for target in ("runtime_seconds", "node_power"):
+            assert payload["median_validation"][variant][target] == {"mse": None,
+                                                                     "mape": None}
+        for method in ("MOBO", "Random"):
+            assert math.isfinite(result["downstream_median"][variant][method]["hv"])
 
 
 def test_report_h1_direction_and_blocks(tmp_path):
