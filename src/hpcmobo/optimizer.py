@@ -21,13 +21,14 @@ MOBO (`ehvi`; no sampling in the loop), closed-form expected improvement
 for SOBO. Each iteration fits the GP(s) to the observations, scores every
 candidate and proposes the first row of the log acquisition's maximum; the
 first fit of each GP is the cold multi-start search, and every later fit
-warm-starts from the one before it. The loop ends at its first proposal of
-a node it has already observed: evaluations are deterministic, so the GPs,
-and with them every later proposal, would stay as they are. An acquisition
-flat at its floor proposes the smallest node, which the initial design
-observed, so it ends the loop too. A GP report with fewer than n_initial +
-mobo_iterations evaluations stopped there. Each history entry records the
-best log acquisition and the telemetry of the GP(s) that scored its pick.
+warm-starts from the one before it. An acquisition flat at its floor ranks
+nothing, so it proposes the first row of the maximum over the unobserved
+nodes, the smallest of them on an exact tie. The loop ends at its first
+proposal of a node it has already observed: evaluations are deterministic,
+so the GPs, and with them every later proposal, would stay as they are. A
+GP report with fewer than n_initial + mobo_iterations evaluations stopped
+there. Each history entry records the best log acquisition and the
+telemetry of the GP(s) that scored its pick.
 
 The random baseline spends a matched budget of uniform draws split across
 seeds; its history entries carry no acquisition. The Monte-Carlo estimator
@@ -64,6 +65,8 @@ from .surrogate import check_finite_spread
 log = logging.getLogger(__name__)
 
 ACQ_EPS = 1e-12
+# a best log acquisition at or below this ties at the eps floor everywhere
+_FLOOR = math.log(ACQ_EPS) + 1e-9
 _SQRT_2PI = np.sqrt(2 * np.pi)
 METHOD_MOBO = "MOBO"
 METHOD_SOBO_RUNTIME = "SOBO (Runtime)"
@@ -438,11 +441,11 @@ def _gp_search(method: str, candidates: CandidateSet, objectives: np.ndarray,
     every candidate by `acquisition(gps, Y, nodes)` (the fitted GPs by
     objective, the observed objective rows and the candidate nodes) and
     observes the first row of the log acquisition's maximum, its smallest
-    node. It ends after cfg.mobo_iterations picks, or at the first pick of a
-    node already observed, which it does not append: nothing the fits see
-    would change, so it would be picked for the rest of the budget. An
-    acquisition equal everywhere picks the domain's smallest node, which
-    the initial design observes, so it stops the search."""
+    node; when that maximum is at the eps floor, it takes the maximum over
+    the unobserved rows instead. It ends after cfg.mobo_iterations picks, or
+    at the first pick of a node already observed, which it does not append:
+    nothing the fits see would change, so it would be picked for the rest of
+    the budget."""
     _require_searchable(candidates)
     picks = _start(candidates, objectives)
     n_initial = len(picks)
@@ -460,15 +463,18 @@ def _gp_search(method: str, candidates: CandidateSet, objectives: np.ndarray,
             raise NumericalError(
                 f"GP fit failed at {method.split()[0]} iteration {it}: {exc}") from exc
         acq = np.log(acquisition(gps, Y, nodes) + ACQ_EPS)
+        best = float(acq.max())
+        if best <= _FLOOR:  # nothing ranked: spend an unobserved node, if one is left
+            acq[picks] = -np.inf
         row = int(np.argmax(acq))
         if row in picks:
             log.debug("%s stopped after %d evaluations: it proposed node %d again",
                       method, len(picks), nodes[row])
             break
-        log.debug("%s iteration %d: node %d, best log acquisition %.6g",
-                  method, it, nodes[row], acq[row])
+        log.debug("%s iteration %d: node %d, best log acquisition %.6g, floor fallback %s",
+                  method, it, nodes[row], best, best <= _FLOOR)
         picks.append(row)
-        steps.append((float(acq[row]), {name: gp.telemetry() for name, gp in gps.items()}))
+        steps.append((best, {name: gp.telemetry() for name, gp in gps.items()}))
     return _finalize_report(method, cfg, candidates, objectives, picks, n_initial, steps)
 
 

@@ -591,6 +591,16 @@ def _distinct(picks):
     return list(dict.fromkeys(picks))
 
 
+def _pick(acq, picks):
+    """The first row of the acquisition's maximum; when that maximum is at the
+    eps floor, the first row of the maximum over the rows not yet picked."""
+    from hpcmobo import optimizer as opt
+
+    if acq.max() <= opt._FLOOR:
+        acq = np.where(np.isin(np.arange(len(acq)), picks), -np.inf, acq)
+    return int(np.argmax(acq))
+
+
 def _reference_mobo_run(candidates, objectives, cfg):
     """The MOBO loop over its whole budget: both GPs refitted and every
     candidate rescored in every iteration, repeats included. Each fit is to
@@ -613,7 +623,7 @@ def _reference_mobo_run(candidates, objectives, cfg):
         gp_p = fit_gp(nodes[distinct], Y[:, 1], warm=warm_p)
         ref = np.asarray(infer_reference(Y), dtype=float)
         acq = np.log(opt.ehvi(gp_r, gp_p, nodes, nondominated(Y), ref) + opt.ACQ_EPS)
-        picks.append(int(np.argmax(acq)))
+        picks.append(_pick(acq, picks))
         steps.append((float(acq.max()),
                       {"runtime": gp_r.telemetry(), "power": gp_p.telemetry()}))
     return opt._finalize_report(opt.METHOD_MOBO, cfg, candidates, objectives, picks,
@@ -644,7 +654,7 @@ def _reference_sobo_run(candidates, objectives, cfg, objective):
         incumbent = float(model_vals.min())
         mean, var = gp_posterior(gp, nodes)
         acq = np.log(opt.expected_improvement(mean, var, incumbent) + opt.ACQ_EPS)
-        picks.append(int(np.argmax(acq)))
+        picks.append(_pick(acq, picks))
         steps.append((float(acq.max()), {objective: gp.telemetry()}))
     return opt._finalize_report(method, cfg, candidates, objectives, picks, n_initial,
                                 steps)
@@ -668,16 +678,17 @@ def _assert_cut_at_the_first_repeat(got, full):
 
 
 # (surrogates, domain, iterations, seed), each budget at least 3x its domain so
-# that the full-budget loops repeat nodes. "flat_acquisition" zeroes both
-# acquisitions: every pick is then the smallest node, which the initial
-# design observed
+# that the full-budget loops repeat nodes. The fitted GP noise keeps EHVI and
+# EI above the floor on real data, so "floor_fallback" zeroes both
+# acquisitions: every pick is then the smallest unobserved node until the
+# domain is spent
 _SEARCH_CASES = {
     "amdahl": (_amdahl_surrogates((1, 12)), (1, 12), 40, 3),
     "amdahl_other_seed": (_amdahl_surrogates((1, 12)), (1, 12), 40, 17),
     "wavy": ((LawSurrogate(lambda n: 30.0 + 10.0 * math.sin(n) + 40.0 / n, (1, 10)),
               LawSurrogate(lambda n: 4.0 * n + 3.0 * math.cos(2.0 * n), (1, 10))),
              (1, 10), 35, 5),
-    "flat_acquisition": (_amdahl_surrogates((1, 8)), (1, 8), 30, 2),
+    "floor_fallback": (_amdahl_surrogates((1, 8)), (1, 8), 30, 2),
 }
 
 
@@ -697,7 +708,7 @@ def search_case(request, monkeypatch):
     from hpcmobo import optimizer
 
     case = _SEARCH_CASES[request.param]
-    if request.param == "flat_acquisition":
+    if request.param == "floor_fallback":
         _zero_acquisitions(monkeypatch)
     calls = []
     original = optimizer.fit_gp
@@ -736,15 +747,19 @@ def test_sobo_stops_at_its_first_repeat_and_matches_the_full_budget_loop(search_
     assert len(calls) == len(got.history) + 1
 
 
-@pytest.mark.parametrize("search_case", ["flat_acquisition"], indirect=True)
-def test_a_flat_acquisition_stops_the_search_after_the_initial_design(search_case):
-    ((surr_r, surr_p), (lo, hi), iterations, seed), _, _ = search_case
+@pytest.mark.parametrize("search_case", ["floor_fallback"], indirect=True)
+@pytest.mark.parametrize("iterations", [30, 2], ids=["domain", "budget"])
+def test_floor_fallback_spends_unobserved_nodes_smallest_first(search_case, iterations):
+    from hpcmobo.optimizer import ACQ_EPS
+
+    ((surr_r, surr_p), (lo, hi), _, seed), _, _ = search_case
     cfg = _fast_cfg(mobo_iterations=iterations, seed=seed)
+    unobserved = sorted(set(range(lo, hi + 1)) - set(initial_design(lo, hi)))
     for report in (mobo_run(*_searched(surr_r, surr_p, lo, hi), cfg),
                    sobo_run(*_searched(surr_r, surr_p, lo, hi), cfg, "runtime"),
                    sobo_run(*_searched(surr_r, surr_p, lo, hi), cfg, "power")):
-        assert report.history == []
-        assert list(report.observed_nodes) == initial_design(lo, hi)
+        assert all(h.acquisition == math.log(ACQ_EPS) for h in report.history)
+        assert [h.node_count for h in report.history] == unobserved[:iterations]
 
 
 # closed-form positive laws over node count n: falling, wavy, U-shaped and flat
@@ -854,7 +869,7 @@ def test_history_records_the_gp_that_scored_each_pick(tmp_path, monkeypatch):
     assert all("gp" not in e for e in random_history)
 
 
-@pytest.mark.parametrize("zeroed", [False, True], ids=["argmax", "flat_acquisition"])
+@pytest.mark.parametrize("zeroed", [False, True], ids=["argmax", "floor_fallback"])
 def test_debug_log_has_a_line_per_pick_and_one_for_the_stop(zeroed, caplog, monkeypatch):
     import logging
 
@@ -867,12 +882,11 @@ def test_debug_log_has_a_line_per_pick_and_one_for_the_stop(zeroed, caplog, monk
     lines = [r.getMessage() for r in caplog.records if r.name == "hpcmobo.optimizer"]
     assert lines[:-1] == [
         f"MOBO iteration {it}: node {h.node_count}, best log acquisition "
-        f"{h.acquisition:.6g}" for it, h in enumerate(report.history)]
+        f"{h.acquisition:.6g}, floor fallback {zeroed}"
+        for it, h in enumerate(report.history)]
     stop = re.fullmatch(rf"MOBO stopped after {report.n_evaluations} evaluations: "
                         r"it proposed node (\d+) again", lines[-1])
     assert stop and int(stop[1]) in report.observed_nodes
-    if zeroed:  # a flat acquisition proposes the smallest node at once
-        assert len(lines) == 1 and int(stop[1]) == bounds[0]
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="hpcmobo.optimizer"):
         mobo_run(*_searched(surr_r, surr_p, *bounds), cfg)
