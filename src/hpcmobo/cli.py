@@ -46,7 +46,7 @@ from .synthgen import (
     DURATION_PAIRS,
     SyntheticSpec,
     generate,
-    load_truth,
+    load_table_truth,
     save_truth,
     table_schema,
 )
@@ -221,7 +221,7 @@ def _cmd_report(args) -> int:
         table = read_table(Path(args.input))
         truth = None
         if settings.truth_path is not None:
-            truth = load_truth(settings.truth_path)
+            truth = load_table_truth(settings.truth_path, table)
         result = report_h1(table, settings, cfg,
                            out_dir=settings.out_dir / "reports", truth=truth)
         log.info("H1 report written; downstream space: %s", result["downstream_space"])

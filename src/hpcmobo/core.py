@@ -69,8 +69,7 @@ def design_spec(columns: Iterable[ColumnSpec]) -> ColumnSpec:
 @dataclass(frozen=True)
 class JobTable:
     """Rectangular job-log table, column major. Missing cells hold None, and
-    they are the only record of what is missing: `mask(name)` derives from
-    them.
+    they are the only record of what is missing.
 
     Transforms never mutate in place; they return new tables.
     """
@@ -100,14 +99,8 @@ class JobTable:
                 return j
         raise DataError(f"no column named {name!r}")
 
-    def spec(self, name: str) -> ColumnSpec:
-        return self.columns[self.index(name)]
-
     def column(self, name: str) -> list:
         return self.cells[self.index(name)]
-
-    def mask(self, name: str) -> np.ndarray:
-        return np.array([v is None for v in self.column(name)], dtype=bool)
 
     def columns_with_role(self, *roles: str) -> list[ColumnSpec]:
         return [c for c in self.columns if c.role in roles]
@@ -117,10 +110,14 @@ class JobTable:
 
     def numeric_matrix(self, names: Sequence[str]) -> np.ndarray:
         """Stack named numeric columns into an (n, k) float matrix. Missing cells
-        become NaN."""
+        become NaN. A named column of another kind is a DataError: the table
+        is a raw log, which preprocessing makes numeric."""
         cols = []
         for name in names:
             j = self.index(name)
+            if self.columns[j].kind != "numeric":
+                raise DataError(f"column {name!r} is {self.columns[j].kind}, not numeric: "
+                                "preprocess the table first (hpcmobo preprocess)")
             vals = [v if v is not None else math.nan for v in self.cells[j]]
             cols.append(np.asarray(vals, dtype=float))
         if not cols:

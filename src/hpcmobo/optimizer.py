@@ -11,7 +11,10 @@ row per candidate. Runtimes and powers are positive normal floats; a
 surrogate that predicts otherwise is a DataError. An engine's observations
 are the table rows it picked, the initial design first; `_finalize_report`
 builds the report's observations, front, per-iteration HV and spread, and the
-budget's `unique_evaluations` from them once, at the end.
+budget's `unique_evaluations` from them once, at the end, under the table's
+reference (`infer_reference(objectives)`), the one of every report of that
+table. Only the acquisition reads the online reference of the rows observed
+so far: the search must not read rows it has not observed.
 
 MOBO and SOBO are one GP search loop, `_gp_search`, to which each engine
 gives its label, the objectives it fits a GP over node count to (runtime
@@ -339,6 +342,7 @@ class ParetoReport:
     front: ParetoFront
     front_nodes: list[int]
     front_found_at: list[int]
+    # of the whole objective table, shared by its reports: hv and hv_so_far are under it
     ref: tuple[float, float]
     hv: float
     spread: float
@@ -375,11 +379,12 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
                      per_seed: list[ParetoReport] | None = None) -> ParetoReport:
     """Build a report from the picked rows of the objective table. The first
     n_initial picks are the initial design; each later pick has one
-    (acquisition, gp telemetry) step, and its history entry carries
-    the HV and spread of the observations up to and including it, under
-    their own inferred reference."""
+    (acquisition, gp telemetry) step, and its history entry carries the HV
+    and spread of the observations up to and including it, every HV under
+    the table's reference, `infer_reference(objectives)`."""
     observed = objectives[picks]
     observed_nodes = candidates.node_counts[picks]
+    ref = infer_reference(objectives)
     history = []
     for it, (acq, gp) in enumerate(steps):
         row = n_initial + it
@@ -389,12 +394,11 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
             node_count=int(observed_nodes[row]),
             runtime=float(observed[row, 0]),
             power=float(observed[row, 1]),
-            hv_so_far=hypervolume(so_far, infer_reference(observed[:row + 1])),
+            hv_so_far=hypervolume(so_far, ref),
             spread_so_far=spread(so_far),
             acquisition=acq,
             gp=gp,
         ))
-    ref = infer_reference(observed)
     front = nondominated(observed)
     # every front point is an observation; argmax finds its first row
     matches = (observed[None, :, :] == front.as_array()[:, None, :]).all(axis=2)
@@ -479,7 +483,7 @@ def _gp_search(method: str, candidates: CandidateSet, objectives: np.ndarray,
 
 
 def _ehvi_at(gps: dict[str, GaussianProcess], Y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Exact EHVI over the front and inferred reference of the rows Y."""
+    """Exact EHVI over the front and online inferred reference of the rows Y."""
     ref = np.asarray(infer_reference(Y), dtype=float)
     return ehvi(gps["runtime"], gps["power"], nodes, nondominated(Y), ref)
 
@@ -542,13 +546,6 @@ def random_run(candidates: CandidateSet, objectives: np.ndarray,
                             steps, budget=budget, per_seed=sub_reports)
 
 
-def hv_history_under_ref(report: ParetoReport, ref) -> list[float]:
-    """Recompute HV-so-far against one fixed reference point (the online
-    inflating reference is reporting-only and not monotone)."""
-    return [hypervolume(nondominated(report.observed[:report.n_initial + it + 1]), ref)
-            for it in range(len(report.history))]
-
-
 @dataclass
 class ComparisonTable:
     """HV and spread per method under one shared reference point."""
@@ -574,24 +571,25 @@ class ComparisonTable:
 
 
 def compare_methods(reports: dict[str, ParetoReport]) -> ComparisonTable:
-    """Re-measure every method against one shared reference inferred from the
-    union of all observations. Higher HV wins; lower spread wins (tighter
-    fronts read as more balanced trade-offs)."""
+    """Rank the reports of one context by their own HV and spread, under the
+    reference they share, their objective table's; reports under different
+    references searched different tables, a DataError. Higher HV wins; lower
+    spread wins (tighter fronts read as more balanced trade-offs)."""
     if not reports:
         raise DataError("no reports to compare")
-    ref = infer_reference(np.concatenate([rep.observed for rep in reports.values()]))
-    hv: dict[str, float] = {}
-    spr: dict[str, float] = {}
-    for name, rep in reports.items():
-        hv[name] = hypervolume(rep.front, ref)
-        spr[name] = spread(rep.front)
+    refs = {rep.ref for rep in reports.values()}
+    if len(refs) > 1:
+        raise DataError(f"the reports searched different objective tables: their "
+                        f"references are {sorted(refs)}")
+    hv = {name: rep.hv for name, rep in reports.items()}
+    spr = {name: rep.spread for name, rep in reports.items()}
     best_hv = max(hv.values())
     best_spread = min(spr.values())
     return ComparisonTable(
         methods=list(reports),
         hv=hv,
         spread=spr,
-        ref=ref,
+        ref=refs.pop(),
         winner_hv=[m for m, v in hv.items() if v == best_hv],
         winner_spread=[m for m, v in spr.items() if v == best_spread],
     )

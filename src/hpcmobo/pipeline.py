@@ -68,7 +68,7 @@ from .surrogate import (
     train_objective_surrogate,
     training_data,
 )
-from .synthgen import load_truth, objectives_at, true_front
+from .synthgen import load_table_truth, objectives_at, true_front
 
 # each row of the timing table and the stages whose seconds it sums: the
 # sampler is part of Preprocessing and the random baseline is manifest-only
@@ -512,6 +512,8 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
 
     processed = run.stage("preprocess", [settings.input_path], preprocess_stage,
                           settings, settings.input_path)
+    # checked before any model trains: the contexts are scored by row number
+    truth = load_table_truth(settings.truth_path, processed) if settings.truth_path else None
     subset, plan = run.stage("sample", [out / "preprocessed.csv"], sample_stage, processed,
                              cfg, out / "subset.csv", out / "plan.json")
     surrogates, metrics = {}, {}
@@ -524,7 +526,6 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
         "preproc_mobo", [out / "subset.csv"], preproc_mobo_stage, subset, plan,
         settings.n_job_contexts, cfg.seed, surrogates["runtime"], surrogates["power"], out)
 
-    truth = load_truth(settings.truth_path) if settings.truth_path else None
     reports_dir = out / "reports"
     reports = {
         method.label: run.stage(stem, [out / "runtime_model.json", out / "power_model.json"],

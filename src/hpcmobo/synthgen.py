@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ColumnSpec, ConfigError, JobTable
+from .core import ColumnSpec, ConfigError, DataError, JobTable
 from .pareto import ParetoFront, nondominated
 
 QUEUE_NAMES = ("batch", "debug", "long", "wide")
@@ -168,6 +168,32 @@ def save_truth(truth: dict, path: str | Path) -> None:
 
 def load_truth(path: str | Path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+# the parameters of each truth job that `objectives_at` reads
+LAW_FIELDS = ("base", "serial_frac", "per_node", "idle")
+
+
+def load_table_truth(path: str | Path, table: JobTable) -> dict:
+    """The truth file of `table`: readable JSON whose `jobs` list holds one
+    entry per table row, in row order, each with the `LAW_FIELDS`. Anything
+    else is a DataError naming the file, for a context would be scored
+    against another job's laws."""
+    try:
+        truth = load_truth(path)
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise DataError(f"truth file {path} is not readable JSON: {exc}") from exc
+    jobs = truth.get("jobs") if isinstance(truth, dict) else None
+    if not isinstance(jobs, list):
+        raise DataError(f"truth file {path} holds no `jobs` list")
+    if len(jobs) != table.n_rows:
+        raise DataError(f"truth file {path} describes {len(jobs)} jobs, but the table has "
+                        f"{table.n_rows} rows: it is not this table's truth file")
+    for i, job in enumerate(jobs):
+        missing = [key for key in LAW_FIELDS if not isinstance(job, dict) or key not in job]
+        if missing:
+            raise DataError(f"truth file {path}: job {i} lacks {', '.join(missing)}")
+    return truth
 
 
 def objectives_at(job: dict, nodes: Iterable[int]) -> list[tuple[float, float]]:

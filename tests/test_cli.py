@@ -266,6 +266,59 @@ def test_data_error_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
+def _five_job_truth(path):
+    main(["synthgen", "--jobs", "5", "--noise-features", "2", "--seed", "0",
+          "--out", str(path.parent / "five.csv"), "--truth", str(path)])
+
+
+@pytest.mark.parametrize("write, message", [
+    # a truth file of another log: run trained every model, then ended in an IndexError
+    (_five_job_truth, "describes 5 jobs, but the table has 200 rows"),
+    # no jobs list: a KeyError
+    (lambda path: path.write_text('{"spec": {}}'), "holds no `jobs` list"),
+    (lambda path: path.write_text('{"jobs": ['), "is not readable JSON"),
+    (lambda path: path.write_text(json.dumps({"jobs": [{"base": 1.0}] * 200})),
+     "job 0 lacks serial_frac, per_node, idle"),
+], ids=["other_log", "no_jobs", "truncated", "no_laws"])
+def test_run_with_a_truth_file_of_another_table_is_a_data_error(tmp_path, capsys, write,
+                                                                message):
+    cfg = _synth(tmp_path)
+    write(tmp_path / "truth.json")
+    assert main(["run", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"truth file {tmp_path / 'truth.json'}" in err and message in err
+    # checked right after preprocessing, before any model trains
+    assert (tmp_path / "out" / "preprocessed.csv").exists()
+    assert not (tmp_path / "out" / "runtime_model.json").exists()
+
+
+def test_report_h1_on_a_subset_of_the_truth_files_log_is_a_data_error(run_dir, tmp_path,
+                                                                     capsys):
+    # each context was scored against the truth job of its row number in the
+    # full log, a different job, and the command exited 0
+    cfg, out = run_dir
+    assert main(["report", "--config", str(cfg), "--h1", "--in", str(out / "subset.csv"),
+                 "--out-dir", str(tmp_path)]) == 3
+    assert "but the table has" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--out", "{tmp}/subset.csv", "--plan", "{tmp}/plan.json"],
+    ["embed", "--target", "runtime_seconds", "--out", "{tmp}/mask.json"],
+    ["train", "--out-dir", "{tmp}"],
+    ["report", "--h1", "--out-dir", "{tmp}"],
+], ids=["sample", "embed", "train", "report_h1"])
+def test_a_stage_subcommand_given_the_raw_log_is_a_data_error(run_dir, tmp_path, capsys,
+                                                              command):
+    # each ended in a ValueError from float('batch'), exit 1
+    cfg, _ = run_dir
+    flags = [flag.format(tmp=tmp_path) for flag in command]
+    assert main(flags + ["--config", str(cfg), "--in", str(cfg.parent / "data.csv")]) == 3
+    assert ("column 'queue' is categorical, not numeric: preprocess the table first"
+            in capsys.readouterr().err)
+
+
 def test_run_whose_sample_is_too_small_to_train_is_a_data_error(tmp_path, capsys):
     # at tau = 0.01 a 20-job log samples fewer than 2 rows; the mask then
     # trained on no rows and ended in a ZeroDivisionError

@@ -39,16 +39,17 @@ def test_load_csv_marks_empty_cell_missing(tmp_path):
     path = _write(tmp_path, "runtime,nodes,power\n10,1,100;200\n,2,5\n30,4,1;2;3\n")
     table = load_csv(path, BASIC_SPECS)
     assert table.n_rows == 3
-    assert table.mask("runtime").tolist() == [False, True, False]
+    assert [v is None for v in table.column("runtime")] == [False, True, False]
     assert table.column("runtime")[1] is None
 
 
 def test_load_csv_parses_power_array_field(tmp_path):
     path = _write(tmp_path, "runtime,nodes,power\n10,1,100;200;300\n")
     table = load_csv(path, BASIC_SPECS)
-    assert table.spec("power") == ColumnSpec("power", "numeric", "regression_target")
+    assert table.columns[table.index("power")] == ColumnSpec("power", "numeric",
+                                                             "regression_target")
     assert table.column("power") == [600.0]
-    assert table.mask("power").tolist() == [False]
+    assert [v is None for v in table.column("power")] == [False]
 
 
 def test_power_array_parts_parse_as_float_parses_them(tmp_path):
@@ -150,7 +151,7 @@ def test_a_written_table_reads_back_as_its_per_kind_conversion_bit_for_bit(
     write_csv(table, path)
     read = load_csv(path, specs)
     for spec in specs:
-        assert read.spec(spec.name).kind == (
+        assert read.columns[read.index(spec.name)].kind == (
             "categorical" if spec.kind == "categorical" else "numeric")
         cells = table.column(spec.name)
         if spec.kind == "categorical":
@@ -287,7 +288,7 @@ def test_preprocess_sums_in_memory_power_arrays_and_imputes_an_empty_one():
          "n": [1.0, 2.0, 3.0]},
     )
     out, recipe = preprocess_fit(table)
-    assert out.spec("p").kind == "numeric"
+    assert out.columns[out.index("p")].kind == "numeric"
     # the empty array is missing, so it takes the median of {600, 0}
     assert recipe.numeric_medians["p"] == 300.0
     assert out.column("p") == [600.0, 300.0, 0.0]
@@ -300,7 +301,7 @@ def test_datetimes_read_and_preprocess_as_epoch_seconds(tmp_path):
     in_memory, _ = preprocess_fit(build_table(specs, {"t": stamps}))
     for out in (loaded, in_memory):
         assert out.column("t") == [10.0, 86400.0]
-        assert out.spec("t").kind == "numeric"
+        assert out.columns[out.index("t")].kind == "numeric"
 
 
 def test_a_bad_timestamp_names_its_row_and_column(tmp_path):
@@ -318,7 +319,7 @@ def test_derive_durations_subtracts_and_flags_negative():
     )
     out = derive_durations(table, [("s", "e", "dur")])
     assert out.column("dur") == [60.0, 0.0, None]
-    assert out.mask("dur").tolist() == [False, False, True]
+    assert [v is None for v in out.column("dur")] == [False, False, True]
 
 
 def test_derive_durations_missing_source_column():
@@ -344,7 +345,7 @@ def test_recipe_imputes_median_and_encodes_first_appearance():
     assert out.column("sn")[0] == 42.5
     assert recipe.numeric_medians["x"] == 2.0
     assert recipe.label_encodings["kind"] == {"gpu": 0, "cpu": 1}
-    assert not any(out.mask(name).any() for name in out.names)
+    assert not any(v is None for name in out.names for v in out.column(name))
 
 
 def test_recipe_mode_imputation_for_categoricals():
@@ -418,7 +419,7 @@ def test_preprocess_drops_ignored_and_keeps_everything_else(tmp_path):
     assert roles.count("design_variable") == 1
     assert len(out.columns) == 6
     assert out.column("wait") == [30.0, 60.0]
-    assert not any(out.mask(name).any() for name in out.names)
+    assert not any(v is None for name in out.names for v in out.column(name))
 
 
 def test_replay_determinism_bit_identical(tmp_path):

@@ -22,7 +22,6 @@ from hpcmobo.optimizer import (
     ehvi_samples,
     evaluate_objectives,
     expected_improvement,
-    hv_history_under_ref,
     initial_design,
     log_ehvi,
     mobo_run,
@@ -424,8 +423,28 @@ def test_hv_so_far_monotone_under_fixed_final_ref():
     surr_r, surr_p = _amdahl_surrogates()
     cfg = _fast_cfg(mobo_iterations=12, seed=5)
     report = mobo_run(*_searched(surr_r, surr_p, 1, 64), cfg)
-    fixed = hv_history_under_ref(report, report.ref)
-    assert all(b >= a - 1e-12 for a, b in zip(fixed, fixed[1:]))
+    hvs = [h.hv_so_far for h in report.history]
+    assert all(b >= a for a, b in zip(hvs, hvs[1:]))
+    assert hvs[-1] == report.hv
+
+
+def test_every_report_of_a_table_shares_its_reference():
+    # an Amdahl table whose greatest runtime and power lie at dominated
+    # interior rows, off the initial design, so that the observations of a
+    # report need not span the table
+    candidates = _candidates(1, 64)
+    table = np.array([[100.0 / n + 2.0 + (200.0 if n == 30 else 0.0),
+                       5.0 * n + (400.0 if n == 40 else 0.0)] for n in range(1, 65)])
+    ref = infer_reference(table)
+    cfg = _fast_cfg(mobo_iterations=10, random_seeds=3, seed=2)
+    reports = [METHODS[stem].run(candidates, table, cfg) for stem in METHODS]
+    reports += reports[-1].per_seed
+    assert len(reports) == 4 + 3
+    for rep in reports:
+        assert rep.ref == ref, rep.method
+        assert rep.hv == hypervolume(rep.front, ref)
+        hvs = [h.hv_so_far for h in rep.history]
+        assert all(b >= a for a, b in zip(hvs, hvs[1:])), rep.method
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,9 +475,10 @@ def test_report_rows_front_and_history_agree_for_any_table_and_picks(data):
         prefix = report.observed[:n_initial + it + 1]
         assert entry.node_count == report.observed_nodes[n_initial + it]
         assert (entry.runtime, entry.power) == tuple(prefix[-1])
-        assert entry.hv_so_far == hypervolume(nondominated(prefix), infer_reference(prefix))
-    fixed = hv_history_under_ref(report, report.ref)
-    assert all(b >= a - 1e-9 * max(1.0, a) for a, b in zip(fixed, fixed[1:]))
+        assert entry.hv_so_far == hypervolume(nondominated(prefix), infer_reference(table))
+    hvs = [h.hv_so_far for h in report.history]
+    assert all(b >= a for a, b in zip(hvs, hvs[1:]))
+    assert report.ref == infer_reference(table)
 
 
 def test_sobo_runtime_converges_to_runtime_corner():
@@ -534,7 +554,12 @@ def test_compare_methods_uses_shared_reference():
     a = mobo_run(*_searched(surr_r, surr_p, 1, 64), _fast_cfg(mobo_iterations=8, seed=1))
     b = random_run(*_searched(surr_r, surr_p, 1, 64), _fast_cfg(mobo_iterations=8, seed=1))
     table = compare_methods({"MOBO": a, "Random": b})
-    assert table.ref == infer_reference(list(a.observed) + list(b.observed))
+    assert table.ref == a.ref == b.ref == infer_reference(_searched(surr_r, surr_p, 1, 64)[1])
+    assert table.hv == {"MOBO": a.hv, "Random": b.hv}
+    assert table.spread == {"MOBO": a.spread, "Random": b.spread}
+    other = random_run(*_searched(surr_r, surr_p, 1, 32), _fast_cfg(mobo_iterations=8, seed=1))
+    with pytest.raises(DataError, match="different objective tables"):
+        compare_methods({"MOBO": a, "Random": other})
 
 
 def test_all_methods_share_the_same_initial_design():

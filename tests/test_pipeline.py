@@ -258,8 +258,8 @@ def test_a_nonpositive_target_in_a_validation_row_is_a_data_error(tmp_path):
     assert runtimes.count(held_out) == 1
     val_row = runtimes.index(held_out)
     runtimes[val_row] = -1.0
-    bad = processed.replace_column("runtime_seconds", processed.spec("runtime_seconds"),
-                                   runtimes)
+    column = processed.columns[processed.index("runtime_seconds")]
+    bad = processed.replace_column("runtime_seconds", column, runtimes)
     with pytest.raises(DataError, match=rf"regression target 'runtime_seconds' must be "
                                         rf"positive, but row {val_row} of the 60-row"):
         train_single_surrogate(bad, settings, "runtime_seconds", False, seed=0)
@@ -375,7 +375,7 @@ _REPORT_DIGESTS = {
     "sobo_power_ctx0.json": "4ff6125ca4c92e4cf0975d956e82afa69a095da614bebe5534e68d295a491589",
     "sobo_power_ctx0_front.csv":
         "e4314e4de60a67df5a720e369b04a244f6b1791075bb9b30724c580c8bba3308",
-    "random_ctx0.json": "793ce4fc47f77ef7ded9802ecc3e049afa814c4ceaa758f7fe695d296820e019",
+    "random_ctx0.json": "d3c397ffa794271ede2be99ac5f8c8d3e5fdaf2aade8f1e46c8462f7506d4482",
     "random_ctx0_front.csv": "1d3b75493f9b8c73d701008f781972e39f3212a6182f2c765581b64e95af08ea",
 }
 

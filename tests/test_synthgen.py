@@ -56,9 +56,10 @@ def test_generated_runtime_matches_law_when_noise_free():
 def test_generated_table_passes_ingest_with_zero_imputation():
     spec = SyntheticSpec(n_jobs=100, n_noise_features=2, noise_sigma=0.0, seed=5)
     table, _ = generate(spec)
-    assert not any(table.mask(name).any() for name in table.names)  # nothing to impute
+    # nothing to impute
+    assert not any(v is None for name in table.names for v in table.column(name))
     out, _ = preprocess_fit(table, duration_pairs=DURATION_PAIRS)
-    assert not any(out.mask(name).any() for name in out.names)
+    assert not any(v is None for name in out.names for v in out.column(name))
     assert out.n_rows == 100
     roles = [c.role for c in out.columns]
     assert roles.count("design_variable") == 1
