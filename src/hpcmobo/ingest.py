@@ -14,14 +14,23 @@ columns. `preprocess_fit` applies the same table to any column of an
 in-memory table still of a raw kind, then derives configured durations,
 imputes, and label-encodes, leaving a fully numeric table with no missing
 (None) cell.
+
+Reading and writing pay for little beyond float conversion, with the bytes
+csv would give. `load_csv` splits a line that holds no '"' at its commas and
+hands only a line that holds one to csv.reader. `write_csv` formats a
+column's cells with one repr of their list when all are Python floats,
+joins a block of rows whose cells are all floats by hand, and writes the
+header and every other block with csv.writer.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,6 +41,10 @@ from .core import ColumnSpec, DataError, JobTable
 
 ARRAY_SEP = ";"
 _NA_TOKENS = {"", "NA", "na", "NaN", "nan", "null", "None"}
+# csv's field size cap while a CSV is read: the default, 128 KiB, holds a
+# power array of about 6,900 samples; this one, the largest that fits a C
+# long everywhere, holds any the design bounds allow
+_FIELD_SIZE_LIMIT = 2**31 - 1
 
 
 def _parse_float(cell, row: int, name: str) -> float | None:
@@ -73,7 +86,11 @@ def _power_total(cell, row: int, name: str) -> float | None:
     sum that overflows is an infinite total, like an infinite sample, and
     one that meets both infinities is NaN, so the cell is missing.
     """
-    parts = [p for p in cell.split(ARRAY_SEP) if p != ""] if isinstance(cell, str) else cell
+    parts = cell
+    if isinstance(cell, str):
+        parts = cell.split(ARRAY_SEP)
+        if "" in parts:
+            parts = [p for p in parts if p != ""]
     if len(parts) == 0:
         return None
     try:
@@ -104,9 +121,37 @@ def _convert_column(spec: ColumnSpec, values: list) -> list:
     return [None if v is None else convert(v, i, spec.name) for i, v in enumerate(values)]
 
 
+def _records(lines):
+    """The records of a CSV file opened with newline="", as csv.reader gives
+    them. A line that holds no '"' is split at its commas (an empty line is
+    the empty record); a line that holds one goes to csv.reader with the
+    lines after it, so a quoted field that spans lines reads, and csv.reader
+    stays the only parser of quoted records."""
+    for line in lines:
+        if '"' in line:
+            yield next(csv.reader(itertools.chain((line,), lines)))
+        else:
+            line = line.rstrip("\r\n")
+            yield line.split(",") if line else []
+
+
+@contextmanager
+def _csv_field_size_limit(limit: int):
+    """csv's field size cap raised to `limit` inside the block, then restored."""
+    previous = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(previous)
+
+
 def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
     """Load a CSV whose header matches `specs` by name, in any column order.
 
+    Records are read as csv.reader reads them (`_records`): a quote-free line
+    is split at its commas, and a line holding a '"' goes to csv.reader,
+    whose 128 KiB field cap is lifted for the read, so a power array of any
+    width reads. A record csv.reader rejects is a DataError naming its row.
     Each power_array cell is summed as its row is read, so no array outlives
     its row, and every other non-categorical column is converted once after
     the last row (`_CONVERTERS`). The returned table is numeric except for
@@ -117,12 +162,15 @@ def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with _csv_field_size_limit(_FIELD_SIZE_LIMIT), \
+            path.open(newline="", encoding="utf-8-sig") as fh:
+        records = _records(fh)
         try:
-            header = next(reader)
+            header = next(records)
         except StopIteration:
             raise DataError(f"empty CSV file: {path}") from None
+        except csv.Error as exc:
+            raise DataError(f"unreadable header in {path}: {exc}") from exc
         duplicates = sorted(n for n, count in Counter(header).items() if count > 1)
         if duplicates:
             raise DataError(f"header of {path} repeats columns {duplicates}")
@@ -136,18 +184,24 @@ def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
             )
         positions = [header.index(n) for n in expected]
         cells: list[list] = [[] for _ in specs]
-        for row_i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise DataError(
-                    f"row {row_i} has {len(row)} cells, expected {len(header)}"
-                )
-            for j, spec in enumerate(specs):
-                token = row[positions[j]]
-                if token in _NA_TOKENS:
-                    token = None
-                elif spec.kind == "power_array":
-                    token = _power_total(token, row_i, spec.name)
-                cells[j].append(token)
+        row_i = -1
+        try:
+            for row_i, row in enumerate(records):
+                if len(row) != len(header):
+                    raise DataError(
+                        f"row {row_i} has {len(row)} cells, expected {len(header)}"
+                    )
+                for j, spec in enumerate(specs):
+                    token = row[positions[j]]
+                    if token in _NA_TOKENS:
+                        token = None
+                    elif spec.kind == "power_array":
+                        token = _power_total(token, row_i, spec.name)
+                    cells[j].append(token)
+        except csv.Error as exc:
+            # only reading a record raises csv.Error, so the record that
+            # failed is the one after the last row read
+            raise DataError(f"unreadable record at row {row_i + 1} of {path}: {exc}") from exc
     for j, spec in enumerate(specs):
         if spec.kind not in ("categorical", "power_array"):
             cells[j] = _convert_column(spec, cells[j])
@@ -156,19 +210,29 @@ def load_csv(path: str | Path, specs: list[ColumnSpec]) -> JobTable:
     return JobTable(columns, tuple(cells))
 
 
+def _all_floats(values: list) -> bool:
+    return all(type(v) is float for v in values)
+
+
 def _format_column(values: list, name: str, first_row: int) -> list[str]:
     """The CSV text of each cell of a column from row `first_row` on: floats
     by repr, so a write/read cycle is bit-identical, a power array as its
     samples joined by ";", and a missing cell or an empty array as an empty
-    field, which reads back as missing. A present cell that would read back
-    as missing (a NaN, or a string that is an NA token) is a DataError
-    naming its row and column."""
-    texts = ["" if v is None
-             else ARRAY_SEP.join(map(repr, np.asarray(v, dtype=float).tolist()))
-             if isinstance(v, np.ndarray)
-             else repr(float(v)) if isinstance(v, (float, np.floating))
-             else str(v)
-             for v in values]
+    field, which reads back as missing. Cells that are all Python floats
+    take one repr of their list, which holds each cell's repr. A present
+    cell that would read back as missing (a NaN, or a string that is an NA
+    token) is a DataError naming its row and column."""
+    if _all_floats(values):
+        texts = repr(values)[1:-1].split(", ")
+    else:
+        texts = ["" if v is None
+                 else ARRAY_SEP.join(map(repr, np.asarray(v, dtype=float).tolist()))
+                 if isinstance(v, np.ndarray)
+                 else repr(float(v)) if isinstance(v, (float, np.floating))
+                 else str(v)
+                 for v in values]
+    if _NA_TOKENS.isdisjoint(texts):
+        return texts
     for row, (value, text) in enumerate(zip(values, texts), first_row):
         if (text in _NA_TOKENS and value is not None
                 and not (isinstance(value, np.ndarray) and value.size == 0)):
@@ -184,16 +248,25 @@ _WRITE_BLOCK_ROWS = 64
 
 def write_csv(table: JobTable, path: str | Path) -> None:
     """Write a JobTable back to CSV, each block of rows column by column
-    (`_format_column`)."""
+    (`_format_column`). A block whose cells are all Python floats is joined
+    by hand: a float's repr holds no comma, quote or line break and is never
+    empty, so csv.writer would quote nothing there. The header and every
+    other block go through csv.writer."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.names)
         for start in range(0, table.n_rows, _WRITE_BLOCK_ROWS):
-            stop = start + _WRITE_BLOCK_ROWS
-            writer.writerows(zip(*(_format_column(col[start:stop], name, start)
-                                   for name, col in zip(table.names, table.cells))))
+            block = [col[start:start + _WRITE_BLOCK_ROWS] for col in table.cells]
+            rows = zip(*(_format_column(values, name, start)
+                         for name, values in zip(table.names, block)))
+            if all(map(_all_floats, block)):
+                fh.write("".join(",".join(row) + "\r\n" for row in rows))
+            else:
+                writer.writerows(rows)
+            # free this block's text before the next block is formatted
+            del rows
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -8,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpcmobo import ingest
 from hpcmobo.core import ColumnSpec, DataError, build_table, tables_equal
 from hpcmobo.ingest import (
     _CONVERTERS,
     _NA_TOKENS,
+    _records,
     derive_durations,
     load_csv,
     preprocess_fit,
@@ -101,6 +105,75 @@ def test_load_csv_holds_no_power_array_past_its_row(tmp_path):
         tracemalloc.stop()
     assert peak < 0.25 * array_bytes
     assert table.column("power") == [250.5 * width] * n_rows
+
+
+def _load_as_text(path):
+    """load_csv's rows of a CSV, each column read as categorical text."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    table = load_csv(path, [ColumnSpec(n, "categorical", "feature") for n in header])
+    return [list(row) for row in zip(*table.cells)]
+
+
+def _oracle_rows(path):
+    """csv.reader's data rows of the same file, NA tokens as missing."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [[None if cell in _NA_TOKENS else cell for cell in row] for row in rows]
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\r\n1,x\r\n2,y\r\n",
+    "a,b\r1,x\r2,y",
+    'a,b\n1,"x, ""quoted""\nacross\r\nthree\rlines"\n2,y\n',
+    'a,"b"\n"1",x\n2,"y"\r\n3,  z \n',
+    "a,b\n1,x\n2,\n,\n",
+], ids=["crlf", "bare_cr", "quoted_field_spans_lines", "quoted_header", "quote_free"])
+def test_load_csv_reads_the_rows_csv_reader_reads(tmp_path, text):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode())
+    assert _load_as_text(path) == _oracle_rows(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(["a", "é", " ", ",", '"', "\r", "\n", ";"]), max_size=40))
+def test_records_are_the_records_csv_reader_reads(text):
+    assert (list(_records(io.StringIO(text, newline="")))
+            == list(csv.reader(io.StringIO(text, newline=""))))
+
+
+@pytest.mark.parametrize("blank", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_csv_names_a_blank_line_as_a_row_of_no_cells(tmp_path, blank):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(f"runtime,nodes,power\n10,1,1;2\n{blank}30,4,3\n".encode())
+    with pytest.raises(DataError, match="row 1 has 0 cells, expected 3"):
+        load_csv(path, BASIC_SPECS)
+
+
+def test_a_power_array_wider_than_csvs_field_cap_reads_quoted_or_not(tmp_path):
+    # 2**18 nodes is the widest design domain the checks accept; its array is
+    # about 5 MB, where csv.reader rejects a field past 128 KiB
+    samples = np.random.default_rng(0).uniform(0.0, 400.0, 2**18)
+    cell = ";".join(map(repr, samples.tolist()))
+    specs = BASIC_SPECS + [ColumnSpec("queue", "categorical", "feature")]
+    path = _write(tmp_path, f"runtime,nodes,power,queue\n10,1,{cell},batch\n"
+                            f'20,2,{cell},"debug, wide"\n')
+    limit = csv.field_size_limit()
+    table = load_csv(path, specs)
+    assert csv.field_size_limit() == limit
+    total = float(np.sum(samples, initial=-0.0))
+    assert table.column("power") == [total, total]
+    assert table.column("queue") == ["batch", "debug, wide"]
+
+
+def test_load_csv_names_the_row_of_a_record_csv_reader_rejects(tmp_path, monkeypatch):
+    # a cap this low makes csv.reader reject the quoted array on row 1
+    monkeypatch.setattr(ingest, "_FIELD_SIZE_LIMIT", 8)
+    path = _write(tmp_path, 'runtime,nodes,power\n10,1,"1;2"\n20,2,"3;4;5;6;7"\n')
+    limit = csv.field_size_limit()
+    with pytest.raises(DataError, match="unreadable record at row 1 of .*field limit"):
+        load_csv(path, BASIC_SPECS)
+    assert csv.field_size_limit() == limit
 
 
 # a present cell of each raw kind, as an in-memory table holds it: every value
@@ -248,6 +321,54 @@ def test_write_csv_names_the_row_of_a_bad_cell_past_the_first_block(tmp_path):
     table = build_table([ColumnSpec("x", "numeric", "feature")], {"x": cells})
     with pytest.raises(DataError, match="row 150, column 'x'"):
         write_csv(table, tmp_path / "bad.csv")
+
+
+_EDGE_FLOATS = [-0.0, 0.0, math.inf, -math.inf, 5e-324, -2.2250738585072e-308, 1e300, -1e300,
+                0.1 + 0.2]
+
+
+@st.composite
+def _numeric_tables(draw):
+    n_cols = draw(st.integers(1, 3))
+    n_rows = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
+    cell = st.none() | st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False)
+    specs = [ColumnSpec(f"x{j}", "numeric", "feature") for j in range(n_cols)]
+    columns = [draw(st.lists(cell, min_size=n_rows, max_size=n_rows)) for _ in specs]
+    # often a column with no missing cell, so whole blocks are all floats
+    for col in columns:
+        if draw(st.booleans()):
+            col[:] = [0.5 if v is None else v for v in col]
+    return build_table(specs, {s.name: col for s, col in zip(specs, columns)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_numeric_tables())
+def test_write_csv_writes_a_numeric_table_as_csv_writer_writes_each_repr(tmp_path_factory,
+                                                                         table):
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(table.names)
+    writer.writerows(["" if v is None else repr(v) for v in row] for row in zip(*table.cells))
+    path = tmp_path_factory.mktemp("numeric") / "numeric.csv"
+    write_csv(table, path)
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_numeric_tables(), st.data())
+def test_write_csv_names_the_row_and_column_of_a_nan_in_a_numeric_table(tmp_path_factory,
+                                                                        table, data):
+    j = data.draw(st.integers(0, len(table.names) - 1))
+    row = data.draw(st.integers(0, table.n_rows - 1))
+    table.cells[j][row] = math.nan
+    with pytest.raises(DataError, match=rf"row {row}, column 'x{j}'"):
+        write_csv(table, tmp_path_factory.mktemp("nan") / "nan.csv")
+
+
+def test_write_csv_quotes_the_lone_empty_field_of_a_one_column_row(tmp_path):
+    table = build_table([ColumnSpec("x", "numeric", "feature")], {"x": [1.5, None, -0.0]})
+    write_csv(table, tmp_path / "one.csv")
+    assert (tmp_path / "one.csv").read_bytes() == b'x\r\n1.5\r\n""\r\n-0.0\r\n'
 
 
 @pytest.mark.parametrize("in_memory", [False, True], ids=["csv", "in_memory"])
