@@ -3,8 +3,9 @@
 Subcommands: synthgen, preprocess, sample, embed, train, optimize, report,
 run. preprocess, sample and train each run one stage of `run` through the
 function `run` calls (`pipeline.*_stage`), and embed runs train's mask fit
-(`surrogate.fit_feature_mask`). Exit codes: 0 success, 2 config error,
-3 data error, 4 numerical failure.
+(`surrogate.fit_feature_mask`). Each subcommand takes --log-level and only
+the `_SHARED_FLAGS` it reads. Exit codes: 0 success, 2 config error, 3 data
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,39 +55,29 @@ from .synthgen import (
 log = logging.getLogger("hpcmobo")
 
 
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file (key = value with [sections])")
-    p.add_argument("--out-dir", default=None, help="override the output directory")
-    p.add_argument("--log-level", default="INFO",
-                   choices=["DEBUG", "INFO", "WARNING", "ERROR"])
-    # every run-config field can be overridden from the command line
-    run = p.add_argument_group("run config overrides")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--mobo-iterations", type=int, default=None)
-    run.add_argument("--random-seeds", type=int, default=None)
-    run.add_argument("--sampling-fraction", "--tau", type=float, default=None,
-                     dest="sampling_fraction")
-    run.add_argument("--run-p-min", type=float, default=None, dest="run_p_min")
+# the flags several subcommands share, by dest: a run-config override's dest
+# is its RunConfig field. Each subcommand takes only the ones it reads.
+_SHARED_FLAGS = {
+    "config": (["--config"], {"help": "config file (key = value with [sections])"}),
+    "out_dir": (["--out-dir"], {"help": "override the output directory"}),
+    "seed": (["--seed"], {"type": int}),
+    "mobo_iterations": (["--mobo-iterations"], {"type": int}),
+    "random_seeds": (["--random-seeds"], {"type": int}),
+    "sampling_fraction": (["--sampling-fraction", "--tau"], {"type": float}),
+    "p_min": (["--run-p-min"], {"type": float}),
+}
+_RUN_FLAGS = ("seed", "mobo_iterations", "random_seeds", "sampling_fraction", "p_min")
 
 
 def _overrides(args) -> dict:
-    return {
-        "seed": args.seed,
-        "mobo_iterations": args.mobo_iterations,
-        "random_seeds": args.random_seeds,
-        "sampling_fraction": args.sampling_fraction,
-        "p_min": args.run_p_min,
-    }
+    return {field: value for field, value in vars(args).items() if field in _RUN_FLAGS}
 
 
 def _load(args, require_config: bool = True):
-    if args.config is None:
-        if require_config:
-            raise ConfigError("this command needs --config")
-        return {}, run_config_from_sections({}, _overrides(args))
-    sections = load_config_file(args.config)
-    cfg = run_config_from_sections(sections, _overrides(args))
-    return sections, cfg
+    if args.config is None and require_config:
+        raise ConfigError("this command needs --config")
+    sections = {} if args.config is None else load_config_file(args.config)
+    return sections, run_config_from_sections(sections, _overrides(args))
 
 
 def _cmd_synthgen(args) -> int:
@@ -162,7 +153,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_embed(args) -> int:
     sections, cfg = _load(args)
-    settings = _settings(args, sections)
+    settings = parse_settings(sections, Path(args.config).parent, None)
     features, X, y = training_data(read_table(args.input), args.target)
     scaler, mask = fit_feature_mask(X, y, settings.mask_epochs, cfg.seed)
     mask.save(args.out, scaler_mean=scaler.mean, scaler_std=scaler.std)
@@ -247,6 +238,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _subcommand(sub, name: str, summary: str, fn, *shared: str) -> argparse.ArgumentParser:
+    """Add subcommand `name`, running `fn`, with --log-level and the named
+    `_SHARED_FLAGS`."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--log-level", default="INFO",
+                   choices=["DEBUG", "INFO", "WARNING", "ERROR"])
+    for dest in shared:
+        flags, kwargs = _SHARED_FLAGS[dest]
+        p.add_argument(*flags, dest=dest, default=None, **kwargs)
+    p.set_defaults(fn=fn)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hpcmobo",
@@ -254,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synthgen", help="generate a synthetic job log with ground truth")
-    _add_global_flags(p)
+    p = _subcommand(sub, "synthgen", "generate a synthetic job log with ground truth",
+                    _cmd_synthgen, "seed")
     p.add_argument("--jobs", type=int, default=1000)
     p.add_argument("--noise-features", type=int, default=5)
     p.add_argument("--nodes-min", type=int, default=1)
@@ -265,54 +269,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--emit-config", default=None,
                    help="also write a ready-to-run pipeline config")
-    p.set_defaults(fn=_cmd_synthgen)
 
-    p = sub.add_parser("preprocess", help="build the numeric view of a raw job log")
-    _add_global_flags(p)
+    p = _subcommand(sub, "preprocess", "build the numeric view of a raw job log",
+                    _cmd_preprocess, "config", "out_dir")
     p.add_argument("--in", dest="input", default=None)
-    p.set_defaults(fn=_cmd_preprocess)
 
-    p = sub.add_parser("sample", help="loss-proportional subset sampling")
-    _add_global_flags(p)
+    p = _subcommand(sub, "sample", "loss-proportional subset sampling", _cmd_sample,
+                    "config", "seed", "sampling_fraction", "p_min")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--plan", required=True)
-    p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("embed", help="train an attentive feature mask")
-    _add_global_flags(p)
+    p = _subcommand(sub, "embed", "train an attentive feature mask", _cmd_embed,
+                    "config", "seed")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_embed)
 
-    p = sub.add_parser("train", help="train runtime and power surrogates")
-    _add_global_flags(p)
+    p = _subcommand(sub, "train", "train runtime and power surrogates", _cmd_train,
+                    "config", "out_dir", "seed")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--no-embedding", action="store_true")
-    p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("optimize", help="run one optimizer against frozen surrogates")
-    _add_global_flags(p)
+    p = _subcommand(sub, "optimize", "run one optimizer against frozen surrogates",
+                    _cmd_optimize, "config", "seed", "mobo_iterations", "random_seeds")
     p.add_argument("--method", required=True,
                    choices=[stem.replace("_", "-") for stem in METHODS])
     p.add_argument("--surrogates", required=True, help="directory with *_model.json")
     p.add_argument("--job-context", required=True, help="one-row CSV of feature values")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_optimize)
 
-    p = sub.add_parser("report", help="check that every method's context-0 report "
-                                      "exists, or write the embedded-vs-raw comparison")
-    _add_global_flags(p)
+    # --h1's comparison reads the seed and the search budget
+    p = _subcommand(sub, "report", "check that every method's context-0 report exists, "
+                                   "or write the embedded-vs-raw comparison", _cmd_report,
+                    "config", "out_dir", "seed", "mobo_iterations", "random_seeds")
     p.add_argument("--h1", action="store_true",
                    help="produce the embedded-vs-raw comparison")
     p.add_argument("--in", dest="input", default=None,
                    help="preprocessed table for --h1")
-    p.set_defaults(fn=_cmd_report)
 
-    p = sub.add_parser("run", help="execute the full pipeline")
-    _add_global_flags(p)
-    p.set_defaults(fn=_cmd_run)
+    _subcommand(sub, "run", "execute the full pipeline", _cmd_run, *_SHARED_FLAGS)
 
     return parser
 

@@ -212,13 +212,12 @@ class RunConfig:
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
-    """Parse a `key = value` config file with optional [section] headers.
-
-    Keys before any header land in the "" section. Lines starting with # or ;
-    are comments.
-    """
-    sections: dict[str, dict[str, str]] = {"": {}}
-    current = ""
+    """Parse a `key = value` config file of [section] headers. Lines starting
+    with # or ; are comments. A key above the first header, or one given
+    twice in a section, is a ConfigError naming its line(s)."""
+    sections: dict[str, dict[str, str]] = {}
+    seen_at: dict[tuple[str, str], int] = {}
+    current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
@@ -229,8 +228,15 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno} is not `key = value`: {raw!r}")
-        key, value = line.split("=", 1)
-        sections[current][key.strip()] = value.strip()
+        if current is None:
+            raise ConfigError(f"config line {lineno} sets a key above the first "
+                              f"[section]: {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if (current, key) in seen_at:
+            raise ConfigError(f"[{current}] key {key!r} is given twice, on lines "
+                              f"{seen_at[current, key]} and {lineno}")
+        seen_at[current, key] = lineno
+        sections[current][key] = value
     return sections
 
 
@@ -268,17 +274,16 @@ def cast_section(section: str, values: Mapping[str, str],
     """Cast each `key = value` of one config section by the type `keys` gives
     it. An unknown key, or a value its type cannot parse, is a ConfigError
     naming the key."""
-    where = f"[{section}]" if section else "top-level"
     out: dict[str, Any] = {}
     for key, value in values.items():
         if key not in keys:
-            raise ConfigError(f"unknown {where} key {key!r}; valid keys are "
+            raise ConfigError(f"unknown [{section}] key {key!r}; valid keys are "
                               f"{', '.join(keys)}")
         try:
             out[key] = _CASTS[keys[key]](value)
         except ValueError as exc:
             raise ConfigError(
-                f"{where} key {key!r} = {value!r} is not a valid {keys[key]}") from exc
+                f"[{section}] key {key!r} = {value!r} is not a valid {keys[key]}") from exc
     return out
 
 
@@ -289,22 +294,17 @@ _RUN_KEYS = {**_RUN_FIELDS, "tau": "float"}
 
 def run_config_from_sections(sections: Mapping[str, Mapping[str, str]],
                              overrides: Mapping[str, Any] | None = None) -> RunConfig:
-    """Build a RunConfig from parsed config sections plus CLI overrides.
-
-    Fields are read from the [run] section, falling back to top-level keys.
-    An unknown key in [run] is a ConfigError; unknown top-level keys are
-    ignored, and `mc_samples` is ignored with a warning in either place.
-    """
-    merged: dict[str, Any] = {}
-    for scope in ("", "run"):
-        values = {}
-        for key, value in sections.get(scope, {}).items():
-            if key == "mc_samples":  # set by older configs; MOBO's EHVI is exact
-                log.warning("config key %s is ignored: no engine reads it", key)
-            elif scope == "run" or key in _RUN_KEYS:
-                values[key] = value
-        for key, value in cast_section(scope, values, _RUN_KEYS).items():
-            merged["sampling_fraction" if key == "tau" else key] = value
+    """Build a RunConfig from the [run] section of parsed config sections plus
+    CLI overrides. An unknown [run] key, or `tau` next to `sampling_fraction`,
+    is a ConfigError; `mc_samples` is ignored with a warning."""
+    values = dict(sections.get("run", {}))
+    if "mc_samples" in values:  # set by older configs; MOBO's EHVI is exact
+        log.warning("config key mc_samples is ignored: no engine reads it")
+        del values["mc_samples"]
+    if {"tau", "sampling_fraction"} <= values.keys():
+        raise ConfigError("[run] sets both sampling_fraction and tau, its other name")
+    merged = {"sampling_fraction" if key == "tau" else key: value
+              for key, value in cast_section("run", values, _RUN_KEYS).items()}
     for key, value in (overrides or {}).items():
         if value is None:
             continue

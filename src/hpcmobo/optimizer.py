@@ -56,6 +56,7 @@ from .core import ConfigError, DataError, NumericalError, RunConfig
 from .gp import GaussianProcess, fit_gp, gp_posterior
 from .pareto import (
     ParetoFront,
+    front_rows,
     hvi_strips,
     hypervolume,
     hypervolume_improvement,
@@ -327,7 +328,7 @@ class HistoryEntry:
     gp: dict[str, dict] | None = None
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass
@@ -399,10 +400,8 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
             acquisition=acq,
             gp=gp,
         ))
-    front = nondominated(observed)
-    # every front point is an observation; argmax finds its first row
-    matches = (observed[None, :, :] == front.as_array()[:, None, :]).all(axis=2)
-    found_at = matches.argmax(axis=1)
+    found_at = front_rows(observed)
+    front = ParetoFront(tuple(map(tuple, observed[found_at].tolist())))
     return ParetoReport(
         method=method,
         config=cfg,
@@ -410,8 +409,8 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
         observed_nodes=observed_nodes,
         observed=observed,
         front=front,
-        front_nodes=[int(observed_nodes[i]) for i in found_at],
-        front_found_at=[int(i) for i in found_at],
+        front_nodes=observed_nodes[found_at].tolist(),
+        front_found_at=found_at.tolist(),
         ref=ref,
         hv=hypervolume(front, ref),
         spread=spread(front),

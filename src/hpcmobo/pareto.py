@@ -44,22 +44,24 @@ def _pairs(points, what: str) -> np.ndarray:
     return pts
 
 
-def nondominated(points: Sequence[Sequence[float]]) -> ParetoFront:
-    """Maximal nondominated subset; weakly dominated points and duplicates drop."""
+def front_rows(points: Sequence[Sequence[float]]) -> np.ndarray:
+    """Rows of the maximal nondominated subset of `points`, ascending by the
+    first objective: of equal points, the first row. Weakly dominated points
+    and later duplicates drop."""
     pts = _pairs(points, "nondominated()")
     if pts.size and not np.isfinite(pts).all():
         raise DataError("nondominated() requires finite points")
-    if len(pts) == 0:
-        return ParetoFront(())
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    kept: list[tuple[float, float]] = []
-    best_y = math.inf
-    for i in order:
-        y = pts[i, 1]
-        if y < best_y:
-            kept.append((float(pts[i, 0]), float(y)))
-            best_y = y
-    return ParetoFront(tuple(kept))
+    y = pts[order, 1]
+    # a row stays when its y is below every y sorted before it
+    best_before = np.minimum.accumulate(np.concatenate(([math.inf], y[:-1])))
+    return order[y < best_before]
+
+
+def nondominated(points: Sequence[Sequence[float]]) -> ParetoFront:
+    """Maximal nondominated subset; weakly dominated points and duplicates drop."""
+    pts = _pairs(points, "nondominated()")
+    return ParetoFront(tuple(map(tuple, pts[front_rows(pts)].tolist())))
 
 
 def hypervolume(front: ParetoFront | Sequence[Sequence[float]],

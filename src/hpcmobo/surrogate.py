@@ -145,9 +145,10 @@ def _pack(trees: list[RegressionTree]) -> _PackedForest:
                         "-1, and an inner node's children are later nodes of its tree")
     # a prediction adds one leaf of each tree in tree order; rounding is
     # monotone, so no such sum overflows when the trees' largest leaf
-    # magnitudes, added in that order, stay finite
+    # magnitudes, added in that order, stay finite (fmax skips a NaN leaf,
+    # which load_surrogate rejects by name)
     largest = np.zeros(len(trees))
-    np.maximum.at(largest, owner[~inner], np.abs(value[~inner]))
+    np.fmax.at(largest, owner[~inner], np.abs(value[~inner]))
     if math.isinf(sum(largest.tolist())):
         raise DataError(f"the largest leaf magnitudes of its {len(trees)} trees sum past "
                         "the largest float, so a prediction could overflow")

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+import re
 import shutil
 
 import numpy as np
@@ -90,12 +91,59 @@ def test_stage_subcommands_write_the_bytes_run_writes(tmp_path):
     out, alone = tmp_path / "out", tmp_path / "alone"
     flags = ["--config", str(cfg), "--out-dir", str(alone)]
     assert main(["preprocess", *flags]) == 0
-    assert main(["sample", *flags, "--in", str(out / "preprocessed.csv"),
+    assert main(["sample", "--config", str(cfg), "--in", str(out / "preprocessed.csv"),
                  "--out", str(alone / "subset.csv"), "--plan", str(alone / "plan.json")]) == 0
     assert main(["train", *flags, "--in", str(out / "subset.csv")]) == 0
     for name in ("preprocessed.csv", "recipe.json", "subset.csv", "plan.json",
                  "runtime_model.json", "power_model.json", "surrogate_metrics.json"):
         assert (alone / name).read_bytes() == (out / name).read_bytes(), name
+
+
+_SHARED_FLAGS = ["--config", "--out-dir", "--seed", "--mobo-iterations", "--random-seeds",
+                 "--sampling-fraction", "--run-p-min"]
+# the shared flags each subcommand reads, and the arguments it requires
+_READS = {
+    "synthgen": ["--seed"],
+    "preprocess": ["--config", "--out-dir"],
+    "sample": ["--config", "--seed", "--sampling-fraction", "--run-p-min"],
+    "embed": ["--config", "--seed"],
+    "train": ["--config", "--out-dir", "--seed"],
+    "optimize": ["--config", "--seed", "--mobo-iterations", "--random-seeds"],
+    "report": ["--config", "--out-dir", "--seed", "--mobo-iterations", "--random-seeds"],
+    "run": _SHARED_FLAGS,
+}
+_REQUIRED = {
+    "synthgen": ["--out", "d.csv", "--truth", "t.json"],
+    "sample": ["--in", "p.csv", "--out", "s.csv", "--plan", "p.json"],
+    "embed": ["--in", "s.csv", "--target", "runtime_seconds", "--out", "m.json"],
+    "train": ["--in", "s.csv"],
+    "optimize": ["--method", "mobo", "--surrogates", "out", "--job-context", "c.csv",
+                 "--out", "r.json"],
+}
+# 28 (subcommand, flag) pairs
+_UNREAD = [(command, flag) for command, flags in _READS.items()
+           for flag in _SHARED_FLAGS if flag not in flags]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD)
+def test_a_subcommand_rejects_a_shared_flag_it_does_not_read(command, flag, capsys,
+                                                            tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a command that ran would write here
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_REQUIRED.get(command, []), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _READS)
+def test_help_lists_log_level_and_the_shared_flags_the_subcommand_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+    assert listed & set(_SHARED_FLAGS) == set(_READS[command])
+    assert ("--tau" in listed) == ("--sampling-fraction" in listed)
+    assert "--log-level" in listed
 
 
 def test_embed_with_default_settings_fits_the_mask_train_fits(tmp_path):
@@ -389,12 +437,15 @@ def test_optimize_with_a_broken_model_file_is_a_data_error(tmp_path, capsys):
     assert main(flags) == 3
     err = capsys.readouterr().err
     assert "runtime_model.json names" in err and "theta has shape" in err
-    # each ran with exit 0, or 4 where a prediction came out NaN
+    leaf = json.loads(good)["ensemble"]["trees"][0]["feature"].index(-1)
+    # each ran with exit 0, or 4 where a prediction came out NaN; a NaN leaf
+    # also raised a RuntimeWarning in the leaf-overflow check
     for field, keys, value, fault in (
             ("theta", ("mask", "theta", 0), math.inf, "finite"),
             ("base_value", ("ensemble", "base_value"), -math.inf, "finite"),
             ("tree 0 threshold", ("ensemble", "trees", 0, "threshold", 0), math.inf, "finite"),
-            ("tree 0 value", ("ensemble", "trees", 0, "value", 0), math.nan, "finite")):
+            ("tree 0 value", ("ensemble", "trees", 0, "value", 0), math.nan, "finite"),
+            ("tree 0 value", ("ensemble", "trees", 0, "value", leaf), math.nan, "finite")):
         damaged = json.loads(good)
         owner = damaged
         for key in keys[:-1]:

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,8 +49,8 @@ def test_run_config_reports_first_violation_with_field_name():
 def test_config_file_parsing_with_sections_and_overrides(tmp_path):
     text = """
 # comment
-seed = 3
 [run]
+seed = 3
 mobo_iterations = 40
 tau = 0.5
 """
@@ -70,15 +71,41 @@ def test_config_rejects_unknown_run_key(line):
     assert "mobo_iterations" in str(exc.value) and "sampling_fraction" in str(exc.value)
 
 
-def test_config_ignores_unknown_top_level_keys():
-    sections = parse_config_text("mobo_iteration = 5\n[run]\nseed = 4\n")
-    cfg = run_config_from_sections(sections)
-    assert cfg.mobo_iterations == 300
-    assert cfg.seed == 4
+def test_config_rejects_unknown_top_level_keys():
+    with pytest.raises(ConfigError, match="line 2 sets a key above the first \\[section\\]"):
+        parse_config_text("# a comment\nmobo_iteration = 5\n[run]\nseed = 4\n")
+
+
+@pytest.mark.parametrize("text, lineno", [("seed = 3\n[run]\nseed = 4\n", 1),
+                                          ("\n; a comment\n\nmc_samples = 64\n[run]\n", 4)])
+def test_a_run_key_above_the_first_section_is_a_config_error_naming_its_line(text, lineno):
+    # [run] is the one place for run keys: there is no top-level fallback
+    with pytest.raises(ConfigError, match=f"config line {lineno} sets a key above"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[run]\nseed = 1\nseed = 2\n", "[run] key 'seed' is given twice, on lines 2 and 3"),
+    # a section may be reopened; a key it already set is still a repeat
+    ("[run]\nseed = 1\n[pipeline]\ninput = a.csv\n[run]\nseed = 1\n",
+     "[run] key 'seed' is given twice, on lines 2 and 6"),
+    ("[schema]\nx = numeric:feature\ny = numeric:feature\nx = categorical:ignored\n",
+     "[schema] key 'x' is given twice, on lines 2 and 4"),
+])
+def test_a_key_repeated_in_a_section_is_a_config_error_naming_both_lines(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("order", [("tau", "sampling_fraction"), ("sampling_fraction", "tau")])
+def test_tau_next_to_sampling_fraction_is_a_config_error(order):
+    sections = parse_config_text("[run]\n" + "".join(f"{key} = 0.5\n" for key in order))
+    with pytest.raises(ConfigError, match="both sampling_fraction and tau"):
+        run_config_from_sections(sections)
 
 
 @pytest.mark.parametrize("text", ["[run]\nmc_samples = 64\nseed = 4\n",
-                                  "mc_samples = 64\n[run]\nseed = 4\n"])
+                                  "[run]\nseed = 4\nmc_samples = 64\n"])
 def test_config_ignores_mc_samples_with_one_warning(text, caplog):
     caplog.set_level(logging.WARNING, logger="hpcmobo")
     cfg = run_config_from_sections(parse_config_text(text))
@@ -94,8 +121,8 @@ def test_cast_section_casts_by_declared_type():
     for key, value in (("n", "3.0"), ("x", "half"), ("on", "maybe")):
         with pytest.raises(ConfigError, match=f"\\[s\\] key '{key}' = '{value}'"):
             cast_section("s", {key: value}, keys)
-    with pytest.raises(ConfigError, match="unknown top-level key 'm'; valid keys are n, x"):
-        cast_section("", {"m": "1"}, keys)
+    with pytest.raises(ConfigError, match="unknown \\[s\\] key 'm'; valid keys are n, x"):
+        cast_section("s", {"m": "1"}, keys)
 
 
 def test_config_rejects_an_unparseable_run_value():

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
@@ -479,6 +479,35 @@ def test_report_rows_front_and_history_agree_for_any_table_and_picks(data):
     hvs = [h.hv_so_far for h in report.history]
     assert all(b >= a for a, b in zip(hvs, hvs[1:]))
     assert report.ref == infer_reference(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_report_hv_scales_by_the_product_of_the_column_factors(data):
+    from hpcmobo import optimizer as opt
+
+    # positive objectives over six decades; each column has a nonzero range,
+    # so the reference's pad scales with it
+    exponents = data.draw(st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+                                   min_size=8, max_size=64))
+    table = 10.0 ** (np.array(exponents, dtype=float) / 100)
+    assume((np.ptp(table, axis=0) > 0).all())
+    picks = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=30))
+    n_initial = data.draw(st.integers(1, len(picks)))
+    steps = [(None, None)] * (len(picks) - n_initial)
+    # a power of two scales every float exactly; another factor rounds
+    exact = data.draw(st.booleans())
+    factor = st.integers(-10, 10).map(lambda k: 2.0 ** k) if exact else st.floats(1e-3, 1e3)
+    scale = np.array([data.draw(factor), data.draw(factor)])
+    candidates = CandidateSet.from_bounds(1, len(table), _context())
+    base, scaled = (opt._finalize_report("T", _fast_cfg(), candidates, t, list(picks),
+                                         n_initial, steps) for t in (table, table * scale))
+
+    product = scale[0] * scale[1]
+    pairs = [(base.hv, scaled.hv)]
+    pairs += [(a.hv_so_far, b.hv_so_far) for a, b in zip(base.history, scaled.history)]
+    for hv, hv_scaled in pairs:
+        assert hv_scaled == (hv * product if exact else pytest.approx(hv * product, rel=1e-12))
 
 
 def test_sobo_runtime_converges_to_runtime_corner():
