@@ -23,6 +23,8 @@ from .core import (
     ConfigError,
     DataError,
     PipelineError,
+    RunConfig,
+    config_fields,
     design_spec,
     load_config_file,
     run_config_from_sections,
@@ -66,11 +68,10 @@ _SHARED_FLAGS = {
     "sampling_fraction": (["--sampling-fraction", "--tau"], {"type": float}),
     "p_min": (["--run-p-min"], {"type": float}),
 }
-_RUN_FLAGS = ("seed", "mobo_iterations", "random_seeds", "sampling_fraction", "p_min")
 
 
 def _overrides(args) -> dict:
-    return {field: value for field, value in vars(args).items() if field in _RUN_FLAGS}
+    return {f: getattr(args, f) for f in config_fields(RunConfig) if hasattr(args, f)}
 
 
 def _load(args, require_config: bool = True):

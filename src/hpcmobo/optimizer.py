@@ -400,8 +400,8 @@ def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
             acquisition=acq,
             gp=gp,
         ))
+    front = nondominated(observed)
     found_at = front_rows(observed)
-    front = ParetoFront(tuple(map(tuple, observed[found_at].tolist())))
     return ParetoReport(
         method=method,
         config=cfg,
