@@ -32,14 +32,8 @@ class NumericalError(PipelineError):
     exit_code = 4
 
 
-COLUMN_KINDS = ("numeric", "categorical", "datetime", "power_array", "string_numeric")
-COLUMN_ROLES = (
-    "feature",
-    "regression_target",
-    "classification_target",
-    "design_variable",
-    "ignored",
-)
+COLUMN_KINDS = ("numeric", "categorical", "datetime", "power_array")
+COLUMN_ROLES = ("feature", "regression_target", "design_variable", "ignored")
 
 
 @dataclass(frozen=True)
@@ -155,31 +149,6 @@ class JobTable:
             idx = keep.astype(int)
         cells = tuple([col[i] for i in idx] for col in self.cells)
         return JobTable(self.columns, cells)
-
-
-def build_table(columns: Sequence[ColumnSpec], data: Mapping[str, list]) -> JobTable:
-    """Assemble a JobTable from per-column value lists; None marks missing."""
-    cells = []
-    for spec in columns:
-        if spec.name not in data:
-            raise DataError(f"no data supplied for column {spec.name!r}")
-        cells.append(list(data[spec.name]))
-    return JobTable(tuple(columns), tuple(cells))
-
-
-def tables_equal(a: JobTable, b: JobTable) -> bool:
-    """Cell-for-cell equality; a missing (None) cell equals only a missing
-    cell."""
-    if a.columns != b.columns or a.n_rows != b.n_rows:
-        return False
-    for col_a, col_b in zip(a.cells, b.cells):
-        for va, vb in zip(col_a, col_b):
-            if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-                if not np.array_equal(np.asarray(va), np.asarray(vb)):
-                    return False
-            elif va != vb and not (va is None and vb is None):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -115,37 +115,3 @@ def train_mask(X: np.ndarray, y: np.ndarray, epochs: int, seed: int = 0,
                 if prev > 0 and 0.0 <= (prev - loss) / prev < 1e-6:
                     break
     return AttentiveMask(theta=theta, readout_w=w, readout_b=b)
-
-
-def gradient_check(mask: AttentiveMask, X: np.ndarray, y: np.ndarray,
-                   h: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central finite
-    differences at the given mask point. Intended for small instances."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    theta = mask.theta.copy()
-    w = mask.readout_w.copy()
-    b = mask.readout_b
-    _, g_theta, g_w, g_b = _loss_and_grads(theta, w, b, X, y)
-
-    def loss_at(t, ww, bb):
-        return _loss_and_grads(t, ww, bb, X, y)[0]
-
-    worst = 0.0
-
-    def check(analytic: float, plus: float, minus: float) -> None:
-        nonlocal worst
-        fd = (plus - minus) / (2 * h)
-        denom = max(abs(analytic) + abs(fd), 1e-6)
-        worst = max(worst, abs(analytic - fd) / denom)
-
-    for j in range(len(theta)):
-        dt = np.zeros_like(theta)
-        dt[j] = h
-        check(g_theta[j], loss_at(theta + dt, w, b), loss_at(theta - dt, w, b))
-    for j in range(len(w)):
-        dw = np.zeros_like(w)
-        dw[j] = h
-        check(g_w[j], loss_at(theta, w + dw, b), loss_at(theta, w - dw, b))
-    check(g_b, loss_at(theta, w, b + h), loss_at(theta, w, b - h))
-    return worst

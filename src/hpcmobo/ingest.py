@@ -2,10 +2,10 @@
 
 Raw job logs arrive as RFC-4180 CSV with power arrays packed into single
 ";"-separated fields. One table, `_CONVERTERS`, says how a present cell of
-each raw column kind becomes a number: numeric and string_numeric cells go
-through float() (a NaN, however spelt, is missing), ISO-8601 datetimes
-become epoch seconds, and a power array becomes the total of its samples;
-categorical cells stay text until the recipe encodes them.
+each raw column kind becomes a number: numeric cells go through float() (a
+NaN, however spelt, is missing), ISO-8601 datetimes become epoch seconds,
+and a power array becomes the total of its samples; categorical cells stay
+text until the recipe encodes them.
 
 `load_csv` sums each power array as it parses its row, so ingest memory grows
 with rows, not with rows times nodes, and converts every other column once
@@ -108,7 +108,6 @@ def _power_total(cell, row: int, name: str) -> float | None:
 # recipe encodes them.
 _CONVERTERS = {
     "numeric": _parse_float,
-    "string_numeric": _parse_float,
     "datetime": _parse_iso8601_utc,
     "power_array": _power_total,
 }
@@ -318,12 +317,12 @@ def preprocess_fit(
 ) -> tuple[JobTable, PreprocessRecipe]:
     """Fit the numeric view of `table` and apply it.
 
-    Columns still of a raw kind (an in-memory table's datetimes, power
-    arrays and string_numerics) go through `_CONVERTERS`, as `load_csv`'s
-    do; then the configured durations are derived, ignored-role columns
-    dropped (explicitly, by role), missing numeric cells filled with the
-    median and missing categorical cells with the mode, and categoricals
-    label-encoded. The returned table is fully numeric with no missing cell.
+    Columns still of a raw kind (an in-memory table's datetimes and power
+    arrays) go through `_CONVERTERS`, as `load_csv`'s do; then the
+    configured durations are derived, ignored-role columns dropped
+    (explicitly, by role), missing numeric cells filled with the median and
+    missing categorical cells with the mode, and categoricals label-encoded.
+    The returned table is fully numeric with no missing cell.
     """
     pairs = list(duration_pairs or [])
     out = table

@@ -1,5 +1,5 @@
-"""Pareto-front machinery: nondominated filtering, exact 2-D hypervolume,
-spread, online reference inference, and a Monte-Carlo hypervolume oracle.
+"""Pareto-front machinery: nondominated filtering, exact 2-D hypervolume and
+its improvement, spread, online reference inference, and front output.
 
 Everything here works in minimization space for exactly two objectives.
 """
@@ -141,41 +141,6 @@ def infer_reference(observed: Sequence[Sequence[float]]) -> tuple[float, float]:
     # a pad below the spacing of floats at hi would round away
     out = np.maximum(hi + pad, np.nextafter(hi, math.inf))
     return (float(out[0]), float(out[1]))
-
-
-def mc_hypervolume(front: ParetoFront | Sequence[Sequence[float]],
-                   ref: Sequence[float], samples: int, seed: int) -> float:
-    """Monte-Carlo hypervolume estimate: uniform points in the box spanned by
-    the componentwise min of the front and `ref`; dominated fraction x area."""
-    if samples < 1:
-        raise DataError("samples must be >= 1")
-    if not isinstance(front, ParetoFront):
-        front = nondominated(front)
-    ref = np.asarray(ref, dtype=float)
-    pts = front.as_array()
-    if len(pts) == 0:
-        return 0.0
-    lo = np.minimum(pts.min(axis=0), ref)
-    box = ref - lo
-    area = float(box[0] * box[1])
-    if area <= 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    u = lo + rng.random((samples, 2)) * box
-    dominated = _dominated_mask(pts, u)
-    return float(dominated.mean() * area)
-
-
-def _dominated_mask(front_pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    # front sorted ascending x / descending y: the lowest front y among points
-    # with x <= q_x is the y of the last such point
-    xs = front_pts[:, 0]
-    ys = front_pts[:, 1]
-    pos = np.searchsorted(xs, queries[:, 0], side="right")
-    has_left = pos > 0
-    best_y = np.full(len(queries), math.inf)
-    best_y[has_left] = ys[pos[has_left] - 1]
-    return queries[:, 1] >= best_y
 
 
 def front_to_csv(front: ParetoFront, path: str | Path, node_counts: Sequence[int],

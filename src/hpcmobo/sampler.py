@@ -1,8 +1,9 @@
 """Loss-proportional subset sampling.
 
-Each row gets a difficulty score from lightweight per-target predictors;
-scores map to clipped selection probabilities p_i = clip(lambda * L_i, p_min, 1)
-with lambda solved exactly so that the expected rate mean(p) equals the target
+Each row gets a difficulty score: the mean, over the regression targets, of
+a shallow tree ensemble's min-max-normalized absolute error. Scores map to
+clipped selection probabilities p_i = clip(lambda * L_i, p_min, 1) with
+lambda solved exactly so that the expected rate mean(p) equals the target
 fraction tau, then rows are drawn by independent Bernoulli trials. The floor
 p_min keeps every row reachable.
 """
@@ -75,13 +76,9 @@ def _minmax(errors: np.ndarray) -> np.ndarray:
 
 
 def score_difficulty(table: JobTable, seed: int = 0) -> np.ndarray:
-    """Per-row difficulty: mean over targets of min-max-normalized errors.
-
-    Regression targets contribute absolute prediction error; classification
-    targets contribute the soft error 1 - Pr(correct | x_i), with class
-    probabilities from one-vs-rest indicator forests.
-    """
-    targets = table.columns_with_role("regression_target", "classification_target")
+    """Per-row difficulty: mean over the regression targets of each one's
+    min-max-normalized absolute prediction error."""
+    targets = table.columns_with_role("regression_target")
     if not targets:
         raise ConfigError("no target columns configured for difficulty scoring")
     per_target: list[np.ndarray] = []
@@ -94,25 +91,10 @@ def score_difficulty(table: JobTable, seed: int = 0) -> np.ndarray:
         y = table.numeric_matrix([target.name])[:, 0]
         if np.isnan(X).any() or np.isnan(y).any():
             raise DataError("difficulty scoring requires a fully numeric table")
-        params = _scorer_params(seed + 1000 * t_idx)
-        if target.role == "regression_target":
-            # tree fitting squares targets but only compares features
-            check_finite_spread([target.name], y[:, None])
-            model = fit_tree_ensemble(X, y, params)
-            errors = np.abs(model.predict(X) - y)
-        else:
-            classes = np.unique(y)
-            scores = np.empty((len(y), len(classes)))
-            for k, cls in enumerate(classes):
-                indicator = (y == cls).astype(float)
-                model = fit_tree_ensemble(X, indicator, params)
-                scores[:, k] = np.clip(model.predict(X), 0.0, None)
-            totals = scores.sum(axis=1)
-            totals[totals == 0] = 1.0
-            true_col = np.searchsorted(classes, y)
-            prob_correct = scores[np.arange(len(y)), true_col] / totals
-            errors = 1.0 - prob_correct
-        per_target.append(_minmax(errors))
+        # tree fitting squares targets but only compares features
+        check_finite_spread([target.name], y[:, None])
+        model = fit_tree_ensemble(X, y, _scorer_params(seed + 1000 * t_idx))
+        per_target.append(_minmax(np.abs(model.predict(X) - y)))
     return np.mean(per_target, axis=0)
 
 

@@ -22,15 +22,22 @@ QUEUE_NAMES = ("batch", "debug", "long", "wide")
 _EPOCH_START = 1704067200.0  # 2024-01-01T00:00:00Z
 
 
+# the law parameters of a job, as `objectives_at` reads them from a truth job
+LAW_FIELDS = ("base", "serial_frac", "per_node", "idle")
+# the uniform range each law parameter is drawn from, in `LAW_FIELDS` order
+_LAW_RANGES = {
+    "base": (50.0, 500.0),
+    "serial_frac": (0.0, 0.5),
+    "per_node": (2.0, 10.0),
+    "idle": (20.0, 100.0),
+}
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_jobs: int = 1000
     n_noise_features: int = 5
     node_range: tuple[int, int] = (1, 64)
-    base_range: tuple[float, float] = (50.0, 500.0)
-    serial_frac_range: tuple[float, float] = (0.0, 0.5)
-    per_node_range: tuple[float, float] = (2.0, 10.0)
-    idle_range: tuple[float, float] = (20.0, 100.0)
     noise_sigma: float = 0.0
     seed: int = 0
 
@@ -39,10 +46,6 @@ class SyntheticSpec:
             raise ConfigError(f"n_jobs must be >= 1, got {self.n_jobs}")
         if self.node_range[0] < 1 or self.node_range[1] < self.node_range[0]:
             raise ConfigError(f"invalid node_range {self.node_range}")
-        if self.base_range[0] <= 0 or self.per_node_range[0] <= 0:
-            raise ConfigError("base and per_node must be positive")
-        if not (0 <= self.serial_frac_range[0] <= self.serial_frac_range[1] <= 1):
-            raise ConfigError("serial_frac range must lie in [0, 1]")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be nonnegative")
 
@@ -92,10 +95,8 @@ def generate(spec: SyntheticSpec) -> tuple[JobTable, dict]:
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_jobs
-    base = rng.uniform(*spec.base_range, size=n)
-    serial = rng.uniform(*spec.serial_frac_range, size=n)
-    per_node = rng.uniform(*spec.per_node_range, size=n)
-    idle = rng.uniform(*spec.idle_range, size=n)
+    base, serial, per_node, idle = (rng.uniform(*_LAW_RANGES[key], size=n)
+                                    for key in LAW_FIELDS)
     nodes = rng.integers(spec.node_range[0], spec.node_range[1] + 1, size=n)
     queues = rng.choice(QUEUE_NAMES, size=n)
     noise_cols = rng.normal(0.0, 1.0, size=(n, spec.n_noise_features))
@@ -168,10 +169,6 @@ def save_truth(truth: dict, path: str | Path) -> None:
 
 def load_truth(path: str | Path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-# the parameters of each truth job that `objectives_at` reads
-LAW_FIELDS = ("base", "serial_frac", "per_node", "idle")
 
 
 def load_table_truth(path: str | Path, table: JobTable) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hpcmobo.core import RunConfig
-from hpcmobo.embedding import AttentiveMask, gradient_check
+from hpcmobo.embedding import AttentiveMask
 from hpcmobo.gp import fit_gp, gp_posterior
 from hpcmobo.ingest import preprocess_fit, write_table
 from hpcmobo.optimizer import (
@@ -32,7 +32,6 @@ from hpcmobo.pareto import (
     hypervolume,
     hypervolume_improvement,
     infer_reference,
-    mc_hypervolume,
     nondominated,
 )
 from hpcmobo.pipeline import (
@@ -43,6 +42,7 @@ from hpcmobo.pipeline import (
 )
 from hpcmobo.sampler import build_plan, draw_subset, score_difficulty
 from hpcmobo.synthgen import DURATION_PAIRS, SyntheticSpec, generate, save_truth, table_schema
+from oracles import gradient_check, mc_hypervolume
 
 
 @contextmanager

@@ -193,6 +193,24 @@ def test_bad_pipeline_value_is_config_error_naming_the_key(tmp_path, capsys, lin
     assert not (tmp_path / "out").exists()
 
 
+# a column kind and a role that the pipeline no longer reads
+@pytest.mark.parametrize("column, entry, removed", [
+    ("queue", "string_numeric:feature", "kind 'string_numeric'"),
+    ("runtime_seconds", "numeric:classification_target", "role 'classification_target'"),
+])
+def test_a_schema_entry_of_a_removed_kind_or_role_is_a_config_error(tmp_path, capsys, column,
+                                                                    entry, removed):
+    cfg = _synth(tmp_path)
+    text, n = re.subn(rf"^{column} = .*$", f"{column} = {entry}", cfg.read_text(),
+                      flags=re.MULTILINE)
+    assert n == 1
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown column {removed} for column '{column}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_optimize_subcommand_from_artifacts(tmp_path):
     cfg = _synth(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0

@@ -11,12 +11,11 @@ from hpcmobo.core import (
     ConfigError,
     NumericalError,
     RunConfig,
-    build_table,
     cast_section,
     parse_config_text,
     run_config_from_sections,
-    tables_equal,
 )
+from oracles import build_table, tables_equal
 
 
 def test_run_config_defaults_are_valid():

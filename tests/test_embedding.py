@@ -5,10 +5,10 @@ import pytest
 
 from hpcmobo.embedding import (
     AttentiveMask,
-    gradient_check,
     mask_weights,
     train_mask,
 )
+from oracles import gradient_check
 
 
 def _standardize(X):

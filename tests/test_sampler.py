@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hpcmobo.core import ColumnSpec, ConfigError, DataError, build_table
+from hpcmobo.core import ColumnSpec, ConfigError, DataError
 from hpcmobo.sampler import (
     SAT_CAP,
     SamplerPlan,
@@ -13,6 +13,7 @@ from hpcmobo.sampler import (
     sample_table,
     score_difficulty,
 )
+from oracles import build_table
 
 
 def _regression_table(n=300, seed=0, extra_target=False):
@@ -29,8 +30,8 @@ def _regression_table(n=300, seed=0, extra_target=False):
     data = {"x1": list(x1), "x2": list(x2),
             "nodes": list(rng.integers(1, 9, size=n).astype(float)), "y": list(y)}
     if extra_target:
-        cols.append(ColumnSpec("cls", "numeric", "classification_target"))
-        data["cls"] = list((x2 > 0).astype(float))
+        cols.append(ColumnSpec("z", "numeric", "regression_target"))
+        data["z"] = list(x2 ** 2 + rng.normal(0, 0.5, size=n))
     return build_table(cols, data)
 
 

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hpcmobo import surrogate
-from hpcmobo.core import ColumnSpec, DataError, NumericalError, build_table
+from hpcmobo.core import ColumnSpec, DataError, NumericalError
 from hpcmobo.embedding import mask_weights
 from hpcmobo.surrogate import (
     MAX_DESIGN_NODES,
@@ -30,6 +30,7 @@ from hpcmobo.surrogate import (
     train_objective_surrogate,
     training_data,
 )
+from oracles import build_table
 
 
 def _reference_tree_predict(tree, X):

@@ -103,6 +103,4 @@ def test_spec_invariants_enforced():
     with pytest.raises(ConfigError):
         SyntheticSpec(node_range=(4, 2))
     with pytest.raises(ConfigError):
-        SyntheticSpec(serial_frac_range=(0.5, 1.5))
-    with pytest.raises(ConfigError):
         SyntheticSpec(noise_sigma=-1.0)
