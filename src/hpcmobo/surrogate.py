@@ -361,9 +361,12 @@ def _split_nodes(flat_ranks, n_rows, values, row, node, c, count, sse, open_, fe
     lo = key[s, at] - won * width
     hi = key[s, at + 1] - won * width
     lo_v, hi_v = values[f, lo], values[f, hi]
-    # halving first keeps two values past half the largest float from
-    # overflowing; for normal values it rounds as (lo_v + hi_v) / 2 does
-    thr = lo_v / 2.0 + hi_v / 2.0
+    # the sum of two values past half the largest float overflows, and only
+    # then is halving first needed: halving a subnormal rounds, so halving
+    # first would round differently from (lo_v + hi_v) / 2
+    with np.errstate(over="ignore"):
+        thr = (lo_v + hi_v) / 2.0
+    thr = np.where(np.isfinite(thr), thr, lo_v / 2.0 + hi_v / 2.0)
     feature[nodes[won]] = f
     cut[nodes[won]] = lo
     threshold[nodes[won]] = np.where(thr <= lo_v, hi_v, thr)

@@ -513,6 +513,17 @@ def test_a_split_between_adjacent_floats_leaves_no_child_empty():
         0.0, 0.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (-2.2250738585e-313, 5e-324),  # halving each subnormal first rounds twice
+    (1e308, 1.5e308),  # the sum overflows
+])
+def test_a_split_sits_at_the_rounded_midpoint_of_its_two_values(lo, hi):
+    X = np.array([[lo]] * 3 + [[hi]] * 3)
+    y = np.array([0.0] * 3 + [1.0] * 3)
+    tree = _grow_whole(X, y, 1, 1).trees[0]
+    assert tree.threshold[0] == float((Fraction(lo) + Fraction(hi)) / 2)
+
+
 @pytest.mark.parametrize("target", ["runtime_seconds", "node_power"])
 def test_a_node_count_on_an_integer_split_midpoint_goes_right(target):
     from hpcmobo.ingest import preprocess_fit
