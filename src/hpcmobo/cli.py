@@ -87,7 +87,7 @@ def _cmd_synthgen(args) -> int:
         n_noise_features=args.noise_features,
         node_range=(args.nodes_min, args.nodes_max),
         noise_sigma=args.noise_sigma,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     table, truth = generate(spec)
     write_table(table, args.out)
@@ -156,8 +156,8 @@ def _cmd_embed(args) -> int:
     sections, cfg = _load(args)
     settings = parse_settings(sections, Path(args.config).parent, None)
     features, X, y = training_data(read_table(args.input), args.target)
-    scaler, mask = fit_feature_mask(X, y, settings.mask_epochs, cfg.seed)
-    mask.save(args.out, scaler_mean=scaler.mean, scaler_std=scaler.std)
+    means, scales, mask = fit_feature_mask(X, y, settings.mask_epochs, cfg.seed)
+    mask.save(args.out, means, scales)
     log.info("trained mask over %d features; top weight %s",
              len(features), features[int(np.argmax(mask.m))])
     return 0
@@ -260,12 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _subcommand(sub, "synthgen", "generate a synthetic job log with ground truth",
-                    _cmd_synthgen, "seed")
-    p.add_argument("--jobs", type=int, default=1000)
-    p.add_argument("--noise-features", type=int, default=5)
-    p.add_argument("--nodes-min", type=int, default=1)
-    p.add_argument("--nodes-max", type=int, default=64)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+                    _cmd_synthgen)
+    # SyntheticSpec holds every default of the generator
+    spec = SyntheticSpec()
+    p.add_argument("--jobs", type=int, default=spec.n_jobs)
+    p.add_argument("--noise-features", type=int, default=spec.n_noise_features)
+    p.add_argument("--nodes-min", type=int, default=spec.node_range[0])
+    p.add_argument("--nodes-max", type=int, default=spec.node_range[1])
+    p.add_argument("--noise-sigma", type=float, default=spec.noise_sigma)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--emit-config", default=None,

@@ -168,16 +168,14 @@ class RunConfig:
             raise ConfigError(f"mobo_iterations must be >= 1, got {self.mobo_iterations}")
         if self.random_seeds < 1:
             raise ConfigError(f"random_seeds must be >= 1, got {self.random_seeds}")
-        if self.sampling_fraction <= 0:
+        # one range each, so that NaN fails it
+        if not (0 < self.sampling_fraction <= 1):
             raise ConfigError(
-                f"sampling fraction must be positive (sampling_fraction={self.sampling_fraction})"
-            )
-        if self.sampling_fraction > 1:
-            raise ConfigError(
-                f"sampling_fraction must be <= 1, got {self.sampling_fraction}"
-            )
+                f"sampling_fraction must be in (0, 1], got {self.sampling_fraction}")
         if not (0 < self.p_min <= 1):
             raise ConfigError(f"p_min must be in (0, 1], got {self.p_min}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:

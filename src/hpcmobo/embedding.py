@@ -45,17 +45,17 @@ class AttentiveMask:
     def dim(self) -> int:
         return len(self.theta)
 
-    def save(self, path: str | Path, scaler_mean: np.ndarray,
-             scaler_std: np.ndarray) -> None:
-        """Write the mask and the feature scaler it was trained behind as
-        JSON, for reading by people and other tools (`hpcmobo embed`)."""
+    def save(self, path: str | Path, means: np.ndarray, scales: np.ndarray) -> None:
+        """Write the mask and the feature means and scales that standardized
+        its training features as JSON, for reading by people and other tools
+        (`hpcmobo embed`)."""
         payload = {
             "d": self.dim,
             "theta": self.theta.tolist(),
             "readout_w": self.readout_w.tolist(),
             "readout_b": self.readout_b,
-            "scaler_mean": list(map(float, scaler_mean)),
-            "scaler_std": list(map(float, scaler_std)),
+            "scaler_mean": list(map(float, means)),
+            "scaler_std": list(map(float, scales)),
         }
         Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
@@ -76,7 +76,7 @@ def _loss_and_grads(theta: np.ndarray, w: np.ndarray, b: float,
     return loss, grad_theta, grad_w, grad_b
 
 
-def train_mask(X: np.ndarray, y: np.ndarray, epochs: int, seed: int = 0,
+def train_mask(X: np.ndarray, y: np.ndarray, epochs: int, seed: int,
                init_w: np.ndarray | None = None) -> AttentiveMask:
     """Fit theta and the linear readout by full-batch gradient descent at
     learning rate _LR for at most `epochs` epochs.

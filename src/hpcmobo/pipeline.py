@@ -61,7 +61,6 @@ from .pareto import (
 from .sampler import SamplerPlan, sample_table
 from .surrogate import (
     SurrogateModel,
-    TreeParams,
     mape,
     save_surrogate,
     surrogate_features,
@@ -200,11 +199,6 @@ def parse_settings(sections, config_dir: Path,
     )
 
 
-def tree_params(settings: PipelineSettings, seed: int) -> TreeParams:
-    return TreeParams(n_estimators=settings.n_estimators, max_depth=settings.max_depth,
-                      seed=seed)
-
-
 def file_sha256(path: Path) -> str:
     h = hashlib.sha256()
     with Path(path).open("rb") as fh:
@@ -217,11 +211,9 @@ class PipelineRun:
     """Stage runner that owns one output directory, times every stage, and
     verifies input fingerprints before a stage executes."""
 
-    def __init__(self, settings: PipelineSettings, cfg: RunConfig, sections):
-        self.settings = settings
-        self.cfg = cfg
+    def __init__(self, out_dir: Path, sections):
         self.sections = {k: dict(v) for k, v in sections.items()}
-        self.out_dir = settings.out_dir
+        self.out_dir = out_dir
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.artifacts: dict[str, str] = {}
         self.stage_records: list[dict] = []
@@ -316,17 +308,15 @@ def _train_val_split(table: JobTable, seed: int):
 
 
 def train_single_surrogate(table: JobTable, settings: PipelineSettings, target: str,
-                           use_embedding: bool, seed: int = 0) -> tuple[SurrogateModel, dict]:
-    """Train one objective predictor on a train split; report validation
-    MSE/MAPE on the held-out rows. Every row of `table`, held out or not,
-    must pass `training_data`'s checks, so that a validation target is
-    positive too."""
+                           use_embedding: bool, seed: int) -> tuple[SurrogateModel, dict]:
+    """Train one objective predictor, with the settings' forest and mask
+    epochs, on a train split; report validation MSE/MAPE on the held-out
+    rows. Every row of `table`, held out or not, must pass `training_data`'s
+    checks, so that a validation target is positive too."""
     training_data(table, target)
     train, val = _train_val_split(table, seed)
-    model = train_objective_surrogate(
-        train, target, use_embedding=use_embedding, params=tree_params(settings, seed),
-        mask_epochs=settings.mask_epochs, seed=seed,
-    )
+    model = train_objective_surrogate(train, target, settings.n_estimators, settings.max_depth,
+                                      settings.mask_epochs, use_embedding, seed)
     entry: dict = {"mse": None, "mape": None,
                    "n_train": train.n_rows, "n_val": val.n_rows,
                    "mape_units": "fraction"}
@@ -507,7 +497,7 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
     sections = load_config_file(config_path)
     cfg = run_config_from_sections(sections, overrides)
     settings = parse_settings(sections, config_path.parent, out_dir_override)
-    run = PipelineRun(settings, cfg, sections)
+    run = PipelineRun(settings.out_dir, sections)
     out = run.out_dir
 
     processed = run.stage("preprocess", [settings.input_path], preprocess_stage,

@@ -1,7 +1,8 @@
 """Loss-proportional subset sampling.
 
 Each row gets a difficulty score: the mean, over the regression targets, of
-a shallow tree ensemble's min-max-normalized absolute error. Scores map to
+the min-max-normalized absolute error of a shallow tree ensemble fit to that
+target (`SCORER_TREES` trees of depth `SCORER_DEPTH`). Scores map to
 clipped selection probabilities p_i = clip(lambda * L_i, p_min, 1) with
 lambda solved exactly so that the expected rate mean(p) equals the target
 fraction tau, then rows are drawn by independent Bernoulli trials. The floor
@@ -17,11 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigError, DataError, JobTable
-from .surrogate import TreeParams, check_finite_spread, fit_tree_ensemble
+from .surrogate import check_finite_spread, fit_tree_ensemble
 
 # largest share of rows the tuned probabilities may saturate at 1 before the
 # losses are winsorized
 SAT_CAP = 0.10
+# the difficulty scorer's forest: shallow trees, one pass, no CV
+SCORER_TREES = 16
+SCORER_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,6 @@ class SamplerPlan:
         Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
-def _scorer_params(seed: int) -> TreeParams:
-    # lightweight: shallow trees, one pass, no CV
-    return TreeParams(n_estimators=16, max_depth=3, seed=seed)
-
-
 def _minmax(errors: np.ndarray) -> np.ndarray:
     lo = errors.min()
     hi = errors.max()
@@ -75,9 +74,10 @@ def _minmax(errors: np.ndarray) -> np.ndarray:
     return (errors - lo) / (hi - lo)
 
 
-def score_difficulty(table: JobTable, seed: int = 0) -> np.ndarray:
+def score_difficulty(table: JobTable, seed: int) -> np.ndarray:
     """Per-row difficulty: mean over the regression targets of each one's
-    min-max-normalized absolute prediction error."""
+    min-max-normalized absolute prediction error. Target i's scorer is a
+    forest of SCORER_TREES trees of depth SCORER_DEPTH, seeded seed + 1000 * i."""
     targets = table.columns_with_role("regression_target")
     if not targets:
         raise ConfigError("no target columns configured for difficulty scoring")
@@ -93,7 +93,7 @@ def score_difficulty(table: JobTable, seed: int = 0) -> np.ndarray:
             raise DataError("difficulty scoring requires a fully numeric table")
         # tree fitting squares targets but only compares features
         check_finite_spread([target.name], y[:, None])
-        model = fit_tree_ensemble(X, y, _scorer_params(seed + 1000 * t_idx))
+        model = fit_tree_ensemble(X, y, SCORER_TREES, SCORER_DEPTH, seed + 1000 * t_idx)
         per_target.append(_minmax(np.abs(model.predict(X) - y)))
     return np.mean(per_target, axis=0)
 
@@ -212,7 +212,7 @@ def draw_subset(table: JobTable, probs: np.ndarray,
 def sample_table(table: JobTable, tau: float, p_min: float,
                  seed: int) -> tuple[JobTable, SamplerPlan]:
     """Score, tune, and draw in one call; returns the subset and the full plan."""
-    losses = score_difficulty(table, seed=seed)
+    losses = score_difficulty(table, seed)
     plan = build_plan(losses, tau, p_min)
     subset, mask = draw_subset(table, plan.probs, seed)
     return subset, plan.with_mask(mask)

@@ -24,6 +24,10 @@ and one step to a child, with leaves pointing to themselves (the table
 traversal of Hummingbird, Nakandala et al. 2020, and QuickScorer, Lucchese
 et al. 2015). Tree outputs are then added in tree order, so a prediction
 is bit for bit the sum a tree-at-a-time walk gives.
+
+Every training setting (trees, depth, mask epochs, whether to train the
+mask, seed) is a required argument here: each has its one default in the
+config layer, `pipeline.PipelineSettings` and `core.RunConfig`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import json
 import logging
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,17 +60,6 @@ _MIN_SPLIT_ROWS = 2
 # method, so the domain's size is memory. 2**18 = 262,144 is above the node
 # count of the largest machine built so far (Fugaku: 158,976 nodes).
 MAX_DESIGN_NODES = 1 << 18
-
-
-@dataclass
-class TreeParams:
-    """Table defaults for a bagged ensemble: 100 trees of depth 10. Every
-    tree is grown on bootstrap rows with ceil(sqrt(d)) candidate features
-    per split (see `fit_tree_ensemble`)."""
-
-    n_estimators: int = 100
-    max_depth: int = 10
-    seed: int = 0
 
 
 @dataclass
@@ -450,18 +443,18 @@ class TreeEnsemble:
         return acc / n_trees
 
 
-def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
-                      feature_weights: np.ndarray | None = None) -> TreeEnsemble:
-    """Fit a bagged regression-tree ensemble: each tree grows on n rows
-    drawn with replacement and draws ceil(sqrt(d)) candidate features per
-    split.
+def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, n_estimators: int, max_depth: int,
+                      seed: int, feature_weights: np.ndarray | None = None) -> TreeEnsemble:
+    """Fit a bagged ensemble of `n_estimators` regression trees of depth at
+    most `max_depth`: each tree grows on n rows drawn with replacement and
+    draws ceil(sqrt(d)) candidate features per split, from a generator
+    spawned from `seed`.
 
     feature_weights, when given, bias the per-split feature subsampling;
     this is how attention masks steer trees, which are otherwise invariant
     to per-column rescaling. They must be finite and positive, one per
     column, and are validated and normalized once here.
     """
-    params = params or TreeParams()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -490,11 +483,11 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, params: TreeParams | None = 
                             "with one entry per column")
         log_weights = np.log(weights)
 
-    seeds = np.random.SeedSequence(params.seed).spawn(params.n_estimators)
+    seeds = np.random.SeedSequence(seed).spawn(n_estimators)
     ranks, values = _rank_columns(X)
     rngs = [np.random.default_rng(ss) for ss in seeds]
     rows = [rng.integers(0, n, size=n) for rng in rngs]
-    trees = _grow_trees(ranks, values, y, rows, rngs, params.max_depth,
+    trees = _grow_trees(ranks, values, y, rows, rngs, max_depth,
                         math.ceil(math.sqrt(d)), log_weights)
     return TreeEnsemble(trees, float(y.mean()))
 
@@ -514,22 +507,6 @@ def mape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 @dataclass
-class FeatureScaler:
-    mean: np.ndarray
-    std: np.ndarray
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "FeatureScaler":
-        X = np.asarray(X, dtype=float)
-        std = X.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        return cls(mean=X.mean(axis=0), std=std)
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) / self.std
-
-
-@dataclass
 class SurrogateModel:
     """Frozen per-objective predictor: a tree ensemble over the raw feature
     rows. `mask_theta` records the attention logits whose weights
@@ -540,9 +517,9 @@ class SurrogateModel:
     target: str
     feature_names: list[str]
     ensemble: TreeEnsemble
-    mask_theta: np.ndarray | None = None
-    design_feature: str = "num_nodes_alloc"
-    design_bounds: tuple[int, int] = (1, 1)
+    mask_theta: np.ndarray | None
+    design_feature: str
+    design_bounds: tuple[int, int]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -599,7 +576,7 @@ def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, 
 def check_finite_spread(names: list[str], X: np.ndarray) -> None:
     """A DataError naming the first of the columns `names` of X whose
     standard deviation is not finite. An overflowing spread would reach tree
-    fitting, the scaler and the metrics as inf."""
+    fitting, the mask's feature scales and the metrics as inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         stds = X.std(axis=0)
     bad = np.flatnonzero(~np.isfinite(stds))
@@ -632,40 +609,38 @@ def check_design_bounds(bounds: tuple, where: str) -> None:
                         f"{MAX_DESIGN_NODES} node counts")
 
 
-def fit_feature_mask(X: np.ndarray, y: np.ndarray, epochs: int = 400,
-                     seed: int = 0) -> tuple[FeatureScaler, AttentiveMask]:
-    """Fit the feature scaler and train the attentive mask on standardized
-    features against the standardized target: the attention weights do not
-    depend on the target's scale, so `train_mask`'s one learning rate suits
-    any target."""
-    scaler = FeatureScaler.fit(X)
+def fit_feature_mask(X: np.ndarray, y: np.ndarray, epochs: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray, AttentiveMask]:
+    """Standardize the features and train the attentive mask on them against
+    the standardized target: the attention weights do not depend on the
+    target's scale, so `train_mask`'s one learning rate suits any target.
+    Returns the feature means, the feature scales (the standard deviations,
+    1 for a constant column) and the mask."""
+    X = np.asarray(X, dtype=float)
+    scales = X.std(axis=0)
+    scales = np.where(scales > 0, scales, 1.0)
+    means = X.mean(axis=0)
     y_std = float(y.std()) or 1.0
-    mask = train_mask(scaler.transform(X), (y - y.mean()) / y_std, epochs=epochs,
-                      seed=seed)
-    return scaler, mask
+    mask = train_mask((X - means) / scales, (y - y.mean()) / y_std, epochs, seed)
+    return means, scales, mask
 
 
-def train_objective_surrogate(
-    table: JobTable,
-    target: str,
-    use_embedding: bool = True,
-    params: TreeParams | None = None,
-    mask_epochs: int = 400,
-    seed: int = 0,
-) -> SurrogateModel:
+def train_objective_surrogate(table: JobTable, target: str, n_estimators: int,
+                              max_depth: int, mask_epochs: int, use_embedding: bool,
+                              seed: int) -> SurrogateModel:
     """Train one objective predictor from a fully preprocessed table.
 
-    The trees split the raw features. With use_embedding, an attentive mask
-    is trained first (see `fit_feature_mask`), and its weights bias each
+    The trees (see `fit_tree_ensemble`) split the raw features. With
+    use_embedding, an attentive mask is trained first for `mask_epochs`
+    epochs (see `fit_feature_mask`), and its weights bias each
     split's feature draw toward high-attention columns: a positive
     per-column rescaling never changes which split wins, so the draw is the
     only place the mask acts. The design bounds are the least and greatest
     node counts of the training rows (see `check_design_bounds`).
     """
     features, X, y = training_data(table, target)
-    mask = fit_feature_mask(X, y, mask_epochs, seed)[1] if use_embedding else None
-    params = replace(params or TreeParams(), seed=seed)
-    ensemble = fit_tree_ensemble(X, y, params,
+    mask = fit_feature_mask(X, y, mask_epochs, seed)[2] if use_embedding else None
+    ensemble = fit_tree_ensemble(X, y, n_estimators, max_depth, seed,
                                  feature_weights=None if mask is None else mask.m)
     return SurrogateModel(
         target=target,

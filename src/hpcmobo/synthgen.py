@@ -8,6 +8,7 @@ genuinely conflict and the true Pareto front is computable by enumeration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,10 +45,16 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
             raise ConfigError(f"n_jobs must be >= 1, got {self.n_jobs}")
+        if self.n_noise_features < 0:
+            raise ConfigError(
+                f"n_noise_features must be >= 0, got {self.n_noise_features}")
         if self.node_range[0] < 1 or self.node_range[1] < self.node_range[0]:
             raise ConfigError(f"invalid node_range {self.node_range}")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be nonnegative")
+        # one range, so that NaN fails it
+        if not (0 <= self.noise_sigma < math.inf):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def runtime_law(base: float, serial_frac: float, nodes: int) -> float:

@@ -15,9 +15,10 @@ from hpcmobo.gp import fit_gp, gp_posterior
 from hpcmobo.optimizer import ehvi, expected_improvement
 from hpcmobo.pareto import hypervolume, infer_reference, nondominated
 from hpcmobo.sampler import build_plan
-from hpcmobo.surrogate import TreeParams, fit_feature_mask, fit_tree_ensemble
+from hpcmobo.surrogate import fit_feature_mask, fit_tree_ensemble
 
-_PARAMS = TreeParams(n_estimators=4, max_depth=3, seed=1)
+# 4 trees of depth 3, seed 1
+_FOREST = (4, 3, 1)
 
 
 def _cases():
@@ -37,8 +38,10 @@ def _cases():
     # winsorizes them at a cut below the largest
     losses = np.concatenate([np.linspace(0.0, 1.0, 80), np.geomspace(10.0, 1000.0, 20)])
     return {
-        "fit_tree_ensemble": (fit_tree_ensemble, (X, y, _PARAMS, np.array([1.0, 2.0, 3.0]))),
-        "TreeEnsemble.predict": (fit_tree_ensemble(X.copy(), y.copy(), _PARAMS).predict, (X,)),
+        "fit_tree_ensemble": (fit_tree_ensemble,
+                              (X, y, *_FOREST, np.array([1.0, 2.0, 3.0]))),
+        "TreeEnsemble.predict": (fit_tree_ensemble(X.copy(), y.copy(), *_FOREST).predict,
+                                 (X,)),
         "fit_gp": (fit_gp, (nodes, 20.0 + 4.0 * nodes)),
         "fit_gp warm": (fit_gp, (nodes, 21.0 + 4.0 * nodes, 1e-10, None, gp_power)),
         "gp_posterior": (gp_posterior, (gp_power, queries)),

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from hpcmobo.cli import build_parser, main
 from hpcmobo.core import load_config_file, run_config_from_sections
-from hpcmobo.ingest import read_table
-from hpcmobo.pipeline import METHODS
+from hpcmobo.ingest import read_table, write_table
+from hpcmobo.pipeline import METHODS, parse_settings
 from hpcmobo.surrogate import MAX_DESIGN_NODES, train_objective_surrogate
+from hpcmobo.synthgen import SyntheticSpec, generate, save_truth
 
 
 def _synth(tmp_path, jobs=200, seed=3):
@@ -40,6 +41,16 @@ def test_synthgen_writes_dataset_truth_and_config(tmp_path):
     assert (tmp_path / "config.ini").exists()
     truth = json.loads((tmp_path / "truth.json").read_text())
     assert len(truth["jobs"]) == 200
+
+
+def test_synthgen_without_size_flags_writes_the_default_specs_log(tmp_path):
+    assert main(["synthgen", "--out", str(tmp_path / "data.csv"),
+                 "--truth", str(tmp_path / "truth.json")]) == 0
+    table, truth = generate(SyntheticSpec())
+    write_table(table, tmp_path / "spec.csv")
+    save_truth(truth, tmp_path / "spec.json")
+    assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
+    assert (tmp_path / "truth.json").read_bytes() == (tmp_path / "spec.json").read_bytes()
 
 
 def test_full_run_and_exit_code(tmp_path):
@@ -154,8 +165,11 @@ def test_embed_with_default_settings_fits_the_mask_train_fits(tmp_path):
                "--target", "runtime_seconds", "--out", str(tmp_path / "mask.json")])
     assert rc == 0
     saved = np.asarray(json.loads((tmp_path / "mask.json").read_text())["theta"])
-    seed = run_config_from_sections(load_config_file(cfg)).seed
-    model = train_objective_surrogate(read_table(table_path), "runtime_seconds", seed=seed)
+    sections = load_config_file(cfg)
+    pipe = parse_settings(sections, cfg.parent)
+    model = train_objective_surrogate(read_table(table_path), "runtime_seconds",
+                                      pipe.n_estimators, pipe.max_depth, pipe.mask_epochs, True,
+                                      run_config_from_sections(sections).seed)
     assert np.array_equal(saved, model.mask_theta)
 
 
@@ -538,6 +552,48 @@ def run_dir(tmp_path_factory):
     cfg = _synth(tmp_path_factory.mktemp("run"))
     assert main(["run", "--config", str(cfg)]) == 0
     return cfg, cfg.parent / "out"
+
+
+# each setting out of its range, as a command line, and the field its error
+# names: {cfg} is the run_dir config, {bad} that config with `[run] seed =
+# -1`, {run} the output of `run` on {cfg}, and {out} a directory no command
+# may create
+_BAD_SETTINGS = {
+    "run [run] seed": ("seed", "run --config {bad} --out-dir {out}"),
+    "run --seed": ("seed", "run --config {cfg} --out-dir {out} --seed -1"),
+    "run --tau nan": ("sampling_fraction", "run --config {cfg} --out-dir {out} --tau nan"),
+    "sample --seed": ("seed", "sample --config {cfg} --seed -1 --in {run}/preprocessed.csv "
+                              "--out {out}/subset.csv --plan {out}/plan.json"),
+    "train --seed": ("seed", "train --config {cfg} --seed -1 --out-dir {out} "
+                             "--in {run}/subset.csv"),
+    "embed --seed": ("seed", "embed --config {cfg} --seed -1 --in {run}/subset.csv "
+                             "--target runtime_seconds --out {out}/mask.json"),
+    **{f"optimize {method} --seed": (
+        "seed", f"optimize --config {{cfg}} --seed -1 --method {method} --surrogates {{run}} "
+                "--job-context {run}/context_0.csv --out {out}/report.json")
+       for method in ("random", "mobo")},
+    **{f"synthgen {flag} {value}": (
+        field, f"synthgen {flag} {value} --out {{out}}/data.csv --truth {{out}}/truth.json "
+               "--emit-config {out}/config.ini")
+       for field, flag, value in [("seed", "--seed", "-3"),
+                                  ("n_noise_features", "--noise-features", "-1"),
+                                  ("noise_sigma", "--noise-sigma", "nan"),
+                                  ("noise_sigma", "--noise-sigma", "inf")]},
+}
+
+
+@pytest.mark.parametrize("case", _BAD_SETTINGS)
+def test_a_setting_out_of_its_range_exits_2_naming_it_before_writing_anything(
+        run_dir, tmp_path, capsys, case):
+    cfg, run_out = run_dir
+    bad = cfg.parent / "negative_seed.ini"
+    bad.write_text(cfg.read_text().replace("\nseed = 3\n", "\nseed = -1\n"))
+    field, command = _BAD_SETTINGS[case]
+    out = tmp_path / "out"
+    argv = [token.format(cfg=cfg, bad=bad, run=run_out, out=out) for token in command.split()]
+    assert main(argv) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _optimize(cfg, surrogates, context, method, report):

@@ -27,8 +27,14 @@ def test_run_config_defaults_are_valid():
 
 
 def test_run_config_rejects_zero_fraction():
-    with pytest.raises(ConfigError, match="sampling fraction must be positive"):
+    with pytest.raises(ConfigError, match=r"sampling_fraction must be in \(0, 1\], got 0.0"):
         RunConfig(sampling_fraction=0.0)
+
+
+@pytest.mark.parametrize("field, value", [("seed", -1), ("sampling_fraction", math.nan)])
+def test_run_config_names_a_field_out_of_its_range(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be .*, got {value}$"):
+        RunConfig(**{field: value})
 
 
 def test_run_config_minimal_budget_ok():

@@ -99,8 +99,8 @@ def test_permutation_equivariance_with_consistent_init():
     y = 2.0 * X[:, 1] - 1.0 * X[:, 3]
     w0 = rng.normal(0, 0.01, size=4)
     perm = np.array([2, 0, 3, 1])
-    base = train_mask(X, y, epochs=300, init_w=w0)
-    permuted = train_mask(X[:, perm], y, epochs=300, init_w=w0[perm])
+    base = train_mask(X, y, epochs=300, seed=0, init_w=w0)
+    permuted = train_mask(X[:, perm], y, epochs=300, seed=0, init_w=w0[perm])
     assert np.allclose(permuted.m, base.m[perm], atol=1e-8)
 
 
@@ -118,8 +118,8 @@ def test_mask_json_holds_the_mask_and_its_scaler(tmp_path):
     mask = AttentiveMask(theta=rng.normal(size=4), readout_w=rng.normal(size=4),
                          readout_b=0.5)
     path = tmp_path / "mask.json"
-    mask.save(path, scaler_mean=np.array([1.0, 2.0, 3.0, 4.0]),
-              scaler_std=np.array([1.0, 1.0, 2.0, 1.0]))
+    mask.save(path, means=np.array([1.0, 2.0, 3.0, 4.0]),
+              scales=np.array([1.0, 1.0, 2.0, 1.0]))
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload == {"d": 4, "theta": mask.theta.tolist(),
                        "readout_w": mask.readout_w.tolist(), "readout_b": 0.5,

@@ -7,7 +7,7 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpcmobo import ingest
@@ -138,6 +138,9 @@ def test_load_csv_reads_the_rows_csv_reader_reads(tmp_path, text):
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(st.sampled_from(["a", "é", " ", ",", '"', "\r", "\n", ";"]), max_size=40))
+@example('"a","b"\n"1","x, y"\r\n"2",""""\n').via("every line quoted")
+@example('a,b\n1,"x\ny\r\nz"\n2,w\n\n3,v').via("a quoted field spans lines, then none")
+@example('a,b\n1,x\n2,"y\n3,z\n').via("an unterminated quote at EOF")
 def test_records_are_the_records_csv_reader_reads(text):
     assert (list(_records(io.StringIO(text, newline="")))
             == list(csv.reader(io.StringIO(text, newline=""))))

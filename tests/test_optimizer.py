@@ -146,14 +146,13 @@ def test_a_context_must_name_the_surrogates_features_in_their_order():
 def _trained_pair():
     """Small runtime and power surrogates trained on a synthetic job log."""
     from hpcmobo.ingest import preprocess_fit
-    from hpcmobo.surrogate import TreeParams, train_objective_surrogate
+    from hpcmobo.surrogate import train_objective_surrogate
     from hpcmobo.synthgen import DURATION_PAIRS, SyntheticSpec, generate
 
     table, _ = generate(SyntheticSpec(n_jobs=150, n_noise_features=2, seed=4))
     processed, _ = preprocess_fit(table, DURATION_PAIRS)
-    params = TreeParams(n_estimators=6, max_depth=5)
-    return tuple(train_objective_surrogate(processed, target, params=params,
-                                           mask_epochs=40, seed=4)
+    return tuple(train_objective_surrogate(processed, target, n_estimators=6, max_depth=5,
+                                           mask_epochs=40, use_embedding=True, seed=4)
                  for target in ("runtime_seconds", "node_power"))
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from hpcmobo.core import DataError, RunConfig, load_config_file
+from hpcmobo.embedding import train_mask
 from hpcmobo.ingest import preprocess_fit, write_table
 from hpcmobo.optimizer import JobContext
 from hpcmobo.pipeline import (
@@ -22,7 +24,8 @@ from hpcmobo.pipeline import (
     train_single_surrogate,
     write_timing_csv,
 )
-from hpcmobo.sampler import sample_table
+from hpcmobo.sampler import sample_table, score_difficulty
+from hpcmobo.surrogate import fit_feature_mask, fit_tree_ensemble, train_objective_surrogate
 from hpcmobo.synthgen import (
     DURATION_PAIRS,
     SyntheticSpec,
@@ -323,14 +326,11 @@ def test_report_h1_all_method_columns(tmp_path):
 
 def test_stage_input_fingerprint_guard(tmp_path):
     from hpcmobo.core import DataError
-    from hpcmobo.pipeline import PipelineRun, parse_settings
-    from hpcmobo.core import load_config_file, run_config_from_sections
+    from hpcmobo.pipeline import PipelineRun
+    from hpcmobo.core import load_config_file
     cfg_path, _ = _write_config(tmp_path)
-    sections = load_config_file(cfg_path)
-    cfg = run_config_from_sections(sections, None)
-    settings = parse_settings(sections, tmp_path)
-    run = PipelineRun(settings, cfg, sections)
-    artifact = settings.out_dir / "a.txt"
+    run = PipelineRun(tmp_path / "out", load_config_file(cfg_path))
+    artifact = run.out_dir / "a.txt"
 
     def produce():
         artifact.write_text("v1")
@@ -387,3 +387,24 @@ def test_optimizer_reports_and_fronts_match_the_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((reports / name).read_bytes()).hexdigest()
                for name in _REPORT_DIGESTS}
     assert digests == _REPORT_DIGESTS
+
+
+# each library function below the config layer, and the training settings it
+# takes: the settings' defaults are written once, in PipelineSettings and
+# RunConfig, so no function repeats one
+_FOREST = ("n_estimators", "max_depth", "seed")
+_TRAINING_SETTINGS = [
+    (fit_tree_ensemble, _FOREST),
+    (train_objective_surrogate, (*_FOREST, "mask_epochs", "use_embedding")),
+    (fit_feature_mask, ("epochs", "seed")),
+    (train_mask, ("epochs", "seed")),
+    (score_difficulty, ("seed",)),
+    (train_single_surrogate, ("use_embedding", "seed")),
+]
+
+
+@pytest.mark.parametrize("fn, names", _TRAINING_SETTINGS,
+                         ids=[fn.__name__ for fn, _ in _TRAINING_SETTINGS])
+def test_a_library_function_takes_its_training_settings_without_defaults(fn, names):
+    params = inspect.signature(fn).parameters
+    assert [n for n in names if params[n].default is not inspect.Parameter.empty] == []

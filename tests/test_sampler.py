@@ -42,7 +42,7 @@ def test_score_difficulty_requires_targets():
         {"x": [1.0, 2.0], "nodes": [1.0, 2.0]},
     )
     with pytest.raises(ConfigError, match="target"):
-        score_difficulty(table)
+        score_difficulty(table, 0)
 
 
 def test_score_difficulty_constant_target_gives_all_zero():
@@ -52,7 +52,7 @@ def test_score_difficulty_constant_target_gives_all_zero():
          ColumnSpec("y", "numeric", "regression_target")],
         {"x": [1.0, 2.0, 3.0, 4.0], "nodes": [1.0] * 4, "y": [5.0] * 4},
     )
-    losses = score_difficulty(table)
+    losses = score_difficulty(table, 0)
     assert np.all(losses == 0.0)
 
 

@@ -3,7 +3,6 @@ import json
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -18,7 +17,6 @@ from hpcmobo.embedding import mask_weights
 from hpcmobo.surrogate import (
     MAX_DESIGN_NODES,
     SurrogateModel,
-    TreeParams,
     _rank_columns,
     _draw_features,
     _sort_with_order,
@@ -82,7 +80,7 @@ def test_constant_target_predicts_exactly_in_both_modes():
     X = np.random.default_rng(0).random((20, 3))
     y = np.full(20, 7.0)
     # bootstrap rows with sampled features, and the whole sample with every feature
-    for model in (fit_tree_ensemble(X, y, TreeParams(n_estimators=10, max_depth=4)),
+    for model in (fit_tree_ensemble(X, y, 10, 4, 0),
                   _grow_whole(X, y, 10, 4)):
         assert np.all(model.predict(X) == 7.0)
 
@@ -90,7 +88,7 @@ def test_constant_target_predicts_exactly_in_both_modes():
 def test_an_ensemble_of_no_trees_predicts_the_mean():
     X = np.random.default_rng(0).random((20, 3))
     y = X[:, 0]
-    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=0))
+    model = fit_tree_ensemble(X, y, 0, 10, 0)
     assert model.trees == []
     assert np.all(model.predict(X) == y.mean())
 
@@ -117,7 +115,7 @@ def test_defaults_fit_noisy_quadratic_with_good_r2():
     for seed in range(5):
         X, y = _noisy_quadratic(seed)
         Xt, yt = _noisy_quadratic(seed + 100)
-        model = fit_tree_ensemble(X, y, TreeParams(seed=seed))
+        model = fit_tree_ensemble(X, y, 100, 10, seed)
         mse_train = float(np.mean((model.predict(X) - y) ** 2))
         mse_test = float(np.mean((model.predict(Xt) - yt) ** 2))
         r2 = 1 - mse_test / float(np.var(yt))
@@ -129,8 +127,8 @@ def test_defaults_fit_noisy_quadratic_with_good_r2():
 
 def test_same_seed_same_predictions():
     X, y = _noisy_quadratic(4, n=100)
-    a = fit_tree_ensemble(X, y, TreeParams(n_estimators=15, seed=9))
-    b = fit_tree_ensemble(X, y, TreeParams(n_estimators=15, seed=9))
+    a = fit_tree_ensemble(X, y, 15, 10, 9)
+    b = fit_tree_ensemble(X, y, 15, 10, 9)
     q = X[:10]
     assert np.array_equal(a.predict(q), b.predict(q))
 
@@ -138,7 +136,7 @@ def test_same_seed_same_predictions():
 def test_bagged_average_never_beats_worst_tree_on_train():
     for seed in range(3):
         X, y = _noisy_quadratic(seed, n=120)
-        model = fit_tree_ensemble(X, y, TreeParams(n_estimators=12, seed=seed))
+        model = fit_tree_ensemble(X, y, 12, 10, seed)
         ensemble_mse = float(np.mean((model.predict(X) - y) ** 2))
         per_tree = _train_mse_per_tree(model, X, y)
         assert ensemble_mse <= per_tree.max() + 1e-12
@@ -146,9 +144,9 @@ def test_bagged_average_never_beats_worst_tree_on_train():
 
 def test_fit_rejects_tiny_or_bad_input():
     with pytest.raises(DataError):
-        fit_tree_ensemble(np.array([[1.0]]), np.array([1.0]))
+        fit_tree_ensemble(np.array([[1.0]]), np.array([1.0]), 100, 10, 0)
     with pytest.raises(DataError):
-        fit_tree_ensemble(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]))
+        fit_tree_ensemble(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]), 100, 10, 0)
 
 
 def test_fit_refuses_targets_whose_squares_could_overflow():
@@ -156,9 +154,9 @@ def test_fit_refuses_targets_whose_squares_could_overflow():
     # a constant target has a finite spread; fitting it overflowed squaring
     # it, and its 100 leaves of 1e307 overflowed every prediction's sum
     with pytest.raises(DataError, match="magnitude 1e\\+307 is too large to fit"):
-        fit_tree_ensemble(X, np.full(4, 1e307))
+        fit_tree_ensemble(X, np.full(4, 1e307), 100, 10, 0)
     y = np.array([3e153, -3e153, 3e153, -3e153])
-    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=10))
+    model = fit_tree_ensemble(X, y, 10, 10, 0)
     assert np.isfinite(model.predict(X)).all()
 
 
@@ -174,7 +172,7 @@ def test_fit_rejects_feature_weights_that_are_not_finite_and_positive(weights):
     X = np.random.default_rng(0).random((20, 3))
     y = X[:, 0]
     with np.errstate(over="ignore"), pytest.raises(DataError, match="feature_weights"):
-        fit_tree_ensemble(X, y, TreeParams(n_estimators=2), feature_weights=np.array(weights))
+        fit_tree_ensemble(X, y, 2, 10, 0, feature_weights=np.array(weights))
 
 
 def test_mape_examples():
@@ -207,24 +205,26 @@ def _toy_table(n=60, seed=0):
 
 def test_train_objective_surrogate_bundles_mask_and_bounds():
     table = _toy_table()
-    params = TreeParams(n_estimators=20, max_depth=6)
-    model = train_objective_surrogate(table, "runtime", use_embedding=True, params=params,
-                                      seed=1)
+    model = train_objective_surrogate(table, "runtime", n_estimators=20, max_depth=6,
+                                      mask_epochs=400, use_embedding=True, seed=1)
     assert model.feature_names == ["x", "num_nodes_alloc"]
     assert model.design_bounds[0] >= 1
     # the trees split the raw rows, and the mask weights only their feature draw
     _, X, y = training_data(table, "runtime")
-    weights = surrogate.fit_feature_mask(X, y, seed=1)[1].m
+    weights = surrogate.fit_feature_mask(X, y, 400, 1)[2].m
     assert np.array_equal(weights, mask_weights(model.mask_theta))
     pred = model.predict(X)
     assert pred.shape == (table.n_rows,)
-    refit = fit_tree_ensemble(X, y, replace(params, seed=1), feature_weights=weights)
+    refit = fit_tree_ensemble(X, y, 20, 6, 1, feature_weights=weights)
     assert np.array_equal(pred, refit.predict(X))
+    # the training seed grows the forest
+    other = fit_tree_ensemble(X, y, 20, 6, 0, feature_weights=weights)
+    assert not np.array_equal(pred, other.predict(X))
 
 
 def test_surrogate_predict_takes_only_a_2d_matrix():
-    model = train_objective_surrogate(_toy_table(), "runtime",
-                                      params=TreeParams(n_estimators=2, max_depth=2), seed=0)
+    model = train_objective_surrogate(_toy_table(), "runtime", n_estimators=2, max_depth=2,
+                                      mask_epochs=400, use_embedding=True, seed=0)
     row = _toy_table().numeric_matrix(model.feature_names)[0]
     assert model.predict(row[None, :]).shape == (1,)
     for bad in (row, row[None, None, :], np.float64(3.0)):
@@ -258,28 +258,16 @@ def test_training_rows_outside_the_design_domain_are_a_data_error(cell):
     data["num_nodes_alloc"][3] = cell
     table = build_table(toy.columns, data)
     with pytest.raises(DataError, match="design column 'num_nodes_alloc' of the training rows"):
-        train_objective_surrogate(table, "runtime", use_embedding=False,
-                                  params=TreeParams(n_estimators=2, max_depth=2))
-
-
-def test_training_leaves_the_callers_params_unchanged():
-    params = TreeParams(n_estimators=4, max_depth=3, seed=5)
-    model = train_objective_surrogate(_toy_table(), "runtime", use_embedding=False,
-                                      params=params, seed=0)
-    assert params.seed == 5
-    # the forest is the one the training seed grows, not the caller's seed
-    _, X, y = training_data(_toy_table(), "runtime")
-    assert np.array_equal(model.predict(X),
-                          fit_tree_ensemble(X, y, replace(params, seed=0)).predict(X))
-    assert not np.array_equal(model.predict(X), fit_tree_ensemble(X, y, params).predict(X))
+        train_objective_surrogate(table, "runtime", n_estimators=2, max_depth=2,
+                                  mask_epochs=400, use_embedding=False, seed=0)
 
 
 def test_surrogate_pairing_is_independent():
     table = _toy_table()
-    params = TreeParams(n_estimators=10, max_depth=4)
-    r1 = train_objective_surrogate(table, "runtime", params=params, seed=2)
-    p1 = train_objective_surrogate(table, "power", params=params, seed=2)
-    r2 = train_objective_surrogate(table, "runtime", params=params, seed=2)
+    forest = {"n_estimators": 10, "max_depth": 4, "mask_epochs": 400, "use_embedding": True}
+    r1 = train_objective_surrogate(table, "runtime", **forest, seed=2)
+    p1 = train_objective_surrogate(table, "power", **forest, seed=2)
+    r2 = train_objective_surrogate(table, "runtime", **forest, seed=2)
     X = table.numeric_matrix(r1.feature_names)
     # two calls, no shared state: retraining runtime leaves power untouched
     assert np.array_equal(r1.predict(X), r2.predict(X))
@@ -288,9 +276,8 @@ def test_surrogate_pairing_is_independent():
 
 def test_surrogate_serialization_round_trip(tmp_path):
     table = _toy_table()
-    model = train_objective_surrogate(table, "runtime",
-                                      params=TreeParams(n_estimators=8, max_depth=4),
-                                      seed=3)
+    model = train_objective_surrogate(table, "runtime", n_estimators=8, max_depth=4,
+                                      mask_epochs=400, use_embedding=True, seed=3)
     path = tmp_path / "runtime_model.json"
     save_surrogate(model, path)
     loaded = load_surrogate(path)
@@ -304,7 +291,7 @@ def test_surrogate_serialization_round_trip(tmp_path):
 _TreeBuilder = surrogate._grow_trees
 
 
-def _fit_recording_states(grow, X, y, params, weights, whole):
+def _fit_recording_states(grow, X, y, forest, weights, whole):
     """fit_tree_ensemble with `grow` growing the trees (with `whole`, the
     builder called directly as `_grow_whole` calls it). Also returns, per
     tree, its targets and its generator's state when growth began (after
@@ -322,10 +309,10 @@ def _fit_recording_states(grow, X, y, params, weights, whole):
     try:
         if whole:
             log_w = None if weights is None else np.log(weights / weights.sum())
-            model = _grow_whole(X, y, params.n_estimators, params.max_depth, params.seed,
-                                log_w)
+            model = _grow_whole(X, y, forest["n_estimators"], forest["max_depth"],
+                                forest["seed"], log_w)
         else:
-            model = fit_tree_ensemble(X, y, params, feature_weights=weights)
+            model = fit_tree_ensemble(X, y, **forest, feature_weights=weights)
     finally:
         surrogate._grow_trees = saved
     return model, inputs, rows
@@ -348,17 +335,18 @@ def _tree_problems(draw):
             cols.append(draw(st.lists(grid if kind == "grid" else wide, min_size=n, max_size=n)))
     X = np.array(cols).T
     y = np.array(draw(st.lists(st.one_of(grid, wide), min_size=n, max_size=n)))
-    params = TreeParams(
-        n_estimators=draw(st.integers(1, 4)),
-        max_depth=draw(st.integers(1, 6)),
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
+    # fit_tree_ensemble's settings, by argument name
+    forest = {
+        "n_estimators": draw(st.integers(1, 4)),
+        "max_depth": draw(st.integers(1, 6)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
     weights = None
     if draw(st.booleans()):
         weights = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
     # fit_tree_ensemble's bootstrap rows and sampled features, or every row
     # with every feature a candidate
-    return X, y, params, weights, draw(st.booleans())
+    return X, y, forest, weights, draw(st.booleans())
 
 
 def _adjacent_floats_problem():
@@ -368,8 +356,8 @@ def _adjacent_floats_problem():
     X = np.full((23, 5), -2.0)
     X[:, 0] = [0.0] * 21 + [-1000.0, np.nextafter(-1000.0, 0.0)]
     y = np.array([-2.0] * 22 + [0.0])
-    params = TreeParams(n_estimators=1, max_depth=2, seed=0)
-    return X, y, params, None, True
+    forest = {"n_estimators": 1, "max_depth": 2, "seed": 0}
+    return X, y, forest, None, True
 
 
 def _levels(tree):
@@ -397,7 +385,7 @@ def _is_open(t):
     return np.cumsum(c * c)[-1] > 1e-12 * max(1.0, np.cumsum(t * t)[-1])
 
 
-def _drawn_features(tree, state, params, whole, d, weights, reached, t):
+def _drawn_features(tree, state, max_depth, whole, d, weights, reached, t):
     """Each open node's candidate features, drawn again from the tree's
     generator: per depth below max_depth, one row of uniforms per open node,
     breadth-first. reached[node] indexes the targets t of the node's rows."""
@@ -405,7 +393,7 @@ def _drawn_features(tree, state, params, whole, d, weights, reached, t):
     rng = np.random.default_rng()
     rng.bit_generator.state = state
     drawn = {}
-    for depth, level in enumerate(_levels(tree)[:params.max_depth]):
+    for depth, level in enumerate(_levels(tree)[:max_depth]):
         open_nodes = [node for node in level.tolist()
                       if _is_open(t[reached[node]])]
         if log_w is None and k == d:
@@ -444,12 +432,13 @@ def _node_rows(tree, X):
 @given(problem=_tree_problems())
 @example(problem=_adjacent_floats_problem())
 def test_each_split_has_the_least_sse_among_its_drawn_features(problem):
-    X, y, params, weights, whole = problem
-    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights, whole)
+    X, y, forest, weights, whole = problem
+    max_depth = forest["max_depth"]
+    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, forest, weights, whole)
     for tree, (target, state), idx in zip(model.trees, inputs, rows):
         depth = {node: dep for dep, level in enumerate(_levels(tree)) for node in level.tolist()}
         reached = _node_rows(tree, X[idx])
-        drawn = _drawn_features(tree, state, params, whole, X.shape[1], weights, reached,
+        drawn = _drawn_features(tree, state, max_depth, whole, X.shape[1], weights, reached,
                                 target[idx])
         for node, here in reached.items():
             v, t = X[idx[here]], target[idx[here]]
@@ -459,7 +448,7 @@ def test_each_split_has_the_least_sse_among_its_drawn_features(problem):
             sse = float(c @ c)
             f = tree.feature[node]
             if f < 0:
-                if depth[node] < params.max_depth and node in drawn:
+                if depth[node] < max_depth and node in drawn:
                     # no drawn feature gains more than the gain tolerance
                     least = min(_least_sse(v[:, g], t) for g in drawn[node])
                     assert sse - least <= 1e-9 * max(1.0, sse), node
@@ -478,13 +467,13 @@ def test_each_split_has_the_least_sse_among_its_drawn_features(problem):
 @given(problem=_tree_problems())
 @example(problem=_adjacent_floats_problem())
 def test_a_tree_grown_in_its_forest_equals_the_tree_grown_alone(problem):
-    X, y, params, weights, whole = problem
-    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights, whole)
+    X, y, forest, weights, whole = problem
+    model, inputs, rows = _fit_recording_states(_TreeBuilder, X, y, forest, weights, whole)
     n_sub, log_w = _draw_inputs(whole, X.shape[1], weights)
     for tree, (target, state), idx in zip(model.trees, inputs, rows):
         rng = np.random.default_rng()
         rng.bit_generator.state = state
-        alone, = _TreeBuilder(*_rank_columns(X), target, [idx], [rng], params.max_depth,
+        alone, = _TreeBuilder(*_rank_columns(X), target, [idx], [rng], forest["max_depth"],
                               n_sub, log_w)
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(alone, name), getattr(tree, name)), name
@@ -492,11 +481,10 @@ def test_a_tree_grown_in_its_forest_equals_the_tree_grown_alone(problem):
 
 def test_a_forest_grown_in_batches_equals_the_forest_grown_in_one_pass(monkeypatch):
     X, y = _noisy_quadratic(6, n=60)
-    params = TreeParams(n_estimators=7, max_depth=5, seed=2)
     weights = np.array([4.0, 1.0, 2.0, 0.5])
-    whole = fit_tree_ensemble(X, y, params, feature_weights=weights)
+    whole = fit_tree_ensemble(X, y, 7, 5, 2, feature_weights=weights)
     monkeypatch.setattr(surrogate, "_ENTRY_BLOCK", 2 * 60)  # one tree per pass
-    batched = fit_tree_ensemble(X, y, params, feature_weights=weights)
+    batched = fit_tree_ensemble(X, y, 7, 5, 2, feature_weights=weights)
     for a, b in zip(whole.trees, batched.trees, strict=True):
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -538,8 +526,8 @@ def test_a_node_count_on_an_integer_split_midpoint_goes_right(target):
     # thresholds sent 48 and 60 of these rows and node counts left by rounding
     table, _ = generate(SyntheticSpec(n_jobs=200, n_noise_features=3, seed=11))
     processed, _ = preprocess_fit(table, DURATION_PAIRS)
-    surr = train_objective_surrogate(processed, target, params=TreeParams(12, 8),
-                                     mask_epochs=60, seed=3)
+    surr = train_objective_surrogate(processed, target, n_estimators=12, max_depth=8,
+                                     mask_epochs=60, use_embedding=True, seed=3)
     rows = processed.numeric_matrix(surr.feature_names)[:20]
     design = surr.feature_names.index(surr.design_feature)
     lo, hi = surr.design_bounds
@@ -554,7 +542,7 @@ def _affine_problems(draw):
     """A tree problem with positive feature weights, and per column a
     positive affine map x -> scale * x + shift whose scale reaches 2**1013,
     so that mapped values come near the largest float."""
-    X, y, params, _, _ = draw(_tree_problems())
+    X, y, forest, _, _ = draw(_tree_problems())
     d = X.shape[1]
     weights = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
     scale = np.array([draw(st.floats(1.0, 2.0)) * 2.0 ** draw(st.integers(-600, 1012))
@@ -562,13 +550,13 @@ def _affine_problems(draw):
     offsets = st.one_of(st.just(0.0), st.integers(-1000, 1000).map(float),
                         st.floats(-1e3, 1e3))
     shift = scale * np.array(draw(st.lists(offsets, min_size=d, max_size=d)))
-    return X, y, params, weights, scale, shift
+    return X, y, forest, weights, scale, shift
 
 
 def _halves_past_a_float():
     """Mapped values 2**1023 and 1.5 * 2**1023, whose sum overflows."""
     X = np.array([[1.0], [1.5], [1.0], [1.5]])
-    return (X, np.array([0.0, 1.0, 0.0, 1.0]), TreeParams(n_estimators=2, max_depth=2),
+    return (X, np.array([0.0, 1.0, 0.0, 1.0]), {"n_estimators": 2, "max_depth": 2, "seed": 0},
             np.ones(1), np.array([2.0 ** 1023]), np.zeros(1))
 
 
@@ -576,7 +564,7 @@ def _halves_past_a_float():
 @given(problem=_affine_problems())
 @example(problem=_halves_past_a_float())
 def test_a_positive_affine_map_of_the_features_grows_the_same_trees(problem):
-    X, y, params, weights, scale, shift = problem
+    X, y, forest, weights, scale, shift = problem
     with np.errstate(over="ignore"):
         mapped = X * scale + shift
     # a map that rounds two values together, or one past a float, changes the input
@@ -584,8 +572,8 @@ def test_a_positive_affine_map_of_the_features_grows_the_same_trees(problem):
     assume(all(np.array_equal(np.unique(a, return_inverse=True)[1],
                               np.unique(b, return_inverse=True)[1])
                for a, b in zip(X.T, mapped.T)))
-    raw = fit_tree_ensemble(X, y, params, feature_weights=weights)
-    moved = fit_tree_ensemble(mapped, y, params, feature_weights=weights)
+    raw = fit_tree_ensemble(X, y, **forest, feature_weights=weights)
+    moved = fit_tree_ensemble(mapped, y, **forest, feature_weights=weights)
     for a, b in zip(raw.trees, moved.trees, strict=True):
         for name in ("feature", "left", "right", "value"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -609,8 +597,8 @@ def _leaf_rows(tree, X):
 @given(problem=_tree_problems())
 @example(problem=_adjacent_floats_problem())
 def test_every_leaf_holds_a_training_row_and_a_finite_value(problem):
-    X, y, params, weights, whole = problem
-    model, _, rows = _fit_recording_states(_TreeBuilder, X, y, params, weights, whole)
+    X, y, forest, weights, whole = problem
+    model, _, rows = _fit_recording_states(_TreeBuilder, X, y, forest, weights, whole)
     for tree, idx in zip(model.trees, rows):
         leaves = np.flatnonzero(tree.feature < 0)
         assert np.isfinite(tree.value[leaves]).all()
@@ -625,9 +613,9 @@ def _forest_queries(draw):
     size in trees times rows. numpy sums 8 or more values pairwise, so
     only a forest of 8 or more trees can tell a pairwise sum from the
     tree-order sum."""
-    X, y, params, weights, _ = draw(_tree_problems())
-    params = replace(params, n_estimators=draw(st.integers(0, 20)))
-    model = fit_tree_ensemble(X, y, params, feature_weights=weights)
+    X, y, forest, weights, _ = draw(_tree_problems())
+    forest["n_estimators"] = draw(st.integers(0, 20))
+    model = fit_tree_ensemble(X, y, **forest, feature_weights=weights)
     known = sorted({*X.ravel().tolist(), *(x for t in model.trees for x in t.threshold.tolist())})
     cell = st.one_of(st.sampled_from(known), st.sampled_from([np.nan, np.inf, -np.inf]),
                      st.floats())
@@ -639,14 +627,14 @@ def _forest_queries(draw):
 
 def _single_leaf_forest():
     X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
-    model = fit_tree_ensemble(X, np.full(3, 1.5), TreeParams(n_estimators=3, max_depth=4))
+    model = fit_tree_ensemble(X, np.full(3, 1.5), 3, 4, 0)
     return model, np.array([[np.nan, np.inf]]), 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_forest_queries())
 @example(case=_single_leaf_forest()).via("single-leaf trees, one NaN/inf row")
-@example(case=(fit_tree_ensemble(np.eye(3), np.arange(3.0), TreeParams(n_estimators=0)),
+@example(case=(fit_tree_ensemble(np.eye(3), np.arange(3.0), 0, 10, 0),
                np.array([[np.nan, -np.inf, 0.0]]), 1)).via("no trees")
 def test_packed_predict_equals_the_reference_walk_bit_for_bit(case):
     model, Q, block = case
@@ -659,7 +647,7 @@ def test_packed_predict_equals_the_reference_walk_bit_for_bit(case):
 
 def test_a_forest_of_40_trees_predicts_the_tree_order_sum_across_block_boundaries(monkeypatch):
     X, y = _noisy_quadratic(3, n=80)
-    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=40, max_depth=6, seed=1))
+    model = fit_tree_ensemble(X, y, 40, 6, 1)
     Q = _noisy_quadratic(4, n=50)[0]
     whole = model.predict(Q)
     assert whole.tobytes() == _reference_predict(model, Q).tobytes()
@@ -672,7 +660,7 @@ def test_a_forest_of_40_trees_predicts_the_tree_order_sum_across_block_boundarie
 
 def test_predict_with_fewer_columns_than_the_trees_split_on_is_a_data_error():
     X, y = _noisy_quadratic(0, n=60)
-    model = fit_tree_ensemble(X, y, TreeParams(n_estimators=4, max_depth=3))
+    model = fit_tree_ensemble(X, y, 4, 3, 0)
     used = model.n_features
     assert used == 1 + max(int(t.feature.max()) for t in model.trees)
     with pytest.raises(DataError, match=f"has {used - 1} columns.*feature {used - 1}"):
@@ -757,9 +745,8 @@ def test_trained_surrogate_json_matches_the_golden_digest(case, tmp_path):
 
     table, _ = generate(SyntheticSpec(n_jobs=200, n_noise_features=3, seed=11))
     processed, _ = preprocess_fit(table, DURATION_PAIRS)
-    model = train_objective_surrogate(processed, "runtime_seconds", use_embedding=True,
-                                      params=TreeParams(n_estimators=12, max_depth=8),
-                                      mask_epochs=60, seed=3)
+    model = train_objective_surrogate(processed, "runtime_seconds", n_estimators=12,
+                                      max_depth=8, mask_epochs=60, use_embedding=True, seed=3)
     path = tmp_path / "model.json"
     save_surrogate(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_DIGESTS[case]
@@ -794,12 +781,11 @@ def _models(draw):
     X = rng.normal(size=(n, d))
     # a constant target grows single-leaf trees; no trees write "trees": []
     y = np.full(n, 2.5) if draw(st.booleans()) else rng.normal(size=n)
-    params = draw(st.sampled_from([TreeParams(n_estimators=3, max_depth=3),
-                                   TreeParams(n_estimators=0)]))
+    n_estimators, max_depth = draw(st.sampled_from([(3, 3), (0, 10)]))
     return SurrogateModel(
         target=draw(_names),
         feature_names=draw(st.lists(_names, min_size=d, max_size=d)),
-        ensemble=fit_tree_ensemble(X, y, params),
+        ensemble=fit_tree_ensemble(X, y, n_estimators, max_depth, 0),
         mask_theta=rng.normal(size=d) if draw(st.booleans()) else None,
         design_feature=draw(_names),
         design_bounds=(1, draw(st.integers(1, 1024))),
@@ -810,8 +796,8 @@ def _models(draw):
 @given(_models())
 @example(SurrogateModel(
     target='"trees": [', feature_names=['"trees": [{"x": 1}], "y": ['],
-    ensemble=fit_tree_ensemble(np.zeros((3, 1)), np.ones(3), TreeParams(n_estimators=0)),
-    design_feature="é\\\"")).via("a zero-tree model with hostile names")
+    ensemble=fit_tree_ensemble(np.zeros((3, 1)), np.ones(3), 0, 10, 0), mask_theta=None,
+    design_feature="é\\\"", design_bounds=(1, 1))).via("a zero-tree model with hostile names")
 def test_streamed_model_bytes_equal_the_one_shot_json(tmp_path_factory, model):
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_surrogate(model, path)
@@ -822,8 +808,8 @@ def test_streamed_model_bytes_equal_the_one_shot_json(tmp_path_factory, model):
 def test_a_model_file_with_a_tree_index_past_its_integer_type_is_a_data_error(tmp_path,
                                                                               field):
     # raised OverflowError, which no caller caught
-    model = train_objective_surrogate(_toy_table(), "runtime",
-                                      params=TreeParams(n_estimators=2, max_depth=2), seed=0)
+    model = train_objective_surrogate(_toy_table(), "runtime", n_estimators=2, max_depth=2,
+                                      mask_epochs=400, use_embedding=True, seed=0)
     path = tmp_path / "runtime_model.json"
     save_surrogate(model, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -840,7 +826,8 @@ def _stump_model(leaf, n_trees):
         left=np.array([1, -1, -1], dtype=np.int32), right=np.array([2, -1, -1], dtype=np.int32),
         value=np.array([0.0, leaf, leaf / 2.0])) for _ in range(n_trees)]
     return SurrogateModel(target="y", feature_names=["num_nodes_alloc"],
-                          ensemble=surrogate.TreeEnsemble(trees, 0.0))
+                          ensemble=surrogate.TreeEnsemble(trees, 0.0), mask_theta=None,
+                          design_feature="num_nodes_alloc", design_bounds=(1, 1))
 
 
 def test_leaves_are_refused_exactly_when_their_tree_order_sum_can_overflow(tmp_path):
@@ -872,9 +859,10 @@ def test_leaves_are_refused_exactly_when_their_tree_order_sum_can_overflow(tmp_p
 def test_saving_a_forest_holds_about_one_trees_text(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(1000, 4))
-    ensemble = fit_tree_ensemble(X, rng.normal(size=1000), TreeParams(n_estimators=100,
-                                                                       max_depth=10))
-    model = SurrogateModel(target="y", feature_names=["a", "b", "c", "d"], ensemble=ensemble)
+    ensemble = fit_tree_ensemble(X, rng.normal(size=1000), 100, 10, 0)
+    model = SurrogateModel(target="y", feature_names=["a", "b", "c", "d"], ensemble=ensemble,
+                           mask_theta=None, design_feature="num_nodes_alloc",
+                           design_bounds=(1, 1))
     path = tmp_path / "model.json"
     tracemalloc.start()
     try:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,12 @@ def test_spec_invariants_enforced():
         SyntheticSpec(node_range=(4, 2))
     with pytest.raises(ConfigError):
         SyntheticSpec(noise_sigma=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_noise_features", -1), ("noise_sigma", math.nan), ("noise_sigma", math.inf),
+    ("seed", -3),
+])
+def test_spec_names_a_field_out_of_its_range(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be .*, got {value}$"):
+        SyntheticSpec(**{field: value})
