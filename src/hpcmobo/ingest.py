@@ -26,6 +26,7 @@ header and every other block with csv.writer.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from collections import Counter
@@ -122,25 +123,12 @@ def _convert_column(spec: ColumnSpec, values: list) -> list:
 def _records(lines):
     """The records of a CSV file opened with newline="", as csv.reader gives
     them. A line that holds no '"' is split at its commas (an empty line is
-    the empty record); a line that holds one is pushed back before the rest
-    of the file and read by the one csv.reader over both, so a quoted field
-    that spans lines reads, and csv.reader stays the only parser of quoted
-    records."""
-    lines = iter(lines)
-    pushed: list[str] = []
-
-    def source():
-        while True:
-            line = pushed.pop() if pushed else next(lines, None)
-            if line is None:
-                return
-            yield line
-
-    reader = csv.reader(source())
+    the empty record); a line that holds one goes to csv.reader with the
+    lines after it, so a quoted field that spans lines reads, and csv.reader
+    stays the only parser of quoted records."""
     for line in lines:
         if '"' in line:
-            pushed.append(line)
-            yield next(reader)
+            yield next(csv.reader(itertools.chain((line,), lines)))
         else:
             line = line.rstrip("\r\n")
             yield line.split(",") if line else []
