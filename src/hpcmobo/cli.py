@@ -4,8 +4,9 @@ Subcommands: synthgen, preprocess, sample, embed, train, optimize, report,
 run. preprocess, sample and train each run one stage of `run` through the
 function `run` calls (`pipeline.*_stage`), and embed runs train's mask fit
 (`surrogate.fit_feature_mask`). Each subcommand takes --log-level and only
-the `_SHARED_FLAGS` it reads. Exit codes: 0 success, 2 config error, 3 data
-error, 4 numerical failure.
+the `_SHARED_FLAGS` it reads. Exit codes: 0 success, 1 `report` found a
+method report of `run` missing, 2 config error, 3 data error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -214,8 +215,7 @@ def _cmd_report(args) -> int:
         truth = None
         if settings.truth_path is not None:
             truth = load_table_truth(settings.truth_path, table)
-        result = report_h1(table, settings, cfg,
-                           out_dir=settings.out_dir / "reports", truth=truth)
+        result = report_h1(table, settings, cfg, settings.out_dir / "reports", truth)
         log.info("H1 report written; downstream space: %s", result["downstream_space"])
         return 0
     # check that `run` left a first-context report for every method

@@ -40,7 +40,7 @@ COLUMN_ROLES = ("feature", "regression_target", "design_variable", "ignored")
 class ColumnSpec:
     name: str
     kind: str
-    role: str = "feature"
+    role: str
 
     def __post_init__(self) -> None:
         if self.kind not in COLUMN_KINDS:

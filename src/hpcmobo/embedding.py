@@ -76,24 +76,19 @@ def _loss_and_grads(theta: np.ndarray, w: np.ndarray, b: float,
     return loss, grad_theta, grad_w, grad_b
 
 
-def train_mask(X: np.ndarray, y: np.ndarray, epochs: int, seed: int,
-               init_w: np.ndarray | None = None) -> AttentiveMask:
+def train_mask(X: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> AttentiveMask:
     """Fit theta and the linear readout by full-batch gradient descent at
     learning rate _LR for at most `epochs` epochs.
 
     Expects X standardized per column. theta starts at zero (uniform mask);
-    the readout starts at small seeded values unless init_w is given. Training
-    early-stops once the relative loss improvement over a 10-epoch window
-    drops below 1e-6.
+    the readout starts at small seeded values. Training early-stops once the
+    relative loss improvement over a 10-epoch window drops below 1e-6.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
     theta = np.zeros(d)
-    if init_w is None:
-        w = np.random.default_rng(seed).normal(0.0, 0.01, size=d)
-    else:
-        w = np.asarray(init_w, dtype=float).copy()
+    w = np.random.default_rng(seed).normal(0.0, 0.01, size=d)
     b = float(np.mean(y)) if n else 0.0
 
     window: list[float] = []

@@ -63,11 +63,11 @@ class GaussianProcess:
     y_mean: float
     x_mean: float
     x_std: float
-    chol: np.ndarray = field(repr=False, default=None)  # lower Cholesky factor
-    alpha: np.ndarray = field(repr=False, default=None)
-    jitter: float = 0.0
-    lml: float = -math.inf
-    lml_trace: list[float] = field(default_factory=list)
+    chol: np.ndarray = field(repr=False)  # lower Cholesky factor
+    alpha: np.ndarray = field(repr=False)
+    jitter: float
+    lml: float
+    lml_trace: list[float]
 
     def telemetry(self) -> dict:
         """The fitted hyperparameters, LML and jitter, as a report records them."""

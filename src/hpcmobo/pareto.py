@@ -64,15 +64,12 @@ def nondominated(points: Sequence[Sequence[float]]) -> ParetoFront:
     return ParetoFront(tuple(map(tuple, pts[front_rows(pts)].tolist())))
 
 
-def hypervolume(front: ParetoFront | Sequence[Sequence[float]],
-                ref: Sequence[float]) -> float:
+def hypervolume(front: ParetoFront, ref: Sequence[float]) -> float:
     """Exact 2-D hypervolume of the region dominated by `front` within the
     `ref` box. Points not strictly inside the box contribute zero."""
     ref = np.asarray(ref, dtype=float)
     if not np.isfinite(ref).all():
         raise DataError("reference point must be finite")
-    if not isinstance(front, ParetoFront):
-        front = nondominated(front)
     hv = 0.0
     prev_y = float(ref[1])
     for x, y in front.points:

@@ -40,7 +40,6 @@ from .optimizer import (
     METHOD_SOBO_POWER,
     METHOD_SOBO_RUNTIME,
     CandidateSet,
-    ComparisonTable,
     JobContext,
     ParetoReport,
     compare_methods,
@@ -50,7 +49,6 @@ from .optimizer import (
     sobo_run,
 )
 from .pareto import (
-    ParetoFront,
     front_to_csv,
     fronts_to_svg,
     hypervolume,
@@ -282,21 +280,6 @@ def write_timing_csv(timings: dict[str, float], path: Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def report_h2(reports: dict[str, ParetoReport], out_dir: Path, tag: str,
-              truth_front: ParetoFront | None = None) -> ComparisonTable:
-    """Comparison table plus the overlaid Pareto scatter for one context."""
-    missing = [m for m in ALL_METHODS if m not in reports]
-    if missing:
-        raise DataError(f"missing method reports: {missing}")
-    table = compare_methods(reports)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out_dir / f"comparison_{tag}.csv")
-    fronts = {name: rep.front for name, rep in reports.items()}
-    fronts_to_svg(fronts, out_dir / f"pareto_{tag}.svg", true_front=truth_front,
-                  title=f"Pareto fronts ({tag})")
-    return table
-
-
 def _train_val_split(table: JobTable, seed: int):
     n = table.n_rows
     rng = np.random.default_rng([seed, 77])
@@ -472,10 +455,14 @@ def report_stage(reports: dict[str, list[ParetoReport]], candidates: list[Candid
         if truth is not None:
             job = truth["jobs"][context_rows[i]]
             truth_front = true_front(job, context_candidates.bounds)
-        table = report_h2({m: reps[i] for m, reps in reports.items()}, reports_dir,
-                          f"ctx{i}", truth_front)
-        outputs.append(reports_dir / f"comparison_ctx{i}.csv")
-        outputs.append(reports_dir / f"pareto_ctx{i}.svg")
+        context_reports = {m: reps[i] for m, reps in reports.items()}
+        table = compare_methods(context_reports)
+        table_path = reports_dir / f"comparison_ctx{i}.csv"
+        svg_path = reports_dir / f"pareto_ctx{i}.svg"
+        table.to_csv(table_path)
+        fronts_to_svg({m: rep.front for m, rep in context_reports.items()}, svg_path,
+                      true_front=truth_front, title=f"Pareto fronts (ctx{i})")
+        outputs += [table_path, svg_path]
         for m in ALL_METHODS:
             aggregate[m]["hv"].append(table.hv[m])
             aggregate[m]["spread"].append(table.spread[m])
@@ -506,6 +493,12 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
     truth = load_table_truth(settings.truth_path, processed) if settings.truth_path else None
     subset, plan = run.stage("sample", [out / "preprocessed.csv"], sample_stage, processed,
                              cfg, out / "subset.csv", out / "plan.json")
+    # every method runs, and the GP-based ones need two node counts to fit
+    design = subset.design_column().name
+    node_counts = np.unique(subset.numeric_matrix([design])[:, 0])
+    if len(node_counts) == 1:
+        raise DataError(f"every sampled row has {design} = {node_counts[0]:g}; the GP-based "
+                        "optimizers need at least 2 distinct node counts")
     surrogates, metrics = {}, {}
     for key, target in settings.targets().items():
         surrogates[key], metrics[target] = run.stage(
@@ -566,12 +559,31 @@ def truth_capture(report: ParetoReport, job: dict, bounds: tuple[int, int]) -> d
     }
 
 
-def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
-              out_dir: Path | None = None, truth: dict | None = None,
-              context_rows: list[int] | None = None,
-              methods: tuple[str, ...] = ALL_METHODS) -> dict:
-    """Embedded-vs-raw surrogate comparison: validation MSE/MAPE per seed plus
-    downstream optimizer metrics per method, in a two-block layout.
+def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig, out_dir: Path,
+              truth: dict | None) -> dict:
+    """Embedded-vs-raw surrogate comparison on the job in row 0 of `table`,
+    scored with every method: write `_h1_sweep`'s result as `h1_report.json`
+    and its downstream medians, one block per variant, as `h1_blocks.csv`
+    into `out_dir`, and return the result."""
+    result = _h1_sweep(table, settings, cfg, truth, [0], ALL_METHODS)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "h1_report.json").write_text(
+        json.dumps(result, indent=2, sort_keys=True), encoding="utf-8")
+    lines = [f"# downstream metric: {result['downstream_space']}"]
+    for variant, medians in result["downstream_median"].items():
+        lines.append(f"# block: {variant} features")
+        lines.append("Metric," + ",".join(medians))
+        lines.append("Hypervolume," + ",".join(repr(m["hv"]) for m in medians.values()))
+        lines.append("Spread," + ",".join(repr(m["spread"]) for m in medians.values()))
+    (out_dir / "h1_blocks.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return result
+
+
+def _h1_sweep(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
+              truth: dict | None, context_rows: list[int], methods: tuple[str, ...]) -> dict:
+    """Validation MSE/MAPE per seed of the raw and embedded surrogates, and
+    the downstream metrics of each of `methods` (report labels) on the jobs
+    in `context_rows` of `table`.
 
     One sweep: for each seed and variant it trains both surrogates, predicts
     each context's objective table once, runs every method on it and
@@ -583,11 +595,7 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
     objective space.
     """
     runs = {method.label: method.run for method in METHODS.values()}
-    unknown = [m for m in methods if m not in runs]
-    if unknown:
-        raise ConfigError(f"unknown method(s) {unknown}; expected some of {list(runs)}")
     variants = ("raw", "embedded")
-    context_rows = list(context_rows) if context_rows else [0]
     contexts = [context_from_row(table, row) for row in context_rows]
     per_seed: list[dict] = []
     # (variant, method) -> metric -> the mean over the contexts, one per seed
@@ -623,7 +631,7 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
         # a table of 4 rows or fewer holds out no validation row in any seed
         return None if None in values else float(np.median(values))
 
-    result = {
+    return {
         "seeds": [e["seed"] for e in per_seed],
         "context_rows": context_rows,
         "per_seed": per_seed,
@@ -646,17 +654,3 @@ def report_h1(table: JobTable, settings: PipelineSettings, cfg: RunConfig,
         ),
         "mape_units": "fraction",
     }
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "h1_report.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True), encoding="utf-8")
-        lines = [f"# downstream metric: {result['downstream_space']}"]
-        for v in variants:
-            lines.append(f"# block: {v} features")
-            lines.append("Metric," + ",".join(methods))
-            lines.append("Hypervolume," + ",".join(
-                repr(result["downstream_median"][v][m]["hv"]) for m in methods))
-            lines.append("Spread," + ",".join(
-                repr(result["downstream_median"][v][m]["spread"]) for m in methods))
-        (out_dir / "h1_blocks.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return result

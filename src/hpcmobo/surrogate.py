@@ -33,7 +33,6 @@ config layer, `pipeline.PipelineSettings` and `core.RunConfig`.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -41,10 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, JobTable, NumericalError
+from .core import DataError, JobTable
 from .embedding import AttentiveMask, train_mask
-
-log = logging.getLogger(__name__)
 
 # training rows times candidate features that one `_grow_batch` pass holds:
 # `_grow_trees` grows a larger forest in batches of trees, which bounds each
@@ -493,17 +490,11 @@ def fit_tree_ensemble(X: np.ndarray, y: np.ndarray, n_estimators: int, max_depth
 
 
 def mape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute percentage error; zero-valued truths are excluded (count
-    logged) since their relative error is undefined."""
+    """Mean absolute percentage error; every truth must be positive, as
+    `training_data` requires of a target."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
-    keep = y_true != 0
-    n_excluded = int((~keep).sum())
-    if n_excluded:
-        log.warning("mape: excluded %d zero-valued targets", n_excluded)
-    if not keep.any():
-        raise NumericalError("mape undefined: all target values are zero")
-    return float(np.mean(np.abs(y_true[keep] - y_pred[keep]) / np.abs(y_true[keep])))
+    return float(np.mean(np.abs(y_true - y_pred) / y_true))
 
 
 @dataclass

@@ -36,8 +36,8 @@ from hpcmobo.pareto import (
 )
 from hpcmobo.pipeline import (
     PipelineSettings,
+    _h1_sweep,
     manifest_comparable,
-    report_h1,
     run_pipeline,
 )
 from hpcmobo.sampler import build_plan, draw_subset, score_difficulty
@@ -238,8 +238,7 @@ def test_criterion_08_h1_directional():
             n_estimators=60, max_depth=8, mask_epochs=300, h1_seeds=5,
         )
         cfg = RunConfig(mobo_iterations=15, seed=0)
-        result = report_h1(processed, settings, cfg, truth=truth,
-                           context_rows=[0, 5, 11], methods=("MOBO",))
+        result = _h1_sweep(processed, settings, cfg, truth, [0, 5, 11], ("MOBO",))
         med = result["median_validation"]
         for target in ("runtime_seconds", "node_power"):
             assert med["embedded"][target]["mse"] <= med["raw"][target]["mse"], target

@@ -50,7 +50,7 @@ def _cases():
                                  (np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 2.0, 9), 0.0)),
         "build_plan": (build_plan, (losses, 0.3, 0.01)),
         "nondominated": (nondominated, (points,)),
-        "hypervolume": (hypervolume, (points, np.array([5.0, 10.0]))),
+        "hypervolume": (hypervolume, (nondominated(points), np.array([5.0, 10.0]))),
         "infer_reference": (infer_reference, (points,)),
         "fit_feature_mask": (fit_feature_mask, (X, y, 50, 3)),
     }

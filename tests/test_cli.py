@@ -411,6 +411,19 @@ def test_run_whose_sample_is_too_small_to_train_is_a_data_error(tmp_path, capsys
         assert "surrogate training needs at least 2 rows" in capsys.readouterr().err
 
 
+def test_run_on_a_log_of_one_node_count_is_a_data_error_before_any_model_trains(tmp_path,
+                                                                               capsys):
+    # both models trained, then the GP engines' config error (exit 2) told
+    # the user to run the random baseline, which `run` cannot do alone
+    assert main(["synthgen", "--jobs", "60", "--noise-features", "1", "--nodes-min", "8",
+                 "--nodes-max", "8", "--out", str(tmp_path / "data.csv"),
+                 "--truth", str(tmp_path / "truth.json"),
+                 "--emit-config", str(tmp_path / "config.ini")]) == 0
+    assert main(["run", "--config", str(tmp_path / "config.ini")]) == 3
+    assert "every sampled row has num_nodes_alloc = 8" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "runtime_model.json").exists()
+
+
 @pytest.mark.parametrize("cell", ["1e308", "0.5", "0", "-1", "1e-320"])
 def test_run_on_node_counts_outside_the_design_domain_is_a_data_error(tmp_path, capsys, cell):
     # 1e308 ended in a traceback when the candidate set was built; the

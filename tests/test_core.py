@@ -169,7 +169,7 @@ def test_table_requires_exactly_one_design_variable():
 
 
 def test_tables_equal_detects_cell_and_mask_differences():
-    cols = [ColumnSpec("a", "numeric")]
+    cols = [ColumnSpec("a", "numeric", "feature")]
     t1 = build_table(cols, {"a": [1.0, None]})
     t2 = build_table(cols, {"a": [1.0, None]})
     t3 = build_table(cols, {"a": [1.0, 2.0]})

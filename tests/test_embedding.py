@@ -5,6 +5,7 @@ import pytest
 
 from hpcmobo.embedding import (
     AttentiveMask,
+    _loss_and_grads,
     mask_weights,
     train_mask,
 )
@@ -94,14 +95,21 @@ def test_gradient_check_near_stationary_point():
 
 
 def test_permutation_equivariance_with_consistent_init():
+    # permuting the features together with theta and w permutes both of their
+    # gradients and leaves the loss and the bias gradient; theta starts at
+    # zero, which a permutation leaves as it is, so training on permuted
+    # features from a permuted readout ends at the permuted mask
     rng = np.random.default_rng(8)
     X = _standardize(rng.normal(size=(60, 4)))
     y = 2.0 * X[:, 1] - 1.0 * X[:, 3]
-    w0 = rng.normal(0, 0.01, size=4)
+    theta, w = rng.normal(size=4), rng.normal(0, 0.01, size=4)
     perm = np.array([2, 0, 3, 1])
-    base = train_mask(X, y, epochs=300, seed=0, init_w=w0)
-    permuted = train_mask(X[:, perm], y, epochs=300, seed=0, init_w=w0[perm])
-    assert np.allclose(permuted.m, base.m[perm], atol=1e-8)
+    loss, g_theta, g_w, g_b = _loss_and_grads(theta, w, 0.3, X, y)
+    p_loss, p_theta, p_w, p_b = _loss_and_grads(theta[perm], w[perm], 0.3, X[:, perm], y)
+    assert np.allclose(p_loss, loss, rtol=1e-12, atol=0.0)
+    assert np.allclose(p_b, g_b, rtol=1e-12, atol=0.0)
+    assert np.allclose(p_theta, g_theta[perm], rtol=1e-12, atol=0.0)
+    assert np.allclose(p_w, g_w[perm], rtol=1e-12, atol=0.0)
 
 
 def test_mask_mean_one_after_training():

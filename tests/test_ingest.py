@@ -439,7 +439,7 @@ def test_derive_durations_subtracts_and_flags_negative():
 
 
 def test_derive_durations_missing_source_column():
-    table = build_table([ColumnSpec("s", "numeric")], {"s": [1.0]})
+    table = build_table([ColumnSpec("s", "numeric", "feature")], {"s": [1.0]})
     with pytest.raises(DataError, match="gone"):
         derive_durations(table, [("s", "gone", "d")])
 

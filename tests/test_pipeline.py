@@ -278,7 +278,7 @@ def test_report_h1_on_a_table_with_no_validation_rows_writes_null_medians(tmp_pa
         mask_epochs=20, h1_seeds=2,
     )
     result = report_h1(processed, settings, RunConfig(mobo_iterations=2, random_seeds=2),
-                       out_dir=tmp_path / "r", methods=("MOBO", "Random"))
+                       tmp_path / "r", None)
     payload = json.loads((tmp_path / "r" / "h1_report.json").read_text())
     for variant in ("raw", "embedded"):
         for target in ("runtime_seconds", "node_power"):
@@ -298,8 +298,7 @@ def test_report_h1_direction_and_blocks(tmp_path):
         mask_epochs=150, h1_seeds=2,
     )
     cfg = RunConfig(mobo_iterations=5, random_seeds=2, seed=0)
-    result = report_h1(processed, settings, cfg, out_dir=tmp_path / "reports",
-                       truth=truth, context_rows=[0], methods=("MOBO",))
+    result = report_h1(processed, settings, cfg, tmp_path / "reports", truth)
     assert set(result["median_validation"]) == {"raw", "embedded"}
     assert (tmp_path / "reports" / "h1_report.json").exists()
     blocks = (tmp_path / "reports" / "h1_blocks.csv").read_text()
@@ -318,10 +317,33 @@ def test_report_h1_all_method_columns(tmp_path):
         mask_epochs=60, h1_seeds=1,
     )
     cfg = RunConfig(mobo_iterations=3, random_seeds=2, seed=0)
-    result = report_h1(processed, settings, cfg, out_dir=tmp_path / "r",
-                       truth=truth, context_rows=[0])
+    result = report_h1(processed, settings, cfg, tmp_path / "r", truth)
     header = (tmp_path / "r" / "h1_blocks.csv").read_text().splitlines()[2]
     assert header == "Metric,MOBO,SOBO (Runtime),SOBO (Power),Random"
+
+
+# sha256 of the two files `report_h1` writes, on a 150-job log over two seeds:
+# they pin the sweep, the truth-space scores and the writers end to end
+_H1_DIGESTS = {
+    "h1_report.json": "2a95e78e1a8f87c094cc80492705b618603606d2579867e29bf87743ee67681f",
+    "h1_blocks.csv": "5930f2d1b88069c79e014a5130afecbfe871c39ffdafac2fc32dcc87a7001e39",
+}
+
+
+def test_report_h1_files_match_the_golden_digests(tmp_path):
+    table, truth = generate(SyntheticSpec(n_jobs=150, n_noise_features=1, noise_sigma=1.0,
+                                          seed=6))
+    processed, _ = preprocess_fit(table, DURATION_PAIRS)
+    settings = PipelineSettings(
+        input_path=Path("x"), out_dir=tmp_path, runtime_target="runtime_seconds",
+        power_target="node_power", specs=[], n_estimators=8, max_depth=4,
+        mask_epochs=60, h1_seeds=2,
+    )
+    report_h1(processed, settings, RunConfig(mobo_iterations=3, random_seeds=2, seed=0),
+              tmp_path / "r", truth)
+    digests = {name: hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest()
+               for name in _H1_DIGESTS}
+    assert digests == _H1_DIGESTS
 
 
 def test_stage_input_fingerprint_guard(tmp_path):
@@ -363,9 +385,9 @@ def test_recipe_and_plan_json_match_the_golden_digest(tau, digest, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-# sha256 of each optimizer's report and front CSV from one `_write_config`
-# run: they pin the GP search, the acquisitions and the report writers
-# end to end
+# sha256 of each optimizer's report and front CSV, and of the comparison
+# tables and front overlay, from one `_write_config` run: they pin the GP
+# search, the acquisitions and the report writers end to end
 _REPORT_DIGESTS = {
     "mobo_ctx0.json": "ff1cc8083d853e86f4de4bb008d5be19adf249f21e8d4ca2cf8789345359ff5d",
     "mobo_ctx0_front.csv": "3a0e9322157f9624c5c1f1a503d75945cb05a087d15c8c58196e72e8ba8a4249",
@@ -377,6 +399,10 @@ _REPORT_DIGESTS = {
         "e4314e4de60a67df5a720e369b04a244f6b1791075bb9b30724c580c8bba3308",
     "random_ctx0.json": "d3c397ffa794271ede2be99ac5f8c8d3e5fdaf2aade8f1e46c8462f7506d4482",
     "random_ctx0_front.csv": "1d3b75493f9b8c73d701008f781972e39f3212a6182f2c765581b64e95af08ea",
+    "comparison_ctx0.csv": "fe2de45906baa9a42f7e1ff4ab32c18f96fffa25653f0d49af8a98ec8dae1166",
+    "pareto_ctx0.svg": "560bf70bcd0bcdeb9ced199aa7e739645003b9828aac6e1fbf96fa9ef708cafb",
+    "comparison_aggregate.csv":
+        "c467d59e7be84b1bb8cc19d0e16c000c01a16468bfd1b577285b840695d8e7c1",
 }
 
 
@@ -408,3 +434,12 @@ _TRAINING_SETTINGS = [
 def test_a_library_function_takes_its_training_settings_without_defaults(fn, names):
     params = inspect.signature(fn).parameters
     assert [n for n in names if params[n].default is not inspect.Parameter.empty] == []
+
+
+def test_report_h1_and_train_mask_take_no_parameter_only_tests_set():
+    # the H1 sweep's context rows and methods, and the mask's initial
+    # readout, are `_h1_sweep`'s and the trainer's own; no caller sets them
+    params = inspect.signature(report_h1).parameters
+    assert list(params) == ["table", "settings", "cfg", "out_dir", "truth"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+    assert "init_w" not in inspect.signature(train_mask).parameters
