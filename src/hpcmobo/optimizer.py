@@ -2,7 +2,8 @@
 
 Every engine starts from the same 4-point space-filling initial design and
 searches a frozen objective table, which stands in for the machine. The
-domain is one integer axis: every node count from lo to hi (`CandidateSet`).
+domain is one integer axis: every node count from lo to hi, at least two of
+them, so every GP fits two distinct design points (`CandidateSet`).
 The frozen surrogates predict each candidate once, in one batched call per
 surrogate (`evaluate_objectives`), and every engine run on that context reads
 the one read-only table: an engine takes the candidates and their table,
@@ -106,7 +107,8 @@ class JobContext:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Every node count from lo to hi plus the fixed job context.
+    """Every node count from lo to hi, at least two, plus the fixed job
+    context.
 
     Engines refer to a candidate by its row, node count minus lo, so the
     first row of a tie is the smallest node count."""
@@ -118,7 +120,10 @@ class CandidateSet:
     def __post_init__(self) -> None:
         if not 1 <= self.lo <= self.hi:
             raise ConfigError(f"candidate node range [{self.lo}, {self.hi}] must satisfy "
-                              "1 <= lo <= hi")
+                              "1 <= lo < hi")
+        if self.lo == self.hi:
+            raise ConfigError(f"candidate node range [{self.lo}, {self.hi}] spans one node "
+                              "count; a design domain needs at least 2")
 
     @property
     def node_counts(self) -> np.ndarray:
@@ -135,12 +140,13 @@ class CandidateSet:
     @classmethod
     def for_surrogates(cls, surr_runtime: ObjectiveSurrogate, surr_power: ObjectiveSurrogate,
                        context: JobContext) -> "CandidateSet":
-        """Every node count inside both surrogates' design bounds."""
+        """Every node count inside both surrogates' design bounds, which
+        must share at least 2."""
         lo, hi = _shared_bounds(surr_runtime, surr_power)
-        if hi < lo:
+        if hi <= lo:
             raise ConfigError(
                 f"runtime and power surrogate design bounds {surr_runtime.design_bounds} "
-                f"and {surr_power.design_bounds} do not overlap"
+                f"and {surr_power.design_bounds} share fewer than 2 node counts"
             )
         return cls.from_bounds(lo, hi, context)
 
@@ -364,15 +370,6 @@ def initial_design(lo: int, hi: int) -> list[int]:
     return sorted(set(raw))
 
 
-def _require_searchable(candidates: CandidateSet) -> None:
-    # the GP fit needs at least two distinct design points
-    if candidates.lo == candidates.hi:
-        raise ConfigError(
-            "GP-based optimizers need at least 2 distinct candidate node counts; "
-            "use the random baseline for a single-point domain"
-        )
-
-
 def _finalize_report(method: str, cfg: RunConfig, candidates: CandidateSet,
                      objectives: np.ndarray, picks: list[int], n_initial: int,
                      steps: list[tuple],
@@ -449,7 +446,6 @@ def _gp_search(method: str, candidates: CandidateSet, objectives: np.ndarray,
     at the first pick of a node already observed, which it does not append:
     nothing the fits see would change, so it would be picked for the rest of
     the budget."""
-    _require_searchable(candidates)
     picks = _start(candidates, objectives)
     n_initial = len(picks)
     nodes = candidates.node_counts

@@ -493,12 +493,6 @@ def run_pipeline(config_path: str | Path, overrides: dict | None = None,
     truth = load_table_truth(settings.truth_path, processed) if settings.truth_path else None
     subset, plan = run.stage("sample", [out / "preprocessed.csv"], sample_stage, processed,
                              cfg, out / "subset.csv", out / "plan.json")
-    # every method runs, and the GP-based ones need two node counts to fit
-    design = subset.design_column().name
-    node_counts = np.unique(subset.numeric_matrix([design])[:, 0])
-    if len(node_counts) == 1:
-        raise DataError(f"every sampled row has {design} = {node_counts[0]:g}; the GP-based "
-                        "optimizers need at least 2 distinct node counts")
     surrogates, metrics = {}, {}
     for key, target in settings.targets().items():
         surrogates[key], metrics[target] = run.stage(

@@ -536,9 +536,10 @@ def surrogate_features(table: JobTable) -> list[str]:
 def training_data(table: JobTable, target: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Feature names, feature matrix and target vector of a fully
     preprocessed table of at least 2 rows whose target values are all
-    positive normal floats, whose node counts span a design domain (see
-    `design_bounds`) and whose columns each have a finite standard
-    deviation."""
+    positive normal floats, whose node counts span a design domain of at
+    least two (see `design_bounds`) and whose columns each have a finite
+    standard deviation. Training checks the rows it fits before any mask or
+    tree, so a training split of one node count writes no model."""
     if table.n_rows < 2:
         raise DataError(f"surrogate training needs at least 2 rows, the table has "
                         f"{table.n_rows}")
@@ -578,7 +579,8 @@ def check_finite_spread(names: list[str], X: np.ndarray) -> None:
 
 def design_bounds(table: JobTable) -> tuple[int, int]:
     """The least and greatest node counts of the training rows, which
-    `check_design_bounds` must accept."""
+    `check_design_bounds` must accept: rows of one node count leave the
+    search nothing to choose, so they are a DataError."""
     design = table.design_column().name
     nodes = table.numeric_matrix([design])[:, 0]
     # integral node counts become ints, so that 0.5 or 1e-320 fails the check
@@ -589,12 +591,15 @@ def design_bounds(table: JobTable) -> tuple[int, int]:
 
 def check_design_bounds(bounds: tuple, where: str) -> None:
     """A DataError naming `where` unless `bounds` is two integers lo, hi
-    with 1 <= lo <= hi that span at most MAX_DESIGN_NODES node counts."""
+    with 1 <= lo < hi that span at most MAX_DESIGN_NODES node counts."""
     if not (len(bounds) == 2 and all(type(b) is int for b in bounds)
             and 1 <= bounds[0] <= bounds[1]):
         raise DataError(f"{where}: design bounds {list(bounds)} are not two integers "
-                        "lo, hi with 1 <= lo <= hi")
+                        "lo, hi with 1 <= lo < hi")
     lo, hi = bounds
+    if lo == hi:
+        raise DataError(f"{where}: design bounds [{lo}, {hi}] span one node count; a "
+                        "design domain needs at least 2")
     if hi - lo + 1 > MAX_DESIGN_NODES:
         raise DataError(f"{where}: design bounds [{lo:.10g}, {hi:.10g}] span more than "
                         f"{MAX_DESIGN_NODES} node counts")

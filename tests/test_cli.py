@@ -420,8 +420,34 @@ def test_run_on_a_log_of_one_node_count_is_a_data_error_before_any_model_trains(
                  "--truth", str(tmp_path / "truth.json"),
                  "--emit-config", str(tmp_path / "config.ini")]) == 0
     assert main(["run", "--config", str(tmp_path / "config.ini")]) == 3
-    assert "every sampled row has num_nodes_alloc = 8" in capsys.readouterr().err
+    assert ("design column 'num_nodes_alloc' of the training rows: design bounds [8, 8] "
+            "span one node count" in capsys.readouterr().err)
     assert not (tmp_path / "out" / "runtime_model.json").exists()
+
+
+def test_run_whose_training_split_holds_one_node_count_writes_no_model(tmp_path, capsys):
+    # one job of 30 at 16 nodes, the rest at 8: where that job was held out
+    # for validation (seed 7), both models trained on 8 nodes alone and were
+    # written, and then the GP engines' config error exited 2
+    assert main(["synthgen", "--jobs", "30", "--noise-features", "1", "--nodes-min", "8",
+                 "--nodes-max", "8", "--seed", "0", "--out", str(tmp_path / "data.csv"),
+                 "--truth", str(tmp_path / "truth.json"),
+                 "--emit-config", str(tmp_path / "config.ini")]) == 0
+    with (tmp_path / "data.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1 + 4][rows[0].index("num_nodes_alloc")] = "16.0"
+    with (tmp_path / "data.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    codes = []
+    for seed in range(10):
+        out = tmp_path / f"out{seed}"
+        codes.append(main(["run", "--config", str(tmp_path / "config.ini"), "--tau", "1.0",
+                           "--seed", str(seed), "--out-dir", str(out)]))
+        assert codes[-1] in (0, 3), seed
+        if codes[-1] == 3:
+            assert not (out / "runtime_model.json").exists(), seed
+            assert "design bounds [8, 8] span one node count" in capsys.readouterr().err
+    assert 3 in codes
 
 
 @pytest.mark.parametrize("cell", ["1e308", "0.5", "0", "-1", "1e-320"])

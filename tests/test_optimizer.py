@@ -164,8 +164,8 @@ def test_batched_evaluation_equals_row_by_row_predicts(data):
     values = np.array(data.draw(st.lists(
         st.floats(-1e4, 1e4, allow_nan=False), min_size=len(names), max_size=len(names))))
     lo_b, hi_b = surr_r.design_bounds
-    lo = data.draw(st.integers(lo_b, hi_b))
-    hi = data.draw(st.integers(lo, hi_b))
+    lo = data.draw(st.integers(lo_b, hi_b - 1))
+    hi = data.draw(st.integers(lo + 1, hi_b))
     context = JobContext(names, values, surr_r.design_feature)
     candidates = CandidateSet.from_bounds(lo, hi, context)
     table = evaluate_objectives(surr_r, surr_p, candidates)
@@ -216,12 +216,33 @@ def test_every_engine_refuses_a_table_of_the_wrong_shape(stem, shape):
         METHODS[stem].run(_candidates(1, 64), table, _fast_cfg())
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 2), (-2, 5), (3, 2)])
-def test_candidate_ranges_need_1_le_lo_le_hi(lo, hi):
+@pytest.mark.parametrize("lo, hi, why", [
+    (0, 2, "must satisfy 1 <= lo < hi"),
+    (-2, 5, "must satisfy 1 <= lo < hi"),
+    (3, 2, "must satisfy 1 <= lo < hi"),
+    (5, 5, "spans one node count; a design domain needs at least 2"),
+])
+def test_candidate_ranges_need_1_le_lo_lt_hi(lo, hi, why):
     from hpcmobo.core import ConfigError
 
-    with pytest.raises(ConfigError, match=re.escape(f"[{lo}, {hi}] must satisfy 1 <= lo <= hi")):
+    with pytest.raises(ConfigError, match=re.escape(f"[{lo}, {hi}] {why}")):
         CandidateSet.from_bounds(lo, hi, _context())
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.integers(-2, 40), span=st.one_of(st.integers(-3, 3), st.integers(-2**40, 2**40)))
+def test_candidate_sets_are_accepted_exactly_when_1_le_lo_lt_hi(lo, span):
+    from hpcmobo.core import ConfigError
+
+    hi = lo + span
+    if 1 <= lo < hi:
+        CandidateSet(lo, hi, _context())
+        return
+    with pytest.raises(ConfigError) as refused:
+        CandidateSet(lo, hi, _context())
+    if 1 <= lo == hi:
+        assert str(refused.value) == (f"candidate node range [{lo}, {hi}] spans one node "
+                                      "count; a design domain needs at least 2")
 
 
 def test_candidates_for_surrogates_intersects_design_bounds():
@@ -230,9 +251,12 @@ def test_candidates_for_surrogates_intersects_design_bounds():
     wide, narrow = _amdahl_surrogates((1, 64))[0], _amdahl_surrogates((1, 32))[1]
     assert CandidateSet.for_surrogates(wide, narrow, _context()).bounds == (1, 32)
     assert CandidateSet.for_surrogates(narrow, wide, _context()).bounds == (1, 32)
-    with pytest.raises(ConfigError, match="do not overlap"):
-        CandidateSet.for_surrogates(LawSurrogate(AMDAHL["runtime"], (1, 8)),
-                                    LawSurrogate(AMDAHL["power"], (9, 16)), _context())
+    for power_bounds in [(9, 16), (8, 16)]:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"(1, 8) and {power_bounds} share fewer than 2 node counts")):
+            CandidateSet.for_surrogates(LawSurrogate(AMDAHL["runtime"], (1, 8)),
+                                        LawSurrogate(AMDAHL["power"], power_bounds),
+                                        _context())
 
 
 def test_initial_design_is_four_space_filling_points():
@@ -453,7 +477,7 @@ def test_report_rows_front_and_history_agree_for_any_table_and_picks(data):
 
     # few distinct values, so that equal rows, ties and repeats are common
     table = np.array(data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                                        min_size=1, max_size=10)), dtype=float)
+                                        min_size=2, max_size=10)), dtype=float)
     lo = data.draw(st.integers(1, 40))
     candidates = CandidateSet.from_bounds(lo, lo + len(table) - 1, _context())
     picks = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=25))
@@ -549,22 +573,12 @@ def test_random_single_seed_plain_search():
     assert len(report.per_seed) == 1
 
 
-def test_random_candidate_set_of_one():
-    surr_r, surr_p = _amdahl_surrogates(bounds=(4, 4))
-    cfg = _fast_cfg(mobo_iterations=10)
-    report = random_run(*_searched(surr_r, surr_p, 4, 4), cfg)
-    assert len(report.front) == 1
-    assert report.front_nodes == [4]
-
-
-def test_gp_based_methods_reject_single_candidate_domain():
+def test_a_one_node_candidate_set_is_a_config_error_at_construction():
     from hpcmobo.core import ConfigError
-    surr_r, surr_p = _amdahl_surrogates(bounds=(4, 4))
-    cfg = _fast_cfg(mobo_iterations=2)
-    with pytest.raises(ConfigError, match="random baseline"):
-        mobo_run(*_searched(surr_r, surr_p, 4, 4), cfg)
-    with pytest.raises(ConfigError, match="random baseline"):
-        sobo_run(*_searched(surr_r, surr_p, 4, 4), cfg, "runtime")
+    with pytest.raises(ConfigError, match=re.escape("[4, 4] spans one node count")):
+        _candidates(4, 4)
+    with pytest.raises(ConfigError, match="share fewer than 2 node counts"):
+        CandidateSet.for_surrogates(*_amdahl_surrogates(bounds=(4, 4)), _context())
 
 
 def test_compare_methods_ties_and_empty():

@@ -235,14 +235,32 @@ def test_training_data_needs_two_rows():
 
 
 def test_design_bounds_are_integers_from_one_within_the_cap():
-    for good in ((1, 1), (1, MAX_DESIGN_NODES), (7, MAX_DESIGN_NODES + 6)):
+    for good in ((1, 2), (1, MAX_DESIGN_NODES), (7, MAX_DESIGN_NODES + 6)):
         check_design_bounds(good, "here")
     for bad in ((0, 5), (5, 4), (1.0, 5), (True, 5), (1,), (1, 2, 3)):
         with pytest.raises(DataError, match=r"here: design bounds .* are not two integers"):
             check_design_bounds(bad, "here")
+    with pytest.raises(DataError, match=r"here: design bounds \[1, 1\] span one node count"):
+        check_design_bounds((1, 1), "here")
     for bad in ((1, MAX_DESIGN_NODES + 1), (1, 10**308)):
         with pytest.raises(DataError, match=f"span more than {MAX_DESIGN_NODES}"):
             check_design_bounds(bad, "here")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.integers(-2, 40), span=st.one_of(
+    st.integers(-3, 3), st.sampled_from([MAX_DESIGN_NODES - 1, MAX_DESIGN_NODES]),
+    st.integers(-2**20, 2**20)))
+def test_design_bounds_are_accepted_exactly_when_they_span_2_to_the_cap(lo, span):
+    hi = lo + span
+    if 1 <= lo < hi and span < MAX_DESIGN_NODES:
+        check_design_bounds((lo, hi), "here")
+        return
+    with pytest.raises(DataError) as refused:
+        check_design_bounds((lo, hi), "here")
+    if 1 <= lo == hi:
+        assert str(refused.value) == (f"here: design bounds [{lo}, {hi}] span one node count; "
+                                      "a design domain needs at least 2")
 
 
 @pytest.mark.parametrize("cell", [0.5, 0.0, -1.0, 1e-320, 1e308])
@@ -821,7 +839,7 @@ def _stump_model(leaf, n_trees):
         value=np.array([0.0, leaf, leaf / 2.0])) for _ in range(n_trees)]
     return SurrogateModel(target="y", feature_names=["num_nodes_alloc"],
                           ensemble=surrogate.TreeEnsemble(trees, 0.0), mask_theta=None,
-                          design_feature="num_nodes_alloc", design_bounds=(1, 1))
+                          design_feature="num_nodes_alloc", design_bounds=(1, 2))
 
 
 def test_leaves_are_refused_exactly_when_their_tree_order_sum_can_overflow(tmp_path):
